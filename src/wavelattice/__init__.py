@@ -56,14 +56,7 @@ from .lattice import (
     is_admissible,
     refine_halving,
 )
-from .leapfrog import (
-    BLOWUP_THRESHOLD,
-    DiscreteProblem,
-    bootstrap,
-    required_padding,
-    solve,
-    step,
-)
+from .leapfrog import DiscreteProblem, bootstrap, required_padding, solve
 from .spectral import (
     DataFunction,
     Forcing,
@@ -78,6 +71,7 @@ from .spectral import (
     separable_forcing,
 )
 from .stencils import (
+    BLOWUP_THRESHOLD,
     GridField,
     delta_t_centered,
     delta_t_second,

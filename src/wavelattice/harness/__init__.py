@@ -6,7 +6,6 @@ from .experiments import (
     audit_dispersion_roots,
     audit_seno_bound,
     default_config,
-    harness_threads,
     propagator_degeneration,
     run_experiment,
 )

@@ -64,7 +64,7 @@ def _cmd_solve(args) -> int:
         g=cfg.data("g"),
         boundary_value=cfg.data("h") or 0.0,
     )
-    fieldobj = solve(problem, record="window", t_range=(0.0, spec.T))
+    fieldobj = solve(problem, t_range=(0.0, spec.T))
     dump_level(fieldobj, spec.steps, out / "final_level.bin")
     points = lattice_points(fieldobj)
     values = fieldobj.level_array(spec.steps)

@@ -32,6 +32,16 @@ def _vector(text: str) -> list:
     return [float(part) for part in text.split(",") if part != ""]
 
 
+#: parameters each catalog entry takes; any other key is rejected
+_CATALOG_KEYS = {
+    "gaussian": {"center", "width", "amplitude"},
+    "modulated_gaussian": {"center", "width", "carrier", "amplitude"},
+    "plane_wave": {"alpha"},
+    "separable_cosine": {"alpha"},
+    "smooth_bump": {"center", "radius", "amplitude"},
+}
+
+
 def parse_data_function(text: str, n: int):
     """Build a catalog DataFunction from its config string; '' / 'none' -> None."""
     text = text.strip()
@@ -39,11 +49,15 @@ def parse_data_function(text: str, n: int):
         return None
     pieces = text.split()
     name, kvs = pieces[0], pieces[1:]
+    if name not in _CATALOG_KEYS:
+        raise ConfigError(f"unknown data-catalog entry {name!r}")
     params = {}
     for token in kvs:
         if "=" not in token:
             raise ConfigError(f"malformed data parameter {token!r} in {text!r}")
         key, value = token.split("=", 1)
+        if key not in _CATALOG_KEYS[name]:
+            raise ConfigError(f"{name} takes no parameter {key!r} in {text!r}")
         params[key] = _vector(value)
 
     def vec(key, default):
@@ -89,7 +103,6 @@ def parse_data_function(text: str, n: int):
         raise
     except Exception as exc:  # malformed parameters
         raise ConfigError(f"cannot build data function from {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown data-catalog entry {name!r}")
 
 
 def _fmt_vec(values) -> str:
@@ -154,6 +167,14 @@ class ExperimentConfig:
             raise ConfigError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.levels < 1:
             raise ConfigError("levels must be positive")
+        if not (self.dx > 0 and self.dt > 0 and self.T > 0):
+            raise ConfigError("dx, dt and T must be positive")
+        if not self.base_spec().admissible():
+            raise ConfigError(
+                f"lattice dx={self.dx!r} dt={self.dt!r} T={self.T!r} is not "
+                f"admissible in n={self.n}: T/dt must be an integer and "
+                "dt/dx at most 1/sqrt(n)"
+            )
         # Validate every referenced catalog item up front.
         for name in ("f", "g", "h", "w", "a", "sigma"):
             parse_data_function(getattr(self, name), self.n)

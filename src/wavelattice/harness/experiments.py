@@ -5,15 +5,12 @@ ExperimentResult: one or more convergence tables, free-text notes, and a
 pass flag.  run_experiment additionally writes the artifacts (CSV tables,
 gnuplot scripts, the resolved config, notes) into the output directory.
 Randomized sweeps draw from a generator seeded by config.seed, which is
-recorded with the output.  The HARNESS_THREADS environment variable caps
-the worker count of the sampled audits.
+recorded with the output.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,13 +26,7 @@ from ..lagrange import (
     system_for_domain,
 )
 from ..lattice import Domain, LatticeSpec, refine_halving
-from ..leapfrog import (
-    BLOWUP_THRESHOLD,
-    DiscreteProblem,
-    bootstrap,
-    solve,
-    step,
-)
+from ..leapfrog import DiscreteProblem, bootstrap, solve
 from ..spectral import (
     DataFunction,
     FrequencyQuadrature,
@@ -50,8 +41,8 @@ from ..stencils import (
     delta_t_second,
     delta_x_second,
     laplacian_array,
-    leapfrog_advance,
     leapfrog_first_level,
+    three_level_steps,
 )
 from .config import ExperimentConfig
 from .norms import compare_on_common_lattice, scaled_norms
@@ -61,19 +52,10 @@ __all__ = [
     "ExperimentResult",
     "default_config",
     "run_experiment",
-    "harness_threads",
     "audit_seno_bound",
     "audit_dispersion_roots",
     "propagator_degeneration",
 ]
-
-
-def harness_threads() -> int:
-    """Worker cap from HARNESS_THREADS; default 1 (serial)."""
-    try:
-        return max(1, int(os.environ.get("HARNESS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -184,7 +166,7 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
         table = ErrorTable()
         for k, spec in enumerate(specs):
             problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
-            fieldobj = solve(problem, record="window", t_range=(0.0, spec.T))
+            fieldobj = solve(problem, t_range=(0.0, spec.T))
             sup, l2 = compare_on_common_lattice(
                 fieldobj, oracle, window, times=[spec.T], base_spec=base
             )
@@ -248,8 +230,8 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     table = ErrorTable()
     for k, spec in enumerate(refine_halving(base, config.levels)):
         problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
-        fieldobj = solve(problem, record="full", t_range=(0.0, spec.T))
         p_mid = round(t_mid / spec.dt)
+        fieldobj = solve(problem, t_range=(0.0, (p_mid + 1) * spec.dt))
         scale = 2**k
         diffs = []
         for row, idx in enumerate(probes):
@@ -349,14 +331,11 @@ def _raw_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
     accel = laplacian_array(v0, dx)
     v1 = leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
     max_abs = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
-    prev, cur = v0, v1
-    for p in range(1, steps):
-        new = leapfrog_advance(cur, prev, laplacian_array(cur, dx), dt)
-        level_max = float(np.max(np.abs(new)))
-        max_abs = max(max_abs, level_max)
-        if not np.isfinite(level_max) or level_max > BLOWUP_THRESHOLD:
-            return max_abs, p + 1
-        prev, cur = cur, new
+    try:
+        for level in three_level_steps(v0, v1, dt, dx, steps):
+            max_abs = max(max_abs, float(np.max(np.abs(level))))
+    except BlowupError as exc:
+        return max(max_abs, exc.max_value), exc.level
     return max_abs, None
 
 
@@ -413,10 +392,9 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     fieldobj = bootstrap(problem)
     initial_sup = float(np.max(np.abs(fieldobj.levels[0])))
     control_max = initial_sup
-    for _ in range(1, spec_c.steps):
-        step(problem, fieldobj, direction=1, keep_history=False)
-        top = max(fieldobj.levels)
-        control_max = max(control_max, float(np.max(np.abs(fieldobj.levels[top]))))
+    for level in three_level_steps(fieldobj.levels[0], fieldobj.levels[1],
+                                   dt_c, dx_c, spec_c.steps):
+        control_max = max(control_max, float(np.max(np.abs(level))))
     notes.append(
         f"control run: max |v| = {control_max:.6f}, initial sup = {initial_sup:.6f}"
     )
@@ -479,7 +457,7 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     forcing_m = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
     domain = Domain.full_space(config.window())
     problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing_m)
-    fieldobj = solve(problem, record="window", t_range=(0.0, spec.T))
+    fieldobj = solve(problem, t_range=(0.0, spec.T))
 
     def exact_u(points, tt):
         return np.atleast_1d(space(points)) * math.cos(tt)
@@ -557,7 +535,7 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         )
         split = split_pipeline(problem)
         residuals.append(split.elliptic.residual)
-        fieldobj = solve(split.wave_problem, record="window", t_range=(0.0, spec.T))
+        fieldobj = solve(split.wave_problem, t_range=(0.0, spec.T))
         u = split.reconstruct(fieldobj.level_array(spec.steps))
         vals = np.array([
             u[fieldobj.offset(tuple(int(j) * 2**k for j in idx))]
@@ -606,15 +584,7 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
 # E8 bound audits
 
 
-def _chunked(worker, chunks, threads):
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, chunks))
-    return [worker(c) for c in chunks]
-
-
-def audit_seno_bound(n: int, T: float, samples: int, seed: int,
-                     threads: int | None = None) -> float:
+def audit_seno_bound(n: int, T: float, samples: int, seed: int) -> float:
     """Max of |dt sin(beta t)/sin(beta dt)| - T over a random admissible sweep.
 
     Ratios are kept in [0.2, 0.995]/sqrt(n) so sin(beta dt) stays away from
@@ -622,7 +592,6 @@ def audit_seno_bound(n: int, T: float, samples: int, seed: int,
     floating-point evaluation is ill-conditioned.
     """
     rng = np.random.default_rng(seed)
-    threads = harness_threads() if threads is None else threads
     dx = 10.0 ** rng.uniform(-2.0, 0.0, size=samples)
     ratio = rng.uniform(0.2, 0.995, size=samples) / math.sqrt(n)
     dt = ratio * dx
@@ -630,35 +599,21 @@ def audit_seno_bound(n: int, T: float, samples: int, seed: int,
     k_max = np.floor(T / dt).astype(int)
     k = (rng.uniform(0.0, 1.0, size=samples) * (k_max + 1)).astype(int)
     t = k * dt
-
-    def worker(sl):
-        beta = beta_arrays(alpha[sl], dx[sl], dt[sl])
-        q = dt[sl] * np.sin(beta * t[sl]) / np.sin(beta * dt[sl])
-        return float(np.max(np.abs(q)))
-
-    bounds = np.linspace(0, samples, min(threads, samples) + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    return max(_chunked(worker, chunks, threads)) - T
+    beta = beta_arrays(alpha, dx, dt)
+    q = dt * np.sin(beta * t) / np.sin(beta * dt)
+    return float(np.max(np.abs(q))) - T
 
 
-def audit_dispersion_roots(n: int, samples: int, seed: int,
-                           threads: int | None = None) -> float:
+def audit_dispersion_roots(n: int, samples: int, seed: int) -> float:
     """Max of |G(alpha, beta^2)| - 1e-11 (1 + |alpha|^2) over a random sweep."""
     rng = np.random.default_rng(seed)
-    threads = harness_threads() if threads is None else threads
     dx = 10.0 ** rng.uniform(-2.0, 0.0, size=samples)
     dt = rng.uniform(0.2, 0.999, size=samples) / math.sqrt(n) * dx
     alpha = rng.uniform(-1.0, 1.0, size=(samples, n)) * (math.pi / dx)[:, None]
-
-    def worker(sl):
-        beta = beta_arrays(alpha[sl], dx[sl], dt[sl])
-        g = symbol_G_arrays(alpha[sl], beta**2, dx[sl], dt[sl])
-        slack = np.abs(g) - 1e-11 * (1.0 + np.sum(alpha[sl] ** 2, axis=-1))
-        return float(np.max(slack))
-
-    bounds = np.linspace(0, samples, min(threads, samples) + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    return max(_chunked(worker, chunks, threads))
+    beta = beta_arrays(alpha, dx, dt)
+    g = symbol_G_arrays(alpha, beta**2, dx, dt)
+    slack = np.abs(g) - 1e-11 * (1.0 + np.sum(alpha ** 2, axis=-1))
+    return float(np.max(slack))
 
 
 def propagator_degeneration(n: int, samples: int, seed: int,

@@ -3,15 +3,17 @@
 Discretizing space only turns the wave problem into the second-order ODE
 system xi''(x) = a(x) Lap_dx xi(x) - sigma(x) xi(x) + w(x, t) with the
 boundary clamped.  The default Stormer-Verlet integrator in its
-three-level position form shares the update kernels with the leapfrog
-stepper, so at h = dt (with unit velocity and zero flexibility) it
-reproduces the scheme bit-identically; RK4 is available for small-step
-reference runs.
+three-level position form runs on the stepping kernel of the leapfrog
+solver, so at h = dt (with unit velocity and zero flexibility) it
+reproduces the scheme bit-identically and raises BlowupError through the
+same guard; RK4 is available for small-step reference runs and raises
+NanDetectedError on a non-finite state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,11 +23,13 @@ from .lattice import Domain, LatticeSpec, classify
 from .spectral import DataFunction, FrequencyQuadrature, semidiscrete_closed_form_phi
 from .stencils import (
     GridField,
+    clamp_level,
     field_from_classification,
     laplacian_array,
     lattice_points,
-    leapfrog_advance,
     leapfrog_first_level,
+    three_level_steps,
+    window_clamp,
 )
 
 
@@ -52,6 +56,7 @@ class LagrangeSystem:
     _points: np.ndarray = field(default=None, repr=False)
     _a_vals: np.ndarray = field(default=None, repr=False)
     _sigma_vals: np.ndarray = field(default=None, repr=False)
+    _clamp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self._points = lattice_points(self.fieldobj)
@@ -67,19 +72,13 @@ class LagrangeSystem:
             self.values = np.zeros(shape)
         if self.velocities is None:
             self.velocities = np.zeros(shape)
-
-    def boundary_array(self) -> np.ndarray:
-        if callable(self.boundary_value):
-            flat = self._points.reshape(-1, self._points.shape[-1])
-            vals = np.array([float(self.boundary_value(p)) for p in flat])
-            return vals.reshape(self.fieldobj.shape)
-        return np.full(self.fieldobj.shape, float(self.boundary_value))
+        bvals = self.boundary_value
+        if callable(bvals):
+            bvals = np.array([float(bvals(p)) for p in flat]).reshape(shape)
+        self._clamp = window_clamp(self.fieldobj, bvals)
 
     def clamp(self, arr: np.ndarray) -> np.ndarray:
-        bvals = self.boundary_array()
-        arr[self.fieldobj.boundary] = bvals[self.fieldobj.boundary]
-        arr[~self.fieldobj.support] = 0.0
-        return arr
+        return clamp_level(arr, self._clamp)
 
 
 def system_for_domain(domain: Domain, dx: float, *, a=None, sigma=None,
@@ -122,7 +121,11 @@ def rhs(system: LagrangeSystem, t: float,
     array; the returned array is only meaningful on interior points.
     """
     xi = system.values if values is None else values
-    accel = laplacian_array(xi, system.dx)
+    return _terms(system, laplacian_array(xi, system.dx), xi, t)
+
+
+def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
+           t: float) -> np.ndarray:
     if system._a_vals is not None:
         accel = system._a_vals * accel
     if system._sigma_vals is not None:
@@ -140,9 +143,8 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
     """Fixed-step trajectory of the clamped system from t0 to t1.
 
     Returns {time: value array} at the recorded times (default: t1 only).
-    Stormer-Verlet runs in the three-level position form, sharing its
-    update kernels with the leapfrog stepper; the step count must land on
-    t1 exactly.
+    Stormer-Verlet runs in the three-level position form on the stepping
+    kernel of the leapfrog solver; the step count must land on t1 exactly.
     """
     if h_ode <= 0:
         raise ValueError("h_ode must be positive")
@@ -179,19 +181,15 @@ def _verlet(system, t0, steps, h, wanted):
     out = {}
     xi = np.array(system.values)
     accel = rhs(system, t0, xi)
-    xi_next = leapfrog_first_level(xi, system.velocities, accel, h)
-    system.clamp(xi_next)
-    if 0 in wanted or not wanted:
-        out[0] = np.array(xi)
-    prev, cur = xi, xi_next
-    for k in range(1, steps):
-        if k in wanted:
-            out[k] = np.array(cur)
-        accel = rhs(system, t0 + k * h, cur)
-        new = leapfrog_advance(cur, prev, accel, h)
-        system.clamp(new)
-        _check_finite(new, t0 + (k + 1) * h)
-        prev, cur = cur, new
+    cur = system.clamp(leapfrog_first_level(xi, system.velocities, accel, h))
+    if 0 in wanted:
+        out[0] = xi
+    run = three_level_steps(xi, cur, h, system.dx, steps, t0=t0,
+                            terms=partial(_terms, system), clamp=system._clamp)
+    for k, level in enumerate(run, start=2):
+        if k - 1 in wanted:
+            out[k - 1] = cur
+        cur = level
     out[steps] = np.array(cur)
     system.values = cur
     return out

@@ -15,20 +15,18 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import BlowupError
 from .lattice import Domain, LatticeSpec, classify
 from .spectral import DataFunction, Forcing
 from .stencils import (
     GridField,
+    clamp_level,
     field_from_classification,
     laplacian_array,
     lattice_points,
-    leapfrog_advance,
     leapfrog_first_level,
+    three_level_steps,
+    window_clamp,
 )
-
-#: values above this abort the run (deliberately reachable under CFL violation)
-BLOWUP_THRESHOLD = 1e12
 
 
 @dataclass
@@ -79,31 +77,41 @@ def _sample(data, points: np.ndarray, shape) -> np.ndarray:
     return np.asarray(vals, dtype=float).reshape(shape)
 
 
-def _allocate(problem: DiscreteProblem, pad: int = 0) -> GridField:
-    return field_from_classification(problem.classification, pad=pad)
-
-
-def _boundary_values(problem: DiscreteProblem, fieldobj: GridField) -> np.ndarray:
-    points = lattice_points(fieldobj)
-    if callable(problem.boundary_value):
-        vals = _sample(problem.boundary_value, points, fieldobj.shape)
-    else:
-        vals = np.full(fieldobj.shape, float(problem.boundary_value))
-    return vals
-
-
-def _forcing_level(problem: DiscreteProblem, points: np.ndarray, shape,
-                   t: float) -> Optional[np.ndarray]:
-    if problem.forcing is None:
-        return None
-    flat = points.reshape(-1, points.shape[-1])
-    vals = np.array([float(problem.forcing.func(p, t)) for p in flat])
-    return vals.reshape(shape)
-
-
 def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
     """Window padding that keeps full-space runs exact for `steps` steps."""
     return (steps if steps is not None else spec.steps) + 2
+
+
+def _bootstrap(problem: DiscreteProblem, pad: int):
+    """Levels -1, 0, 1 on a fresh window, plus the clamp and forcing term
+    that the stepping kernel needs for the rest of the run."""
+    fieldobj = field_from_classification(problem.classification, pad=pad)
+    points = lattice_points(fieldobj)
+    bvals = problem.boundary_value
+    if callable(bvals):
+        bvals = _sample(bvals, points, fieldobj.shape)
+    clamp = window_clamp(fieldobj, bvals)
+    terms = None
+    if problem.forcing is not None:
+        flat = points.reshape(-1, points.shape[-1])
+
+        def terms(accel, values, t):
+            w = np.array([float(problem.forcing.func(p, t)) for p in flat])
+            return accel + w.reshape(fieldobj.shape)
+    dt = problem.spec.dt
+
+    v0 = clamp_level(_sample(problem.f, points, fieldobj.shape), clamp)
+    gv = _sample(problem.g, points, fieldobj.shape)
+    accel = laplacian_array(v0, problem.spec.dx)
+    if terms is not None:
+        accel = terms(accel, v0, 0.0)
+
+    for sign, level in ((1.0, 1), (-1.0, -1)):
+        fieldobj.levels[level] = clamp_level(
+            leapfrog_first_level(v0, sign * gv, accel, dt), clamp
+        )
+    fieldobj.levels[0] = v0
+    return fieldobj, clamp, terms
 
 
 def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
@@ -116,80 +124,17 @@ def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
     """
     if pad is None:
         pad = required_padding(problem.spec) if not problem.domain.bounded else 0
-    fieldobj = _allocate(problem, pad=pad)
-    points = lattice_points(fieldobj)
-    bvals = _boundary_values(problem, fieldobj)
-    dt = problem.spec.dt
-
-    v0 = _sample(problem.f, points, fieldobj.shape)
-    gv = _sample(problem.g, points, fieldobj.shape)
-    v0[fieldobj.boundary] = bvals[fieldobj.boundary]
-    v0[~fieldobj.support] = 0.0
-
-    accel = laplacian_array(v0, problem.spec.dx)
-    w0 = _forcing_level(problem, points, fieldobj.shape, 0.0)
-    if w0 is not None:
-        accel = accel + w0
-
-    for sign, level in ((1.0, 1), (-1.0, -1)):
-        v = leapfrog_first_level(v0, sign * gv, accel, dt)
-        v[fieldobj.boundary] = bvals[fieldobj.boundary]
-        v[~fieldobj.support] = 0.0
-        fieldobj.levels[level] = v
-    fieldobj.levels[0] = v0
-    return fieldobj
+    return _bootstrap(problem, pad)[0]
 
 
-def step(problem: DiscreteProblem, fieldobj: GridField, direction: int = 1,
-         keep_history: bool = True) -> GridField:
-    """Advance one level in the given direction (+1 forward, -1 backward).
-
-    Interior points follow the three-level update; boundary points are
-    copied from the boundary value.  Raises BlowupError past the 1e12
-    threshold.  With keep_history False only a three-level window stays
-    stored.
-    """
-    stored = sorted(fieldobj.levels)
-    level = stored[-1] if direction > 0 else stored[0]
-    prev = level - direction
-    if prev not in fieldobj.levels:
-        raise ValueError("step needs the two most recent levels")
-
-    v = fieldobj.levels[level]
-    v_prev = fieldobj.levels[prev]
-    t = level * problem.spec.dt
-    accel = laplacian_array(v, problem.spec.dx)
-    if problem.forcing is not None:
-        points = lattice_points(fieldobj)
-        accel = accel + _forcing_level(problem, points, fieldobj.shape, t)
-
-    new = leapfrog_advance(v, v_prev, accel, problem.spec.dt)
-    bvals = _boundary_values(problem, fieldobj)
-    new[fieldobj.boundary] = bvals[fieldobj.boundary]
-    new[~fieldobj.support] = 0.0
-
-    max_abs = float(np.max(np.abs(new)))
-    if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
-        raise BlowupError(
-            f"blowup detected at level {level + direction}: max |v| = {max_abs:.3e}",
-            level=level + direction,
-            max_value=max_abs,
-        )
-
-    fieldobj.levels[level + direction] = new
-    if not keep_history:
-        for old in list(fieldobj.levels):
-            if abs(old - (level + direction)) > 2:
-                del fieldobj.levels[old]
-    return fieldobj
-
-
-def solve(problem: DiscreteProblem, record: str = "full",
+def solve(problem: DiscreteProblem,
           t_range: Optional[tuple] = None) -> GridField:
     """Run the scheme over t_range (default the full two-sided horizon).
 
-    record="full" stores every level; record="window" keeps a rotating
-    three-level window around each end of the run.
+    The scheme runs forward from level 0 to the upper end of t_range and
+    backward to the lower end.  The returned field keeps levels -1, 0 and
+    1, both ends of t_range and the last three levels of each run, as far
+    as they lie in t_range.  Raises BlowupError past the 1e12 threshold.
     """
     spec = problem.spec
     if t_range is None:
@@ -200,26 +145,15 @@ def solve(problem: DiscreteProblem, record: str = "full",
         raise ValueError("t_range endpoints must be lattice times")
     steps_needed = max(hi, -lo, 1)
     pad = required_padding(spec, steps_needed) if not problem.domain.bounded else 0
-    fieldobj = bootstrap(problem, pad=pad)
-    keep = record == "full"
-    protected = {lo, hi, -1, 0, 1}
-
-    def prune(around: int) -> None:
-        for old in list(fieldobj.levels):
-            if old not in protected and abs(old - around) > 2:
-                del fieldobj.levels[old]
-
-    for current in range(2, hi + 1):
-        step(problem, fieldobj, direction=1)
-        if not keep:
-            prune(current)
-    if lo <= -2:
-        for current in range(-2, lo - 1, -1):
-            step(problem, fieldobj, direction=-1)
-            if not keep:
-                prune(current)
-    if not keep:
-        for old in list(fieldobj.levels):
-            if old < lo or old > hi:
-                del fieldobj.levels[old]
+    fieldobj, clamp, terms = _bootstrap(problem, pad)
+    levels = fieldobj.levels
+    for sign, end in ((1, hi), (-1, lo)):
+        run = three_level_steps(levels[0], levels[sign], sign * spec.dt, spec.dx,
+                                sign * end, terms=terms, clamp=clamp)
+        for level, values in zip(range(2 * sign, end + sign, sign), run):
+            if lo <= level <= hi and (abs(end - level) <= 2 or level in (lo, hi)):
+                levels[level] = values
+    for level in (-1, 0, 1):
+        if not lo <= level <= hi:
+            del levels[level]
     return fieldobj

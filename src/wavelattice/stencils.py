@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingLevelError, MissingNeighborError
+from .errors import BlowupError, MissingLevelError, MissingNeighborError
 from .lattice import LatticeClassification, LatticeSpec
+
+#: values above this abort a run (deliberately reachable under CFL violation)
+BLOWUP_THRESHOLD = 1e12
 
 
 @dataclass
@@ -197,8 +200,9 @@ def fn_discrete_dalembert(u, x, t, dx, dt, n) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array kernels shared by the leapfrog stepper and the Verlet integrator.
-# Keeping one code path is what makes the two bit-identical at h = dt.
+# array kernels shared by the leapfrog solver, the Verlet integrator and the
+# CFL experiment.  One code path makes leapfrog and Verlet bit-identical at
+# h = dt.
 
 
 def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
@@ -224,6 +228,56 @@ def leapfrog_first_level(v0, velocity, accel, h) -> np.ndarray:
 def leapfrog_advance(v, v_prev, accel, h) -> np.ndarray:
     """Three-level update 2v - v_prev + h^2 * accel."""
     return 2.0 * v - v_prev + (h * h) * accel
+
+
+def window_clamp(fieldobj: GridField, boundary_value):
+    """The clamp of a window for `clamp_level`: (boundary mask, boundary
+    values there, outside-support mask), or None when the window has
+    neither boundary nor outside points (full space).  `boundary_value` is
+    a scalar or an array over the window."""
+    boundary = fieldobj.boundary
+    outside = ~fieldobj.support
+    if not boundary.any() and not outside.any():
+        return None
+    if isinstance(boundary_value, np.ndarray):
+        return boundary, boundary_value[boundary], outside
+    return boundary, float(boundary_value), outside
+
+
+def clamp_level(values: np.ndarray, clamp) -> np.ndarray:
+    """Pin boundary points and zero the points outside the support, in place."""
+    if clamp is not None:
+        boundary, boundary_values, outside = clamp
+        values[boundary] = boundary_values
+        values[outside] = 0.0
+    return values
+
+
+def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
+                      clamp=None):
+    """Yield levels 2..steps of the three-level scheme seeded by levels 0, 1.
+
+    Level k+1 is leapfrog_advance(v_k, v_{k-1}, accel, h) with accel =
+    laplacian_array(v_k, dx), passed through terms(accel, v_k, t0 + k*h)
+    when given (forcing, a(x), sigma), then clamped.  A negative h runs
+    backward in time.  Raises BlowupError, with the level signed like h,
+    when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
+    """
+    for k in range(1, steps):
+        accel = laplacian_array(cur, dx)
+        if terms is not None:
+            accel = terms(accel, cur, t0 + k * h)
+        new = clamp_level(leapfrog_advance(cur, prev, accel, h), clamp)
+        max_abs = float(np.max(np.abs(new)))
+        if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
+            level = k + 1 if h > 0 else -(k + 1)
+            raise BlowupError(
+                f"blowup detected at level {level}: max |v| = {max_abs:.3e}",
+                level=level,
+                max_value=max_abs,
+            )
+        yield new
+        prev, cur = cur, new
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_acceptance_04_keystone_identity():
     f = DataFunction.gaussian([0.0], 0.05)
     g = DataFunction.gaussian([0.02], 0.04, amplitude=0.3)
     problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
-    leap = solve(problem, record="window", t_range=(0.0, spec.T))
+    leap = solve(problem, t_range=(0.0, spec.T))
     fieldobj = field_from_classification(problem.classification,
                                          pad=spec.steps + 2)
     system = LagrangeSystem(dx=dx, fieldobj=fieldobj)

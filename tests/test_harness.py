@@ -21,7 +21,6 @@ from wavelattice.harness import (
     compare_on_common_lattice,
     default_config,
     format_data_function,
-    harness_threads,
     parse_data_function,
     run_experiment,
     scaled_norms,
@@ -33,8 +32,8 @@ class TestDataCatalog:
     CASES = [
         "gaussian center=0.5 width=0.08 amplitude=1.0",
         "modulated_gaussian center=0.0 width=0.2 carrier=3.0 amplitude=0.5",
-        "plane_wave alpha0=2.0",
-        "separable_cosine alpha0=1.0",
+        "plane_wave alpha=2.0",
+        "separable_cosine alpha=1.0",
         "smooth_bump center=0.0 radius=0.45 amplitude=0.2",
     ]
 
@@ -45,11 +44,17 @@ class TestDataCatalog:
 
     def test_round_trip(self):
         for text in ("gaussian center=0.5 width=0.08 amplitude=1.0",
-                     "plane_wave alpha0=2.0"):
+                     "plane_wave alpha=2.0"):
             data = parse_data_function(text, 1)
             again = parse_data_function(format_data_function(data), 1)
             x = np.array([0.37])
             assert float(data(x)) == float(again(x))
+
+    def test_unknown_key_rejected(self):
+        for text in ("gaussian centre=0.7", "plane_wave alpha0=2.0",
+                     "smooth_bump center=0.0 width=0.3"):
+            with pytest.raises(ConfigError):
+                parse_data_function(text, 1)
 
     def test_none_is_none(self):
         assert parse_data_function("none", 2) is None
@@ -88,6 +93,16 @@ class TestExperimentConfig:
         for eid in ("E1", "E3", "E5", "E7"):
             for n in (1, 2):
                 assert default_config(eid, n=n).base_spec().admissible()
+
+    def test_bad_lattice_rejected(self):
+        cfg = default_config("E1", n=1)
+        for bad in (dict(dt=0.4), dict(T=0.45), dict(dx=-0.2), dict(dt=0.0)):
+            with pytest.raises(ConfigError):
+                cfg.with_overrides(**bad)
+        # dt/dx = 2/3 is within the CFL bound in n = 2, outside it in n = 3
+        default_config("E1", n=2).with_overrides(dt=0.4 / 3)
+        with pytest.raises(ConfigError):
+            default_config("E1", n=3).with_overrides(dt=0.4 / 3)
 
 
 class TestErrorTable:
@@ -144,7 +159,7 @@ class TestNorms:
             spec=spec, domain=Domain.full_space([(-0.5, 0.5)]),
             f=DataFunction.gaussian([0.0], 0.1),
         )
-        return solve(problem, record="full", t_range=(0.0, spec.T)), spec
+        return solve(problem, t_range=(0.0, spec.T)), spec
 
     def test_field_against_itself_is_zero(self):
         fld, spec = self._solved_field()
@@ -183,14 +198,6 @@ class TestExperiments:
         assert (tmp_path / "notes.txt").exists()
         assert (tmp_path / "config.ini").exists()
 
-    def test_harness_threads_env(self, monkeypatch):
-        monkeypatch.delenv("HARNESS_THREADS", raising=False)
-        assert harness_threads() == 1
-        monkeypatch.setenv("HARNESS_THREADS", "4")
-        assert harness_threads() == 4
-        monkeypatch.setenv("HARNESS_THREADS", "junk")
-        assert harness_threads() == 1
-
 
 class TestCli:
     def test_bad_experiment_id_exits_2(self):
@@ -207,6 +214,23 @@ class TestCli:
         assert code == 0
         files = list(out.glob("*.csv")) or list(tmp_path.glob("**/*.csv"))
         assert files
+
+    def _bad_config(self, tmp_path, old, new):
+        text = default_config("E1", n=1).to_text()
+        assert old in text
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(old, new), encoding="ascii")
+        return str(path)
+
+    def test_inadmissible_lattice_exits_2(self, tmp_path, capsys):
+        path = self._bad_config(tmp_path, "dt = 0.1", "dt = 0.4")
+        assert main(["solve", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
+        path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")
+        assert main(["experiment", "E1", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -7,14 +7,18 @@ import pytest
 
 from wavelattice import (
     DataFunction,
+    DiscreteProblem,
     Domain,
     FrequencyQuadrature,
+    LatticeSpec,
+    field_from_classification,
     integrate,
     phi_reference_error,
     set_initial_data,
+    solve,
 )
 from wavelattice.dispersion import beta_semidiscrete
-from wavelattice.lagrange import rhs, system_for_domain
+from wavelattice.lagrange import LagrangeSystem, rhs, system_for_domain
 
 
 def _free_system(dx=0.25, half_width=2.0, **kw):
@@ -87,6 +91,30 @@ class TestIntegrate:
         set_initial_data(sys_r, f, g)
         out_r = integrate(sys_r, 0.0, 0.5, h, method="rk4")
         assert np.max(np.abs(out_v[0.5] - out_r[0.5])) < 5e-5
+
+    @pytest.mark.parametrize("n, shape", [(1, "box"), (2, "box"), (2, "ball")])
+    def test_verlet_is_leapfrog_when_clamped(self, n, shape):
+        # at h = dt Verlet reproduces the scheme bit for bit, clamp included;
+        # a ball puts boundary and outside points inside the window
+        spec = LatticeSpec(n, 0.1, 0.05, 0.5)
+        if shape == "box":
+            domain = Domain.box([(0.0, 1.0)] * n)
+        else:
+            domain = Domain.ball([0.5] * n, 0.43)
+        f = DataFunction.gaussian([0.4] * n, 0.1)
+        g = DataFunction.gaussian([0.5] * n, 0.15, amplitude=0.3)
+        problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g,
+                                  boundary_value=0.2)
+        leap = solve(problem, t_range=(0.0, spec.T))
+        system = LagrangeSystem(
+            dx=spec.dx, boundary_value=0.2,
+            fieldobj=field_from_classification(problem.classification),
+        )
+        set_initial_data(system, f, g)
+        out = integrate(system, 0.0, spec.T, spec.dt)
+        final = leap.level_array(spec.steps)
+        assert np.all(final[leap.boundary] == 0.2)
+        assert np.array_equal(out[spec.T], final)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Leapfrog stepper: bootstrap exactness, recording modes, guards."""
+"""Leapfrog solver: bootstrap exactness, kept levels, guards."""
 
 import math
 
@@ -13,7 +13,8 @@ from wavelattice import (
     LatticeSpec,
     solve,
 )
-from wavelattice.leapfrog import bootstrap, required_padding, step
+from wavelattice.leapfrog import required_padding
+from wavelattice.stencils import laplacian_array
 
 
 def _full_space_problem(**kw):
@@ -22,28 +23,33 @@ def _full_space_problem(**kw):
     return DiscreteProblem(spec=spec, domain=domain, **kw)
 
 
+def _each_level(problem):
+    """(level, values) for every level 0..steps, each from a solve that ends
+    at that level."""
+    spec = problem.spec
+    for level in range(spec.steps + 1):
+        fld = solve(problem, t_range=(0.0, level * spec.dt))
+        yield level, fld.level_array(level)
+
+
 class TestBootstrap:
     def test_constant_data_stays_constant(self):
         problem = _full_space_problem(f=lambda x: 2.5)
-        fld = solve(problem, record="full", t_range=(0.0, problem.spec.T))
-        for level in range(problem.spec.steps + 1):
-            assert np.all(fld.level_array(level) == 2.5)
+        for _, values in _each_level(problem):
+            assert np.all(values == 2.5)
 
     def test_linear_in_time(self):
         # f = 0, g = c: the scheme reproduces u = c t exactly
         c = 0.7
         problem = _full_space_problem(g=lambda x: c)
         spec = problem.spec
-        fld = solve(problem, record="full", t_range=(0.0, spec.T))
-        for level in range(spec.steps + 1):
-            assert np.allclose(fld.level_array(level), c * level * spec.dt,
-                               atol=1e-13)
+        for level, values in _each_level(problem):
+            assert np.allclose(values, c * level * spec.dt, atol=1e-13)
 
     def test_zero_data_zero_history(self):
         problem = _full_space_problem()
-        fld = solve(problem, record="full", t_range=(0.0, problem.spec.T))
-        for level in range(problem.spec.steps + 1):
-            assert np.all(fld.level_array(level) == 0.0)
+        for _, values in _each_level(problem):
+            assert np.all(values == 0.0)
 
 
 class TestSolve:
@@ -58,21 +64,21 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(problem, t_range=(0.0, 0.33))
 
-    def test_window_and_full_agree_at_final_level(self):
-        f = DataFunction.gaussian([0.0], 0.1)
-        g = DataFunction.gaussian([0.05], 0.12, amplitude=0.4)
-        full = solve(_full_space_problem(f=f, g=g), record="full",
-                     t_range=(0.0, 0.4))
-        window = solve(_full_space_problem(f=f, g=g), record="window",
-                       t_range=(0.0, 0.4))
-        steps = 8
-        assert np.array_equal(full.level_array(steps),
-                              window.level_array(steps))
+    def test_kept_levels(self):
+        problem = _full_space_problem(f=DataFunction.gaussian([0.0], 0.1))
+        assert sorted(solve(problem, t_range=(0.0, 0.4)).levels) == [
+            0, 1, 6, 7, 8]
+        assert sorted(solve(problem).levels) == [
+            -8, -7, -6, -1, 0, 1, 6, 7, 8]
+        assert sorted(solve(problem, t_range=(0.1, 0.4)).levels) == [
+            2, 6, 7, 8]
+        assert sorted(solve(problem, t_range=(-0.4, -0.15)).levels) == [
+            -8, -7, -6, -3]
 
     def test_backward_symmetry_with_zero_velocity(self):
         # g = 0 makes the discrete evolution time-symmetric: v^{-m} = v^m
         f = DataFunction.gaussian([0.0], 0.1)
-        fld = solve(_full_space_problem(f=f), record="full")
+        fld = solve(_full_space_problem(f=f))
         steps = 8
         assert np.allclose(fld.level_array(-steps), fld.level_array(steps),
                            atol=1e-12)
@@ -81,7 +87,7 @@ class TestSolve:
         # seed far above the finite threshold; one step trips the guard
         problem = _full_space_problem(f=lambda x: 1e13)
         with pytest.raises(BlowupError):
-            solve(problem, record="window", t_range=(0.0, 0.4))
+            solve(problem, t_range=(0.0, 0.4))
 
     def test_box_boundary_clamped(self):
         spec = LatticeSpec(1, 0.1, 0.05, 0.4)
@@ -89,7 +95,7 @@ class TestSolve:
             spec=spec, domain=Domain.box([(0.0, 1.0)]),
             f=DataFunction.gaussian([0.5], 0.08), boundary_value=0.0,
         )
-        fld = solve(problem, record="full", t_range=(0.0, spec.T))
+        fld = solve(problem, t_range=(0.0, spec.T))
         arr = fld.level_array(spec.steps)
         assert arr[0] == 0.0 and arr[-1] == 0.0
 
@@ -105,14 +111,32 @@ class TestPadding:
         spec = LatticeSpec(1, 0.1, 0.05, 0.4)
         assert required_padding(spec, steps=8) >= 8
 
-    def test_manual_stepping_matches_solve(self):
-        f = DataFunction.gaussian([0.0], 0.1)
-        problem = _full_space_problem(f=f)
-        spec = problem.spec
-        fld = bootstrap(problem, pad=required_padding(spec, spec.steps))
-        for _ in range(spec.steps - 1):
-            step(problem, fld)
-        ref = solve(_full_space_problem(f=f), record="full",
-                    t_range=(0.0, spec.T))
-        assert np.array_equal(fld.level_array(spec.steps),
-                              ref.level_array(spec.steps))
+
+def _energy(fld, level, dx, dt):
+    """E^{k+1/2} = |(v^{k+1} - v^k)/dt|^2 - <Lap_dx v^{k+1}, v^k> over the
+    interior points, with k = level.  The leapfrog scheme conserves it
+    exactly, up to roundoff, when Lap_dx is symmetric on the support."""
+    new, old = fld.level_array(level + 1), fld.level_array(level)
+    inside = fld.interior
+    kinetic = np.sum(((new - old)[inside] / dt) ** 2)
+    return kinetic - np.sum(laplacian_array(new, dx)[inside] * old[inside])
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_discrete_energy_conserved(self, n, bounded):
+        spec = LatticeSpec(n, 0.1, 0.05, 1.0 if bounded else 0.4)
+        if bounded:  # zero-Dirichlet box
+            domain = Domain.box([(0.0, 1.0)] * n)
+            f = DataFunction.gaussian([0.5] * n, 0.1)
+        else:
+            domain = Domain.full_space([(-0.5, 0.5)] * n)
+            f = DataFunction.smooth_bump([0.0] * n, 0.3)
+        g = DataFunction.gaussian([0.05] * n, 0.12, amplitude=0.4)
+        problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
+        fld = solve(problem, t_range=(0.0, spec.T))
+        start = _energy(fld, 0, spec.dx, spec.dt)
+        end = _energy(fld, spec.steps - 1, spec.dx, spec.dt)
+        assert start > 0.0
+        assert abs(end - start) <= 1e-12 * start

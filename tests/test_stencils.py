@@ -129,7 +129,7 @@ class TestGridField:
             domain=Domain.full_space([(-0.5, 0.5)]),
             f=DataFunction.gaussian([0.0], 0.1),
         )
-        fld = solve(problem, record="full", t_range=(0.0, spec.T))
+        fld = solve(problem, t_range=(0.0, spec.T))
         path = tmp_path / "level.bin"
         dump_level(fld, spec.steps, path)
         n, dx, dt, level, arr = load_level(path)
