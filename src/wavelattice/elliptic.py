@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, classify
 from .leapfrog import DiscreteProblem
-from .spectral import DataFunction, Forcing
+from .spectral import DataFunction, Forcing, sample
 from .stencils import GridField, field_from_classification, lattice_points
 
 #: dense fallback is allowed up to this interior size
@@ -61,12 +61,6 @@ class EllipticSolution:
         return float(self.values[off])
 
 
-def _sample_coefficient(coef, points_flat) -> np.ndarray:
-    if callable(coef):
-        return np.array([float(coef(p)) for p in points_flat])
-    return np.full(len(points_flat), float(coef))
-
-
 def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     """Solve the assembled sparse system, CG when definite, dense otherwise.
 
@@ -88,9 +82,9 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     if m == 0:
         raise SingularSystemError("no interior points to solve on")
 
-    bvals = _sample_coefficient(problem.b, flat_points[interior_idx])
-    svals = _sample_coefficient(problem.sigma, flat_points[interior_idx])
-    hvals = _sample_coefficient(problem.h, flat_points[boundary_idx])
+    bvals = sample(problem.b, flat_points[interior_idx])
+    svals = sample(problem.sigma, flat_points[interior_idx])
+    hvals = sample(problem.h, flat_points[boundary_idx])
 
     # harmonic filler where the operator row would vanish identically
     degenerate = (bvals == 0.0) & (svals == 0.0)
@@ -227,16 +221,7 @@ def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
         )
     )
     fieldobj = elliptic.fieldobj
-    points = lattice_points(fieldobj)
-    flat = points.reshape(-1, points.shape[-1])
-
-    if problem.f is None:
-        f_vals = np.zeros(fieldobj.shape)
-    elif isinstance(problem.f, DataFunction):
-        f_vals = np.asarray(problem.f(flat), dtype=float).reshape(fieldobj.shape)
-    else:
-        f_vals = np.array([float(problem.f(p)) for p in flat]).reshape(fieldobj.shape)
-    shifted = f_vals - elliptic.values
+    shifted = sample(problem.f, lattice_points(fieldobj)) - elliptic.values
     shifted[~fieldobj.support] = 0.0
 
     wave = DiscreteProblem(

@@ -20,10 +20,10 @@ from ..dispersion import beta_arrays, symbol_G_arrays
 from ..elliptic import VariableCoefficientProblem, split_pipeline
 from ..errors import BlowupError, CflViolationError
 from ..lagrange import (
+    LagrangeSystem,
     integrate,
     phi_reference_error,
     set_initial_data,
-    system_for_domain,
 )
 from ..lattice import Domain, LatticeSpec, refine_halving
 from ..leapfrog import DiscreteProblem, bootstrap, solve
@@ -40,6 +40,7 @@ from ..spectral import (
 from ..stencils import (
     delta_t_second,
     delta_x_second,
+    field_from_classification,
     laplacian_array,
     leapfrog_first_level,
     three_level_steps,
@@ -502,15 +503,8 @@ def _e7_data(config: ExperimentConfig):
         return h_const + float(np.atleast_1d(gauss(np.atleast_1d(x)))[0])
 
     center = np.asarray(gauss.center)
-    bump_b = DataFunction.smooth_bump(center, 0.45, amplitude=0.1)
-    bump_s = DataFunction.smooth_bump(center, 0.45, amplitude=0.05)
-
-    def b(x):
-        return float(np.atleast_1d(bump_b(np.atleast_1d(x)))[0])
-
-    def sigma(x):
-        return float(np.atleast_1d(bump_s(np.atleast_1d(x)))[0])
-
+    b = DataFunction.smooth_bump(center, 0.45, amplitude=0.1)
+    sigma = DataFunction.smooth_bump(center, 0.45, amplitude=0.05)
     return f, b, sigma, h_const
 
 
@@ -559,10 +553,12 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         passed = False
         notes.append("self-convergence order fell below 1")
 
-    # direct Theorem-c integration with a(x), sigma(x) in the ODE
+    # direct Theorem-c integration with a(x), sigma(x) in the ODE, on the
+    # finest level's classification
     spec_f, vals_f = probe_values[-1]
-    system = system_for_domain(
-        domain, spec_f.dx,
+    system = LagrangeSystem(
+        dx=spec_f.dx,
+        fieldobj=field_from_classification(split.wave_problem.classification),
         a=lambda x: 1.0 + b(x), sigma=sigma, boundary_value=h_const,
     )
     set_initial_data(system, f, None)

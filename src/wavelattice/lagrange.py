@@ -20,7 +20,12 @@ import numpy as np
 
 from .errors import NanDetectedError
 from .lattice import Domain, LatticeSpec, classify
-from .spectral import DataFunction, FrequencyQuadrature, semidiscrete_closed_form_phi
+from .spectral import (
+    Forcing,
+    FrequencyQuadrature,
+    sample,
+    semidiscrete_closed_form_phi,
+)
 from .stencils import (
     GridField,
     clamp_level,
@@ -48,7 +53,7 @@ class LagrangeSystem:
     fieldobj: GridField
     a: Optional[Callable] = None
     sigma: Optional[Callable] = None
-    forcing: Optional[Callable] = None
+    forcing: Optional[Forcing] = None
     boundary_value: Union[float, Callable] = 0.0
     sigma_sign: float = -1.0
     values: np.ndarray = field(default=None, repr=False)
@@ -60,21 +65,18 @@ class LagrangeSystem:
 
     def __post_init__(self):
         self._points = lattice_points(self.fieldobj)
-        flat = self._points.reshape(-1, self._points.shape[-1])
         shape = self.fieldobj.shape
         if self.a is not None:
-            self._a_vals = np.array([float(self.a(p)) for p in flat]).reshape(shape)
+            self._a_vals = sample(self.a, self._points)
         if self.sigma is not None:
-            self._sigma_vals = np.array(
-                [float(self.sigma(p)) for p in flat]
-            ).reshape(shape)
+            self._sigma_vals = sample(self.sigma, self._points)
         if self.values is None:
             self.values = np.zeros(shape)
         if self.velocities is None:
             self.velocities = np.zeros(shape)
         bvals = self.boundary_value
         if callable(bvals):
-            bvals = np.array([float(bvals(p)) for p in flat]).reshape(shape)
+            bvals = sample(bvals, self._points)
         self._clamp = window_clamp(self.fieldobj, bvals)
 
     def clamp(self, arr: np.ndarray) -> np.ndarray:
@@ -95,21 +97,12 @@ def system_for_domain(domain: Domain, dx: float, *, a=None, sigma=None,
 
 
 def set_initial_data(system: LagrangeSystem, f, g) -> None:
-    """Sample initial displacement and velocity onto the window."""
-    flat = system._points.reshape(-1, system._points.shape[-1])
-    shape = system.fieldobj.shape
+    """Sample initial displacement and velocity onto the window.
 
-    def sample(data):
-        if data is None:
-            return np.zeros(shape)
-        if isinstance(data, np.ndarray):
-            return np.array(data, dtype=float)
-        if isinstance(data, DataFunction):
-            return np.asarray(data(flat), dtype=float).reshape(shape)
-        return np.array([float(data(p)) for p in flat]).reshape(shape)
-
-    system.values = system.clamp(sample(f))
-    system.velocities = sample(g)
+    Gridded `f`/`g` must match the window's shape (ValueError otherwise).
+    """
+    system.values = system.clamp(sample(f, system._points))
+    system.velocities = sample(g, system._points)
     system.velocities[~system.fieldobj.interior] = 0.0
 
 
@@ -132,8 +125,7 @@ def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
         accel = accel + system.sigma_sign * (system._sigma_vals * xi)
     if system.forcing is not None:
         flat = system._points.reshape(-1, system._points.shape[-1])
-        w = np.array([float(system.forcing(p, t)) for p in flat])
-        accel = accel + w.reshape(system.fieldobj.shape)
+        accel = accel + system.forcing.func(flat, t).reshape(system.fieldobj.shape)
     return accel
 
 

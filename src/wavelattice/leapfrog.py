@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .lattice import Domain, LatticeSpec, classify
-from .spectral import DataFunction, Forcing
+from .spectral import DataFunction, Forcing, sample
 from .stencils import (
     GridField,
     clamp_level,
@@ -62,21 +62,6 @@ class DiscreteProblem:
             self.classification = classify(self.domain, self.spec)
 
 
-def _sample(data, points: np.ndarray, shape) -> np.ndarray:
-    if data is None:
-        return np.zeros(shape)
-    if isinstance(data, np.ndarray):
-        if data.shape != shape:
-            raise ValueError("gridded data does not match the solver window")
-        return np.array(data, dtype=float)
-    flat = points.reshape(-1, points.shape[-1])
-    if isinstance(data, DataFunction):
-        vals = data(flat)
-    else:
-        vals = np.array([float(data(p)) for p in flat])
-    return np.asarray(vals, dtype=float).reshape(shape)
-
-
 def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
     """Window padding that keeps full-space runs exact for `steps` steps."""
     return (steps if steps is not None else spec.steps) + 2
@@ -89,19 +74,18 @@ def _bootstrap(problem: DiscreteProblem, pad: int):
     points = lattice_points(fieldobj)
     bvals = problem.boundary_value
     if callable(bvals):
-        bvals = _sample(bvals, points, fieldobj.shape)
+        bvals = sample(bvals, points)
     clamp = window_clamp(fieldobj, bvals)
     terms = None
     if problem.forcing is not None:
         flat = points.reshape(-1, points.shape[-1])
 
         def terms(accel, values, t):
-            w = np.array([float(problem.forcing.func(p, t)) for p in flat])
-            return accel + w.reshape(fieldobj.shape)
+            return accel + problem.forcing.func(flat, t).reshape(fieldobj.shape)
     dt = problem.spec.dt
 
-    v0 = clamp_level(_sample(problem.f, points, fieldobj.shape), clamp)
-    gv = _sample(problem.g, points, fieldobj.shape)
+    v0 = clamp_level(sample(problem.f, points), clamp)
+    gv = sample(problem.g, points)
     accel = laplacian_array(v0, problem.spec.dx)
     if terms is not None:
         accel = terms(accel, v0, 0.0)

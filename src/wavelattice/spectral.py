@@ -187,6 +187,35 @@ class DataFunction:
         return None
 
 
+def sample(data, points) -> np.ndarray:
+    """Values of `data` on `points` (shape (..., n)), shaped points.shape[:-1].
+
+    None gives 0 and a number that constant.  An array is copied and must
+    already have that shape.  A DataFunction is evaluated once on the flat
+    (m, n) points.  Any other callable takes one point x, with x[k] its
+    k-th coordinate, so it is evaluated point by point.
+    """
+    points = np.asarray(points, dtype=float)
+    shape = points.shape[:-1]
+    if data is None:
+        return np.zeros(shape)
+    if isinstance(data, np.ndarray):
+        if data.shape != shape:
+            raise ValueError(
+                f"gridded data of shape {data.shape} does not match the "
+                f"lattice window {shape}"
+            )
+        return np.array(data, dtype=float)
+    if not callable(data):
+        return np.full(shape, float(data))
+    flat = points.reshape(-1, points.shape[-1])
+    if isinstance(data, DataFunction):
+        vals = data(flat)
+    else:
+        vals = [float(data(p)) for p in flat]
+    return np.asarray(vals, dtype=float).reshape(shape)
+
+
 def gaussian_laplacian(data: DataFunction) -> Callable:
     """Closed-form spatial Laplacian of a Gaussian catalog entry."""
     if data.kind != "gaussian":
@@ -439,10 +468,11 @@ def propagator(flavor: str, alpha, t: float, *,
 class Forcing:
     """Forcing w(x, t) with a known x-transform per time node.
 
-    `func(x, t)` evaluates pointwise; `fourier_x(alpha, t)` returns the
-    spatial Fourier transform at frequency rows alpha.  When the spatial
-    profile is single-frequency, `spatial` carries it and the transforms
-    are bypassed.
+    `func(points, t)` takes an (m, n) array of points and returns their
+    (m,) values, so a solver evaluates one time level in one call.
+    `fourier_x(alpha, t)` returns the spatial Fourier transform at
+    frequency rows alpha.  When the spatial profile is single-frequency,
+    `spatial` carries it and the transforms are bypassed.
     """
 
     func: Callable

@@ -19,6 +19,8 @@ from wavelattice import (
 )
 from wavelattice.dispersion import beta_semidiscrete
 from wavelattice.lagrange import LagrangeSystem, rhs, system_for_domain
+from wavelattice.leapfrog import required_padding
+from wavelattice.spectral import dalembert_forcing
 
 
 def _free_system(dx=0.25, half_width=2.0, **kw):
@@ -115,6 +117,41 @@ class TestIntegrate:
         final = leap.level_array(spec.steps)
         assert np.all(final[leap.boundary] == 0.2)
         assert np.array_equal(out[spec.T], final)
+
+    @pytest.mark.parametrize("n, shape", [(1, "box"), (2, "box"), (2, "full_space")])
+    def test_forced_verlet_is_forced_leapfrog(self, n, shape):
+        # the forcing enters both at the same times on the same points
+        spec = LatticeSpec(n, 0.1, 0.05, 0.5)
+        if shape == "box":
+            domain, pad = Domain.box([(0.0, 1.0)] * n), 0
+        else:
+            domain, pad = Domain.full_space([(0.0, 1.0)] * n), required_padding(spec)
+        space = DataFunction.gaussian([0.4] * n, 0.15)
+        forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+        problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing)
+        leap = solve(problem, t_range=(0.0, spec.T))
+        system = LagrangeSystem(
+            dx=spec.dx, forcing=forcing,
+            fieldobj=field_from_classification(problem.classification, pad=pad),
+        )
+        set_initial_data(system, space, None)
+        out = integrate(system, 0.0, spec.T, spec.dt)
+        assert np.array_equal(out[spec.T], leap.level_array(spec.steps))
+
+    def test_gridded_data_must_match_window(self):
+        # the same ValueError as the leapfrog solver, not an IndexError
+        spec = LatticeSpec(2, 0.1, 0.05, 0.2)
+        problem = DiscreteProblem(spec=spec, domain=Domain.box([(0.0, 1.0)] * 2),
+                                  f=np.zeros((3, 3)))
+        system = LagrangeSystem(
+            dx=spec.dx, fieldobj=field_from_classification(problem.classification),
+        )
+        with pytest.raises(ValueError, match="does not match"):
+            set_initial_data(system, problem.f, None)
+        with pytest.raises(ValueError, match="does not match"):
+            set_initial_data(system, None, problem.f)
+        with pytest.raises(ValueError, match="does not match"):
+            solve(problem)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
