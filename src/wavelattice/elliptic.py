@@ -9,6 +9,7 @@ shifted initial displacement f - v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -20,7 +21,12 @@ from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, classify
 from .leapfrog import DiscreteProblem
 from .spectral import DataFunction, Forcing, sample
-from .stencils import GridField, field_from_classification, lattice_points
+from .stencils import (
+    GridField,
+    field_from_classification,
+    laplacian_array,
+    lattice_points,
+)
 
 #: dense fallback is allowed up to this interior size
 DENSE_LIMIT = 4096
@@ -91,40 +97,44 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     b_eff = np.where(degenerate, 1.0, bvals)
     s_eff = np.where(degenerate, 0.0, svals)
 
-    pos = {int(j): k for k, j in enumerate(interior_idx)}
-    bpos = {int(j): k for k, j in enumerate(boundary_idx)}
-    strides = np.array(
-        [int(np.prod(shape[k + 1:])) for k in range(len(shape))], dtype=int
-    )
-
     definite = bool(np.all(b_eff > 0.0) and np.all(s_eff >= 0.0))
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(m)
     n = problem.domain.n
-    for k, j in enumerate(interior_idx):
-        if definite:
-            # symmetrized: -Lap v + (sigma/b) v = boundary contributions
-            diag = 2.0 * n / dx2 + s_eff[k] / b_eff[k]
-            off_scale = -1.0 / dx2
-        else:
-            diag = -2.0 * n / dx2 * b_eff[k] - s_eff[k]
-            off_scale = b_eff[k] / dx2
-        rows.append(k)
-        cols.append(k)
-        vals.append(diag)
-        for axis in range(len(shape)):
-            for s in (-1, 1):
-                nb = int(j + s * strides[axis])
-                if nb in pos:
-                    rows.append(k)
-                    cols.append(pos[nb])
-                    vals.append(off_scale)
-                elif nb in bpos:
-                    rhs[k] -= off_scale * hvals[bpos[nb]]
-                else:
-                    raise SingularSystemError(
-                        "interior point has a neighbour outside the support"
-                    )
+    if definite:
+        # symmetrized: -Lap v + (sigma/b) v = boundary contributions
+        diag = 2.0 * n / dx2 + s_eff / b_eff
+        off_scale = np.full(m, -1.0 / dx2)
+    else:
+        diag = -2.0 * n / dx2 * b_eff - s_eff
+        off_scale = b_eff / dx2
+
+    # Neighbours by flat-index arithmetic on the window grown by one ring,
+    # so no neighbour of an interior point wraps around an edge.  The
+    # blocks run diag, axis 0 -/+, axis 1 -/+, ..., which fixes the order
+    # in which each row's boundary terms are summed into the rhs.
+    grown = tuple(s + 2 for s in shape)
+    interior = np.pad(fieldobj.interior, 1).ravel()
+    boundary = np.pad(fieldobj.boundary, 1).ravel()
+    centre = np.flatnonzero(interior)
+    number = np.full(interior.size, -1)
+    number[centre] = np.arange(m)
+    h_grid = np.zeros(interior.size)
+    h_grid[boundary] = hvals
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [diag]
+    rhs = np.zeros(m)
+    for axis in range(len(shape)):
+        stride = math.prod(grown[axis + 1:])
+        for sign in (-1, 1):
+            nb = centre + sign * stride
+            inner, edge = interior[nb], boundary[nb]
+            if not np.all(inner | edge):
+                raise SingularSystemError(
+                    "interior point has a neighbour outside the support"
+                )
+            rows.append(np.flatnonzero(inner))
+            cols.append(number[nb[inner]])
+            vals.append(off_scale[inner])
+            rhs[edge] -= off_scale[edge] * h_grid[nb[edge]]
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
     solver = "cg"
@@ -148,8 +158,7 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     values.ravel()[interior_idx] = v_int
     values.ravel()[boundary_idx] = hvals
 
-    residual, scale = _residual(problem, fieldobj, values, bvals, svals,
-                                interior_idx, strides)
+    residual, scale = _residual(problem, fieldobj, values, bvals, svals)
     if not np.isfinite(residual) or residual > 1e-8 * max(scale, 1.0):
         raise SingularSystemError(
             f"solution residual {residual:.3e} too large (scale {scale:.3e})"
@@ -157,24 +166,15 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     return EllipticSolution(fieldobj, values, residual, scale, solver)
 
 
-def _residual(problem, fieldobj, values, bvals, svals, interior_idx, strides):
+def _residual(problem, fieldobj, values, bvals, svals):
     """Infinity norm of b*Lap v - sigma*v on interior points, plus a scale."""
-    flat = values.ravel()
-    dx2 = problem.dx**2
-    res = 0.0
-    scale = 1.0
-    for k, j in enumerate(interior_idx):
-        lap = 0.0
-        for axis in range(len(strides)):
-            lap += (
-                flat[j + strides[axis]] - 2.0 * flat[j] + flat[j - strides[axis]]
-            ) / dx2
-        term_b = bvals[k] * lap
-        term_s = svals[k] * flat[j]
-        if bvals[k] == 0.0 and svals[k] == 0.0:
-            term_b = lap  # harmonic filler rows are judged on Lap v itself
-        res = max(res, abs(term_b - term_s))
-        scale = max(scale, abs(term_b) + abs(term_s))
+    lap = laplacian_array(values, problem.dx)[fieldobj.interior]
+    term_b = bvals * lap
+    term_s = svals * values[fieldobj.interior]
+    # harmonic filler rows are judged on Lap v itself
+    term_b = np.where((bvals == 0.0) & (svals == 0.0), lap, term_b)
+    res = float(np.max(np.abs(term_b - term_s)))
+    scale = max(1.0, float(np.max(np.abs(term_b) + np.abs(term_s))))
     return res, scale
 
 

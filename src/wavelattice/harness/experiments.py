@@ -34,6 +34,7 @@ from ..spectral import (
     dalembert_forcing,
     duhamel_solve,
     propagator,
+    sample,
     semidiscrete_closed_form_phi,
     separable_forcing,
 )
@@ -42,6 +43,7 @@ from ..stencils import (
     delta_x_second,
     field_from_classification,
     laplacian_array,
+    lattice_points,
     leapfrog_first_level,
     three_level_steps,
 )
@@ -495,7 +497,10 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
 # E7 variable coefficients
 
 
-def _e7_data(config: ExperimentConfig):
+def run_e7(config: ExperimentConfig) -> ExperimentResult:
+    if config.domain_kind == "full_space":
+        config = default_config("E7", n=config.n, levels=config.levels)
+    domain = config.domain()
     gauss = config.data("f")
     h_const = 0.2
 
@@ -505,14 +510,6 @@ def _e7_data(config: ExperimentConfig):
     center = np.asarray(gauss.center)
     b = DataFunction.smooth_bump(center, 0.45, amplitude=0.1)
     sigma = DataFunction.smooth_bump(center, 0.45, amplitude=0.05)
-    return f, b, sigma, h_const
-
-
-def run_e7(config: ExperimentConfig) -> ExperimentResult:
-    if config.domain_kind == "full_space":
-        config = default_config("E7", n=config.n, levels=config.levels)
-    domain = config.domain()
-    f, b, sigma, h_const = _e7_data(config)
     levels = config.levels
     base = config.base_spec()
 
@@ -556,12 +553,13 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
     # direct Theorem-c integration with a(x), sigma(x) in the ODE, on the
     # finest level's classification
     spec_f, vals_f = probe_values[-1]
+    fieldobj = field_from_classification(split.wave_problem.classification)
+    points = lattice_points(fieldobj)
     system = LagrangeSystem(
-        dx=spec_f.dx,
-        fieldobj=field_from_classification(split.wave_problem.classification),
-        a=lambda x: 1.0 + b(x), sigma=sigma, boundary_value=h_const,
+        dx=spec_f.dx, fieldobj=fieldobj, a=1.0 + sample(b, points),
+        sigma=sigma, boundary_value=h_const,
     )
-    set_initial_data(system, f, None)
+    set_initial_data(system, h_const + sample(gauss, points), None)
     integrate(system, 0.0, spec_f.T, spec_f.dt)
     direct = np.array([
         system.values[system.fieldobj.offset(tuple(int(j) * 2**(levels - 1)

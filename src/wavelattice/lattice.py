@@ -5,14 +5,15 @@ dimension n.  Admissible lattices satisfy the CFL bound dt/dx <= 1/sqrt(n)
 and have an integer number of time steps per horizon.  Bounded domains are
 boxes, balls, or finite unions of those; lattice points are split into
 interior points (all 2n axis neighbours inside the domain) and boundary
-points (in the closure, at least one neighbour outside).
+points (in the closure, at least one neighbour outside), held as boolean
+masks on a rectangular window of lattice multi-indices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,35 +133,39 @@ class Domain:
     def bounded(self) -> bool:
         return self.kind != "full_space"
 
-    def contains(self, x) -> bool:
-        """Exact membership of a point in the open domain."""
+    def contains(self, x) -> np.ndarray:
+        """Exact membership in the open domain of points x shaped (..., n);
+        the result is shaped x.shape[:-1]."""
         x = np.asarray(x, dtype=float)
         if self.kind == "box":
-            return all(lo < xi < hi for xi, (lo, hi) in zip(x, self.bounds))
+            lo, hi = np.asarray(self.bounds).T
+            return np.all((lo < x) & (x < hi), axis=-1)
         if self.kind == "ball":
-            return float(np.dot(x - self.center, x - self.center)) < self.radius**2
+            return np.sum((x - self.center) ** 2, axis=-1) < self.radius**2
         if self.kind == "full_space":
-            return True
-        return any(p.contains(x) for p in self.parts)
+            return np.ones(x.shape[:-1], dtype=bool)
+        return np.logical_or.reduce([p.contains(x) for p in self.parts])
 
-    def boundary_distance(self, x) -> float:
-        """Distance from x to the boundary (exact for box/ball).
+    def boundary_distance(self, x) -> np.ndarray:
+        """Distance from points x shaped (..., n) to the boundary (exact for
+        box/ball), shaped x.shape[:-1].
 
         For unions this is the minimum over member boundaries, which is an
         upper bound for the true distance; it is only used for tie detection.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "box":
+            lo, hi = np.asarray(self.bounds).T
             # per-axis signed exterior excess: positive outside along an axis
-            q = [max(lo - xi, xi - hi) for xi, (lo, hi) in zip(x, self.bounds)]
-            if any(v > 0.0 for v in q):
-                return math.sqrt(sum(max(v, 0.0) ** 2 for v in q))
-            return -max(q)
+            q = np.maximum(lo - x, x - hi)
+            outside = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1))
+            return np.where(np.any(q > 0.0, axis=-1), outside, -np.max(q, axis=-1))
         if self.kind == "ball":
-            return abs(float(np.linalg.norm(x - self.center)) - self.radius)
+            r = np.sqrt(np.sum((x - self.center) ** 2, axis=-1))
+            return np.abs(r - self.radius)
         if self.kind == "full_space":
-            return math.inf
-        return min(p.boundary_distance(x) for p in self.parts)
+            return np.full(x.shape[:-1], math.inf)
+        return np.minimum.reduce([p.boundary_distance(x) for p in self.parts])
 
     def bounding_window(self):
         """Per-axis (lo, hi) bounds of a box containing the domain."""
@@ -179,83 +184,112 @@ class Domain:
 
 @dataclass
 class LatticeClassification:
-    """Interior and boundary lattice multi-indices of a domain.
+    """Interior and boundary masks of a domain on a rectangular index window.
 
-    Indices k refer to the lattice point x = k*dx.  Interior points lie in
-    the domain with all 2n axis neighbours; boundary points lie in the
-    closure with at least one neighbour outside.  The sets are disjoint.
+    `origin` is the multi-index of the window's lowest corner and `shape`
+    its extent; the multi-index k refers to the lattice point x = k*dx.
+    Interior points lie in the domain with all 2n axis neighbours in its
+    closure; boundary points lie in the closure with at least one
+    neighbour outside.  The masks are disjoint.
     """
 
     spec: LatticeSpec
-    interior: set = field(default_factory=set)
-    boundary: set = field(default_factory=set)
+    origin: tuple
+    shape: tuple
+    interior: np.ndarray
+    boundary: np.ndarray
 
-    def point(self, index) -> np.ndarray:
-        return np.asarray(index, dtype=float) * self.spec.dx
+    @property
+    def support(self) -> np.ndarray:
+        return self.interior | self.boundary
 
-    def interior_points(self) -> np.ndarray:
-        idx = sorted(self.interior)
-        return np.asarray(idx, dtype=float) * self.spec.dx
+    def offset(self, index) -> tuple:
+        return tuple(int(i) - int(o) for i, o in zip(index, self.origin))
 
-    def boundary_points(self) -> np.ndarray:
-        idx = sorted(self.boundary)
-        return np.asarray(idx, dtype=float) * self.spec.dx
-
-
-def _index_window(domain: Domain, dx: float, pad: int = 1):
-    """Integer index ranges covering the domain's bounding window."""
-    ranges = []
-    for lo, hi in domain.bounding_window():
-        ranges.append(range(math.floor(lo / dx) - pad, math.ceil(hi / dx) + pad + 1))
-    return ranges
+    def holds_index(self, index) -> bool:
+        off = self.offset(index)
+        if any(o < 0 or o >= s for o, s in zip(off, self.shape)):
+            return False
+        return bool(self.support[off])
 
 
-def _neighbors(index):
-    idx = list(index)
-    for k in range(len(idx)):
-        for s in (-1, 1):
-            nb = list(idx)
-            nb[k] += s
-            yield tuple(nb)
+def _index_window(domain: Domain, dx: float, pad: int):
+    """Per-axis integer indices covering the domain's bounding window,
+    grown by `pad` on every side."""
+    return [
+        np.arange(math.floor(lo / dx) - pad, math.ceil(hi / dx) + pad + 1)
+        for lo, hi in domain.bounding_window()
+    ]
+
+
+def _closure_masks(domain: Domain, dx: float):
+    """Origin, then the open-domain and closure masks, on the index window
+    padded by one ring.
+
+    Raises AmbiguousBoundaryError when a window point is strictly within
+    1e-12*dx of the boundary without lying on it exactly.
+    """
+    axes = _index_window(domain, dx, pad=1)
+    points = np.stack(np.meshgrid(*[a * dx for a in axes], indexing="ij"), axis=-1)
+    d = domain.boundary_distance(points)
+    tol = REL_TOL * dx
+    near = (0.0 < d) & (d < tol)
+    if near.any():
+        x = points[near][0]
+        raise AmbiguousBoundaryError(
+            f"lattice point {tuple(x.tolist())} lies within {tol:g} of the boundary"
+        )
+    inside = domain.contains(points)
+    return tuple(int(a[0]) for a in axes), inside, inside | (d == 0.0)
+
+
+def _neighbours_in(closure: np.ndarray) -> np.ndarray:
+    """Mask of the points whose 2n axis neighbours all lie in `closure`;
+    neighbours beyond the window count as outside."""
+    padded = np.pad(closure, 1)
+    out = np.ones_like(closure)
+    for k in range(closure.ndim):
+        for start in (0, 2):
+            out &= padded[tuple(
+                slice(start, start + closure.shape[j]) if j == k else slice(1, -1)
+                for j in range(closure.ndim)
+            )]
+    return out
 
 
 def classify(domain: Domain, spec: LatticeSpec) -> LatticeClassification:
-    """Split lattice points into interior and boundary sets.
+    """Interior and boundary masks on the smallest window holding both.
 
     Raises AmbiguousBoundaryError when a point is strictly within
     1e-12*dx of the boundary without lying on it exactly; points exactly
     on the boundary classify as closure points.
     """
-    dx = spec.dx
-    out = LatticeClassification(spec=spec)
     if not domain.bounded:
         # full space: the evaluation window becomes the interior, no boundary
-        for index in itertools.product(*_index_window(domain, dx, pad=0)):
-            out.interior.add(index)
-        return out
-
-    tol = REL_TOL * dx
-
-    def member(index):
-        x = np.asarray(index, dtype=float) * dx
-        d = domain.boundary_distance(x)
-        if 0.0 < d < tol:
-            raise AmbiguousBoundaryError(
-                f"lattice point {tuple(x)} lies within {tol:g} of the boundary"
-            )
-        inside = domain.contains(x)
-        return inside, inside or d == 0.0
-
-    for index in itertools.product(*_index_window(domain, dx)):
-        inside, in_closure = member(index)
-        if not in_closure:
-            continue
-        nb_closure = [member(nb)[1] for nb in _neighbors(index)]
-        if inside and all(nb_closure):
-            out.interior.add(index)
-        elif not all(nb_closure):
-            out.boundary.add(index)
-    return out
+        axes = _index_window(domain, spec.dx, pad=0)
+        shape = tuple(len(a) for a in axes)
+        return LatticeClassification(
+            spec, tuple(int(a[0]) for a in axes), shape,
+            np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool),
+        )
+    origin, inside, closure = _closure_masks(domain, spec.dx)
+    all_in = _neighbours_in(closure)
+    interior = inside & all_in
+    boundary = closure & ~all_in
+    support = interior | boundary
+    crop = []
+    for k in range(support.ndim):
+        others = tuple(j for j in range(support.ndim) if j != k)
+        hit = np.flatnonzero(support.any(axis=others))
+        crop.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
+    crop = tuple(crop)
+    return LatticeClassification(
+        spec,
+        tuple(o + s.start for o, s in zip(origin, crop)),
+        interior[crop].shape,
+        interior[crop].copy(),
+        boundary[crop].copy(),
+    )
 
 
 def detect_double_points(domain: Domain, spec: LatticeSpec) -> set:
@@ -276,31 +310,20 @@ def detect_double_points(domain: Domain, spec: LatticeSpec) -> set:
     dx = spec.dx
     n = domain.n
     step = dx / 8.0
-    offsets = np.arange(-4, 5)
-    suspects = set()
-    classification = classify(domain, spec)
+    cube = np.array(list(itertools.product(range(-4, 5), repeat=n)))
+    samples = cube * step
+    origin, inside, closure = _closure_masks(domain, dx)
     # Scan every closure point that is not interior.  This is wider than
-    # classification.boundary: an isolated touch point (two boxes meeting
-    # at a corner) has all its neighbors in the closure and so lands in
-    # neither set, yet it is exactly the kind of point to flag.
-    candidates = set()
-    for index in itertools.product(*_index_window(domain, dx)):
-        if index in classification.interior:
-            continue
-        x = np.asarray(index, dtype=float) * dx
-        if domain.contains(x) or domain.boundary_distance(x) == 0.0:
-            candidates.add(index)
-    for index in candidates:
-        x0 = np.asarray(index, dtype=float) * dx
-        inside = {}
-        for off in itertools.product(offsets, repeat=n):
-            pt = x0 + np.asarray(off, dtype=float) * step
-            if domain.contains(pt):
-                inside[off] = True
-        if not inside:
-            continue
+    # the boundary mask: an isolated touch point (two boxes meeting at a
+    # corner) has all its neighbors in the closure and so is neither
+    # interior nor boundary, yet it is exactly the kind of point to flag.
+    candidates = closure & ~(inside & _neighbours_in(closure))
+    suspects = set()
+    for index in np.argwhere(candidates) + np.asarray(origin):
+        x0 = index.astype(float) * dx
+        hit = domain.contains(x0 + samples)
+        remaining = {tuple(off) for off in cube[hit].tolist()}
         # flood fill over axis-adjacent sample cells
-        remaining = set(inside)
         components = 0
         while remaining:
             components += 1
@@ -316,7 +339,7 @@ def detect_double_points(domain: Domain, spec: LatticeSpec) -> set:
                             remaining.discard(nb)
                             stack.append(nb)
         if components > 1:
-            suspects.add(tuple(x0))
+            suspects.add(tuple(x0.tolist()))
     return suspects
 
 

@@ -15,35 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowupError, MissingLevelError, MissingNeighborError
-from .lattice import LatticeClassification, LatticeSpec
+from .lattice import LatticeClassification
 
 #: values above this abort a run (deliberately reachable under CFL violation)
 BLOWUP_THRESHOLD = 1e12
 
 
 @dataclass
-class GridField:
+class GridField(LatticeClassification):
     """Values on lattice points at one or more time levels.
 
-    Storage is a rectangular index window: `origin` is the multi-index of
-    the lowest corner, `shape` the window extent, and `interior` /
-    `boundary` boolean masks select the supported points.  `levels` maps
-    the integer time index p (t = p*dt) to one value array per level.
+    The window, origin and interior / boundary masks are those of a
+    `LatticeClassification`; `levels` maps the integer time index p
+    (t = p*dt) to one value array over the window per level.
     """
 
-    spec: LatticeSpec
-    origin: tuple
-    shape: tuple
-    interior: np.ndarray
-    boundary: np.ndarray
     levels: dict = field(default_factory=dict)
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.interior | self.boundary
-
-    def offset(self, index) -> tuple:
-        return tuple(int(i) - int(o) for i, o in zip(index, self.origin))
 
     def index_of_point(self, x) -> tuple:
         """Multi-index of the lattice point nearest to x."""
@@ -53,18 +40,9 @@ class GridField:
     def value(self, index, level: int) -> float:
         if level not in self.levels:
             raise MissingLevelError(f"time level {level} is not stored")
-        off = self.offset(index)
-        if any(o < 0 or o >= s for o, s in zip(off, self.shape)):
+        if not self.holds_index(index):
             raise MissingNeighborError(f"lattice index {index} outside support")
-        if not self.support[off]:
-            raise MissingNeighborError(f"lattice index {index} outside support")
-        return float(self.levels[level][off])
-
-    def holds_index(self, index) -> bool:
-        off = self.offset(index)
-        if any(o < 0 or o >= s for o, s in zip(off, self.shape)):
-            return False
-        return bool(self.support[off])
+        return float(self.levels[level][self.offset(index)])
 
     def value_at(self, x, level: int) -> float:
         return self.value(self.index_of_point(x), level)
@@ -82,32 +60,21 @@ class GridField:
 def field_from_classification(
     classification: LatticeClassification, pad: int = 0
 ) -> GridField:
-    """Allocate an empty GridField covering the classified points.
+    """Allocate an empty GridField on the classification's window.
 
     `pad` grows the index window on every side and marks the padded points
     as interior; used for full-space runs where validity is guaranteed by
     the finite domain of dependence.
     """
-    spec = classification.spec
-    idx = sorted(classification.interior | classification.boundary)
-    if not idx:
+    if not classification.support.any():
         raise ValueError("classification holds no lattice points")
-    arr = np.asarray(idx, dtype=int)
-    lo = arr.min(axis=0) - pad
-    hi = arr.max(axis=0) + pad
-    shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    interior = np.zeros(shape, dtype=bool)
-    boundary = np.zeros(shape, dtype=bool)
-    origin = tuple(int(v) for v in lo)
-    if pad:
-        interior[...] = True
-    for index in classification.interior:
-        interior[tuple(i - o for i, o in zip(index, origin))] = True
-    for index in classification.boundary:
-        off = tuple(i - o for i, o in zip(index, origin))
-        boundary[off] = True
-        interior[off] = False
-    return GridField(spec, origin, shape, interior, boundary)
+    return GridField(
+        classification.spec,
+        tuple(o - pad for o in classification.origin),
+        tuple(s + 2 * pad for s in classification.shape),
+        np.pad(classification.interior, pad, constant_values=True),
+        np.pad(classification.boundary, pad),
+    )
 
 
 def lattice_points(fieldobj: GridField) -> np.ndarray:

@@ -53,6 +53,63 @@ class TestAssembleAndSolve:
                         sol.value_at([0.75])])
         assert np.allclose(got, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("b, sigma, solver", [
+        # definite: b > 0, sigma >= 0
+        (lambda x: 1.0 + 0.5 * x[0], lambda x: x[1], "cg"),
+        # indefinite: Lap v + 20 v has eigenvalues of both signs here
+        (1.0, -20.0, "dense"),
+        # harmonic filler rows where b = sigma = 0 (x0 < 0.5); small b and
+        # sigma elsewhere, so the filler rows set the residual
+        (lambda x: 0.0 if x[0] < 0.5 else 0.01 * (1.0 + x[1]),
+         lambda x: 0.0 if x[0] < 0.5 else 0.02, "cg"),
+    ], ids=["definite", "indefinite", "filler"])
+    def test_dense_oracle_2d(self, b, sigma, solver):
+        # unit square, dx = 0.25: the 3 x 3 interior unknowns (i, j),
+        # 1 <= i, j <= 3, against a system assembled point by point
+        dx = 0.25
+        h = lambda x: np.cos(2.0 * x[0]) + x[0] * x[1]
+        sol = assemble_and_solve(
+            EllipticProblem(domain=Domain.box([(0.0, 1.0)] * 2), dx=dx,
+                            b=b, sigma=sigma, h=h)
+        )
+        assert sol.solver == solver
+
+        def coef(c, x):
+            return float(c(x)) if callable(c) else float(c)
+
+        def v(i, j):
+            return sol.value_at(np.array([i, j]) * dx)
+
+        unknowns = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        A = np.zeros((9, 9))
+        rhs = np.zeros(9)
+        residual = 0.0
+        for row, (i, j) in enumerate(unknowns):
+            x = np.array([i * dx, j * dx])
+            bx, sx = coef(b, x), coef(sigma, x)
+            lap = (v(i + 1, j) - 2.0 * v(i, j) + v(i - 1, j)) / dx**2
+            lap += (v(i, j + 1) - 2.0 * v(i, j) + v(i, j - 1)) / dx**2
+            residual = max(residual, abs(bx * lap - sx * v(i, j)))
+            if bx == 0.0 and sx == 0.0:
+                bx = 1.0  # harmonic filler: Lap v = 0, judged on Lap v
+                residual = max(residual, abs(lap))
+            A[row, row] = -4.0 * bx / dx**2 - sx
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in unknowns:
+                    A[row, unknowns.index(nb)] = bx / dx**2
+                else:
+                    rhs[row] -= bx / dx**2 * h(np.array(nb) * dx)
+        expected = np.linalg.solve(A, rhs)
+        got = np.array([sol.value_at(np.array(k) * dx) for k in unknowns])
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-10)
+        for i in range(5):
+            for j in range(5):
+                if (i, j) not in unknowns:
+                    x = np.array([i, j]) * dx
+                    assert sol.value_at(x) == h(x)
+        assert sol.residual == residual
+        assert sol.residual <= 1e-9 * sol.scale
+
     def test_constant_boundary_gives_constant(self):
         # sigma = 0: constants are harmonic, so u = c everywhere
         sol = assemble_and_solve(

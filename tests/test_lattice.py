@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from classify_reference import index_set, reference_classify
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavelattice import (
     AmbiguousBoundaryError,
@@ -57,14 +60,14 @@ class TestRefineHalving:
 class TestClassify:
     def test_interval(self):
         cls = classify(Domain.box([(0, 1)]), LatticeSpec(1, 0.25, 0.1, 1.0))
-        assert cls.interior == {(1,), (2,), (3,)}
-        assert cls.boundary == {(0,), (4,)}
+        assert index_set(cls.interior, cls.origin) == {(1,), (2,), (3,)}
+        assert index_set(cls.boundary, cls.origin) == {(0,), (4,)}
 
     def test_unit_box_2d(self):
         cls = classify(Domain.box([(0, 1), (0, 1)]), LatticeSpec(2, 0.5, 0.2, 1.0))
-        assert cls.interior == {(1, 1)}
-        assert len(cls.boundary) == 8
-        assert cls.interior.isdisjoint(cls.boundary)
+        assert index_set(cls.interior, cls.origin) == {(1, 1)}
+        assert np.count_nonzero(cls.boundary) == 8
+        assert not np.any(cls.interior & cls.boundary)
 
     def test_ball_brute_force(self):
         dom = Domain.ball((0.0, 0.0), 1.0)
@@ -89,13 +92,14 @@ class TestClassify:
                     interior.add((i, j))
                 elif not all(closure(*nb) for nb in nbs):
                     boundary.add((i, j))
-        assert cls.interior == interior
-        assert cls.boundary == boundary
+        assert index_set(cls.interior, cls.origin) == interior
+        assert index_set(cls.boundary, cls.origin) == boundary
 
     def test_full_space_window(self):
         cls = classify(Domain.full_space([(-0.5, 0.5)]), LatticeSpec(1, 0.25, 0.1, 1.0))
-        assert cls.boundary == set()
-        assert (0,) in cls.interior and (2,) in cls.interior
+        assert not cls.boundary.any()
+        interior = index_set(cls.interior, cls.origin)
+        assert (0,) in interior and (2,) in interior
 
     def test_ambiguous_boundary(self):
         # the lattice point at 0.3 sits within 1e-12*dx of the boundary
@@ -103,6 +107,85 @@ class TestClassify:
         dom = Domain.box([(-1.0, 0.3 + 1e-14)])
         with pytest.raises(AmbiguousBoundaryError):
             classify(dom, LatticeSpec(1, 0.1, 0.05, 1.0))
+
+
+@st.composite
+def lattice_domains(draw):
+    """A random box, ball or two-part union in n = 1, 2, 3 with a lattice
+    step.  Coordinates are lattice-aligned or free; in about one domain in
+    four they may also sit 1e-14 off a lattice point (the ambiguous case)."""
+    n = draw(st.integers(1, 3))
+    dx = draw(st.sampled_from([0.2, 0.25] if n == 3 else [0.1, 0.125, 0.2, 0.25]))
+    kinds = ["lattice", "free"] + (["near"] if draw(st.integers(0, 3)) == 0 else [])
+
+    def coord(k_lo, k_hi):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "free":
+            return draw(st.floats(k_lo * dx, k_hi * dx))
+        k = draw(st.integers(k_lo, k_hi))
+        if kind == "lattice":
+            return k * dx
+        return k * dx + draw(st.sampled_from([-1e-14, 1e-14]))
+
+    def part():
+        if draw(st.booleans()):
+            return Domain.box([(coord(-4, -1), coord(1, 4)) for _ in range(n)])
+        radius = draw(st.one_of(
+            st.integers(1, 3).map(lambda k: k * dx), st.floats(0.05, 0.7)
+        ))
+        return Domain.ball([coord(-2, 2) for _ in range(n)], radius)
+
+    domain = Domain.union(part(), part()) if draw(st.booleans()) else part()
+    return domain, LatticeSpec(n, dx, dx / (2.0 * math.sqrt(n)), 1.0)
+
+
+class TestClassifyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=lattice_domains())
+    def test_masks_match_scalar_reference(self, case):
+        domain, spec = case
+        try:
+            expected = reference_classify(domain, spec)
+        except AmbiguousBoundaryError:
+            with pytest.raises(AmbiguousBoundaryError):
+                classify(domain, spec)
+            return
+        cls = classify(domain, spec)
+        assert index_set(cls.interior, cls.origin) == expected[0]
+        assert index_set(cls.boundary, cls.origin) == expected[1]
+        # the window is the bounding box of the support
+        support = np.array(sorted(expected[0] | expected[1])).reshape(-1, spec.n)
+        if len(support):
+            assert cls.origin == tuple(support.min(axis=0))
+            assert cls.shape == tuple(support.max(axis=0) - support.min(axis=0) + 1)
+        assert cls.interior.shape == cls.boundary.shape == cls.shape
+
+
+class TestPredicateArrays:
+    @pytest.mark.parametrize("domain", [
+        Domain.box([(-0.5, 0.5), (0.0, 1.0)]),
+        Domain.ball((0.25, 0.0), 0.75),
+        Domain.union(Domain.box([(-1.0, 0.0), (-1.0, 0.0)]),
+                     Domain.ball((0.5, 0.5), 0.5)),
+        Domain.full_space([(-1.0, 1.0), (-1.0, 1.0)]),
+        Domain.box([(0.0, 1.0)] * 3),
+    ], ids=["box", "ball", "union", "full_space", "box_3d"])
+    def test_array_equals_per_point(self, domain):
+        n = domain.n
+        rng = np.random.default_rng(3)
+        # random points plus lattice points, some of them on the boundary
+        lattice = np.stack(np.meshgrid(*[np.arange(-4, 5) * 0.25] * n,
+                                       indexing="ij"), axis=-1).reshape(-1, n)
+        pts = np.concatenate([rng.uniform(-1.2, 1.2, size=(100, n)), lattice])
+        inside = domain.contains(pts)
+        dist = domain.boundary_distance(pts)
+        assert inside.shape == dist.shape == (len(pts),)
+        assert np.array_equal(inside, [domain.contains(p) for p in pts])
+        assert np.array_equal(dist, [domain.boundary_distance(p) for p in pts])
+        stacked = pts[:100].reshape(4, 25, n)
+        assert np.array_equal(domain.contains(stacked), inside[:100].reshape(4, 25))
+        assert np.array_equal(domain.boundary_distance(stacked),
+                              dist[:100].reshape(4, 25))
 
 
 class TestDoublePoints:

@@ -122,6 +122,31 @@ class TestGridField:
         assert fld.holds_index((2,))
         assert not fld.holds_index((9,))
 
+    def test_box_window_and_masks(self):
+        spec = LatticeSpec(2, 0.25, 0.125, 0.5)
+        fld = field_from_classification(
+            classify(Domain.box([(0.0, 1.0), (0.0, 0.5)]), spec)
+        )
+        assert fld.origin == (0, 0) and fld.shape == (5, 3)
+        expected = np.zeros((5, 3), dtype=bool)
+        expected[1:4, 1] = True
+        assert np.array_equal(fld.interior, expected)
+        assert np.array_equal(fld.boundary, ~expected)
+
+    def test_full_space_pad_grows_interior(self):
+        spec = LatticeSpec(2, 0.25, 0.125, 0.5)
+        cls = classify(Domain.full_space([(-0.25, 0.25), (0.0, 0.25)]), spec)
+        assert cls.origin == (-1, 0) and cls.shape == (3, 2)
+        fld = field_from_classification(cls, pad=2)
+        assert fld.origin == (-3, -2) and fld.shape == (7, 6)
+        assert fld.interior.shape == fld.boundary.shape == (7, 6)
+        assert fld.interior.all() and not fld.boundary.any()
+
+    def test_empty_classification_rejected(self):
+        spec = LatticeSpec(1, 0.25, 0.125, 0.5)
+        with pytest.raises(ValueError):
+            field_from_classification(classify(Domain.box([(0.3, 0.4)]), spec))
+
     def test_dump_load_round_trip(self, tmp_path):
         spec = LatticeSpec(1, 0.1, 0.05, 0.2)
         problem = DiscreteProblem(
