@@ -83,45 +83,46 @@ def compare_on_common_lattice(
             times.append(t)
     times = list(times)
 
-    # Coarse-lattice spatial points inside the window, common to both fields.
+    # Coarse-lattice spatial points inside the window, common to both fields,
+    # in C order of the window.
     lo = [int(math.ceil((w[0] - 1e-12) / coarse.dx)) for w in window]
     hi = [int(math.floor((w[1] + 1e-12) / coarse.dx)) for w in window]
-    indices = []
     grids = np.meshgrid(
         *[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij"
     )
     coarse_idx = np.stack([g.ravel() for g in grids], axis=-1)
-    for idx in coarse_idx:
-        ia = tuple(int(j) * sp_a for j in idx)
-        if not field.holds_index(ia):
-            continue
-        if other_field is not None:
-            ib = tuple(int(j) * sp_b for j in idx)
-            if not other_field.holds_index(ib):
-                continue
-        indices.append(tuple(int(j) for j in idx))
-    if not indices or not times:
+    held = _held(field, coarse_idx * sp_a)
+    if other_field is not None:
+        held &= _held(other_field, coarse_idx * sp_b)
+    indices = coarse_idx[held]
+    if len(indices) == 0 or not times:
         raise NoCommonPointsError("no common points inside the comparison window")
 
     diffs = []
-    points = np.asarray(indices, dtype=float) * coarse.dx
+    points = indices.astype(float) * coarse.dx
     for t in times:
-        p_a = _time_level(field.spec, t)
-        vals_a = np.array(
-            [field.value(tuple(j * sp_a for j in idx), p_a) for idx in indices]
-        )
+        vals_a = _gather(field, indices * sp_a, _time_level(field.spec, t))
         if other_field is not None:
-            p_b = _time_level(other_field.spec, t)
-            vals_b = np.array(
-                [
-                    other_field.value(tuple(j * sp_b for j in idx), p_b)
-                    for idx in indices
-                ]
-            )
+            vals_b = _gather(other_field, indices * sp_b,
+                             _time_level(other_field.spec, t))
         else:
             vals_b = np.asarray(other(points, t), dtype=float).ravel()
         diffs.append(vals_a - vals_b)
     return scaled_norms(np.concatenate(diffs), coarse.dx, n, coarse.dt)
+
+
+def _held(field: GridField, index: np.ndarray) -> np.ndarray:
+    """Which rows of the (m, n) multi-indices lie in the field's support."""
+    off = index - np.asarray(field.origin)
+    inside = np.all((off >= 0) & (off < np.asarray(field.shape)), axis=1)
+    held = np.zeros(len(index), dtype=bool)
+    held[inside] = field.support[tuple(off[inside].T)]
+    return held
+
+
+def _gather(field: GridField, index: np.ndarray, level: int) -> np.ndarray:
+    """Values at time level ``level`` of held (m, n) multi-indices."""
+    return field.level_array(level)[tuple((index - np.asarray(field.origin)).T)]
 
 
 def _space_ratio(coarse_dx: float, fine_dx: float) -> int:

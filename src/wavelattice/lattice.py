@@ -210,7 +210,7 @@ class LatticeClassification:
         off = self.offset(index)
         if any(o < 0 or o >= s for o, s in zip(off, self.shape)):
             return False
-        return bool(self.support[off])
+        return bool(self.interior[off] or self.boundary[off])
 
 
 def _index_window(domain: Domain, dx: float, pad: int):

@@ -1,5 +1,6 @@
 """Harness: configs, tables, norms, CLI exit codes, experiment plumbing."""
 
+import itertools
 import math
 import os
 
@@ -13,7 +14,7 @@ from wavelattice import (
     LatticeSpec,
     solve,
 )
-from wavelattice.errors import NoCommonPointsError
+from wavelattice.errors import MissingLevelError, NoCommonPointsError
 from wavelattice.harness import (
     ConfigError,
     ErrorTable,
@@ -25,7 +26,11 @@ from wavelattice.harness import (
     run_experiment,
     scaled_norms,
 )
+from wavelattice.harness import experiments
 from wavelattice.harness.cli import main
+from wavelattice.harness.norms import _space_ratio, _time_level
+from wavelattice.harness.table import TableRow
+from wavelattice.lattice import refine_halving
 
 
 class TestDataCatalog:
@@ -186,6 +191,195 @@ class TestNorms:
         with pytest.raises((NoCommonPointsError, ValueError)):
             compare_on_common_lattice(fld, fld, [(-0.4, 0.4)],
                                       times=[spec.dt / 3.0])
+
+
+def _loop_compare(field, other, window, times=None, base_spec=None):
+    """Per-point reference of `compare_on_common_lattice`: one
+    `holds_index` and one `GridField.value` per coarse point and field."""
+    other_field = other if hasattr(other, "holds_index") else None
+    coarse = base_spec if base_spec is not None else field.spec
+    for fld in (other_field, field):
+        if fld is not None and fld.spec.dx > coarse.dx:
+            coarse = fld.spec
+    sp_a = _space_ratio(coarse.dx, field.spec.dx)
+    sp_b = _space_ratio(coarse.dx, other_field.spec.dx) if other_field else 1
+    if times is None:
+        times = []
+        for p in sorted(field.levels):
+            t = p * field.spec.dt
+            if other_field is not None:
+                q = t / other_field.spec.dt
+                if abs(q - round(q)) > 1e-9 or round(q) not in other_field.levels:
+                    continue
+            times.append(t)
+    axes = [
+        range(math.ceil((w[0] - 1e-12) / coarse.dx),
+              math.floor((w[1] + 1e-12) / coarse.dx) + 1)
+        for w in window
+    ]
+    indices = [
+        idx for idx in itertools.product(*axes)
+        if field.holds_index(tuple(j * sp_a for j in idx))
+        and (other_field is None
+             or other_field.holds_index(tuple(j * sp_b for j in idx)))
+    ]
+    if not indices or not times:
+        raise NoCommonPointsError("no common points")
+    points = np.asarray(indices, dtype=float) * coarse.dx
+    diffs = []
+    for t in times:
+        p_a = _time_level(field.spec, t)
+        vals_a = np.array([field.value(tuple(j * sp_a for j in idx), p_a)
+                           for idx in indices])
+        if other_field is not None:
+            p_b = _time_level(other_field.spec, t)
+            vals_b = np.array([other_field.value(tuple(j * sp_b for j in idx), p_b)
+                               for idx in indices])
+        else:
+            vals_b = np.asarray(other(points, t), dtype=float).ravel()
+        diffs.append(vals_a - vals_b)
+    return scaled_norms(np.concatenate(diffs), coarse.dx, coarse.n, coarse.dt)
+
+
+class TestCompareOnBoundedDomain:
+    """The vectorized compare equals the per-point loop on a ball whose
+    support leaves part of the comparison window uncovered."""
+
+    WINDOW = [(-0.5, 0.5), (-0.5, 0.5)]
+
+    def _ball_field(self, dx):
+        spec = LatticeSpec(2, dx, dx / 2.0, 0.3)
+        problem = DiscreteProblem(
+            spec=spec, domain=Domain.ball([0.03, 0.0], 0.3617),
+            f=DataFunction.gaussian([0.03, 0.0], 0.15),
+        )
+        return solve(problem, t_range=(0.0, spec.T))
+
+    @staticmethod
+    def _oracle(points, t):
+        return 1.0 + points[:, 0] - 0.5 * points[:, 1] ** 2 + t
+
+    def test_window_is_not_covered(self):
+        fld = self._ball_field(0.1)
+        grid = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
+        held = [fld.holds_index(idx) for idx in grid]
+        assert any(held) and not all(held)
+
+    @pytest.mark.parametrize("dx", [0.1, 0.05])
+    @pytest.mark.parametrize("times", [None, [0.3]])
+    def test_field_vs_oracle(self, dx, times):
+        fld = self._ball_field(dx)
+        got = compare_on_common_lattice(fld, self._oracle, self.WINDOW, times)
+        assert got == _loop_compare(fld, self._oracle, self.WINDOW, times)
+        base = LatticeSpec(2, 0.2, 0.1, 0.3)
+        got = compare_on_common_lattice(fld, self._oracle, self.WINDOW, [0.3],
+                                        base_spec=base)
+        assert got == _loop_compare(fld, self._oracle, self.WINDOW, [0.3],
+                                    base_spec=base)
+
+    @pytest.mark.parametrize("times", [None, [0.3]])
+    def test_field_vs_field_nested(self, times):
+        coarse, fine = self._ball_field(0.1), self._ball_field(0.05)
+        for a, b in ((coarse, fine), (fine, coarse)):
+            got = compare_on_common_lattice(a, b, self.WINDOW, times)
+            assert got == _loop_compare(a, b, self.WINDOW, times)
+            assert got[0] > 0.0
+
+    def test_window_outside_support_raises(self):
+        coarse, fine = self._ball_field(0.1), self._ball_field(0.05)
+        far = [(0.6, 1.0), (-0.2, 0.2)]
+        for other in (self._oracle, fine):
+            with pytest.raises(NoCommonPointsError):
+                compare_on_common_lattice(coarse, other, far, [0.3])
+            with pytest.raises(NoCommonPointsError):
+                _loop_compare(coarse, other, far, [0.3])
+
+    def test_unstored_level_raises(self):
+        fld = self._ball_field(0.1)
+        t = 2 * fld.spec.dt
+        assert 2 not in fld.levels
+        with pytest.raises(MissingLevelError):
+            compare_on_common_lattice(fld, self._oracle, self.WINDOW, [t])
+
+
+class TestE1Cache:
+    """E1 solves each distinct lattice once and synthesizes its oracle once."""
+
+    CONFIG = default_config("E1", n=2, levels=3)
+
+    def _families(self):
+        base = self.CONFIG.base_spec()
+        return {
+            "fixed_ratio": refine_halving(base, self.CONFIG.levels),
+            "varying_ratio": experiments._varying_ratio_specs(
+                base, self.CONFIG.levels),
+        }
+
+    def test_one_solve_per_lattice_and_one_synthesis(self, monkeypatch):
+        solved, synthesized = [], []
+        real_solve = experiments.solve
+        real_synthesis = experiments.continuum_solution_u
+
+        def counting_solve(problem, *args, **kwargs):
+            solved.append(problem.spec)
+            return real_solve(problem, *args, **kwargs)
+
+        def counting_synthesis(*args, **kwargs):
+            synthesized.append(args)
+            return real_synthesis(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", counting_solve)
+        monkeypatch.setattr(experiments, "continuum_solution_u",
+                            counting_synthesis)
+        run_experiment(self.CONFIG)
+        specs = [s for family in self._families().values() for s in family]
+        assert len(set(specs)) < len(specs)
+        assert sorted(solved, key=repr) == sorted(set(specs), key=repr)
+        assert len(synthesized) == 1
+
+    def test_rows_equal_direct_solves(self):
+        result = run_experiment(self.CONFIG)
+        f, g = self.CONFIG.data("f"), self.CONFIG.data("g")
+        window = self.CONFIG.window()
+        base = self.CONFIG.base_spec()
+        quad = experiments._quad_for(f, g, base.T, base.n)
+
+        def oracle(points, t):
+            return np.atleast_1d(
+                experiments.continuum_solution_u(f, g, points, t, quad))
+
+        for name, specs in self._families().items():
+            expected = []
+            for k, spec in enumerate(specs):
+                problem = DiscreteProblem(
+                    spec=spec, domain=Domain.full_space(window), f=f, g=g)
+                sup, l2 = compare_on_common_lattice(
+                    solve(problem, t_range=(0.0, spec.T)), oracle, window,
+                    times=[spec.T], base_spec=base,
+                )
+                expected.append(TableRow(k, spec.dx, spec.dt, sup, l2))
+            assert result.tables[name].rows == expected
+
+    def test_oracle_memo_key_is_the_values(self, monkeypatch):
+        calls = []
+
+        def fake_synthesis(f, g, points, t, quad):
+            calls.append(t)
+            return points[:, 0] + t
+
+        monkeypatch.setattr(experiments, "continuum_solution_u", fake_synthesis)
+        oracle = experiments._oracle(None, None, None)
+        points = np.array([[0.0, 0.0], [0.2, 0.0]])
+        first = oracle(points, 0.4)
+        assert oracle(points.copy(), 0.4) is first and len(calls) == 1
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert oracle(points, 0.2).tolist() == [0.2, 0.4] and len(calls) == 2
+        oracle(points + 0.1, 0.4)
+        oracle(points[:1], 0.4)
+        oracle(points.T.copy(), 0.4)
+        assert len(calls) == 5
+        assert oracle(points, 0.4) is first and len(calls) == 5
 
 
 class TestExperiments:
