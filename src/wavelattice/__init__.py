@@ -73,11 +73,8 @@ from .spectral import (
 from .stencils import (
     BLOWUP_THRESHOLD,
     GridField,
-    delta_t_centered,
     delta_t_second,
     delta_x_second,
-    discrete_dalembert,
-    discrete_laplacian,
     dump_level,
     field_from_classification,
     lattice_points,

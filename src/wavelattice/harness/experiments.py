@@ -144,10 +144,11 @@ def _varying_ratio_specs(base: LatticeSpec, levels: int) -> list:
     """Halving in dx with the ratio dt/dx cycling through {1/sqrt(n), 0.3, 0.5}.
 
     The final two levels share the ratio 0.5 so the last observed order is a
-    clean Richardson estimate.
+    clean Richardson estimate; fewer than four levels drop the leading
+    ratios, not the final pair.
     """
     cap = 1.0 / math.sqrt(base.n)
-    ratios = [cap, 0.3] + [0.5] * max(1, levels - 2)
+    ratios = ([cap, 0.3] + [0.5] * levels)[:max(0, levels - 2)] + [0.5, 0.5]
     specs = []
     dx = base.dx
     for k in range(levels):
@@ -183,7 +184,8 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
             if spec not in errors:
                 problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
                 errors[spec] = compare_on_common_lattice(
-                    solve(problem, t_range=(0.0, spec.T)), oracle, window,
+                    solve(problem, t_range=(0.0, spec.T), window_only=True),
+                    oracle, window,
                     times=[spec.T], base_spec=base,
                 )
             table.add(k, spec.dx, spec.dt, *errors[spec])

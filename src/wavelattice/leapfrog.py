@@ -5,7 +5,11 @@ v(x, t +/- dt) = 2 v(x, t) - v(x, t -/+ dt) + dt^2 (Lap_dx v + w), with the
 first levels bootstrapped from the centered velocity condition combined
 with the scheme equation at t = 0.  Time runs both ways, covering
 [-T, T].  Full-space problems are solved on a window padded by the number
-of steps, so the finite domain of dependence keeps the window exact.
+of steps, so the finite domain of dependence keeps the window exact.  A
+caller that reads only the problem's window asks `solve` for it with
+`window_only`: each level is then stepped only on the points that can
+still reach that window (one ring fewer per level, the dependence cone of
+Courant, Friedrichs and Lewy), with the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .spectral import DataFunction, Forcing, sample
 from .stencils import (
     GridField,
     clamp_level,
+    crop_centre,
     field_from_classification,
     laplacian_array,
     lattice_points,
@@ -63,7 +68,13 @@ class DiscreteProblem:
 
 
 def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
-    """Window padding that keeps full-space runs exact for `steps` steps."""
+    """Window padding that keeps full-space runs exact for `steps` steps.
+
+    laplacian_array leaves the outermost ring of a window at zero, so level
+    p of a run on the padded window is exact on the points at least |p|
+    rings in from its edge: with this padding, every level up to `steps`
+    is exact on the unpadded window grown by two rings.
+    """
     return (steps if steps is not None else spec.steps) + 2
 
 
@@ -78,10 +89,10 @@ def _bootstrap(problem: DiscreteProblem, pad: int):
     clamp = window_clamp(fieldobj, bvals)
     terms = None
     if problem.forcing is not None:
-        flat = points.reshape(-1, points.shape[-1])
-
         def terms(accel, values, t):
-            return accel + problem.forcing.func(flat, t).reshape(fieldobj.shape)
+            at = crop_centre(points, accel.shape + points.shape[-1:])
+            flat = at.reshape(-1, at.shape[-1])
+            return accel + problem.forcing.func(flat, t).reshape(accel.shape)
     dt = problem.spec.dt
 
     v0 = clamp_level(sample(problem.f, points), clamp)
@@ -111,14 +122,27 @@ def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
     return _bootstrap(problem, pad)[0]
 
 
-def solve(problem: DiscreteProblem,
-          t_range: Optional[tuple] = None) -> GridField:
+def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None, *,
+          window_only: bool = False) -> GridField:
     """Run the scheme over t_range (default the full two-sided horizon).
 
     The scheme runs forward from level 0 to the upper end of t_range and
     backward to the lower end.  The returned field keeps levels -1, 0 and
     1, both ends of t_range and the last three levels of each run, as far
     as they lie in t_range.  Raises BlowupError past the 1e12 threshold.
+
+    A full-space problem is stepped on its window padded by
+    required_padding(spec, steps), where steps is the longer run, and the
+    padded window is returned: level p is exact on the problem's window
+    grown by steps + 2 - |p| rings, the rest of the padding is not.  With
+    `window_only` (the caller reads the problem's window and nothing
+    else), each level p of a run of `steps` is stepped only on the window
+    grown by steps - |p| rings, the points that can still reach the window
+    at the run's end, and the field is returned on the problem's window
+    (field_from_classification(problem.classification)); its values are
+    the padded run's, bit for bit.  On a bounded domain the field already
+    is the problem's window, clamped at the boundary, and `window_only`
+    changes nothing.
     """
     spec = problem.spec
     if t_range is None:
@@ -130,14 +154,25 @@ def solve(problem: DiscreteProblem,
     steps_needed = max(hi, -lo, 1)
     pad = required_padding(spec, steps_needed) if not problem.domain.bounded else 0
     fieldobj, clamp, terms = _bootstrap(problem, pad)
+    shrink = window_only and pad > 0
+    window = problem.classification.shape
     levels = fieldobj.levels
     for sign, end in ((1, hi), (-1, lo)):
-        run = three_level_steps(levels[0], levels[sign], sign * spec.dt, spec.dx,
-                                sign * end, terms=terms, clamp=clamp)
+        seed = levels[sign]
+        if shrink:  # level 1 of a run of s steps is read s - 1 rings out
+            rings = max(sign * end, 1) - 1
+            seed = crop_centre(seed, tuple(w + 2 * rings for w in window))
+        run = three_level_steps(levels[0], seed, sign * spec.dt, spec.dx,
+                                sign * end, terms=terms, clamp=clamp,
+                                shrink=shrink)
         for level, values in zip(range(2 * sign, end + sign, sign), run):
             if lo <= level <= hi and (abs(end - level) <= 2 or level in (lo, hi)):
                 levels[level] = values
     for level in (-1, 0, 1):
         if not lo <= level <= hi:
             del levels[level]
-    return fieldobj
+    if not shrink:
+        return fieldobj
+    cropped = field_from_classification(problem.classification)
+    cropped.levels = {p: crop_centre(v, window).copy() for p, v in levels.items()}
+    return cropped

@@ -52,10 +52,6 @@ class GridField(LatticeClassification):
             raise MissingLevelError(f"time level {level} is not stored")
         return self.levels[level]
 
-    def check_finite(self, level: int) -> None:
-        if not np.all(np.isfinite(self.levels[level])):
-            raise ValueError(f"non-finite values at time level {level}")
-
 
 def field_from_classification(
     classification: LatticeClassification, pad: int = 0
@@ -91,23 +87,6 @@ def lattice_points(fieldobj: GridField) -> np.ndarray:
 # grid-path operators
 
 
-def delta_t_forward(fieldobj: GridField, index, level: int) -> float:
-    dt = fieldobj.spec.dt
-    return (fieldobj.value(index, level + 1) - fieldobj.value(index, level)) / dt
-
-
-def delta_t_backward(fieldobj: GridField, index, level: int) -> float:
-    dt = fieldobj.spec.dt
-    return (fieldobj.value(index, level) - fieldobj.value(index, level - 1)) / dt
-
-
-def delta_t_centered(fieldobj: GridField, index, level: int) -> float:
-    dt = fieldobj.spec.dt
-    return (
-        fieldobj.value(index, level + 1) - fieldobj.value(index, level - 1)
-    ) / (2.0 * dt)
-
-
 def delta_t_second(fieldobj: GridField, index, level: int) -> float:
     dt = fieldobj.spec.dt
     return (
@@ -128,19 +107,6 @@ def delta_x_second(fieldobj: GridField, index, level: int, axis: int) -> float:
         - 2.0 * fieldobj.value(tuple(index), level)
         + fieldobj.value(tuple(minus), level)
     ) / dx**2
-
-
-def discrete_laplacian(fieldobj: GridField, index, level: int) -> float:
-    # fixed ascending axis order for bit-reproducibility
-    return sum(
-        delta_x_second(fieldobj, index, level, k) for k in range(fieldobj.spec.n)
-    )
-
-
-def discrete_dalembert(fieldobj: GridField, index, level: int) -> float:
-    return delta_t_second(fieldobj, index, level) - discrete_laplacian(
-        fieldobj, index, level
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +186,15 @@ def clamp_level(values: np.ndarray, clamp) -> np.ndarray:
     return values
 
 
+def crop_centre(values: np.ndarray, shape) -> np.ndarray:
+    """The view of `values` on the centred sub-window of `shape`."""
+    return values[tuple(
+        slice((s - t) // 2, (s - t) // 2 + t) for s, t in zip(values.shape, shape)
+    )]
+
+
 def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
-                      clamp=None):
+                      clamp=None, shrink=False):
     """Yield levels 2..steps of the three-level scheme seeded by levels 0, 1.
 
     Level k+1 is leapfrog_advance(v_k, v_{k-1}, accel, h) with accel =
@@ -229,9 +202,19 @@ def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
     when given (forcing, a(x), sigma), then clamped.  A negative h runs
     backward in time.  Raises BlowupError, with the level signed like h,
     when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
+
+    With `shrink` (full space, no clamp), level k+1 is stepped only on the
+    points of v_k one ring in from its edge, where laplacian_array applies
+    the stencil: each level is one ring smaller than the one before, v_{k-1}
+    (at least as large as v_k) is cropped about the same centre, and every
+    value equals the unshrunk run's at that point, bit for bit.  The blowup
+    check then sees only the stepped points.
     """
     for k in range(1, steps):
         accel = laplacian_array(cur, dx)
+        if shrink:
+            inner = tuple(s - 2 for s in cur.shape)
+            accel, cur, prev = (crop_centre(a, inner) for a in (accel, cur, prev))
         if terms is not None:
             accel = terms(accel, cur, t0 + k * h)
         new = clamp_level(leapfrog_advance(cur, prev, accel, h), clamp)

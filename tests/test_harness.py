@@ -382,6 +382,34 @@ class TestE1Cache:
         assert oracle(points, 0.4) is first and len(calls) == 5
 
 
+class TestVaryingRatioSpecs:
+    # steps per level of the E1 default base lattice (dx = 0.2, T = 0.4);
+    # dx halves from level to level
+    STEPS = {1: [2, 14, 16, 32, 64, 128], 2: [3, 14, 16, 32, 64, 128],
+             3: [4, 14, 16, 32, 64, 128]}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [4, 5, 6])
+    def test_lists_pinned(self, n, levels):
+        base = default_config("E1", n=n).base_spec()
+        specs = experiments._varying_ratio_specs(base, levels)
+        assert [s.steps for s in specs] == self.STEPS[n][:levels]
+        assert [s.dx for s in specs] == [0.2 / 2**k for k in range(levels)]
+        assert all(s.dt == s.T / s.steps for s in specs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
+    def test_final_two_ratios_equal(self, n, levels):
+        base = default_config("E1", n=n).base_spec()
+        last, final = experiments._varying_ratio_specs(base, levels)[-2:]
+        assert last.dt / last.dx == final.dt / final.dx == 0.5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_e1_passes_with_few_levels(self, n, levels):
+        assert run_experiment(default_config("E1", n=n, levels=levels)).passed
+
+
 class TestExperiments:
     def test_zero_data_is_exact(self, tmp_path):
         cfg = default_config("E1", n=1, levels=3).with_overrides(

@@ -11,10 +11,16 @@ from wavelattice import (
     DiscreteProblem,
     Domain,
     LatticeSpec,
+    separable_forcing,
     solve,
 )
+from wavelattice import stencils
 from wavelattice.leapfrog import required_padding
-from wavelattice.stencils import laplacian_array
+from wavelattice.stencils import (
+    crop_centre,
+    field_from_classification,
+    laplacian_array,
+)
 
 
 def _full_space_problem(**kw):
@@ -110,6 +116,94 @@ class TestPadding:
     def test_required_padding_covers_dependence_cone(self):
         spec = LatticeSpec(1, 0.1, 0.05, 0.4)
         assert required_padding(spec, steps=8) >= 8
+
+
+def _cone_problem(n, **kw):
+    spec = LatticeSpec(n, 0.1, 0.05, 0.4)
+    return DiscreteProblem(
+        spec=spec, domain=Domain.full_space([(-0.5, 0.5)] * n),
+        f=DataFunction.gaussian([0.1] * n, 0.2),
+        g=DataFunction.gaussian([-0.05] * n, 0.15, amplitude=0.4), **kw,
+    )
+
+
+T_RANGES = [(0.0, 0.4), (-0.4, 0.4), (0.1, 0.4), (-0.4, -0.15)]
+
+
+class TestWindowOnly:
+    """solve(..., window_only=True) steps the dependence cone of the
+    problem's window and returns that window, bit for bit."""
+
+    @staticmethod
+    def _assert_cropped_equal(cone, padded):
+        assert sorted(cone.levels) == sorted(padded.levels)
+        for level, values in cone.levels.items():
+            assert values.shape == cone.shape
+            assert np.array_equal(
+                values, crop_centre(padded.levels[level], cone.shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t_range", T_RANGES)
+    def test_levels_equal_padded_solve_on_window(self, n, t_range):
+        problem = _cone_problem(n)
+        self._assert_cropped_equal(
+            solve(problem, t_range=t_range, window_only=True),
+            solve(problem, t_range=t_range))
+
+    def test_forced_levels_equal_padded_solve_on_window(self):
+        space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
+        problem = _cone_problem(2, forcing=separable_forcing(space, math.cos))
+        for t_range in T_RANGES:
+            self._assert_cropped_equal(
+                solve(problem, t_range=t_range, window_only=True),
+                solve(problem, t_range=t_range))
+
+    def test_returns_the_problem_window(self):
+        problem = _cone_problem(2)
+        fld = solve(problem, t_range=(0.0, 0.4), window_only=True)
+        expected = field_from_classification(problem.classification)
+        assert fld.origin == expected.origin
+        assert fld.shape == expected.shape
+        assert np.array_equal(fld.interior, expected.interior)
+        assert np.array_equal(fld.boundary, expected.boundary)
+
+    def test_each_step_is_one_ring_smaller(self, monkeypatch):
+        shapes = []
+        real = stencils.laplacian_array
+
+        def recording(values, dx):
+            shapes.append(values.shape)
+            return real(values, dx)
+
+        monkeypatch.setattr(stencils, "laplacian_array", recording)
+        problem = _cone_problem(2)
+        solve(problem, t_range=(0.0, 0.4), window_only=True)
+        window = problem.classification.shape
+        steps = problem.spec.steps
+        assert shapes == [
+            tuple(w + 2 * rings for w in window)
+            for rings in range(steps - 1, 0, -1)
+        ]
+
+    def test_bounded_domain_unchanged(self):
+        spec = LatticeSpec(2, 0.1, 0.05, 0.4)
+        problem = DiscreteProblem(
+            spec=spec, domain=Domain.box([(0.0, 1.0)] * 2),
+            f=DataFunction.gaussian([0.5, 0.5], 0.1), boundary_value=0.0,
+        )
+        for t_range in T_RANGES:
+            plain = solve(problem, t_range=t_range)
+            cone = solve(problem, t_range=t_range, window_only=True)
+            assert (cone.origin, cone.shape) == (plain.origin, plain.shape)
+            assert np.array_equal(cone.interior, plain.interior)
+            assert sorted(cone.levels) == sorted(plain.levels)
+            for level, values in plain.levels.items():
+                assert np.array_equal(cone.levels[level], values)
+
+    def test_blowup_detected(self):
+        problem = _full_space_problem(f=lambda x: 1e13)
+        with pytest.raises(BlowupError):
+            solve(problem, t_range=(0.0, 0.4), window_only=True)
 
 
 def _energy(fld, level, dx, dt):
