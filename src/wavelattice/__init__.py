@@ -73,8 +73,6 @@ from .spectral import (
 from .stencils import (
     BLOWUP_THRESHOLD,
     GridField,
-    delta_t_second,
-    delta_x_second,
     dump_level,
     field_from_classification,
     lattice_points,

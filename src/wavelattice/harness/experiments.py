@@ -39,9 +39,8 @@ from ..spectral import (
     separable_forcing,
 )
 from ..stencils import (
-    delta_t_second,
-    delta_x_second,
     field_from_classification,
+    grid_points,
     laplacian_array,
     lattice_points,
     leapfrog_first_level,
@@ -250,15 +249,17 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
         problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
         p_mid = round(t_mid / spec.dt)
         fieldobj = solve(problem, t_range=(0.0, (p_mid + 1) * spec.dt))
-        scale = 2**k
-        diffs = []
-        for row, idx in enumerate(probes):
-            index = tuple(int(j) * scale for j in idx)
-            diffs.append(delta_t_second(fieldobj, index, p_mid) - ref_tt[row])
-            diffs.append(
-                delta_x_second(fieldobj, index, p_mid, axis=0) - ref_xx[row]
-            )
-        sup, l2 = scaled_norms(np.asarray(diffs), spec.dx, spec.n, spec.dt)
+        before, mid, after = (fieldobj.level_array(p_mid + d) for d in (-1, 0, 1))
+        at = probes * 2**k - np.asarray(fieldobj.origin)
+        step = np.zeros_like(at)
+        step[:, 0] = 1  # the axis-0 neighbours
+        dtt = (after[tuple(at.T)] - 2.0 * mid[tuple(at.T)]
+               + before[tuple(at.T)]) / spec.dt**2
+        dxx = (mid[tuple((at + step).T)] - 2.0 * mid[tuple(at.T)]
+               + mid[tuple((at - step).T)]) / spec.dx**2
+        # interleaved per probe, as the quotients are listed
+        diffs = np.stack([dtt - ref_tt, dxx - ref_xx], axis=-1).ravel()
+        sup, l2 = scaled_norms(diffs, spec.dx, spec.n, spec.dt)
         table.add(k, spec.dx, spec.dt, sup, l2)
 
     notes, passed = [], True
@@ -317,9 +318,7 @@ def run_e4(config: ExperimentConfig) -> ExperimentResult:
     table = ErrorTable()
     for k in range(config.levels):
         dx = config.dx / 2**k
-        phi = np.array([
-            semidiscrete_closed_form_phi(f, g, dx, p, t, quad) for p in probes
-        ])
+        phi = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
         sup, l2 = scaled_norms(phi - reference, dx, config.n, t)
         table.add(k, dx, 0.0, sup, l2)
 
@@ -342,9 +341,7 @@ def _raw_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
     (max |v| reached, level of blowup or None)."""
     pad = steps + 2
     half = int(math.ceil(extent / dx)) + pad
-    axes = [np.arange(-half, half + 1) * dx for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
+    pts = grid_points([np.arange(-half, half + 1) * dx] * n)
     v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
     accel = laplacian_array(v0, dx)
     v1 = leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
@@ -491,15 +488,14 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
 
     # (c) forced leapfrog against the exact discrete Duhamel convolution
     quad = FrequencyQuadrature.for_data(space, T=spec.T, tol=1e-10)
-    probe_idx = _probe_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5]
+    probe_idx = _probe_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
+    refs = duhamel_solve(
+        space, None, forcing_m, "fully_discrete",
+        probe_idx.astype(float) * spec.dx, spec.T, quad, spec=spec,
+    )
     err_c = 0.0
-    for idx in probe_idx:
-        index = tuple(int(j) * 4 for j in idx)
-        x = np.asarray(index, dtype=float) * spec.dx
-        ref = duhamel_solve(
-            space, None, forcing_m, "fully_discrete", x, spec.T, quad, spec=spec
-        )
-        err_c = max(err_c, abs(fieldobj.value(index, spec.steps) - ref))
+    for index, ref in zip(probe_idx, refs):
+        err_c = max(err_c, abs(fieldobj.value(tuple(index), spec.steps) - ref))
     table.add(2, spec.dx, spec.dt, err_c, 0.0)
     notes.append(f"leapfrog vs discrete Duhamel {err_c:.3e} (tol 1e-6)")
     if err_c > 1e-6:

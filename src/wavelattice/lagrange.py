@@ -175,12 +175,13 @@ def _verlet(system, t0, steps, h, wanted):
     accel = rhs(system, t0, xi)
     cur = system.clamp(leapfrog_first_level(xi, system.velocities, accel, h))
     if 0 in wanted:
-        out[0] = xi
+        out[0] = xi.copy()
+    # the kernel writes each level over the one two steps before it
     run = three_level_steps(xi, cur, h, system.dx, steps, t0=t0,
                             terms=partial(_terms, system), clamp=system._clamp)
     for k, level in enumerate(run, start=2):
         if k - 1 in wanted:
-            out[k - 1] = cur
+            out[k - 1] = cur.copy()
         cur = level
     out[steps] = np.array(cur)
     system.values = cur
@@ -240,9 +241,7 @@ def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,
     lo = probes.min(axis=0) - pad_distance
     hi = probes.max(axis=0) + pad_distance
     window = Domain.full_space(list(zip(lo, hi)))
-    reference = np.array([
-        semidiscrete_closed_form_phi(f, g, dx, p, t, quad) for p in probes
-    ])
+    reference = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
     rows = []
     for h in h_ode_seq:
         system = system_for_domain(window, dx)

@@ -26,10 +26,13 @@ from .stencils import (
     clamp_level,
     crop_centre,
     field_from_classification,
+    grid_points,
     laplacian_array,
     lattice_points,
     leapfrog_first_level,
+    row_blocks,
     three_level_steps,
+    window_axes,
     window_clamp,
 )
 
@@ -78,11 +81,44 @@ def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
     return (steps if steps is not None else spec.steps) + 2
 
 
-def _bootstrap(problem: DiscreteProblem, pad: int):
-    """Levels -1, 0, 1 on a fresh window, plus the clamp and forcing term
-    that the stepping kernel needs for the rest of the run."""
+def _needs_points(problem: DiscreteProblem) -> bool:
+    """Whether bootstrapping needs the (m, n) points of the whole window: a
+    forcing, a callable boundary value, gridded arrays and plain callables
+    do; catalog data, numbers and None are sampled one block at a time."""
+    if problem.forcing is not None or callable(problem.boundary_value):
+        return True
+    return any(
+        isinstance(d, np.ndarray)
+        or (callable(d) and not isinstance(d, DataFunction))
+        for d in (problem.f, problem.g)
+    )
+
+
+def _sample_blocks(data, fieldobj: GridField) -> np.ndarray:
+    """sample(data, lattice_points(fieldobj)), one block of axis-0 rows of
+    the window at a time, so no (m, n) array of the whole window exists."""
+    axes = window_axes(fieldobj)
+    values = np.empty(fieldobj.shape)
+    for rows in row_blocks(fieldobj.shape):
+        values[rows] = sample(data, grid_points([axes[0][rows], *axes[1:]]))
+    return values
+
+
+def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
+    """Level 0 and the first levels `signs` on a fresh window, plus the clamp
+    and forcing term that the stepping kernel needs for the rest of the run.
+
+    Returns (field, v0, {sign: level}, clamp, terms); the field's levels are
+    left empty.
+    """
     fieldobj = field_from_classification(problem.classification, pad=pad)
-    points = lattice_points(fieldobj)
+    points = lattice_points(fieldobj) if _needs_points(problem) else None
+
+    def values(data):
+        if points is None:
+            return _sample_blocks(data, fieldobj)
+        return sample(data, points)
+
     bvals = problem.boundary_value
     if callable(bvals):
         bvals = sample(bvals, points)
@@ -95,18 +131,20 @@ def _bootstrap(problem: DiscreteProblem, pad: int):
             return accel + problem.forcing.func(flat, t).reshape(accel.shape)
     dt = problem.spec.dt
 
-    v0 = clamp_level(sample(problem.f, points), clamp)
-    gv = sample(problem.g, points)
+    v0 = clamp_level(values(problem.f), clamp)
+    gv = values(problem.g)
     accel = laplacian_array(v0, problem.spec.dx)
     if terms is not None:
         accel = terms(accel, v0, 0.0)
 
-    for sign, level in ((1.0, 1), (-1.0, -1)):
-        fieldobj.levels[level] = clamp_level(
-            leapfrog_first_level(v0, sign * gv, accel, dt), clamp
+    # the last first level is formed in place of the sampled velocity
+    first = {}
+    for sign in signs:
+        out = gv if sign == signs[-1] else None
+        first[sign] = clamp_level(
+            leapfrog_first_level(v0, gv, accel, sign * dt, out=out), clamp
         )
-    fieldobj.levels[0] = v0
-    return fieldobj, clamp, terms
+    return fieldobj, v0, first, clamp, terms
 
 
 def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
@@ -119,7 +157,9 @@ def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
     """
     if pad is None:
         pad = required_padding(problem.spec) if not problem.domain.bounded else 0
-    return _bootstrap(problem, pad)[0]
+    fieldobj, v0, first, _, _ = _bootstrap(problem, pad)
+    fieldobj.levels = {0: v0, **first}
+    return fieldobj
 
 
 def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None, *,
@@ -152,27 +192,43 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None, *,
     if abs(lo * spec.dt - t_range[0]) > 1e-9 or abs(hi * spec.dt - t_range[1]) > 1e-9:
         raise ValueError("t_range endpoints must be lattice times")
     steps_needed = max(hi, -lo, 1)
-    pad = required_padding(spec, steps_needed) if not problem.domain.bounded else 0
-    fieldobj, clamp, terms = _bootstrap(problem, pad)
-    shrink = window_only and pad > 0
+    shrink = window_only and not problem.domain.bounded
+    if problem.domain.bounded:
+        pad = 0
+    elif shrink:  # level 1 is read steps - 1 rings out of the window
+        pad = steps_needed
+    else:
+        pad = required_padding(spec, steps_needed)
+    signs = [sign for sign, end in ((-1, lo), (1, hi)) if sign * end >= 1]
+    fieldobj, v0, first, clamp, terms = _bootstrap(problem, pad, signs)
     window = problem.classification.shape
-    levels = fieldobj.levels
-    for sign, end in ((1, hi), (-1, lo)):
-        seed = levels[sign]
+    levels = {}
+
+    def keep(level, values, overwritten=True):
+        """Store a kept level: a copy when the stepping kernel will still
+        write over its buffer, and a copy of the window under `shrink`."""
+        if lo <= level <= hi:
+            if shrink:
+                values, overwritten = crop_centre(values, window), True
+            levels[level] = values.copy() if overwritten else values
+
+    for level, values in ((0, v0), *first.items()):
+        keep(level, values)
+    runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 2]
+    for i, (sign, end) in enumerate(runs):
+        seed = first[sign]
         if shrink:  # level 1 of a run of s steps is read s - 1 rings out
-            rings = max(sign * end, 1) - 1
+            rings = sign * end - 1
             seed = crop_centre(seed, tuple(w + 2 * rings for w in window))
-        run = three_level_steps(levels[0], seed, sign * spec.dt, spec.dx,
+        prev = v0 if i == len(runs) - 1 else v0.copy()
+        run = three_level_steps(prev, seed, sign * spec.dt, spec.dx,
                                 sign * end, terms=terms, clamp=clamp,
                                 shrink=shrink)
         for level, values in zip(range(2 * sign, end + sign, sign), run):
-            if lo <= level <= hi and (abs(end - level) <= 2 or level in (lo, hi)):
-                levels[level] = values
-    for level in (-1, 0, 1):
-        if not lo <= level <= hi:
-            del levels[level]
-    if not shrink:
-        return fieldobj
-    cropped = field_from_classification(problem.classification)
-    cropped.levels = {p: crop_centre(v, window).copy() for p, v in levels.items()}
-    return cropped
+            if abs(end - level) <= 2 or level in (lo, hi):
+                # the run's last two levels are never written over
+                keep(level, values, overwritten=abs(end - level) >= 2)
+    if shrink:
+        fieldobj = field_from_classification(problem.classification)
+    fieldobj.levels = levels
+    return fieldobj

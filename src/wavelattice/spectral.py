@@ -284,6 +284,39 @@ class FrequencyQuadrature:
     def doubled(self) -> "FrequencyQuadrature":
         return FrequencyQuadrature.build(self.n, self.M, 2 * self.nodes_per_axis)
 
+    @property
+    def axis_nodes(self) -> np.ndarray:
+        """The K nodes of one axis (the last axis runs fastest in `nodes`)."""
+        return self.nodes[:self.nodes_per_axis, -1]
+
+
+#: complex partial sums held at once by `synthesize`; scattered points are
+#: synthesized in chunks of at most this many entries
+SYNTHESIS_ENTRIES = 1 << 19
+
+
+def synthesize(quad: FrequencyQuadrature, spectrum, points) -> np.ndarray:
+    """Re (2pi)^{-n/2} sum_j w_j spectrum_j e^{i x.alpha_j} at each row x of
+    the (m, n) `points`, for a spectrum given on the quadrature nodes.
+
+    The tensor grid is contracted one axis at a time against per-axis
+    factors e^{i x_k z}: the memory is O(K^n + m K^{n-1}) and m K n complex
+    exponentials are formed, not m K^n.
+    """
+    n, K = quad.n, quad.nodes_per_axis
+    z = quad.axis_nodes
+    grid = (spectrum * quad.weights).reshape(K, -1)
+    out = np.empty(len(points))
+    chunk = max(1, SYNTHESIS_ENTRIES // grid.shape[1])
+    for lo in range(0, len(points), chunk):
+        x = points[lo:lo + chunk]
+        acc = np.exp(1j * np.multiply.outer(x[:, 0], z)) @ grid
+        for k in range(1, n):
+            factor = np.exp(1j * np.multiply.outer(x[:, k], z))[:, None, :]
+            acc = (factor @ acc.reshape(len(x), K, -1))[:, 0, :]
+        out[lo:lo + chunk] = acc[:, 0].real
+    return out / _TWO_PI ** (n / 2.0)
+
 
 def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
     """Closed form of (2pi)^{-n/2} integral_{|a|>M} A e^{-w^2|a|^2/2} (2+2T) da."""
@@ -378,9 +411,7 @@ def homogeneous_solution(f: Optional[DataFunction], g: Optional[DataFunction],
         integrand = np.zeros(alpha.shape[0], dtype=complex)
         for data, which in quad_parts:
             integrand += data.fourier(alpha) * (cf if which == "f" else gf)
-        phases = np.exp(1j * (pts @ alpha.T))
-        vals = np.real(phases @ (integrand * quad.weights))
-        total = total + vals / _TWO_PI ** (quad.n / 2.0)
+        total = total + synthesize(quad, integrand, pts)
 
     return float(total[0]) if squeeze else total
 
@@ -531,8 +562,11 @@ def _forcing_kernel(flavor, alpha, tau, *, spec=None, dx=0.0):
 def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
                   quad: Optional[FrequencyQuadrature] = None, *,
                   spec: Optional[LatticeSpec] = None, dx: float = 0.0,
-                  s_step: Optional[float] = None) -> float:
+                  s_step: Optional[float] = None):
     """Displacement of the forced problem by variation of constants.
+
+    `x` may be a single point or an (m, n) array, as in
+    homogeneous_solution.
 
     The homogeneous part evolves (f^, g^) with the propagator; the forcing
     contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t].
@@ -546,6 +580,12 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
     hom = homogeneous_solution(f, g, flavor, x, t, spec=spec, dx=dx, quad=quad)
     if forcing is None or t == 0.0:
         return hom
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+
+    def result(forced):
+        vals = hom + forced
+        return float(vals[0]) if x.ndim <= 1 else vals
 
     if flavor == "fully_discrete":
         dt = spec.dt
@@ -575,21 +615,25 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
             integral = float(np.sum(s_weights * kern * prof))
         else:
             integral = float(simpson(kern * prof, x=s_nodes))
-        return hom + float(forcing.spatial(np.asarray(x, dtype=float))) * integral
+        return result(np.atleast_1d(forcing.spatial(pts)) * integral)
 
     if quad is None:
         raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
     alpha = quad.nodes
-    what = np.stack([forcing.fourier_x(alpha, s) for s in s_nodes], axis=0)
-    kern = np.stack(
-        [_forcing_kernel(flavor, alpha, t - s, spec=spec, dx=dx) for s in s_nodes],
-        axis=0,
-    )
     if s_weights is not None:
-        per_node = np.sum(s_weights[:, None] * kern * what, axis=0)
+        # a running sum over s: the additions of a sum over a stacked s-axis,
+        # in the same order, without holding (s, node) arrays
+        per_node = None
+        for weight, s in zip(s_weights, s_nodes):
+            term = (weight * _forcing_kernel(flavor, alpha, t - s, spec=spec, dx=dx)
+                    * forcing.fourier_x(alpha, s))
+            per_node = term if per_node is None else per_node + term
     else:
+        what = np.stack([forcing.fourier_x(alpha, s) for s in s_nodes], axis=0)
+        kern = np.stack(
+            [_forcing_kernel(flavor, alpha, t - s, spec=spec, dx=dx)
+             for s in s_nodes],
+            axis=0,
+        )
         per_node = simpson(kern * what, x=s_nodes, axis=0)
-    x = np.asarray(x, dtype=float)
-    phases = np.exp(1j * (np.atleast_2d(x) @ alpha.T))
-    vals = np.real(phases @ (per_node * quad.weights)) / _TWO_PI ** (quad.n / 2.0)
-    return hom + float(vals[0])
+    return result(synthesize(quad, per_node, pts))

@@ -1,14 +1,14 @@
-"""Discrete difference operators on grid fields and on callables.
+"""Discrete difference operators on lattice arrays and on callables.
 
-Two evaluation paths exist on purpose: the grid path reads stored time
-levels of a `GridField`, while the functional path applies the same
-difference quotients to a callable u(x, t).  The functional path is what
-the plane-wave oracle tests use, since e^{i(a.x + b.t)} never lives on a
-finite grid.
+The array kernels step whole time levels of a `GridField`; the functional
+path applies the same difference quotients to a callable u(x, t).  The
+functional path is what the plane-wave oracle tests use, since
+e^{i(a.x + b.t)} never lives on a finite grid.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -73,40 +73,22 @@ def field_from_classification(
     )
 
 
-def lattice_points(fieldobj: GridField) -> np.ndarray:
-    """Coordinates of every window point, shaped like the window grid."""
-    axes = [
+def window_axes(fieldobj: GridField) -> list:
+    """The coordinates of the window's points along each axis."""
+    return [
         (np.arange(s) + o) * fieldobj.spec.dx
         for o, s in zip(fieldobj.origin, fieldobj.shape)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# grid-path operators
+def grid_points(axes) -> np.ndarray:
+    """The points of the tensor grid of the 1-D `axes`, shaped (..., n)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def delta_t_second(fieldobj: GridField, index, level: int) -> float:
-    dt = fieldobj.spec.dt
-    return (
-        fieldobj.value(index, level + 1)
-        - 2.0 * fieldobj.value(index, level)
-        + fieldobj.value(index, level - 1)
-    ) / dt**2
-
-
-def delta_x_second(fieldobj: GridField, index, level: int, axis: int) -> float:
-    dx = fieldobj.spec.dx
-    plus = list(index)
-    minus = list(index)
-    plus[axis] += 1
-    minus[axis] -= 1
-    return (
-        fieldobj.value(tuple(plus), level)
-        - 2.0 * fieldobj.value(tuple(index), level)
-        + fieldobj.value(tuple(minus), level)
-    ) / dx**2
+def lattice_points(fieldobj: GridField) -> np.ndarray:
+    """Coordinates of every window point, shaped like the window grid."""
+    return grid_points(window_axes(fieldobj))
 
 
 # ---------------------------------------------------------------------------
@@ -135,32 +117,98 @@ def fn_discrete_dalembert(u, x, t, dx, dt, n) -> float:
 # ---------------------------------------------------------------------------
 # array kernels shared by the leapfrog solver, the Verlet integrator and the
 # CFL experiment.  One code path makes leapfrog and Verlet bit-identical at
-# h = dt.
+# h = dt.  Each kernel works through its arrays one block of axis-0 rows at a
+# time, with the same elementwise operations in the same order as the plain
+# array expression, so its scratch stays a few hundred kB and its values are
+# those of the expression bit for bit.
+
+#: points per block of axis-0 rows in the array kernels
+BLOCK_POINTS = 1 << 16
 
 
-def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second differences summed over axes; outermost ring left at zero."""
-    out = np.zeros_like(values)
-    core = tuple(slice(1, -1) for _ in range(values.ndim))
-    for k in range(values.ndim):
-        plus = tuple(
-            slice(2, None) if j == k else slice(1, -1) for j in range(values.ndim)
-        )
-        minus = tuple(
-            slice(0, -2) if j == k else slice(1, -1) for j in range(values.ndim)
-        )
-        out[core] += (values[plus] - 2.0 * values[core] + values[minus]) / dx**2
+def row_blocks(shape) -> list:
+    """Slices of axis 0 that each cover about BLOCK_POINTS points of `shape`."""
+    rows = max(1, BLOCK_POINTS // max(1, math.prod(shape[1:])))
+    return [slice(a, min(a + rows, shape[0])) for a in range(0, shape[0], rows)]
+
+
+def _scratch(shape, blocks) -> np.ndarray:
+    """Room for the largest block of `shape`, uninitialised."""
+    rows = blocks[0].stop - blocks[0].start if blocks else 0
+    return np.empty((rows,) + tuple(shape[1:]))
+
+
+def laplacian_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """Second differences summed over axes; outermost ring left at zero.
+
+    The result goes into `out` (an array shaped like `values`) when given,
+    into a new array otherwise.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    ndim = values.ndim
+    for k in range(ndim):
+        for edge in (0, -1):
+            out[(slice(None),) * k + (edge,)] = 0.0
+    core = (slice(1, -1),) * ndim
+    inner = tuple(max(s - 2, 0) for s in values.shape)
+    blocks = row_blocks(inner)
+    term = _scratch(inner, blocks)
+    for rows in blocks:
+        # the core rows `rows` read the rows of `values` one further out
+        block = values[rows.start:rows.stop + 2]
+        acc = out[(slice(rows.start + 1, rows.stop + 1),) + core[1:]]
+        part = term[:rows.stop - rows.start]
+        acc.fill(0.0)
+        for k in range(ndim):
+            plus = tuple(slice(2, None) if j == k else slice(1, -1)
+                         for j in range(ndim))
+            minus = tuple(slice(0, -2) if j == k else slice(1, -1)
+                          for j in range(ndim))
+            np.multiply(block[core], 2.0, out=part)
+            np.subtract(block[plus], part, out=part)
+            np.add(part, block[minus], out=part)
+            np.divide(part, dx**2, out=part)
+            np.add(acc, part, out=acc)
     return out
 
 
-def leapfrog_first_level(v0, velocity, accel, h) -> np.ndarray:
-    """Bootstrap combination v0 + h*velocity + (h^2/2)*accel."""
-    return v0 + h * velocity + (0.5 * h * h) * accel
+def leapfrog_first_level(v0, velocity, accel, h, out=None) -> np.ndarray:
+    """Bootstrap combination v0 + h*velocity + (h^2/2)*accel.
+
+    The result goes into `out` when given (it may be `velocity`), into a
+    new array otherwise.
+    """
+    if out is None:
+        out = np.empty_like(v0)
+    blocks = row_blocks(v0.shape)
+    left, right = _scratch(v0.shape, blocks), _scratch(v0.shape, blocks)
+    for rows in blocks:
+        x, y = left[:rows.stop - rows.start], right[:rows.stop - rows.start]
+        np.multiply(velocity[rows], h, out=x)
+        np.add(v0[rows], x, out=x)
+        np.multiply(accel[rows], 0.5 * h * h, out=y)
+        np.add(x, y, out=out[rows])
+    return out
 
 
-def leapfrog_advance(v, v_prev, accel, h) -> np.ndarray:
-    """Three-level update 2v - v_prev + h^2 * accel."""
-    return 2.0 * v - v_prev + (h * h) * accel
+def leapfrog_advance(v, v_prev, accel, h, out=None) -> np.ndarray:
+    """Three-level update 2v - v_prev + h^2 * accel.
+
+    The result goes into `out` when given (it may be `v_prev`), into a new
+    array otherwise.
+    """
+    if out is None:
+        out = np.empty_like(v)
+    blocks = row_blocks(v.shape)
+    left, right = _scratch(v.shape, blocks), _scratch(v.shape, blocks)
+    for rows in blocks:
+        x, y = left[:rows.stop - rows.start], right[:rows.stop - rows.start]
+        np.multiply(v[rows], 2.0, out=x)
+        np.subtract(x, v_prev[rows], out=x)
+        np.multiply(accel[rows], h * h, out=y)
+        np.add(x, y, out=out[rows])
+    return out
 
 
 def window_clamp(fieldobj: GridField, boundary_value):
@@ -203,6 +251,11 @@ def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
     backward in time.  Raises BlowupError, with the level signed like h,
     when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
 
+    The kernel holds no level of its own: level k+1 is written over level
+    k-1, so the seeds `prev` and `cur` are overwritten by levels 2 and 3,
+    and each yielded array is overwritten two steps after it is yielded.
+    Copy what you keep.
+
     With `shrink` (full space, no clamp), level k+1 is stepped only on the
     points of v_k one ring in from its edge, where laplacian_array applies
     the stencil: each level is one ring smaller than the one before, v_{k-1}
@@ -210,15 +263,16 @@ def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
     value equals the unshrunk run's at that point, bit for bit.  The blowup
     check then sees only the stepped points.
     """
+    buffer = np.empty(cur.size)
     for k in range(1, steps):
-        accel = laplacian_array(cur, dx)
+        accel = laplacian_array(cur, dx, out=buffer[:cur.size].reshape(cur.shape))
         if shrink:
             inner = tuple(s - 2 for s in cur.shape)
             accel, cur, prev = (crop_centre(a, inner) for a in (accel, cur, prev))
         if terms is not None:
             accel = terms(accel, cur, t0 + k * h)
-        new = clamp_level(leapfrog_advance(cur, prev, accel, h), clamp)
-        max_abs = float(np.max(np.abs(new)))
+        new = clamp_level(leapfrog_advance(cur, prev, accel, h, out=prev), clamp)
+        max_abs = float(max(np.max(new), -np.min(new)))
         if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
             level = k + 1 if h > 0 else -(k + 1)
             raise BlowupError(

@@ -421,6 +421,60 @@ class TestExperiments:
         assert (tmp_path / "config.ini").exists()
 
 
+def _loop_quotients(field, index, level):
+    """(delta_t^2 v, delta_x^2 v along axis 0) at one lattice index, point
+    by point."""
+    def value(idx, p):
+        return float(field.level_array(p)[field.offset(idx)])
+
+    plus = (index[0] + 1,) + tuple(index[1:])
+    minus = (index[0] - 1,) + tuple(index[1:])
+    dtt = (value(index, level + 1) - 2.0 * value(index, level)
+           + value(index, level - 1)) / field.spec.dt**2
+    dxx = (value(plus, level) - 2.0 * value(index, level)
+           + value(minus, level)) / field.spec.dx**2
+    return dtt, dxx
+
+
+class TestE2Quotients:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_array_quotients_equal_per_probe_loop(self, n, monkeypatch):
+        fields, diffs = [], []
+        real_solve, real_norms = experiments.solve, experiments.scaled_norms
+
+        def recording_solve(*args, **kwargs):
+            fields.append(real_solve(*args, **kwargs))
+            return fields[-1]
+
+        def recording_norms(diff, *args):
+            diffs.append(np.array(diff))
+            return real_norms(diff, *args)
+
+        monkeypatch.setattr(experiments, "solve", recording_solve)
+        monkeypatch.setattr(experiments, "scaled_norms", recording_norms)
+        config = default_config("E2", n=n, levels=3)
+        assert run_experiment(config).passed
+        base = config.base_spec()
+        f, g = config.data("f"), config.data("g")
+        quad = experiments._quad_for(f, g, base.T, n)
+        probes = experiments._probe_indices(config.window(), base.dx)
+        points = probes.astype(float) * base.dx
+        t_mid = base.T / 2.0
+        ref_tt, ref_xx = (
+            np.atleast_1d(experiments.continuum_solution_u(
+                f, g, points, t_mid, quad, derivative=d))
+            for d in ("tt", ("xx", 0))
+        )
+        assert len(fields) == len(diffs) == 3
+        for k, (field, diff) in enumerate(zip(fields, diffs)):
+            p_mid = round(t_mid / field.spec.dt)
+            expected = []
+            for row, idx in enumerate(probes):
+                dtt, dxx = _loop_quotients(field, tuple(idx * 2**k), p_mid)
+                expected += [dtt - ref_tt[row], dxx - ref_xx[row]]
+            assert np.array_equal(diff, np.array(expected))
+
+
 class TestCli:
     def test_bad_experiment_id_exits_2(self):
         assert main(["experiment", "E99"]) == 2

@@ -21,6 +21,7 @@ from wavelattice.dispersion import beta_semidiscrete
 from wavelattice.lagrange import LagrangeSystem, rhs, system_for_domain
 from wavelattice.leapfrog import required_padding
 from wavelattice.spectral import dalembert_forcing
+from wavelattice.stencils import leapfrog_advance, leapfrog_first_level
 
 
 def _free_system(dx=0.25, half_width=2.0, **kw):
@@ -169,3 +170,35 @@ class TestReferenceError:
         errs = [e for _, e in rows]
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
+
+
+class TestRecordedLevels:
+    """The stepping kernel reuses its buffers; Verlet copies what it keeps."""
+
+    @pytest.mark.parametrize("shape", ["box", "ball"])
+    def test_every_recorded_level_equals_plain_loop(self, shape):
+        spec = LatticeSpec(2, 0.1, 0.05, 0.5)
+        domain = (Domain.box([(0.0, 1.0)] * 2) if shape == "box"
+                  else Domain.ball([0.5, 0.5], 0.43))
+        bump = DataFunction.smooth_bump([0.5, 0.5], 0.4, amplitude=0.1)
+        system = system_for_domain(domain, spec.dx, a=lambda x: 1.0 + 0.1 * x[0],
+                                   sigma=bump, boundary_value=0.2)
+        set_initial_data(system, DataFunction.gaussian([0.4, 0.5], 0.1),
+                         DataFunction.gaussian([0.5, 0.5], 0.15, amplitude=0.3))
+        h, steps = spec.dt, spec.steps
+        # the plain loop: one fresh array per level
+        prev = np.array(system.values)
+        cur = system.clamp(leapfrog_first_level(
+            prev, system.velocities, rhs(system, 0.0, prev), h))
+        expected = [prev, cur]
+        for k in range(1, steps):
+            new = system.clamp(leapfrog_advance(
+                cur, prev, rhs(system, k * h, cur), h))
+            expected.append(new)
+            prev, cur = cur, new
+        out = integrate(system, 0.0, spec.T, h,
+                        record_times=[k * h for k in range(steps + 1)])
+        assert len(out) == steps + 1
+        for k, values in enumerate(out.values()):
+            assert np.array_equal(values, expected[k]), k
+        assert np.array_equal(system.values, expected[-1])

@@ -14,12 +14,18 @@ from wavelattice import (
     separable_forcing,
     solve,
 )
-from wavelattice import stencils
+from wavelattice import leapfrog, stencils
 from wavelattice.leapfrog import required_padding
+from wavelattice.spectral import sample
 from wavelattice.stencils import (
+    clamp_level,
     crop_centre,
     field_from_classification,
     laplacian_array,
+    lattice_points,
+    leapfrog_advance,
+    leapfrog_first_level,
+    window_clamp,
 )
 
 
@@ -171,9 +177,9 @@ class TestWindowOnly:
         shapes = []
         real = stencils.laplacian_array
 
-        def recording(values, dx):
+        def recording(values, dx, **kwargs):
             shapes.append(values.shape)
-            return real(values, dx)
+            return real(values, dx, **kwargs)
 
         monkeypatch.setattr(stencils, "laplacian_array", recording)
         problem = _cone_problem(2)
@@ -234,3 +240,119 @@ class TestEnergy:
         end = _energy(fld, spec.steps - 1, spec.dx, spec.dt)
         assert start > 0.0
         assert abs(end - start) <= 1e-12 * start
+
+
+def _reference_levels(problem, lo, hi):
+    """Every level lo..hi of the padded run by the plain three-level loop,
+    one fresh array per level (no buffer is ever reused)."""
+    spec = problem.spec
+    pad = 0 if problem.domain.bounded else required_padding(
+        spec, max(hi, -lo, 1))
+    fld = field_from_classification(problem.classification, pad=pad)
+    points = lattice_points(fld)
+    clamp = window_clamp(fld, problem.boundary_value)
+    v0 = clamp_level(sample(problem.f, points), clamp)
+    velocity = sample(problem.g, points)
+    accel = laplacian_array(v0, spec.dx)
+    levels = {0: v0}
+    for sign, end in ((1, hi), (-1, lo)):
+        prev, cur = v0, clamp_level(
+            leapfrog_first_level(v0, sign * velocity, accel, spec.dt), clamp)
+        levels[sign] = cur
+        for level in range(2 * sign, end + sign, sign):
+            new = clamp_level(leapfrog_advance(
+                cur, prev, laplacian_array(cur, spec.dx), sign * spec.dt), clamp)
+            levels[level] = new
+            prev, cur = cur, new
+    return levels
+
+
+class TestBufferReuse:
+    """The stepping kernel writes each level over the one two steps before
+    it; every level solve keeps is a copy, equal to the plain loop's."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("t_range", T_RANGES)
+    def test_kept_levels_equal_plain_loop(self, bounded, t_range):
+        spec = LatticeSpec(2, 0.1, 0.05, 0.4)
+        domain = (Domain.box([(0.0, 1.0)] * 2) if bounded
+                  else Domain.full_space([(-0.5, 0.5)] * 2))
+        problem = DiscreteProblem(
+            spec=spec, domain=domain, boundary_value=0.2 if bounded else 0.0,
+            f=DataFunction.gaussian([0.4, 0.5], 0.15),
+            g=DataFunction.gaussian([0.5, 0.45], 0.2, amplitude=0.4),
+        )
+        lo, hi = (round(t / spec.dt) for t in t_range)
+        reference = _reference_levels(problem, lo, hi)
+        for window_only in (False, True):
+            fld = solve(problem, t_range=t_range, window_only=window_only)
+            assert fld.levels
+            for level, values in fld.levels.items():
+                assert np.array_equal(
+                    values, crop_centre(reference[level], values.shape)), level
+
+
+class TestBootstrapWindow:
+    @staticmethod
+    def _first_levels(monkeypatch):
+        signs = []
+        real = leapfrog.leapfrog_first_level
+
+        def recording(v0, velocity, accel, h, out=None):
+            signs.append(1 if h > 0 else -1)
+            return real(v0, velocity, accel, h, out=out)
+
+        monkeypatch.setattr(leapfrog, "leapfrog_first_level", recording)
+        return signs
+
+    @pytest.mark.parametrize("t_range, signs", [
+        ((0.0, 0.4), [1]), ((0.1, 0.4), [1]), ((-0.4, 0.4), [-1, 1]),
+        ((-0.4, -0.15), [-1]), ((0.0, 0.0), []),
+    ])
+    def test_first_levels_only_where_t_range_reaches(self, t_range, signs,
+                                                     monkeypatch):
+        built = self._first_levels(monkeypatch)
+        solve(_cone_problem(1), t_range=t_range)
+        assert built == signs
+
+    def test_public_bootstrap_builds_both_first_levels(self, monkeypatch):
+        built = self._first_levels(monkeypatch)
+        fld = leapfrog.bootstrap(_cone_problem(1))
+        assert sorted(fld.levels) == [-1, 0, 1] and built == [-1, 1]
+
+    @pytest.mark.parametrize("t_range", T_RANGES)
+    def test_window_only_bootstraps_the_window_grown_by_steps(self, t_range,
+                                                              monkeypatch):
+        shapes = []
+        real = leapfrog.field_from_classification
+
+        def recording(classification, pad=0):
+            fld = real(classification, pad)
+            shapes.append(fld.shape)
+            return fld
+
+        monkeypatch.setattr(leapfrog, "field_from_classification", recording)
+        problem = _cone_problem(2)
+        solve(problem, t_range=t_range, window_only=True)
+        steps = max(round(abs(t) / problem.spec.dt) for t in t_range)
+        window = problem.classification.shape
+        assert shapes[0] == tuple(w + 2 * steps for w in window)
+
+    def test_catalog_data_sampled_by_blocks(self, monkeypatch):
+        # no DataFunction call sees more than one block of window rows
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 50)
+        sizes = []
+        real = DataFunction.__call__
+
+        def recording(self, x):
+            sizes.append(int(np.prod(np.shape(x)[:-1])))
+            return real(self, x)
+
+        monkeypatch.setattr(DataFunction, "__call__", recording)
+        problem = _cone_problem(2)
+        fld = solve(problem, t_range=(0.0, 0.4), window_only=True)
+        assert len(sizes) > 2 and max(sizes) < 100
+        reference = _reference_levels(problem, 0, problem.spec.steps)
+        for level, values in fld.levels.items():
+            assert np.array_equal(
+                values, crop_centre(reference[level], values.shape))

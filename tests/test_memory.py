@@ -1,0 +1,73 @@
+"""Memory bounded by design: the oracle synthesis and the full-space solve of
+E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4)."""
+
+import tracemalloc
+
+import numpy as np
+
+from wavelattice import DiscreteProblem, Domain, continuum_solution_u, solve
+from wavelattice.harness import default_config
+from wavelattice.harness.experiments import (
+    _probe_indices,
+    _quad_for,
+    _varying_ratio_specs,
+)
+from wavelattice.lattice import refine_halving
+
+MB = 1024 * 1024
+
+
+def _traced(func, *args, **kwargs):
+    """(result, peak traced bytes, traced bytes still held with the result
+    alive), both above the start, of one call."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = func(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+def _e1_n3():
+    config = default_config("E1", n=3, levels=4)
+    return config, config.data("f"), config.data("g")
+
+
+def test_e1_oracle_synthesis_is_small():
+    # 125 compare points against 33^3 nodes: the dense phase matrix alone
+    # would take 125 * 35937 * 16 bytes = 72 MB
+    config, f, g = _e1_n3()
+    base = config.base_spec()
+    quad = _quad_for(f, g, base.T, 3)
+    points = _probe_indices(config.window(), base.dx).astype(float) * base.dx
+    assert points.shape == (125, 3) and len(quad.weights) == 33**3
+    values, peak, _ = _traced(continuum_solution_u, f, g, points, base.T, quad)
+    assert values.shape == (125,)
+    assert peak <= 16 * MB
+
+
+def test_finest_fullspace_solve_holds_few_window_arrays():
+    # the bootstrap samples by blocks and builds no point array, and the
+    # stepping kernel rotates its levels through the bootstrap's buffers
+    config, f, g = _e1_n3()
+    base = config.base_spec()
+    specs = refine_halving(base, config.levels) + _varying_ratio_specs(
+        base, config.levels)
+    domain = Domain.full_space(config.window())
+
+    def bootstrap_points(spec):
+        window = DiscreteProblem(spec=spec, domain=domain).classification.shape
+        return int(np.prod([w + 2 * spec.steps for w in window]))
+
+    spec = max(specs, key=bootstrap_points)
+    problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
+    fld, peak, held = _traced(solve, problem, t_range=(0.0, spec.T),
+                              window_only=True)
+    assert sorted(fld.levels) == [0, 1, spec.steps - 2, spec.steps - 1,
+                                  spec.steps]
+    assert peak <= 5 * 8 * bootstrap_points(spec)
+    # the field keeps five window-sized levels, no view of a larger buffer
+    assert held <= 6 * 8 * int(np.prod(fld.shape))

@@ -14,8 +14,11 @@ from wavelattice import (
     integrate,
     solve,
 )
+from wavelattice import leapfrog, stencils
 from wavelattice.lagrange import set_initial_data, system_for_domain
+from wavelattice.lattice import classify
 from wavelattice.spectral import dalembert_forcing, sample, separable_forcing
+from wavelattice.stencils import field_from_classification, lattice_points
 
 
 def _points(n, seed=0):
@@ -159,3 +162,21 @@ class TestCallCounts:
         call_shapes.clear()
         set_initial_data(system, bump, bump)
         assert call_shapes == [window] * 2
+
+
+class TestBlockSampling:
+    """The bootstrap samples catalog data one block of window rows at a
+    time; the values equal those of the whole window's points."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("block_points", [1, 37, 1 << 16])
+    def test_blocks_equal_whole_window(self, n, block_points, monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
+        spec = LatticeSpec(n, 0.05, 0.025, 0.2)
+        classification = classify(Domain.full_space([(-0.45, 0.6)] * n), spec)
+        fld = field_from_classification(classification, pad=3)
+        points = lattice_points(fld)
+        for data in _catalog(n) + [None, 1.5]:
+            blocks = leapfrog._sample_blocks(data, fld)
+            assert blocks.shape == fld.shape
+            assert np.array_equal(blocks, sample(data, points)), data

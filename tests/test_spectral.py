@@ -14,6 +14,7 @@ from wavelattice import (
     duhamel_solve,
     semidiscrete_closed_form_phi,
 )
+from wavelattice import spectral
 from wavelattice.dispersion import beta_semidiscrete
 from wavelattice.spectral import (
     dalembert_forcing,
@@ -165,3 +166,147 @@ class TestQuadrature:
         b1 = gaussian_tail_bound(1, 10.0, env, 1.0)
         b2 = gaussian_tail_bound(1, 20.0, env, 1.0)
         assert b2 < b1
+
+
+def _dense_synthesis(quad, spectrum, points):
+    """The dense reference: one phase matrix of every point and every node."""
+    phases = np.exp(1j * (np.atleast_2d(points) @ quad.nodes.T))
+    return np.real(phases @ (spectrum * quad.weights)) / (2.0 * math.pi) ** (
+        quad.n / 2.0)
+
+
+def _dense_homogeneous(f, g, flavor, points, t, quad, **kw):
+    """homogeneous_solution through the dense phase matrix."""
+    cf, gf = spectral._coefficients(flavor, quad.nodes, t, **kw)
+    spectrum = sum(d.fourier(quad.nodes) * c for d, c in ((f, cf), (g, gf))
+                   if d is not None)
+    return _dense_synthesis(quad, spectrum, points)
+
+
+def _scale(quad, spectrum):
+    """A bound on every synthesized value: the weighted l1 norm."""
+    return float(np.sum(np.abs(spectrum * quad.weights))) / (
+        2.0 * math.pi) ** (quad.n / 2.0)
+
+
+class TestSeparableSynthesis:
+    """synthesize contracts the tensor grid one axis at a time; it agrees
+    with the dense phase matrix to roundoff of the weighted l1 norm."""
+
+    FLAVORS = {
+        "continuum": {},
+        "semidiscrete": {"dx": 0.1},
+        "fully_discrete": {"spec": None},
+    }
+
+    @staticmethod
+    def _case(n):
+        f = DataFunction.gaussian([0.1] * n, 0.3)
+        g = DataFunction.modulated_gaussian([-0.05] * n, 0.35, [1.5] * n,
+                                            amplitude=0.4)
+        quad = FrequencyQuadrature.for_data(f, g, T=0.4,
+                                            nodes_per_axis=33 if n == 3 else 65)
+        points = np.random.default_rng(n).uniform(-0.6, 0.6, size=(7, n))
+        return f, g, quad, points
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("flavor", ["continuum", "semidiscrete",
+                                        "fully_discrete"])
+    @pytest.mark.parametrize("derivative", [None, "tt", ("xx", 0)])
+    def test_matches_dense_phase_matrix(self, n, flavor, derivative):
+        f, g, quad, points = self._case(n)
+        t = 0.4
+        kw = dict(self.FLAVORS[flavor])
+        if flavor == "fully_discrete":
+            kw["spec"] = LatticeSpec(n, 0.1, 0.05, 0.4)
+        factor = spectral._derivative_factor(derivative)
+        cf, gf = spectral._coefficients(flavor, quad.nodes, t,
+                                        freq_factor=factor, **kw)
+        scale = _scale(quad, f.fourier(quad.nodes) * cf
+                       + g.fourier(quad.nodes) * gf)
+        dense = _dense_homogeneous(f, g, flavor, points, t, quad,
+                                   freq_factor=factor, **kw)
+        many = spectral.homogeneous_solution(f, g, flavor, points, t,
+                                             quad=quad, freq_factor=factor, **kw)
+        assert many.shape == (len(points),)
+        assert np.max(np.abs(many - dense)) <= 1e-13 * scale
+        one = spectral.homogeneous_solution(f, g, flavor, points[3], t,
+                                            quad=quad, freq_factor=factor, **kw)
+        assert isinstance(one, float)
+        assert abs(one - dense[3]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chunks_match_one_pass(self, n, monkeypatch):
+        _, _, quad, points = self._case(n)
+        spectrum = np.random.default_rng(5).normal(size=(len(quad.weights), 2))
+        spectrum = spectrum @ np.array([1.0, 1j])
+        whole = spectral.synthesize(quad, spectrum, points)
+        # chunks of three points: two full ones and one of one point
+        monkeypatch.setattr(spectral, "SYNTHESIS_ENTRIES",
+                            3 * quad.nodes_per_axis ** (n - 1))
+        chunked = spectral.synthesize(quad, spectrum, points)
+        dense = _dense_synthesis(quad, spectrum, points)
+        scale = _scale(quad, spectrum)
+        assert np.max(np.abs(chunked - dense)) <= 1e-13 * scale
+        assert np.max(np.abs(whole - dense)) <= 1e-13 * scale
+
+    def test_axis_nodes_span_the_tensor_grid(self):
+        quad = FrequencyQuadrature.build(3, 2.0, 5)
+        mesh = np.meshgrid(*[quad.axis_nodes] * 3, indexing="ij")
+        assert np.array_equal(np.stack([m.ravel() for m in mesh], axis=-1),
+                              quad.nodes)
+
+    @pytest.mark.parametrize("n, flavor", [
+        (1, "continuum"), (2, "continuum"),
+        (1, "fully_discrete"), (2, "fully_discrete"), (3, "fully_discrete"),
+    ])
+    def test_duhamel_takes_points(self, n, flavor):
+        space = DataFunction.gaussian([0.0] * n, 0.3)
+        forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+        spec = LatticeSpec(n, 0.1, 0.05, 0.3)
+        quad = FrequencyQuadrature.for_data(space, T=spec.T,
+                                            nodes_per_axis=33 if n == 3 else 65)
+        points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(5, n))
+        kw = dict(spec=spec) if flavor == "fully_discrete" else {}
+        many = duhamel_solve(space, None, forcing, flavor, points, spec.T,
+                             quad, **kw)
+        assert many.shape == (5,)
+        for x, value in zip(points, many):
+            one = duhamel_solve(space, None, forcing, flavor, x, spec.T, quad, **kw)
+            assert isinstance(one, float)
+            assert abs(one - value) <= 1e-13
+
+    def test_duhamel_single_frequency_takes_points(self):
+        forcing = separable_forcing(DataFunction.plane_wave([2.0, 1.0]))
+        points = np.array([[0.0, 0.0], [0.3, -0.2], [0.1, 0.4]])
+        many = duhamel_solve(None, None, forcing, "continuum", points, 1.0,
+                             s_step=1.0 / 128.0)
+        assert many.shape == (3,)
+        for x, value in zip(points, many):
+            assert duhamel_solve(None, None, forcing, "continuum", x, 1.0,
+                                 s_step=1.0 / 128.0) == value
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_discrete_duhamel_running_sum_equals_stacked_sum(self, n):
+        # the fully discrete forcing sum runs over s without (s, node)
+        # stacks; its additions are those of the stacked sum, in order
+        space = DataFunction.gaussian([0.0] * n, 0.3)
+        forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+        spec = LatticeSpec(n, 0.1, 0.05, 0.3)
+        quad = FrequencyQuadrature.for_data(space, T=spec.T)
+        points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(4, n))
+        s_nodes = np.arange(spec.steps) * spec.dt
+        s_weights = np.full(spec.steps, spec.dt)
+        s_weights[0] = spec.dt / 2.0
+        kern = np.stack([spectral._forcing_kernel("fully_discrete", quad.nodes,
+                                                  spec.T - s, spec=spec)
+                         for s in s_nodes])
+        what = np.stack([forcing.fourier_x(quad.nodes, s) for s in s_nodes])
+        stacked = np.sum(s_weights[:, None] * kern * what, axis=0)
+        expected = (spectral.homogeneous_solution(space, None, "fully_discrete",
+                                                  points, spec.T, spec=spec,
+                                                  quad=quad)
+                    + spectral.synthesize(quad, stacked, points))
+        values = duhamel_solve(space, None, forcing, "fully_discrete", points,
+                               spec.T, quad, spec=spec)
+        assert np.array_equal(values, expected)

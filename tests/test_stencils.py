@@ -12,6 +12,7 @@ from wavelattice import (
     LatticeSpec,
     solve,
 )
+from wavelattice import stencils
 from wavelattice.stencils import (
     dump_level,
     field_from_classification,
@@ -160,3 +161,72 @@ class TestGridField:
         n, dx, dt, level, arr = load_level(path)
         assert (n, dx, dt, level) == (1, 0.1, 0.05, spec.steps)
         assert np.array_equal(arr, fld.level_array(spec.steps).ravel())
+
+
+def _plain_laplacian(values, dx):
+    """The whole-array expression the blocked kernel reproduces."""
+    out = np.zeros_like(values)
+    core = tuple(slice(1, -1) for _ in range(values.ndim))
+    for k in range(values.ndim):
+        plus = tuple(slice(2, None) if j == k else slice(1, -1)
+                     for j in range(values.ndim))
+        minus = tuple(slice(0, -2) if j == k else slice(1, -1)
+                      for j in range(values.ndim))
+        out[core] += (values[plus] - 2.0 * values[core] + values[minus]) / dx**2
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+SHAPES = [(1,), (2,), (3,), (40,), (2, 9), (9, 1), (5, 7), (13, 17, 19),
+          (3, 3, 3), (6, 2, 5)]
+
+
+class TestBlockedKernels:
+    """The array kernels work block by block with ufunc out=, and give the
+    whole-array expressions bit for bit, signed zeros included."""
+
+    @pytest.fixture(params=[1 << 16, 7], ids=["one-block", "many-blocks"])
+    def block_points(self, request, monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", request.param)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_laplacian(self, shape, block_points):
+        values = np.random.default_rng(len(shape)).normal(size=shape)
+        values.flat[0] = -0.0
+        expected = _plain_laplacian(values, 0.0125)
+        assert _same_bits(stencils.laplacian_array(values, 0.0125), expected)
+        out = np.full(shape, np.nan)
+        assert stencils.laplacian_array(values, 0.0125, out=out) is out
+        assert _same_bits(out, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_advance_in_place_of_previous_level(self, shape, block_points):
+        v, v_prev, accel = np.random.default_rng(3).normal(size=(3,) + shape)
+        h = 0.00625
+        expected = 2.0 * v - v_prev + (h * h) * accel
+        assert _same_bits(stencils.leapfrog_advance(v, v_prev, accel, h), expected)
+        assert stencils.leapfrog_advance(v, v_prev, accel, h, out=v_prev) is v_prev
+        assert _same_bits(v_prev, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("h", [0.05, -0.05])
+    def test_first_level_in_place_of_velocity(self, shape, h, block_points):
+        v0, velocity, accel = np.random.default_rng(4).normal(size=(3,) + shape)
+        sign = 1.0 if h > 0 else -1.0
+        expected = v0 + abs(h) * (sign * velocity) + (0.5 * abs(h) * abs(h)) * accel
+        assert _same_bits(
+            stencils.leapfrog_first_level(v0, velocity, accel, h), expected)
+        stencils.leapfrog_first_level(v0, velocity, accel, h, out=velocity)
+        assert _same_bits(velocity, expected)
+
+    @pytest.mark.parametrize("points", [1, 4, 100])
+    def test_row_blocks_cover_axis_zero_once(self, points, monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", points)
+        for shape in [(10, 3), (1, 4), (7,), (0, 5)]:
+            rows = np.zeros(shape[0], dtype=int)
+            for block in stencils.row_blocks(shape):
+                rows[block] += 1
+            assert np.all(rows == 1)
