@@ -81,25 +81,21 @@ def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
     return (steps if steps is not None else spec.steps) + 2
 
 
-def _needs_points(problem: DiscreteProblem) -> bool:
-    """Whether bootstrapping needs the (m, n) points of the whole window: a
-    forcing, a callable boundary value, gridded arrays and plain callables
-    do; catalog data, numbers and None are sampled one block at a time."""
-    if problem.forcing is not None or callable(problem.boundary_value):
-        return True
-    return any(
-        isinstance(d, np.ndarray)
-        or (callable(d) and not isinstance(d, DataFunction))
-        for d in (problem.f, problem.g)
-    )
-
-
 def _sample_blocks(data, fieldobj: GridField) -> np.ndarray:
     """sample(data, lattice_points(fieldobj)), one block of axis-0 rows of
-    the window at a time, so no (m, n) array of the whole window exists."""
-    axes = window_axes(fieldobj)
+    the window at a time, so no (m, n) array of the whole window exists.
+    Gridded data must already have the window's shape and is copied."""
     values = np.empty(fieldobj.shape)
-    for rows in row_blocks(fieldobj.shape):
+    if isinstance(data, np.ndarray):
+        if data.shape != values.shape:
+            raise ValueError(
+                f"gridded data of shape {data.shape} does not match the "
+                f"lattice window {values.shape}"
+            )
+        values[...] = data
+        return values
+    axes = window_axes(fieldobj)
+    for rows in row_blocks(values.shape):
         values[rows] = sample(data, grid_points([axes[0][rows], *axes[1:]]))
     return values
 
@@ -112,13 +108,9 @@ def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
     left empty.
     """
     fieldobj = field_from_classification(problem.classification, pad=pad)
-    points = lattice_points(fieldobj) if _needs_points(problem) else None
-
-    def values(data):
-        if points is None:
-            return _sample_blocks(data, fieldobj)
-        return sample(data, points)
-
+    points = None
+    if problem.forcing is not None or callable(problem.boundary_value):
+        points = lattice_points(fieldobj)
     bvals = problem.boundary_value
     if callable(bvals):
         bvals = sample(bvals, points)
@@ -131,8 +123,8 @@ def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
             return accel + problem.forcing.func(flat, t).reshape(accel.shape)
     dt = problem.spec.dt
 
-    v0 = clamp_level(values(problem.f), clamp)
-    gv = values(problem.g)
+    v0 = clamp_level(_sample_blocks(problem.f, fieldobj), clamp)
+    gv = _sample_blocks(problem.g, fieldobj)
     accel = laplacian_array(v0, problem.spec.dx)
     if terms is not None:
         accel = terms(accel, v0, 0.0)
@@ -204,13 +196,13 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None, *,
     window = problem.classification.shape
     levels = {}
 
-    def keep(level, values, overwritten=True):
-        """Store a kept level: a copy when the stepping kernel will still
-        write over its buffer, and a copy of the window under `shrink`."""
+    def keep(level, values):
+        """Store a copy of a kept level (of the window under `shrink`): the
+        stepping kernel writes over the arrays it yields."""
         if lo <= level <= hi:
             if shrink:
-                values, overwritten = crop_centre(values, window), True
-            levels[level] = values.copy() if overwritten else values
+                values = crop_centre(values, window)
+            levels[level] = values.copy()
 
     for level, values in ((0, v0), *first.items()):
         keep(level, values)
@@ -226,8 +218,7 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None, *,
                                 shrink=shrink)
         for level, values in zip(range(2 * sign, end + sign, sign), run):
             if abs(end - level) <= 2 or level in (lo, hi):
-                # the run's last two levels are never written over
-                keep(level, values, overwritten=abs(end - level) >= 2)
+                keep(level, values)
     if shrink:
         fieldobj = field_from_classification(problem.classification)
     fieldobj.levels = levels

@@ -290,11 +290,6 @@ class FrequencyQuadrature:
         return self.nodes[:self.nodes_per_axis, -1]
 
 
-#: complex partial sums held at once by `synthesize`; scattered points are
-#: synthesized in chunks of at most this many entries
-SYNTHESIS_ENTRIES = 1 << 19
-
-
 def synthesize(quad: FrequencyQuadrature, spectrum, points) -> np.ndarray:
     """Re (2pi)^{-n/2} sum_j w_j spectrum_j e^{i x.alpha_j} at each row x of
     the (m, n) `points`, for a spectrum given on the quadrature nodes.
@@ -305,17 +300,13 @@ def synthesize(quad: FrequencyQuadrature, spectrum, points) -> np.ndarray:
     """
     n, K = quad.n, quad.nodes_per_axis
     z = quad.axis_nodes
-    grid = (spectrum * quad.weights).reshape(K, -1)
-    out = np.empty(len(points))
-    chunk = max(1, SYNTHESIS_ENTRIES // grid.shape[1])
-    for lo in range(0, len(points), chunk):
-        x = points[lo:lo + chunk]
-        acc = np.exp(1j * np.multiply.outer(x[:, 0], z)) @ grid
-        for k in range(1, n):
-            factor = np.exp(1j * np.multiply.outer(x[:, k], z))[:, None, :]
-            acc = (factor @ acc.reshape(len(x), K, -1))[:, 0, :]
-        out[lo:lo + chunk] = acc[:, 0].real
-    return out / _TWO_PI ** (n / 2.0)
+    m = len(points)
+    acc = np.exp(1j * np.multiply.outer(points[:, 0], z)) @ (
+        (spectrum * quad.weights).reshape(K, -1))
+    for k in range(1, n):
+        factor = np.exp(1j * np.multiply.outer(points[:, k], z))[:, None, :]
+        acc = (factor @ acc.reshape(m, K, -1))[:, 0, :]
+    return acc[:, 0].real / _TWO_PI ** (n / 2.0)
 
 
 def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:

@@ -165,8 +165,8 @@ class TestCallCounts:
 
 
 class TestBlockSampling:
-    """The bootstrap samples catalog data one block of window rows at a
-    time; the values equal those of the whole window's points."""
+    """The bootstrap samples f and g one block of window rows at a time;
+    the values equal those of the whole window's points."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("block_points", [1, 37, 1 << 16])
@@ -176,7 +176,17 @@ class TestBlockSampling:
         classification = classify(Domain.full_space([(-0.45, 0.6)] * n), spec)
         fld = field_from_classification(classification, pad=3)
         points = lattice_points(fld)
-        for data in _catalog(n) + [None, 1.5]:
+        gridded = np.arange(math.prod(fld.shape), dtype=float).reshape(fld.shape)
+        plain = lambda x: 1.0 + x[0] * x[-1]
+        for data in _catalog(n) + [None, 1.5, plain, gridded]:
             blocks = leapfrog._sample_blocks(data, fld)
             assert blocks.shape == fld.shape
             assert np.array_equal(blocks, sample(data, points)), data
+        assert leapfrog._sample_blocks(gridded, fld) is not gridded
+
+    def test_gridded_data_must_match_the_window(self):
+        spec = LatticeSpec(2, 0.05, 0.025, 0.2)
+        fld = field_from_classification(
+            classify(Domain.full_space([(-0.2, 0.2)] * 2), spec), pad=2)
+        with pytest.raises(ValueError, match="does not match"):
+            leapfrog._sample_blocks(np.zeros((3, 3)), fld)

@@ -235,21 +235,6 @@ class TestSeparableSynthesis:
         assert isinstance(one, float)
         assert abs(one - dense[3]) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_chunks_match_one_pass(self, n, monkeypatch):
-        _, _, quad, points = self._case(n)
-        spectrum = np.random.default_rng(5).normal(size=(len(quad.weights), 2))
-        spectrum = spectrum @ np.array([1.0, 1j])
-        whole = spectral.synthesize(quad, spectrum, points)
-        # chunks of three points: two full ones and one of one point
-        monkeypatch.setattr(spectral, "SYNTHESIS_ENTRIES",
-                            3 * quad.nodes_per_axis ** (n - 1))
-        chunked = spectral.synthesize(quad, spectrum, points)
-        dense = _dense_synthesis(quad, spectrum, points)
-        scale = _scale(quad, spectrum)
-        assert np.max(np.abs(chunked - dense)) <= 1e-13 * scale
-        assert np.max(np.abs(whole - dense)) <= 1e-13 * scale
-
     def test_axis_nodes_span_the_tensor_grid(self):
         quad = FrequencyQuadrature.build(3, 2.0, 5)
         mesh = np.meshgrid(*[quad.axis_nodes] * 3, indexing="ij")
