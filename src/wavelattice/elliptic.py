@@ -180,7 +180,12 @@ def _residual(problem, fieldobj, values, bvals, svals):
 
 @dataclass
 class VariableCoefficientProblem:
-    """The full wave problem with velocity a = 1 + b and flexibility sigma."""
+    """The full wave problem with velocity a = 1 + b and flexibility sigma.
+
+    As in EllipticProblem and DiscreteProblem, `classification` is the
+    lattice classification of (domain, spec.dx), built when not given;
+    gridded f lives on its window.
+    """
 
     spec: LatticeSpec
     domain: Domain
@@ -190,6 +195,7 @@ class VariableCoefficientProblem:
     b: Union[Callable, float] = 0.0
     sigma: Union[Callable, float] = 0.0
     forcing: Optional[Forcing] = None
+    classification: Optional[object] = None
 
 
 @dataclass
@@ -212,7 +218,9 @@ def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
     zero-boundary constant-coefficient problem ready for the leapfrog
     stepper or the Lagrange integrator; reconstruction adds v back.
     """
-    classification = classify(problem.domain, problem.spec)
+    classification = problem.classification
+    if classification is None:
+        classification = classify(problem.domain, problem.spec)
     elliptic = assemble_and_solve(
         EllipticProblem(
             domain=problem.domain, dx=problem.spec.dx,

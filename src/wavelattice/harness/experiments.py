@@ -25,7 +25,7 @@ from ..lagrange import (
     phi_reference_error,
     set_initial_data,
 )
-from ..lattice import Domain, LatticeSpec, refine_halving
+from ..lattice import Domain, LatticeSpec, classify, refine_halving
 from ..leapfrog import DiscreteProblem, bootstrap, solve
 from ..spectral import (
     DataFunction,
@@ -44,6 +44,7 @@ from ..stencils import (
     laplacian_array,
     lattice_points,
     leapfrog_first_level,
+    row_blocks,
     three_level_steps,
 )
 from .config import ExperimentConfig
@@ -341,10 +342,13 @@ def _raw_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
     (max |v| reached, level of blowup or None)."""
     pad = steps + 2
     half = int(math.ceil(extent / dx)) + pad
-    pts = grid_points([np.arange(-half, half + 1) * dx] * n)
-    v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
-    accel = laplacian_array(v0, dx)
-    v1 = leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
+    axis = np.arange(-half, half + 1) * dx
+    seed_alpha = np.asarray(seed_alpha, dtype=float)
+    v0 = np.empty((axis.size,) * n)
+    for rows in row_blocks(v0.shape):
+        v0[rows] = np.cos(grid_points([axis[rows]] + [axis] * (n - 1)) @ seed_alpha)
+    v1 = np.zeros_like(v0)
+    leapfrog_first_level(v0, v1, laplacian_array(v0, dx), dt, out=v1)
     max_abs = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
     try:
         for level in three_level_steps(v0, v1, dt, dx, steps):
@@ -515,9 +519,6 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
     gauss = config.data("f")
     h_const = 0.2
 
-    def f(x):
-        return h_const + float(np.atleast_1d(gauss(np.atleast_1d(x)))[0])
-
     center = np.asarray(gauss.center)
     b = DataFunction.smooth_bump(center, 0.45, amplitude=0.1)
     sigma = DataFunction.smooth_bump(center, 0.45, amplitude=0.05)
@@ -532,8 +533,13 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
     residuals = []
     for k in range(levels):
         spec = LatticeSpec(base.n, base.dx / 2**k, base.dt / 2**k, base.T)
+        # f = h + gauss, sampled in one call on the split's window
+        classification = classify(domain, spec)
+        points = lattice_points(field_from_classification(classification))
+        f = h_const + sample(gauss, points)
         problem = VariableCoefficientProblem(
-            spec=spec, domain=domain, f=f, h=h_const, b=b, sigma=sigma
+            spec=spec, domain=domain, f=f, h=h_const, b=b, sigma=sigma,
+            classification=classification,
         )
         split = split_pipeline(problem)
         residuals.append(split.elliptic.residual)
@@ -562,15 +568,13 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         notes.append("self-convergence order fell below 1")
 
     # direct Theorem-c integration with a(x), sigma(x) in the ODE, on the
-    # finest level's classification
+    # finest level's classification, points and f
     spec_f, vals_f = probe_values[-1]
-    fieldobj = field_from_classification(split.wave_problem.classification)
-    points = lattice_points(fieldobj)
     system = LagrangeSystem(
-        dx=spec_f.dx, fieldobj=fieldobj, a=1.0 + sample(b, points),
-        sigma=sigma, boundary_value=h_const,
+        dx=spec_f.dx, fieldobj=field_from_classification(classification),
+        a=1.0 + sample(b, points), sigma=sigma, boundary_value=h_const,
     )
-    set_initial_data(system, h_const + sample(gauss, points), None)
+    set_initial_data(system, f, None)
     integrate(system, 0.0, spec_f.T, spec_f.dt)
     direct = np.array([
         system.values[system.fieldobj.offset(tuple(int(j) * 2**(levels - 1)

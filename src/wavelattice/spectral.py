@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import gammaincc
+from numpy.polynomial.legendre import leggauss
 
 from .dispersion import beta_arrays, beta_semidiscrete, sinc
 from .errors import SGridMisalignedError, TailBoundError
@@ -160,7 +159,7 @@ class DataFunction:
 
     def _bump_transform(self, alpha, nodes_per_axis=64):
         c = np.asarray(self.center)
-        z, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+        z, w = leggauss(nodes_per_axis)
         axes = [c[k] + self.radius * z for k in range(self.n)]
         wts = [self.radius * w for _ in range(self.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -249,7 +248,7 @@ class FrequencyQuadrature:
 
     @classmethod
     def build(cls, n: int, M: float, nodes_per_axis: int) -> "FrequencyQuadrature":
-        z, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+        z, w = leggauss(nodes_per_axis)
         axis_nodes = M * z
         axis_weights = M * w
         mesh = np.meshgrid(*([axis_nodes] * n), indexing="ij")
@@ -309,6 +308,21 @@ def synthesize(quad: FrequencyQuadrature, spectrum, points) -> np.ndarray:
     return acc[:, 0].real / _TWO_PI ** (n / 2.0)
 
 
+def upper_gamma_q(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x) for s = 1/2, 1, 3/2, ...
+
+    Closed form from Q(1, x) = e^{-x}, Q(1/2, x) = erfc(sqrt x) and
+    Q(a + 1, x) = Q(a, x) + x^a e^{-x} / Gamma(a + 1).
+    """
+    frac = s % 1.0
+    total = math.erfc(math.sqrt(x)) if frac else 0.0
+    term = x**frac * math.exp(-x) / math.gamma(1.0 + frac)
+    for k in range(round(s - frac)):
+        total += term
+        term *= x / (frac + k + 1.0)
+    return total
+
+
 def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
     """Closed form of (2pi)^{-n/2} integral_{|a|>M} A e^{-w^2|a|^2/2} (2+2T) da."""
     total = 0.0
@@ -317,7 +331,7 @@ def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
         surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         radial = (
             math.gamma(n / 2.0)
-            * gammaincc(n / 2.0, a * M * M)
+            * upper_gamma_q(n / 2.0, a * M * M)
             / (2.0 * a ** (n / 2.0))
         )
         total += A * surface * radial
@@ -488,12 +502,13 @@ def propagator(flavor: str, alpha, t: float, *,
 
 @dataclass
 class Forcing:
-    """Forcing w(x, t) with a known x-transform per time node.
+    """Forcing w(x, t) with a known x-transform.
 
     `func(points, t)` takes an (m, n) array of points and returns their
     (m,) values, so a solver evaluates one time level in one call.
-    `fourier_x(alpha, t)` returns the spatial Fourier transform at
-    frequency rows alpha.  When the spatial profile is single-frequency,
+    `fourier_x(alpha)` forms what does not depend on t at the frequency
+    rows alpha once and returns the spatial Fourier transform there as a
+    function of t.  When the spatial profile is single-frequency,
     `spatial` carries it and the transforms are bypassed.
     """
 
@@ -513,8 +528,9 @@ def separable_forcing(space: DataFunction, time_profile=None) -> Forcing:
     if space.single_frequency is not None:
         return Forcing(func, spatial=space, time_profile=profile)
 
-    def fourier_x(alpha, t):
-        return space.fourier(alpha) * profile(t)
+    def fourier_x(alpha):
+        what = space.fourier(alpha)
+        return lambda t: what * profile(t)
 
     return Forcing(func, fourier_x=fourier_x, spatial=space, time_profile=profile)
 
@@ -531,23 +547,41 @@ def dalembert_forcing(space: DataFunction, profile, profile_dd) -> Forcing:
     def func(x, t):
         return space(x) * profile_dd(t) - lap(x) * profile(t)
 
-    def fourier_x(alpha, t):
+    def fourier_x(alpha):
+        what = space.fourier(alpha)
         a2 = np.sum(np.atleast_2d(alpha) ** 2, axis=-1)
-        return space.fourier(alpha) * (profile_dd(t) + a2 * profile(t))
+        return lambda t: what * (profile_dd(t) + a2 * profile(t))
 
     return Forcing(func, fourier_x=fourier_x)
 
 
-def _forcing_kernel(flavor, alpha, tau, *, spec=None, dx=0.0):
-    """g-route coefficient K12(tau) of the propagator, vectorized in alpha."""
+def _forcing_kernel(flavor, alpha, *, spec=None, dx=0.0):
+    """g-route coefficient K12 of the propagator at the frequency rows alpha,
+    as a function of tau; the frequencies are formed once."""
+    alpha = np.atleast_2d(alpha)
     if flavor == "continuum":
-        freq = np.sqrt(np.sum(np.atleast_2d(alpha) ** 2, axis=-1))
-        return tau * sinc(freq * tau)
+        freq = np.sqrt(np.sum(alpha**2, axis=-1))
+        return lambda tau: tau * sinc(freq * tau)
     if flavor == "semidiscrete":
-        freq = beta_semidiscrete(np.atleast_2d(alpha), dx)
-        return tau * sinc(freq * tau)
-    freq = beta_arrays(np.atleast_2d(alpha), spec.dx, spec.dt)
-    return tau * sinc(freq * tau) / sinc(freq * spec.dt)
+        freq = beta_semidiscrete(alpha, dx)
+        return lambda tau: tau * sinc(freq * tau)
+    freq = beta_arrays(alpha, spec.dx, spec.dt)
+    at_dt = sinc(freq * spec.dt)
+    return lambda tau: tau * sinc(freq * tau) / at_dt
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson's rule along axis 0 of `y` on the nodes `x`, for an
+    odd node count; the arithmetic of scipy.integrate.simpson(y, x=x, axis=0),
+    so the values are the same."""
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / ratio)
+                        + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                        + y[2::2] * (2.0 - ratio))
+    return np.sum(tmp, axis=0)
 
 
 def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
@@ -561,10 +595,11 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
 
     The homogeneous part evolves (f^, g^) with the propagator; the forcing
     contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t].
-    Continuum and semidiscrete flavors integrate in s by composite Simpson;
-    the fully discrete flavor uses the exact discrete convolution of the
-    scheme (a trapezoid-type sum on multiples of dt), since discrete-time
-    variation of constants is a sum, not an integral.
+    Continuum and semidiscrete flavors integrate in s by composite Simpson
+    on an even number of intervals of at most `s_step`; the fully discrete
+    flavor uses the exact discrete convolution of the scheme (a
+    trapezoid-type sum on multiples of dt), since discrete-time variation
+    of constants is a sum, not an integral.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
@@ -591,40 +626,33 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
         s_weights[0] = dt / 2.0  # matches the bootstrap's half forcing weight
     else:
         step = s_step if s_step is not None else (spec.dt if spec else t / 64.0)
-        m = max(2, math.ceil(t / step))
+        m = 2 * max(1, math.ceil(t / (2.0 * step)))
         s_nodes = np.linspace(0.0, t, m + 1)
         s_weights = None  # Simpson path
 
     if forcing.spatial is not None and forcing.spatial.single_frequency is not None:
-        alpha0 = forcing.spatial.single_frequency
-        kern = np.array([
-            float(_forcing_kernel(flavor, alpha0, t - s, spec=spec, dx=dx)[0])
-            for s in s_nodes
-        ])
+        kernel = _forcing_kernel(flavor, forcing.spatial.single_frequency,
+                                 spec=spec, dx=dx)
+        kern = np.array([float(kernel(t - s)[0]) for s in s_nodes])
         prof = np.array([forcing.time_profile(s) for s in s_nodes])
         if s_weights is not None:
             integral = float(np.sum(s_weights * kern * prof))
         else:
-            integral = float(simpson(kern * prof, x=s_nodes))
+            integral = float(_simpson(kern * prof, s_nodes))
         return result(np.atleast_1d(forcing.spatial(pts)) * integral)
 
     if quad is None:
         raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
-    alpha = quad.nodes
+    kernel = _forcing_kernel(flavor, quad.nodes, spec=spec, dx=dx)
+    what = forcing.fourier_x(quad.nodes)
     if s_weights is not None:
         # a running sum over s: the additions of a sum over a stacked s-axis,
         # in the same order, without holding (s, node) arrays
         per_node = None
         for weight, s in zip(s_weights, s_nodes):
-            term = (weight * _forcing_kernel(flavor, alpha, t - s, spec=spec, dx=dx)
-                    * forcing.fourier_x(alpha, s))
+            term = weight * kernel(t - s) * what(s)
             per_node = term if per_node is None else per_node + term
     else:
-        what = np.stack([forcing.fourier_x(alpha, s) for s in s_nodes], axis=0)
-        kern = np.stack(
-            [_forcing_kernel(flavor, alpha, t - s, spec=spec, dx=dx)
-             for s in s_nodes],
-            axis=0,
-        )
-        per_node = simpson(kern * what, x=s_nodes, axis=0)
+        terms = np.stack([kernel(t - s) * what(s) for s in s_nodes])
+        per_node = _simpson(terms, s_nodes)
     return result(synthesize(quad, per_node, pts))

@@ -1,5 +1,7 @@
 """Elliptic solver and the variable-coefficient splitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from wavelattice import (
     assemble_and_solve,
     split_pipeline,
 )
-from wavelattice.stencils import lattice_points
+from wavelattice.lattice import classify
+from wavelattice.spectral import sample
+from wavelattice.stencils import field_from_classification, lattice_points
 
 
 class TestAssembleAndSolve:
@@ -170,3 +174,17 @@ class TestSplitPipeline:
         split = split_pipeline(self._problem(h=0.4, b=0.1))
         assert split.wave_problem.boundary_value == 0.0
         assert split.wave_problem.a is None and split.wave_problem.sigma is None
+
+    def test_given_classification_changes_nothing(self):
+        # a classification handed in (E7 builds one to sample f on its
+        # window) is used as is and gives the split of a fresh one
+        problem = self._problem(h=0.4, b=0.1)
+        classification = classify(problem.domain, problem.spec)
+        points = lattice_points(field_from_classification(classification))
+        gridded = sample(problem.f, points)
+        fresh = split_pipeline(replace(problem, f=gridded))
+        given = split_pipeline(replace(problem, f=gridded,
+                                       classification=classification))
+        assert given.wave_problem.classification is classification
+        assert np.array_equal(given.shifted_f, fresh.shifted_f)
+        assert np.array_equal(given.elliptic.values, fresh.elliptic.values)

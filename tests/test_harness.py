@@ -14,7 +14,8 @@ from wavelattice import (
     LatticeSpec,
     solve,
 )
-from wavelattice.errors import MissingLevelError, NoCommonPointsError
+from wavelattice import stencils
+from wavelattice.errors import BlowupError, MissingLevelError, NoCommonPointsError
 from wavelattice.harness import (
     ConfigError,
     ErrorTable,
@@ -419,6 +420,38 @@ class TestExperiments:
         assert result.passed
         assert (tmp_path / "notes.txt").exists()
         assert (tmp_path / "config.ini").exists()
+
+
+def _whole_window_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
+    """E5's raw run with cos(alpha.x) formed on the whole window's points."""
+    half = int(math.ceil(extent / dx)) + steps + 2
+    pts = stencils.grid_points([np.arange(-half, half + 1) * dx] * n)
+    v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
+    accel = stencils.laplacian_array(v0, dx)
+    v1 = stencils.leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
+    max_abs = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
+    try:
+        for level in stencils.three_level_steps(v0, v1, dt, dx, steps):
+            max_abs = max(max_abs, float(np.max(np.abs(level))))
+    except BlowupError as exc:
+        return max(max_abs, exc.max_value), exc.level
+    return max_abs, None
+
+
+class TestE5RawRun:
+    """E5 forms its seed level one block of axis-0 rows at a time; the
+    maximum and the blowup level are those of the whole-window form."""
+
+    @pytest.mark.parametrize("n, steps", [(1, 60), (2, 30), (3, 10)])
+    @pytest.mark.parametrize("block_points", [7, 1 << 16])
+    def test_blocks_equal_whole_window(self, n, steps, block_points,
+                                       monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
+        dt = 0.05
+        for dx in (1.05 * dt / math.sqrt(n), dt * math.sqrt(n) / 2):
+            alpha = [math.pi / dx] * n
+            assert experiments._raw_leapfrog_max(n, dx, dt, steps, alpha) == (
+                _whole_window_leapfrog_max(n, dx, dt, steps, alpha))
 
 
 def _loop_quotients(field, index, level):

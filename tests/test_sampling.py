@@ -15,6 +15,7 @@ from wavelattice import (
     solve,
 )
 from wavelattice import leapfrog, stencils
+from wavelattice.harness import default_config, run_experiment
 from wavelattice.lagrange import set_initial_data, system_for_domain
 from wavelattice.lattice import classify
 from wavelattice.spectral import dalembert_forcing, sample, separable_forcing
@@ -162,6 +163,33 @@ class TestCallCounts:
         call_shapes.clear()
         set_initial_data(system, bump, bump)
         assert call_shapes == [window] * 2
+
+    def test_e7_samples_f_once_per_level(self, monkeypatch):
+        # f = 0.2 + gauss is sampled in one call per level on the split's
+        # window; the direct integration reuses the finest level's values
+        calls = []
+        original = DataFunction.__call__
+
+        def counting(self, x):
+            if self.kind == "gaussian":
+                calls.append(np.shape(x))
+            return original(self, x)
+
+        monkeypatch.setattr(DataFunction, "__call__", counting)
+        config = default_config("E7", n=2, levels=3)
+        assert run_experiment(config).passed
+        assert len(calls) == config.levels
+        assert all(len(shape) == 2 and shape[0] > 1 for shape in calls)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_plus_catalog_matches_per_point_values(self, n):
+        # what E7 samples in one call equals its former per-point callable
+        points = _points(n, seed=20 + n)
+        gauss = DataFunction.gaussian([0.5] * n, 0.08)
+        per_point = _per_point(
+            lambda x: 0.2 + float(np.atleast_1d(gauss(np.atleast_1d(x)))[0]),
+            points)
+        assert np.array_equal(0.2 + sample(gauss, points), per_point)
 
 
 class TestBlockSampling:

@@ -15,13 +15,33 @@ from wavelattice import (
     semidiscrete_closed_form_phi,
 )
 from wavelattice import spectral
-from wavelattice.dispersion import beta_semidiscrete
+from wavelattice.dispersion import beta_arrays, beta_semidiscrete, sinc
 from wavelattice.spectral import (
     dalembert_forcing,
     gaussian_tail_bound,
     propagator,
     separable_forcing,
+    upper_gamma_q,
 )
+
+
+def _per_node_kernel(flavor, alpha, tau, *, spec=None, dx=0.0):
+    """K12(tau) with the frequencies formed again at every call."""
+    if flavor == "continuum":
+        freq = np.sqrt(np.sum(np.atleast_2d(alpha) ** 2, axis=-1))
+        return tau * sinc(freq * tau)
+    if flavor == "semidiscrete":
+        freq = beta_semidiscrete(np.atleast_2d(alpha), dx)
+        return tau * sinc(freq * tau)
+    freq = beta_arrays(np.atleast_2d(alpha), spec.dx, spec.dt)
+    return tau * sinc(freq * tau) / sinc(freq * spec.dt)
+
+
+def _per_node_dalembert_transform(space, alpha, s):
+    """The x-transform of dalembert_forcing(space, cos, -cos) at time s, with
+    the spatial transform and |alpha|^2 formed again at every call."""
+    a2 = np.sum(np.atleast_2d(alpha) ** 2, axis=-1)
+    return space.fourier(alpha) * (-math.cos(s) + a2 * math.cos(s))
 
 
 class TestHomogeneousClosedForms:
@@ -283,10 +303,10 @@ class TestSeparableSynthesis:
         s_nodes = np.arange(spec.steps) * spec.dt
         s_weights = np.full(spec.steps, spec.dt)
         s_weights[0] = spec.dt / 2.0
-        kern = np.stack([spectral._forcing_kernel("fully_discrete", quad.nodes,
-                                                  spec.T - s, spec=spec)
+        kern = np.stack([_per_node_kernel("fully_discrete", quad.nodes,
+                                          spec.T - s, spec=spec)
                          for s in s_nodes])
-        what = np.stack([forcing.fourier_x(quad.nodes, s) for s in s_nodes])
+        what = np.stack([forcing.fourier_x(quad.nodes)(s) for s in s_nodes])
         stacked = np.sum(s_weights[:, None] * kern * what, axis=0)
         expected = (spectral.homogeneous_solution(space, None, "fully_discrete",
                                                   points, spec.T, spec=spec,
@@ -295,3 +315,113 @@ class TestSeparableSynthesis:
         values = duhamel_solve(space, None, forcing, "fully_discrete", points,
                                spec.T, quad, spec=spec)
         assert np.array_equal(values, expected)
+
+
+class TestHoistedDuhamel:
+    """duhamel_solve forms the kernel's frequencies and the forcing's spatial
+    transform once per call; the sums are those of the per-node loop."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("flavor", ["continuum", "semidiscrete",
+                                        "fully_discrete"])
+    def test_equals_per_node_loop(self, n, flavor):
+        from scipy.integrate import simpson
+
+        space = DataFunction.gaussian([0.05] * n, 0.3)
+        forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+        spec = LatticeSpec(n, 0.1, 0.05, 0.3)
+        quad = FrequencyQuadrature.for_data(space, T=spec.T, nodes_per_axis=33)
+        points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(4, n))
+        kw = {"fully_discrete": dict(spec=spec), "semidiscrete": dict(dx=0.1),
+              "continuum": {}}[flavor]
+        alpha = quad.nodes
+        if flavor == "fully_discrete":
+            per_node = None
+            for p in range(spec.steps):
+                s = p * spec.dt
+                weight = spec.dt / 2.0 if p == 0 else spec.dt
+                term = (weight * _per_node_kernel(flavor, alpha, spec.T - s, **kw)
+                        * _per_node_dalembert_transform(space, alpha, s))
+                per_node = term if per_node is None else per_node + term
+        else:
+            s_nodes = np.linspace(0.0, spec.T, 65)
+            kern = np.stack([_per_node_kernel(flavor, alpha, spec.T - s, **kw)
+                             for s in s_nodes])
+            what = np.stack([_per_node_dalembert_transform(space, alpha, s)
+                             for s in s_nodes])
+            per_node = simpson(kern * what, x=s_nodes, axis=0)
+        expected = (spectral.homogeneous_solution(space, None, flavor, points,
+                                                  spec.T, quad=quad, **kw)
+                    + spectral.synthesize(quad, per_node, points))
+        values = duhamel_solve(space, None, forcing, flavor, points, spec.T,
+                               quad, **kw)
+        assert np.array_equal(values, expected)
+
+    def test_single_frequency_equals_per_node_loop(self):
+        from scipy.integrate import simpson
+
+        alpha0 = np.array([2.0, 1.0])
+        forcing = separable_forcing(DataFunction.plane_wave(alpha0), math.cos)
+        points = np.array([[0.0, 0.0], [0.3, -0.2]])
+        s_nodes = np.linspace(0.0, 1.0, 129)
+        kern = np.array([float(_per_node_kernel("continuum", alpha0, 1.0 - s)[0])
+                         for s in s_nodes])
+        prof = np.array([math.cos(s) for s in s_nodes])
+        integral = float(simpson(kern * prof, x=s_nodes))
+        values = duhamel_solve(None, None, forcing, "continuum", points, 1.0,
+                               s_step=1.0 / 128.0)
+        assert np.array_equal(values, np.cos(points @ alpha0) * integral)
+
+    def test_odd_interval_count_rounds_up_to_even(self):
+        forcing = separable_forcing(DataFunction.plane_wave([2.0]))
+        x = np.zeros(1)
+        assert duhamel_solve(None, None, forcing, "continuum", x, 1.0,
+                             s_step=1.0 / 127.0) == duhamel_solve(
+            None, None, forcing, "continuum", x, 1.0, s_step=1.0 / 128.0)
+
+
+class TestSimpson:
+    """The in-house composite Simpson rule does scipy's arithmetic for the
+    odd node counts that duhamel_solve produces."""
+
+    @pytest.mark.parametrize("t, nodes", [(1.0, 129), (0.5, 65), (0.3, 7),
+                                          (0.7, 3), (1.3, 41)])
+    def test_equals_scipy(self, t, nodes):
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(nodes)
+        x = np.linspace(0.0, t, nodes)
+        one = rng.normal(size=nodes)
+        real = rng.normal(size=(nodes, 17))
+        cplx = real + 1j * rng.normal(size=(nodes, 17))
+        assert spectral._simpson(one, x) == simpson(one, x=x)
+        assert np.array_equal(spectral._simpson(real, x),
+                              simpson(real, x=x, axis=0))
+        assert np.array_equal(spectral._simpson(cplx, x),
+                              simpson(cplx, x=x, axis=0))
+
+
+class TestUpperGammaQ:
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6])
+    def test_matches_scipy(self, two_s):
+        from scipy.special import gammaincc
+
+        for x in np.geomspace(1e-6, 700.0, 400):
+            ref = gammaincc(two_s / 2.0, x)
+            assert abs(upper_gamma_q(two_s / 2.0, float(x)) - ref) <= 1e-12 * ref
+
+    # every cutoff that FrequencyQuadrature.for_data picks for E1-E8 at
+    # n = 1, 2, 3 (and the forced-2d benchmark config): (f, g, T) -> M, as
+    # picked with scipy.special.gammaincc in the tail bound
+    @pytest.mark.parametrize("n, with_g, T, M", [
+        (1, True, 0.4, 1.25**15), (2, True, 0.4, 1.25**15),
+        (3, True, 0.4, 1.25**15),
+        (1, False, 1.0, 1.25**14), (2, False, 1.0, 1.25**14),
+        (3, False, 1.0, 1.25**15), (2, False, 0.5, 1.25**14),
+    ])
+    def test_for_data_cutoffs_unchanged(self, n, with_g, T, M):
+        data = [DataFunction.gaussian([0.0] * n, 0.3)]
+        if with_g:
+            data.append(DataFunction.gaussian([0.1] * n, 0.25, amplitude=0.5))
+        quad = FrequencyQuadrature.for_data(*data, T=T, tol=1e-10)
+        assert quad.M == M
