@@ -26,6 +26,7 @@ from .stencils import (
     field_from_classification,
     laplacian_array,
     lattice_points,
+    sample_window,
 )
 
 #: dense fallback is allowed up to this interior size
@@ -229,7 +230,7 @@ def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
         )
     )
     fieldobj = elliptic.fieldobj
-    shifted = sample(problem.f, lattice_points(fieldobj)) - elliptic.values
+    shifted = sample_window(problem.f, fieldobj) - elliptic.values
     shifted[~fieldobj.support] = 0.0
 
     wave = DiscreteProblem(

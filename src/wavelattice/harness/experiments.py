@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dispersion import beta_arrays, symbol_G_arrays
 from ..elliptic import VariableCoefficientProblem, split_pipeline
-from ..errors import BlowupError, CflViolationError
+from ..errors import BlowupError, CflViolationError, MissingNeighborError
 from ..lagrange import (
     LagrangeSystem,
     integrate,
@@ -184,7 +184,7 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
             if spec not in errors:
                 problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
                 errors[spec] = compare_on_common_lattice(
-                    solve(problem, t_range=(0.0, spec.T), window_only=True),
+                    solve(problem, t_range=(0.0, spec.T)),
                     oracle, window,
                     times=[spec.T], base_spec=base,
                 )
@@ -233,7 +233,6 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     base = config.base_spec()
     f, g = config.data("f"), config.data("g")
     window = config.window()
-    domain = Domain.full_space(window)
     quad = _quad_for(f, g, base.T, config.n)
     t_mid = base.T / 2.0
     probes = _probe_indices(window, base.dx)
@@ -247,13 +246,21 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
 
     table = ErrorTable()
     for k, spec in enumerate(refine_halving(base, config.levels)):
-        problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
+        # one ring more: the x-quotients read the edge probes' neighbours
+        grown = Domain.full_space([(lo - spec.dx, hi + spec.dx) for lo, hi in window])
+        problem = DiscreteProblem(spec=spec, domain=grown, f=f, g=g)
         p_mid = round(t_mid / spec.dt)
         fieldobj = solve(problem, t_range=(0.0, (p_mid + 1) * spec.dt))
         before, mid, after = (fieldobj.level_array(p_mid + d) for d in (-1, 0, 1))
         at = probes * 2**k - np.asarray(fieldobj.origin)
         step = np.zeros_like(at)
         step[:, 0] = 1  # the axis-0 neighbours
+        reach = np.concatenate([at - step, at + step])
+        if np.any(reach < 0) or np.any(reach >= fieldobj.shape):
+            raise MissingNeighborError(
+                f"difference quotients read points outside the solved window "
+                f"(origin {fieldobj.origin}, shape {fieldobj.shape})"
+            )
         dtt = (after[tuple(at.T)] - 2.0 * mid[tuple(at.T)]
                + before[tuple(at.T)]) / spec.dt**2
         dxx = (mid[tuple((at + step).T)] - 2.0 * mid[tuple(at.T)]

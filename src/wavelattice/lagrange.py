@@ -44,9 +44,8 @@ class LagrangeSystem:
 
     `values`/`velocities` live on the same rectangular window as a
     GridField; boundary entries are clamped to `boundary_value` and the
-    velocity there is zero.  `sigma_sign` = -1 matches the wave equation
-    with +sigma(x)u on the left-hand side; +1 is selectable for fidelity
-    experiments against the alternative printed convention.
+    velocity there is zero.  sigma(x) enters as in the wave equation with
+    +sigma(x)u on the left-hand side.
     """
 
     dx: float
@@ -55,7 +54,6 @@ class LagrangeSystem:
     sigma: Optional[Callable] = None
     forcing: Optional[Forcing] = None
     boundary_value: Union[float, Callable] = 0.0
-    sigma_sign: float = -1.0
     values: np.ndarray = field(default=None, repr=False)
     velocities: np.ndarray = field(default=None, repr=False)
     _points: np.ndarray = field(default=None, repr=False)
@@ -84,15 +82,13 @@ class LagrangeSystem:
 
 
 def system_for_domain(domain: Domain, dx: float, *, a=None, sigma=None,
-                      forcing=None, boundary_value=0.0, pad: int = 0,
-                      sigma_sign: float = -1.0) -> LagrangeSystem:
+                      forcing=None, boundary_value=0.0) -> LagrangeSystem:
     """Build a clamped system on the lattice classification of a domain."""
     spec = LatticeSpec(domain.n, dx, dx / (2.0 * np.sqrt(domain.n)), 1.0)
-    classification = classify(domain, spec)
-    fieldobj = field_from_classification(classification, pad=pad)
+    fieldobj = field_from_classification(classify(domain, spec))
     return LagrangeSystem(
         dx=dx, fieldobj=fieldobj, a=a, sigma=sigma, forcing=forcing,
-        boundary_value=boundary_value, sigma_sign=sigma_sign,
+        boundary_value=boundary_value,
     )
 
 
@@ -108,7 +104,7 @@ def set_initial_data(system: LagrangeSystem, f, g) -> None:
 
 def rhs(system: LagrangeSystem, t: float,
         values: Optional[np.ndarray] = None) -> np.ndarray:
-    """Acceleration a(x) Lap_dx xi + sign * sigma(x) xi + w(x, t).
+    """Acceleration a(x) Lap_dx xi - sigma(x) xi + w(x, t).
 
     Boundary neighbours are read from the clamped entries of the value
     array; the returned array is only meaningful on interior points.
@@ -122,7 +118,7 @@ def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
     if system._a_vals is not None:
         accel = system._a_vals * accel
     if system._sigma_vals is not None:
-        accel = accel + system.sigma_sign * (system._sigma_vals * xi)
+        accel = accel - system._sigma_vals * xi
     if system.forcing is not None:
         flat = system._points.reshape(-1, system._points.shape[-1])
         accel = accel + system.forcing.func(flat, t).reshape(system.fieldobj.shape)
@@ -225,8 +221,7 @@ def _clamped(system, arr):
 
 
 def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,
-                        quad: FrequencyQuadrature, *,
-                        pad_distance: Optional[float] = None) -> list:
+                        quad: FrequencyQuadrature) -> list:
     """Max error of Verlet trajectories against the semidiscrete closed form.
 
     Free-space configuration: the system lives on a window padded past the
@@ -236,10 +231,9 @@ def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = probes.shape[1]
-    if pad_distance is None:
-        pad_distance = abs(t) + 4.0
-    lo = probes.min(axis=0) - pad_distance
-    hi = probes.max(axis=0) + pad_distance
+    reach = abs(t) + 4.0  # past the causal range of the probes
+    lo = probes.min(axis=0) - reach
+    hi = probes.max(axis=0) + reach
     window = Domain.full_space(list(zip(lo, hi)))
     reference = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
     rows = []

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BlowupError, MissingLevelError, MissingNeighborError
 from .lattice import LatticeClassification
+from .spectral import sample
 
 #: values above this abort a run (deliberately reachable under CFL violation)
 BLOWUP_THRESHOLD = 1e12
@@ -89,6 +90,25 @@ def grid_points(axes) -> np.ndarray:
 def lattice_points(fieldobj: GridField) -> np.ndarray:
     """Coordinates of every window point, shaped like the window grid."""
     return grid_points(window_axes(fieldobj))
+
+
+def sample_window(data, fieldobj: GridField) -> np.ndarray:
+    """sample(data, lattice_points(fieldobj)), one block of axis-0 rows of
+    the window at a time, so no (m, n) array of the whole window exists.
+    Gridded data must already have the window's shape and is copied."""
+    values = np.empty(fieldobj.shape)
+    if isinstance(data, np.ndarray):
+        if data.shape != values.shape:
+            raise ValueError(
+                f"gridded data of shape {data.shape} does not match the "
+                f"lattice window {values.shape}"
+            )
+        values[...] = data
+        return values
+    axes = window_axes(fieldobj)
+    for rows in row_blocks(values.shape):
+        values[rows] = sample(data, grid_points([axes[0][rows], *axes[1:]]))
+    return values
 
 
 # ---------------------------------------------------------------------------

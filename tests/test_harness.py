@@ -15,7 +15,12 @@ from wavelattice import (
     solve,
 )
 from wavelattice import stencils
-from wavelattice.errors import BlowupError, MissingLevelError, NoCommonPointsError
+from wavelattice.errors import (
+    BlowupError,
+    MissingLevelError,
+    MissingNeighborError,
+    NoCommonPointsError,
+)
 from wavelattice.harness import (
     ConfigError,
     ErrorTable,
@@ -508,6 +513,47 @@ class TestE2Quotients:
             assert np.array_equal(diff, np.array(expected))
 
 
+    #: the rows on [-0.4, 0.4]^n, where the window's index range at the
+    #: coarsest dx is one wider than its probes' on each side
+    NARROW_ROWS = {
+        1: [(0.300112330421167, 0.11669591177079441),
+            (0.0932846612691316, 0.01732748867989145),
+            (0.024574723841440438, 0.002252110600068431),
+            (0.006221488222167615, 0.0002842045980858527)],
+        2: [(0.9450210662207246, 0.12875734168470185),
+            (0.2728702083164505, 0.012980295528455641),
+            (0.0704524741523107, 0.0011827973560147584),
+            (0.017751876716793014, 0.00010532937716451573)],
+    }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_narrow_window_rows_pinned(self, n):
+        config = default_config("E2", n=n).with_overrides(
+            window_lo=(-0.4,), window_hi=(0.4,))
+        result = run_experiment(config)
+        assert result.passed
+        rows = [(row.sup_error, row.l2_error)
+                for row in result.tables["quotients"].rows]
+        assert rows == self.NARROW_ROWS[n]
+
+    def test_neighbour_outside_the_solved_window_raises(self, monkeypatch):
+        # solved on the window itself, the edge probes' axis-0 neighbours
+        # are missing; they must not wrap around or raise a bare IndexError
+        config = default_config("E2", n=2, levels=2).with_overrides(
+            window_lo=(-0.4,), window_hi=(0.4,))
+        real_solve = experiments.solve
+
+        def ungrown_solve(problem, t_range):
+            inner = DiscreteProblem(
+                spec=problem.spec, domain=Domain.full_space(config.window()),
+                f=problem.f, g=problem.g)
+            return real_solve(inner, t_range=t_range)
+
+        monkeypatch.setattr(experiments, "solve", ungrown_solve)
+        with pytest.raises(MissingNeighborError, match="outside the solved window"):
+            run_experiment(config)
+
+
 class TestCli:
     def test_bad_experiment_id_exits_2(self):
         assert main(["experiment", "E99"]) == 2
@@ -546,3 +592,26 @@ class TestCli:
         code = main(["solve", "--n", "1", "--out", str(out)])
         assert code == 0
         assert (out / "final_level.csv").exists()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solve_writes_only_the_exact_window(self, tmp_path, n):
+        # every written point is a point of the problem's window, and its
+        # value is the scheme's: that of a solve on a much wider window
+        out = tmp_path / "run"
+        assert main(["solve", "--n", str(n), "--out", str(out)]) == 0
+        table = np.loadtxt(out / "final_level.csv", delimiter=",", skiprows=1,
+                           ndmin=2)
+        config = default_config("E1", n=n)
+        spec = config.base_spec()
+        window = DiscreteProblem(spec=spec, domain=config.domain())
+        expected = stencils.lattice_points(
+            stencils.field_from_classification(window.classification))
+        assert np.array_equal(table[:, :n], expected.reshape(-1, n))
+        wide = DiscreteProblem(
+            spec=spec, f=config.data("f"), g=config.data("g"),
+            domain=Domain.full_space([(lo - 2.0, hi + 2.0)
+                                      for lo, hi in config.window()]),
+        )
+        reference = solve(wide, t_range=(0.0, spec.T))
+        for *x, value in table:
+            assert value == reference.value_at(x, spec.steps), x

@@ -21,7 +21,7 @@ from wavelattice.dispersion import beta_semidiscrete
 from wavelattice.lagrange import LagrangeSystem, rhs, system_for_domain
 from wavelattice.leapfrog import required_padding
 from wavelattice.spectral import dalembert_forcing
-from wavelattice.stencils import leapfrog_advance, leapfrog_first_level
+from wavelattice.stencils import crop_centre, leapfrog_advance, leapfrog_first_level
 
 
 def _free_system(dx=0.25, half_width=2.0, **kw):
@@ -42,7 +42,7 @@ class TestRhs:
         assert np.allclose(accel[1:-1], expected[1:-1], atol=1e-12)
 
     def test_sigma_shift_default_sign(self):
-        # sigma_sign = -1: accel = Lap - sigma * values
+        # accel = Lap - sigma * values
         dx, c = 0.25, 0.3
         plain = _free_system(dx=dx)
         shifted = _free_system(dx=dx, sigma=lambda x: c)
@@ -52,17 +52,6 @@ class TestRhs:
         diff = rhs(shifted, 0.0) - rhs(plain, 0.0)
         interior = plain.fieldobj.interior
         assert np.allclose(diff[interior], -c * vals[interior], atol=1e-13)
-
-    def test_sigma_sign_selectable(self):
-        dx, c = 0.25, 0.3
-        plus = _free_system(dx=dx, sigma=lambda x: c, sigma_sign=+1.0)
-        vals = np.sin(plus._points[..., 0])
-        plus.values = vals.copy()
-        plain = _free_system(dx=dx)
-        plain.values = vals.copy()
-        diff = rhs(plus, 0.0) - rhs(plain, 0.0)
-        interior = plain.fieldobj.interior
-        assert np.allclose(diff[interior], c * vals[interior], atol=1e-13)
 
 
 class TestIntegrate:
@@ -137,7 +126,9 @@ class TestIntegrate:
         )
         set_initial_data(system, space, None)
         out = integrate(system, 0.0, spec.T, spec.dt)
-        assert np.array_equal(out[spec.T], leap.level_array(spec.steps))
+        # on full space, solve returns the window that Verlet's padding keeps exact
+        assert np.array_equal(crop_centre(out[spec.T], leap.shape),
+                              leap.level_array(spec.steps))
 
     def test_gridded_data_must_match_window(self):
         # the same ValueError as the leapfrog solver, not an IndexError

@@ -11,10 +11,13 @@ from wavelattice import (
     DiscreteProblem,
     Domain,
     LatticeSpec,
+    integrate,
     separable_forcing,
+    set_initial_data,
     solve,
 )
 from wavelattice import leapfrog, stencils
+from wavelattice.lagrange import LagrangeSystem
 from wavelattice.leapfrog import required_padding
 from wavelattice.spectral import sample
 from wavelattice.stencils import (
@@ -136,44 +139,57 @@ def _cone_problem(n, **kw):
 T_RANGES = [(0.0, 0.4), (-0.4, 0.4), (0.1, 0.4), (-0.4, -0.15)]
 
 
-class TestWindowOnly:
-    """solve(..., window_only=True) steps the dependence cone of the
-    problem's window and returns that window, bit for bit."""
-
-    @staticmethod
-    def _assert_cropped_equal(cone, padded):
-        assert sorted(cone.levels) == sorted(padded.levels)
-        for level, values in cone.levels.items():
-            assert values.shape == cone.shape
-            assert np.array_equal(
-                values, crop_centre(padded.levels[level], cone.shape))
+class TestDependenceCone:
+    """A full-space solve steps the dependence cone of the problem's window
+    and returns that window, equal to the plain loop on the padded window."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("t_range", T_RANGES)
-    def test_levels_equal_padded_solve_on_window(self, n, t_range):
+    def test_levels_equal_plain_loop_on_window(self, n, t_range):
         problem = _cone_problem(n)
-        self._assert_cropped_equal(
-            solve(problem, t_range=t_range, window_only=True),
-            solve(problem, t_range=t_range))
+        lo, hi = (round(t / problem.spec.dt) for t in t_range)
+        reference = _reference_levels(problem, lo, hi)
+        fld = solve(problem, t_range=t_range)
+        assert fld.levels
+        for level, values in fld.levels.items():
+            assert values.shape == problem.classification.shape
+            assert np.array_equal(
+                values, crop_centre(reference[level], values.shape)), level
 
-    def test_forced_levels_equal_padded_solve_on_window(self):
+    @pytest.mark.parametrize("t_range", [(0.0, 0.4), (0.1, 0.4)])
+    def test_forced_levels_equal_padded_verlet(self, t_range):
+        # Verlet at h = dt is the forced scheme; on the window padded by
+        # steps + 2 rings it is exact on the problem's window
         space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
-        problem = _cone_problem(2, forcing=separable_forcing(space, math.cos))
-        for t_range in T_RANGES:
-            self._assert_cropped_equal(
-                solve(problem, t_range=t_range, window_only=True),
-                solve(problem, t_range=t_range))
+        forcing = separable_forcing(space, math.cos)
+        problem = _cone_problem(2, forcing=forcing)
+        spec = problem.spec
+        fld = solve(problem, t_range=t_range)
+        kept = sorted(fld.levels)
+        system = LagrangeSystem(
+            dx=spec.dx, forcing=forcing,
+            fieldobj=field_from_classification(
+                problem.classification, pad=required_padding(spec)),
+        )
+        set_initial_data(system, problem.f, problem.g)
+        out = integrate(system, 0.0, spec.T, spec.dt,
+                        record_times=[k * spec.dt for k in kept])
+        assert len(out) == len(kept)
+        for level, values in zip(kept, out.values()):
+            assert np.array_equal(
+                fld.levels[level], crop_centre(values, fld.shape)), level
 
     def test_returns_the_problem_window(self):
         problem = _cone_problem(2)
-        fld = solve(problem, t_range=(0.0, 0.4), window_only=True)
+        fld = solve(problem, t_range=(0.0, 0.4))
         expected = field_from_classification(problem.classification)
         assert fld.origin == expected.origin
         assert fld.shape == expected.shape
         assert np.array_equal(fld.interior, expected.interior)
         assert np.array_equal(fld.boundary, expected.boundary)
 
-    def test_each_step_is_one_ring_smaller(self, monkeypatch):
+    @staticmethod
+    def _laplacian_shapes(monkeypatch):
         shapes = []
         real = stencils.laplacian_array
 
@@ -182,8 +198,12 @@ class TestWindowOnly:
             return real(values, dx, **kwargs)
 
         monkeypatch.setattr(stencils, "laplacian_array", recording)
+        return shapes
+
+    def test_each_step_is_one_ring_smaller(self, monkeypatch):
+        shapes = self._laplacian_shapes(monkeypatch)
         problem = _cone_problem(2)
-        solve(problem, t_range=(0.0, 0.4), window_only=True)
+        solve(problem, t_range=(0.0, 0.4))
         window = problem.classification.shape
         steps = problem.spec.steps
         assert shapes == [
@@ -191,25 +211,17 @@ class TestWindowOnly:
             for rings in range(steps - 1, 0, -1)
         ]
 
-    def test_bounded_domain_unchanged(self):
+    def test_bounded_domain_steps_its_whole_window(self, monkeypatch):
+        shapes = self._laplacian_shapes(monkeypatch)
         spec = LatticeSpec(2, 0.1, 0.05, 0.4)
         problem = DiscreteProblem(
             spec=spec, domain=Domain.box([(0.0, 1.0)] * 2),
             f=DataFunction.gaussian([0.5, 0.5], 0.1), boundary_value=0.0,
         )
-        for t_range in T_RANGES:
-            plain = solve(problem, t_range=t_range)
-            cone = solve(problem, t_range=t_range, window_only=True)
-            assert (cone.origin, cone.shape) == (plain.origin, plain.shape)
-            assert np.array_equal(cone.interior, plain.interior)
-            assert sorted(cone.levels) == sorted(plain.levels)
-            for level, values in plain.levels.items():
-                assert np.array_equal(cone.levels[level], values)
-
-    def test_blowup_detected(self):
-        problem = _full_space_problem(f=lambda x: 1e13)
-        with pytest.raises(BlowupError):
-            solve(problem, t_range=(0.0, 0.4), window_only=True)
+        fld = solve(problem, t_range=(0.0, spec.T))
+        window = problem.classification.shape
+        assert fld.shape == window
+        assert shapes == [window] * (spec.steps - 1)
 
 
 def _energy(fld, level, dx, dt):
@@ -230,8 +242,8 @@ class TestEnergy:
         if bounded:  # zero-Dirichlet box
             domain = Domain.box([(0.0, 1.0)] * n)
             f = DataFunction.gaussian([0.5] * n, 0.1)
-        else:
-            domain = Domain.full_space([(-0.5, 0.5)] * n)
+        else:  # the window reaches past the support of the solution
+            domain = Domain.full_space([(-1.5, 1.5)] * n)
             f = DataFunction.smooth_bump([0.0] * n, 0.3)
         g = DataFunction.gaussian([0.05] * n, 0.12, amplitude=0.4)
         problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
@@ -284,12 +296,11 @@ class TestBufferReuse:
         )
         lo, hi = (round(t / spec.dt) for t in t_range)
         reference = _reference_levels(problem, lo, hi)
-        for window_only in (False, True):
-            fld = solve(problem, t_range=t_range, window_only=window_only)
-            assert fld.levels
-            for level, values in fld.levels.items():
-                assert np.array_equal(
-                    values, crop_centre(reference[level], values.shape)), level
+        fld = solve(problem, t_range=t_range)
+        assert fld.levels
+        for level, values in fld.levels.items():
+            assert np.array_equal(
+                values, crop_centre(reference[level], values.shape)), level
 
 
 class TestBootstrapWindow:
@@ -321,7 +332,7 @@ class TestBootstrapWindow:
         assert sorted(fld.levels) == [-1, 0, 1] and built == [-1, 1]
 
     @pytest.mark.parametrize("t_range", T_RANGES)
-    def test_window_only_bootstraps_the_window_grown_by_steps(self, t_range,
+    def test_full_space_bootstraps_the_window_grown_by_steps(self, t_range,
                                                               monkeypatch):
         shapes = []
         real = leapfrog.field_from_classification
@@ -333,7 +344,7 @@ class TestBootstrapWindow:
 
         monkeypatch.setattr(leapfrog, "field_from_classification", recording)
         problem = _cone_problem(2)
-        solve(problem, t_range=t_range, window_only=True)
+        solve(problem, t_range=t_range)
         steps = max(round(abs(t) / problem.spec.dt) for t in t_range)
         window = problem.classification.shape
         assert shapes[0] == tuple(w + 2 * steps for w in window)
@@ -350,7 +361,7 @@ class TestBootstrapWindow:
 
         monkeypatch.setattr(DataFunction, "__call__", recording)
         problem = _cone_problem(2)
-        fld = solve(problem, t_range=(0.0, 0.4), window_only=True)
+        fld = solve(problem, t_range=(0.0, 0.4))
         assert len(sizes) > 2 and max(sizes) < 100
         reference = _reference_levels(problem, 0, problem.spec.steps)
         for level, values in fld.levels.items():

@@ -64,8 +64,7 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
 
     spec = max(specs, key=bootstrap_points)
     problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
-    fld, peak, held = _traced(solve, problem, t_range=(0.0, spec.T),
-                              window_only=True)
+    fld, peak, held = _traced(solve, problem, t_range=(0.0, spec.T))
     assert sorted(fld.levels) == [0, 1, spec.steps - 2, spec.steps - 1,
                                   spec.steps]
     assert peak <= 5 * 8 * bootstrap_points(spec)

@@ -14,12 +14,16 @@ from wavelattice import (
     integrate,
     solve,
 )
-from wavelattice import leapfrog, stencils
+from wavelattice import elliptic, stencils
 from wavelattice.harness import default_config, run_experiment
 from wavelattice.lagrange import set_initial_data, system_for_domain
 from wavelattice.lattice import classify
 from wavelattice.spectral import dalembert_forcing, sample, separable_forcing
-from wavelattice.stencils import field_from_classification, lattice_points
+from wavelattice.stencils import (
+    field_from_classification,
+    lattice_points,
+    sample_window,
+)
 
 
 def _points(n, seed=0):
@@ -141,9 +145,37 @@ class TestCallCounts:
             f=DataFunction.gaussian([0.0, 0.0], 0.3), forcing=forcing,
         )
         fld = solve(problem, t_range=(0.0, spec.T))
-        window = (int(np.prod(fld.shape)), 2)
         assert [t for _, t in calls] == [k * spec.dt for k in range(spec.steps)]
-        assert all(shape == window for shape, _ in calls)
+        # level 0 on the bootstrap window, then each step on the points of
+        # the level it makes: level k + 1 reaches steps - k - 1 rings out
+        rings = [spec.steps] + [spec.steps - k - 1 for k in range(1, spec.steps)]
+        assert [shape for shape, _ in calls] == [
+            (math.prod(w + 2 * r for w in fld.shape), 2) for r in rings]
+
+    def test_split_pipeline_builds_the_points_once(self, monkeypatch):
+        # the assembly needs the window's points; the shift of a gridded f
+        # samples by blocks and builds none
+        built = []
+        real = elliptic.lattice_points
+
+        def recording(fieldobj):
+            built.append(fieldobj.shape)
+            return real(fieldobj)
+
+        monkeypatch.setattr(elliptic, "lattice_points", recording)
+        spec = LatticeSpec(2, 0.1, 0.05, 0.2)
+        domain = Domain.box([(0.0, 1.0)] * 2)
+        classification = classify(domain, spec)
+        f = np.full(classification.shape, 0.3)
+        split = elliptic.split_pipeline(elliptic.VariableCoefficientProblem(
+            spec=spec, domain=domain, f=f, h=0.2, classification=classification,
+            b=DataFunction.smooth_bump([0.5, 0.5], 0.45, amplitude=0.1),
+        ))
+        assert built == [classification.shape]
+        support = classification.support
+        assert np.array_equal(split.shifted_f[support],
+                              (f - split.elliptic.values)[support])
+        assert np.all(split.shifted_f[~support] == 0.0)
 
     def test_forced_verlet_calls_forcing_once_per_level(self):
         forcing, calls = _counting_forcing(2)
@@ -193,8 +225,9 @@ class TestCallCounts:
 
 
 class TestBlockSampling:
-    """The bootstrap samples f and g one block of window rows at a time;
-    the values equal those of the whole window's points."""
+    """The bootstrap and the split pipeline sample f and g one block of
+    window rows at a time; the values equal those of the whole window's
+    points."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("block_points", [1, 37, 1 << 16])
@@ -207,14 +240,14 @@ class TestBlockSampling:
         gridded = np.arange(math.prod(fld.shape), dtype=float).reshape(fld.shape)
         plain = lambda x: 1.0 + x[0] * x[-1]
         for data in _catalog(n) + [None, 1.5, plain, gridded]:
-            blocks = leapfrog._sample_blocks(data, fld)
+            blocks = sample_window(data, fld)
             assert blocks.shape == fld.shape
             assert np.array_equal(blocks, sample(data, points)), data
-        assert leapfrog._sample_blocks(gridded, fld) is not gridded
+        assert sample_window(gridded, fld) is not gridded
 
     def test_gridded_data_must_match_the_window(self):
         spec = LatticeSpec(2, 0.05, 0.025, 0.2)
         fld = field_from_classification(
             classify(Domain.full_space([(-0.2, 0.2)] * 2), spec), pad=2)
         with pytest.raises(ValueError, match="does not match"):
-            leapfrog._sample_blocks(np.zeros((3, 3)), fld)
+            sample_window(np.zeros((3, 3)), fld)
