@@ -67,11 +67,11 @@ class DiscreteProblem:
             self.classification = classify(self.domain, self.spec)
 
 
-def required_padding(spec: LatticeSpec, steps: Optional[int] = None) -> int:
+def required_padding(spec: LatticeSpec) -> int:
     """Rings by which `bootstrap` pads a full-space window: laplacian_array
-    leaves the outermost ring at zero, so a run of `steps` steps from the
+    leaves the outermost ring at zero, so a run of spec.steps steps from the
     padded levels stays exact on the window grown by two rings."""
-    return (steps if steps is not None else spec.steps) + 2
+    return spec.steps + 2
 
 
 def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
@@ -113,16 +113,16 @@ def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
     return fieldobj, v0, first, clamp, terms
 
 
-def bootstrap(problem: DiscreteProblem, pad: Optional[int] = None) -> GridField:
+def bootstrap(problem: DiscreteProblem) -> GridField:
     """Levels t = -dt, 0, +dt satisfying both initial conditions.
 
     Level 0 samples f; the two neighbours come from combining the centered
     velocity condition with the scheme equation at t = 0, which gives
     v(x, +/-dt) = f +/- dt g + (dt^2/2)(Lap_dx f + w(x, 0)).  Boundary
-    points hold the boundary value at all three levels.
+    points hold the boundary value at all three levels.  A full-space
+    window is padded by `required_padding(spec)` rings.
     """
-    if pad is None:
-        pad = required_padding(problem.spec) if not problem.domain.bounded else 0
+    pad = 0 if problem.domain.bounded else required_padding(problem.spec)
     fieldobj, v0, first, _, _ = _bootstrap(problem, pad)
     fieldobj.levels = {0: v0, **first}
     return fieldobj

@@ -115,11 +115,15 @@ class TestIntegrate:
         if shape == "box":
             domain, pad = Domain.box([(0.0, 1.0)] * n), 0
         else:
-            domain, pad = Domain.full_space([(0.0, 1.0)] * n), required_padding(spec)
+            # [0, 1] grown by steps + 2 rings: the solve returns 35^2 points
+            reach = round((spec.steps + 2) * spec.dx, 12)
+            domain = Domain.full_space([(-reach, 1.0 + reach)] * n)
+            pad = required_padding(spec)
         space = DataFunction.gaussian([0.4] * n, 0.15)
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing)
         leap = solve(problem, t_range=(0.0, spec.T))
+        assert leap.shape == ((11,) if shape == "box" else (35,)) * n
         system = LagrangeSystem(
             dx=spec.dx, forcing=forcing,
             fieldobj=field_from_classification(problem.classification, pad=pad),

@@ -124,7 +124,7 @@ class TestSolve:
 class TestPadding:
     def test_required_padding_covers_dependence_cone(self):
         spec = LatticeSpec(1, 0.1, 0.05, 0.4)
-        assert required_padding(spec, steps=8) >= 8
+        assert required_padding(spec) >= spec.steps
 
 
 def _cone_problem(n, **kw):
@@ -156,14 +156,29 @@ class TestDependenceCone:
             assert np.array_equal(
                 values, crop_centre(reference[level], values.shape)), level
 
+    @staticmethod
+    def _forced_problem():
+        # exp(t) tells a backward level's time from the forward one's
+        space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
+        return _cone_problem(2, forcing=separable_forcing(space, math.exp))
+
+    @pytest.mark.parametrize("t_range", T_RANGES)
+    def test_forced_levels_equal_plain_loop_on_window(self, t_range):
+        problem = self._forced_problem()
+        lo, hi = (round(t / problem.spec.dt) for t in t_range)
+        reference = _reference_levels(problem, lo, hi)
+        fld = solve(problem, t_range=t_range)
+        assert fld.levels
+        for level, values in fld.levels.items():
+            assert np.array_equal(
+                values, crop_centre(reference[level], values.shape)), level
+
     @pytest.mark.parametrize("t_range", [(0.0, 0.4), (0.1, 0.4)])
     def test_forced_levels_equal_padded_verlet(self, t_range):
         # Verlet at h = dt is the forced scheme; on the window padded by
         # steps + 2 rings it is exact on the problem's window
-        space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
-        forcing = separable_forcing(space, math.cos)
-        problem = _cone_problem(2, forcing=forcing)
-        spec = problem.spec
+        problem = self._forced_problem()
+        forcing, spec = problem.forcing, problem.spec
         fld = solve(problem, t_range=t_range)
         kept = sorted(fld.levels)
         system = LagrangeSystem(
@@ -256,24 +271,34 @@ class TestEnergy:
 
 def _reference_levels(problem, lo, hi):
     """Every level lo..hi of the padded run by the plain three-level loop,
-    one fresh array per level (no buffer is ever reused)."""
+    one fresh array per level (no buffer is ever reused).  The forcing, if
+    any, enters each level's acceleration at that level's signed time."""
     spec = problem.spec
-    pad = 0 if problem.domain.bounded else required_padding(
-        spec, max(hi, -lo, 1))
+    # a run of s steps from a window padded by s + 2 rings is exact on it
+    pad = 0 if problem.domain.bounded else max(hi, -lo, 1) + 2
     fld = field_from_classification(problem.classification, pad=pad)
     points = lattice_points(fld)
     clamp = window_clamp(fld, problem.boundary_value)
+
+    def accel(values, level):
+        out = laplacian_array(values, spec.dx)
+        if problem.forcing is not None:
+            flat = points.reshape(-1, points.shape[-1])
+            w = problem.forcing.func(flat, level * spec.dt)
+            out = out + w.reshape(out.shape)
+        return out
+
     v0 = clamp_level(sample(problem.f, points), clamp)
     velocity = sample(problem.g, points)
-    accel = laplacian_array(v0, spec.dx)
     levels = {0: v0}
     for sign, end in ((1, hi), (-1, lo)):
         prev, cur = v0, clamp_level(
-            leapfrog_first_level(v0, sign * velocity, accel, spec.dt), clamp)
+            leapfrog_first_level(v0, sign * velocity, accel(v0, 0), spec.dt),
+            clamp)
         levels[sign] = cur
         for level in range(2 * sign, end + sign, sign):
             new = clamp_level(leapfrog_advance(
-                cur, prev, laplacian_array(cur, spec.dx), sign * spec.dt), clamp)
+                cur, prev, accel(cur, level - sign), sign * spec.dt), clamp)
             levels[level] = new
             prev, cur = cur, new
     return levels
