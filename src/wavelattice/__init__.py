@@ -29,7 +29,6 @@ from .errors import (
     CflViolationError,
     MissingLevelError,
     MissingNeighborError,
-    NanDetectedError,
     NoCommonPointsError,
     SGridMisalignedError,
     SingularSystemError,
@@ -56,7 +55,7 @@ from .lattice import (
     is_admissible,
     refine_halving,
 )
-from .leapfrog import DiscreteProblem, bootstrap, required_padding, solve
+from .leapfrog import DiscreteProblem, solve
 from .spectral import (
     DataFunction,
     Forcing,

@@ -42,10 +42,6 @@ class BlowupError(WaveLatticeError):
         self.max_value = max_value
 
 
-class NanDetectedError(WaveLatticeError):
-    """NaN or Inf appeared in an integrator state."""
-
-
 class SingularSystemError(WaveLatticeError):
     """The assembled elliptic system could not be solved reliably."""
 

@@ -2,12 +2,10 @@
 
 Discretizing space only turns the wave problem into the second-order ODE
 system xi''(x) = a(x) Lap_dx xi(x) - sigma(x) xi(x) + w(x, t) with the
-boundary clamped.  The default Stormer-Verlet integrator in its
-three-level position form runs on the stepping kernel of the leapfrog
-solver, so at h = dt (with unit velocity and zero flexibility) it
-reproduces the scheme bit-identically and raises BlowupError through the
-same guard; RK4 is available for small-step reference runs and raises
-NanDetectedError on a non-finite state.
+boundary clamped.  The Stormer-Verlet integrator in its three-level
+position form runs on the stepping kernel of the leapfrog solver, so at
+h = dt (with unit velocity and zero flexibility) it reproduces the scheme
+bit-identically and raises BlowupError through the same guard.
 """
 
 from __future__ import annotations
@@ -18,21 +16,20 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NanDetectedError
 from .lattice import Domain, LatticeSpec, classify
 from .spectral import (
     Forcing,
     FrequencyQuadrature,
-    sample,
     semidiscrete_closed_form_phi,
 )
 from .stencils import (
     GridField,
+    add_forcing,
     clamp_level,
     field_from_classification,
     laplacian_array,
-    lattice_points,
     leapfrog_first_level,
+    sample_window,
     three_level_steps,
     window_clamp,
 )
@@ -56,25 +53,23 @@ class LagrangeSystem:
     boundary_value: Union[float, Callable] = 0.0
     values: np.ndarray = field(default=None, repr=False)
     velocities: np.ndarray = field(default=None, repr=False)
-    _points: np.ndarray = field(default=None, repr=False)
     _a_vals: np.ndarray = field(default=None, repr=False)
     _sigma_vals: np.ndarray = field(default=None, repr=False)
     _clamp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        self._points = lattice_points(self.fieldobj)
         shape = self.fieldobj.shape
         if self.a is not None:
-            self._a_vals = sample(self.a, self._points)
+            self._a_vals = sample_window(self.a, self.fieldobj)
         if self.sigma is not None:
-            self._sigma_vals = sample(self.sigma, self._points)
+            self._sigma_vals = sample_window(self.sigma, self.fieldobj)
         if self.values is None:
             self.values = np.zeros(shape)
         if self.velocities is None:
             self.velocities = np.zeros(shape)
         bvals = self.boundary_value
         if callable(bvals):
-            bvals = sample(bvals, self._points)
+            bvals = sample_window(bvals, self.fieldobj)
         self._clamp = window_clamp(self.fieldobj, bvals)
 
     def clamp(self, arr: np.ndarray) -> np.ndarray:
@@ -97,8 +92,8 @@ def set_initial_data(system: LagrangeSystem, f, g) -> None:
 
     Gridded `f`/`g` must match the window's shape (ValueError otherwise).
     """
-    system.values = system.clamp(sample(f, system._points))
-    system.velocities = sample(g, system._points)
+    system.values = system.clamp(sample_window(f, system.fieldobj))
+    system.velocities = sample_window(g, system.fieldobj)
     system.velocities[~system.fieldobj.interior] = 0.0
 
 
@@ -120,13 +115,11 @@ def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
     if system._sigma_vals is not None:
         accel = accel - system._sigma_vals * xi
     if system.forcing is not None:
-        flat = system._points.reshape(-1, system._points.shape[-1])
-        accel = accel + system.forcing.func(flat, t).reshape(system.fieldobj.shape)
+        accel = add_forcing(accel, system.forcing, system.fieldobj, t)
     return accel
 
 
 def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
-              method: str = "stormer_verlet",
               record_times: Optional[list] = None) -> dict:
     """Fixed-step trajectory of the clamped system from t0 to t1.
 
@@ -147,22 +140,8 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
             if abs(t0 + k * h_ode - t) > 1e-9:
                 raise ValueError(f"record time {t} is not on the step grid")
             wanted.add(k)
-    out = {}
-
-    if method == "stormer_verlet":
-        trajectory = _verlet(system, t0, steps, h_ode, wanted)
-    elif method == "rk4":
-        trajectory = _rk4(system, t0, steps, h_ode, wanted)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    for k, arr in trajectory.items():
-        out[t0 + k * h_ode] = arr
-    return out
-
-
-def _check_finite(arr: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NanDetectedError(f"non-finite state at t = {t:.6g}")
+    trajectory = _verlet(system, t0, steps, h_ode, wanted)
+    return {t0 + k * h_ode: arr for k, arr in trajectory.items()}
 
 
 def _verlet(system, t0, steps, h, wanted):
@@ -182,42 +161,6 @@ def _verlet(system, t0, steps, h, wanted):
     out[steps] = np.array(cur)
     system.values = cur
     return out
-
-
-def _rk4(system, t0, steps, h, wanted):
-    out = {}
-    xi = np.array(system.values)
-    vel = np.array(system.velocities)
-    interior = system.fieldobj.interior
-    if 0 in wanted:
-        out[0] = np.array(xi)
-    for k in range(steps):
-        t = t0 + k * h
-
-        def accel(v, tau):
-            return rhs(system, tau, v)
-
-        k1x, k1v = vel, accel(xi, t)
-        k2x = vel + (h / 2.0) * k1v
-        k2v = accel(_clamped(system, xi + (h / 2.0) * k1x), t + h / 2.0)
-        k3x = vel + (h / 2.0) * k2v
-        k3v = accel(_clamped(system, xi + (h / 2.0) * k2x), t + h / 2.0)
-        k4x = vel + h * k3v
-        k4v = accel(_clamped(system, xi + h * k3x), t + h)
-        xi = _clamped(system, xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x))
-        vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        vel[~interior] = 0.0
-        _check_finite(xi, t + h)
-        if (k + 1) in wanted:
-            out[k + 1] = np.array(xi)
-    out[steps] = np.array(xi)
-    system.values = xi
-    system.velocities = vel
-    return out
-
-
-def _clamped(system, arr):
-    return system.clamp(np.array(arr))
 
 
 def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,

@@ -19,14 +19,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .lattice import Domain, LatticeSpec, classify
-from .spectral import DataFunction, Forcing, sample
+from .spectral import DataFunction, Forcing
 from .stencils import (
     GridField,
+    add_forcing,
     clamp_level,
     crop_centre,
     field_from_classification,
     laplacian_array,
-    lattice_points,
     leapfrog_first_level,
     sample_window,
     three_level_steps,
@@ -67,34 +67,26 @@ class DiscreteProblem:
             self.classification = classify(self.domain, self.spec)
 
 
-def required_padding(spec: LatticeSpec) -> int:
-    """Rings by which `bootstrap` pads a full-space window: laplacian_array
-    leaves the outermost ring at zero, so a run of spec.steps steps from the
-    padded levels stays exact on the window grown by two rings."""
-    return spec.steps + 2
+def _bootstrap(problem: DiscreteProblem, pad: int, signs):
+    """Level 0 and the first levels `signs` on the problem's window padded by
+    `pad` rings, plus the clamp and forcing term that the stepping kernel
+    needs for the rest of the run.
 
-
-def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
-    """Level 0 and the first levels `signs` on a fresh window, plus the clamp
-    and forcing term that the stepping kernel needs for the rest of the run.
-
-    Returns (field, v0, {sign: level}, clamp, terms); the field's levels are
-    left empty.
+    Level 0 samples f; each first level combines the centered velocity
+    condition with the scheme equation at t = 0, which gives
+    v(x, +/-dt) = f +/- dt g + (dt^2/2)(Lap_dx f + w(x, 0)).  Returns
+    (field, v0, {sign: level}, clamp, terms); the field's levels are left
+    empty.
     """
     fieldobj = field_from_classification(problem.classification, pad=pad)
-    points = None
-    if problem.forcing is not None or callable(problem.boundary_value):
-        points = lattice_points(fieldobj)
     bvals = problem.boundary_value
     if callable(bvals):
-        bvals = sample(bvals, points)
+        bvals = sample_window(bvals, fieldobj)
     clamp = window_clamp(fieldobj, bvals)
     terms = None
     if problem.forcing is not None:
         def terms(accel, values, t):
-            at = crop_centre(points, accel.shape + points.shape[-1:])
-            flat = at.reshape(-1, at.shape[-1])
-            return accel + problem.forcing.func(flat, t).reshape(accel.shape)
+            return add_forcing(accel, problem.forcing, fieldobj, t)
     dt = problem.spec.dt
 
     v0 = clamp_level(sample_window(problem.f, fieldobj), clamp)
@@ -111,21 +103,6 @@ def _bootstrap(problem: DiscreteProblem, pad: int, signs=(-1, 1)):
             leapfrog_first_level(v0, gv, accel, sign * dt, out=out), clamp
         )
     return fieldobj, v0, first, clamp, terms
-
-
-def bootstrap(problem: DiscreteProblem) -> GridField:
-    """Levels t = -dt, 0, +dt satisfying both initial conditions.
-
-    Level 0 samples f; the two neighbours come from combining the centered
-    velocity condition with the scheme equation at t = 0, which gives
-    v(x, +/-dt) = f +/- dt g + (dt^2/2)(Lap_dx f + w(x, 0)).  Boundary
-    points hold the boundary value at all three levels.  A full-space
-    window is padded by `required_padding(spec)` rings.
-    """
-    pad = 0 if problem.domain.bounded else required_padding(problem.spec)
-    fieldobj, v0, first, _, _ = _bootstrap(problem, pad)
-    fieldobj.levels = {0: v0, **first}
-    return fieldobj
 
 
 def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridField:

@@ -16,7 +16,6 @@ from wavelattice import (
 )
 from wavelattice import stencils
 from wavelattice.errors import (
-    BlowupError,
     MissingLevelError,
     MissingNeighborError,
     NoCommonPointsError,
@@ -427,25 +426,72 @@ class TestExperiments:
         assert (tmp_path / "config.ini").exists()
 
 
-def _whole_window_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
-    """E5's raw run with cos(alpha.x) formed on the whole window's points."""
+def _plain_cone_levels(n, dx, dt, steps, seed_alpha, extent=0.5):
+    """E5's raw run by the plain loop, one fresh array per level, from
+    cos(alpha.x) formed on the whole padded window's points.  Yields levels
+    0..steps, level k >= 1 cropped to the points k rings in from the
+    window's edge: those its values are exact on."""
     half = int(math.ceil(extent / dx)) + steps + 2
     pts = stencils.grid_points([np.arange(-half, half + 1) * dx] * n)
     v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
     accel = stencils.laplacian_array(v0, dx)
-    v1 = stencils.leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
-    max_abs = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
-    try:
-        for level in stencils.three_level_steps(v0, v1, dt, dx, steps):
-            max_abs = max(max_abs, float(np.max(np.abs(level))))
-    except BlowupError as exc:
-        return max(max_abs, exc.max_value), exc.level
+    prev, cur = v0, stencils.leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
+    yield v0
+    for k in range(1, steps + 1):
+        if k >= 2:
+            prev, cur = cur, stencils.leapfrog_advance(
+                cur, prev, stencils.laplacian_array(cur, dx), dt)
+        yield stencils.crop_centre(cur, tuple(s - 2 * k for s in v0.shape))
+
+
+def _plain_cone_max(n, dx, dt, steps, seed_alpha):
+    """(max |v|, blowup level or None) over `_plain_cone_levels`, with the
+    stepping kernel's guard on levels 2 and up."""
+    max_abs = 0.0
+    levels = _plain_cone_levels(n, dx, dt, steps, seed_alpha)
+    for k, level in enumerate(levels):
+        m = float(np.max(np.abs(level)))
+        if k >= 2 and (not np.isfinite(m) or m > stencils.BLOWUP_THRESHOLD):
+            return max(max_abs, m), k
+        max_abs = max(max_abs, m)
     return max_abs, None
 
 
+def _e5_ratios(n, dt):
+    """dx at dt/dx = 1/sqrt(n) (admissible), a 5% and a twofold violation,
+    and 1/(1.05 sqrt(n))."""
+    root = math.sqrt(n)
+    return (dt * root, dt * root / 1.05, dt * root / 2, 1.05 * dt / root)
+
+
 class TestE5RawRun:
-    """E5 forms its seed level one block of axis-0 rows at a time; the
-    maximum and the blowup level are those of the whole-window form."""
+    """E5 forms its seed level one block of axis-0 rows at a time and steps
+    it on the dependence cone of its padded window: every level it sees is
+    the plain loop's on the points that level holds exactly, so each
+    maximum it reports is a value of the scheme on Z^n."""
+
+    @pytest.mark.parametrize("n, steps", [(1, 12), (2, 8), (3, 5)])
+    def test_levels_equal_plain_loop_on_the_cone(self, n, steps, monkeypatch):
+        seen = []
+        real = experiments.three_level_steps
+
+        def recording(*args, **kwargs):
+            for level in real(*args, **kwargs):
+                seen.append(level.copy())
+                yield level
+
+        monkeypatch.setattr(experiments, "three_level_steps", recording)
+        dt = 0.05
+        for dx in _e5_ratios(n, dt):
+            seen.clear()
+            alpha = [math.pi / dx] * n
+            _, blow = experiments._raw_leapfrog_max(n, dx, dt, steps, alpha)
+            # levels 2..steps, or up to the one before the blowup
+            assert len(seen) == (steps + 1 if blow is None else blow) - 2
+            plain = itertools.islice(
+                _plain_cone_levels(n, dx, dt, steps, alpha), 2, None)
+            for level, expected in zip(seen, plain):
+                assert np.array_equal(level, expected)
 
     @pytest.mark.parametrize("n, steps", [(1, 60), (2, 30), (3, 10)])
     @pytest.mark.parametrize("block_points", [7, 1 << 16])
@@ -453,10 +499,88 @@ class TestE5RawRun:
                                        monkeypatch):
         monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
         dt = 0.05
-        for dx in (1.05 * dt / math.sqrt(n), dt * math.sqrt(n) / 2):
+        for dx in _e5_ratios(n, dt):
             alpha = [math.pi / dx] * n
             assert experiments._raw_leapfrog_max(n, dx, dt, steps, alpha) == (
-                _whole_window_leapfrog_max(n, dx, dt, steps, alpha))
+                _plain_cone_max(n, dx, dt, steps, alpha))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_control_run_equals_the_padded_window_run(self, n):
+        # the reference steps the whole window padded by steps + 2 rings;
+        # the Gaussian's maximum never reaches its inexact outer rings
+        config = default_config("E5", n=n)
+        steps = round(config.T / config.dx) if n == 1 else 50
+        dt = config.T / steps
+        dx = dt * math.sqrt(n)
+        problem = DiscreteProblem(spec=LatticeSpec(n, dx, dt, config.T),
+                                  domain=Domain.full_space(config.window()))
+        fld = stencils.field_from_classification(problem.classification,
+                                                 pad=steps + 2)
+        v0 = stencils.sample_window(config.data("f"), fld)
+        v1 = stencils.leapfrog_first_level(
+            v0, np.zeros_like(v0), stencils.laplacian_array(v0, dx), dt)
+        control = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
+        for level in stencils.three_level_steps(v0.copy(), v1, dt, dx, steps):
+            control = max(control, float(np.max(np.abs(level))))
+        result = run_experiment(config)
+        assert result.tables["cfl"].rows[1].sup_error == control
+
+    # reversed-order level 0 runs at dt/dx = 1/sqrt(n) from the checkerboard
+    # seed, so v_k = (-1)^k v_0; a run that steps the whole padded window
+    # reads 1.526 there at n = 2, from the zero outer ring that
+    # laplacian_array leaves, and the pinned value is that run's
+    PINNED = {
+        1: {
+            "cfl": [(0.02, 0.021, 1019242595318.9473), (0.02, 0.02, 1.0)],
+            "reversed_order": [(0.05, 0.05, 1.0),
+                               (0.025, 0.05, 1913445293767.0),
+                               (0.0125, 0.05, 1757602506271.0)],
+            "blowup": "blowup detected at level 45 (t = 0.9450 < T = 1.0), "
+                      "max |v| = 1.019e+12",
+            "min_g": "min |G| over real beta at the seed: 9.297e+02",
+            "dx_r": ["0.05", "0.025", "0.0125"],
+        },
+        2: {
+            "cfl": [(0.02, 0.014849242404917497, 1019242595318.9309),
+                    (0.028284271247461905, 0.02, 1.0)],
+            "reversed_order": [(0.07071067811865477, 0.05, 1.5263671875000933),
+                               (0.03535533905932738, 0.05, 1913445293766.995),
+                               (0.01767766952966369, 0.05, 1757602506270.9976)],
+            "blowup": "blowup detected at level 45 (t = 0.6682 < T = 1.0), "
+                      "max |v| = 1.019e+12",
+            "min_g": "min |G| over real beta at the seed: 1.859e+03",
+            "dx_r": ["0.07071", "0.03536", "0.01768"],
+        },
+    }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_and_notes_pinned(self, n):
+        pinned = self.PINNED[n]
+        result = run_experiment(default_config("E5", n=n))
+        assert result.passed
+        for name in ("cfl", "reversed_order"):
+            rows = result.tables[name].rows
+            assert len(rows) == len(pinned[name])
+            for k, (row, (dx, dt, sup)) in enumerate(zip(rows, pinned[name])):
+                assert (row.level, row.dx, row.dt, row.l2_error) == (k, dx, dt, 0.0)
+                if name == "reversed_order" and k == 0:
+                    # the corrected entry: v_k = (-1)^k v_0 gives max |v| = 1
+                    assert abs(row.sup_error - 1.0) <= 1e-12
+                else:
+                    assert row.sup_error == sup
+        dx_r = pinned["dx_r"]
+        assert result.notes == [
+            "violating run: arcsin argument 1.050000 (> 1 expected)",
+            "beta raises cfl-violation at the seeded frequency",
+            pinned["min_g"],
+            pinned["blowup"],
+            "control run: max |v| = 1.000000, initial sup = 1.000000",
+            f"reversed-order level 0: dx = {dx_r[0]}, max |v| = 1.000e+00",
+            f"reversed-order level 1: dx = {dx_r[1]}, max |v| = 1.913e+12, "
+            "blowup at level 11",
+            f"reversed-order level 2: dx = {dx_r[2]}, max |v| = 1.758e+12, "
+            "blowup at level 7",
+        ]
 
 
 def _loop_quotients(field, index, level):

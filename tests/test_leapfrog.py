@@ -18,7 +18,6 @@ from wavelattice import (
 )
 from wavelattice import leapfrog, stencils
 from wavelattice.lagrange import LagrangeSystem
-from wavelattice.leapfrog import required_padding
 from wavelattice.spectral import sample
 from wavelattice.stencils import (
     clamp_level,
@@ -121,12 +120,6 @@ class TestSolve:
                             a=lambda x: 1.1)
 
 
-class TestPadding:
-    def test_required_padding_covers_dependence_cone(self):
-        spec = LatticeSpec(1, 0.1, 0.05, 0.4)
-        assert required_padding(spec) >= spec.steps
-
-
 def _cone_problem(n, **kw):
     spec = LatticeSpec(n, 0.1, 0.05, 0.4)
     return DiscreteProblem(
@@ -157,14 +150,20 @@ class TestDependenceCone:
                 values, crop_centre(reference[level], values.shape)), level
 
     @staticmethod
-    def _forced_problem():
+    def _forced_problem(n=2):
         # exp(t) tells a backward level's time from the forward one's
-        space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
-        return _cone_problem(2, forcing=separable_forcing(space, math.exp))
+        space = DataFunction.gaussian([0.0] + [0.1] * (n - 1), 0.2, amplitude=2.0)
+        return _cone_problem(n, forcing=separable_forcing(space, math.exp))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("block_points", [7, 1 << 16])
     @pytest.mark.parametrize("t_range", T_RANGES)
-    def test_forced_levels_equal_plain_loop_on_window(self, t_range):
-        problem = self._forced_problem()
+    def test_forced_levels_equal_plain_loop_on_window(self, n, block_points,
+                                                      t_range, monkeypatch):
+        # each level's forcing is sampled one block of rows at a time on the
+        # sub-window it steps; the reference samples the whole padded window
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
+        problem = self._forced_problem(n)
         lo, hi = (round(t / problem.spec.dt) for t in t_range)
         reference = _reference_levels(problem, lo, hi)
         fld = solve(problem, t_range=t_range)
@@ -184,7 +183,7 @@ class TestDependenceCone:
         system = LagrangeSystem(
             dx=spec.dx, forcing=forcing,
             fieldobj=field_from_classification(
-                problem.classification, pad=required_padding(spec)),
+                problem.classification, pad=spec.steps + 2),
         )
         set_initial_data(system, problem.f, problem.g)
         out = integrate(system, 0.0, spec.T, spec.dt,
@@ -350,11 +349,6 @@ class TestBootstrapWindow:
         built = self._first_levels(monkeypatch)
         solve(_cone_problem(1), t_range=t_range)
         assert built == signs
-
-    def test_public_bootstrap_builds_both_first_levels(self, monkeypatch):
-        built = self._first_levels(monkeypatch)
-        fld = leapfrog.bootstrap(_cone_problem(1))
-        assert sorted(fld.levels) == [-1, 0, 1] and built == [-1, 1]
 
     @pytest.mark.parametrize("t_range", T_RANGES)
     def test_full_space_bootstraps_the_window_grown_by_steps(self, t_range,

@@ -1,11 +1,19 @@
 """Memory bounded by design: the oracle synthesis and the full-space solve of
-E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4)."""
+E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4), and the
+forced full-space solve of E6(b) at n = 3."""
 
+import math
 import tracemalloc
 
 import numpy as np
 
-from wavelattice import DiscreteProblem, Domain, continuum_solution_u, solve
+from wavelattice import (
+    DiscreteProblem,
+    Domain,
+    continuum_solution_u,
+    dalembert_forcing,
+    solve,
+)
 from wavelattice.harness import default_config
 from wavelattice.harness.experiments import (
     _probe_indices,
@@ -70,3 +78,20 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
     assert peak <= 5 * 8 * bootstrap_points(spec)
     # the field keeps five window-sized levels, no view of a larger buffer
     assert held <= 6 * 8 * int(np.prod(fld.shape))
+
+
+def test_forced_fullspace_solve_holds_few_window_arrays():
+    # E6(b) at n = 3: the forcing is sampled one block of rows at a time on
+    # the sub-window each level steps, so no point array of the bootstrap
+    # window exists and the forcing is added in place
+    config = default_config("E6", n=3)
+    spec = config.base_spec()
+    space = config.data("f")
+    forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+    problem = DiscreteProblem(spec=spec, domain=Domain.full_space(config.window()),
+                              f=space, forcing=forcing)
+    fld, peak, _ = _traced(solve, problem, t_range=(0.0, spec.T))
+    assert spec.steps in fld.levels
+    window = problem.classification.shape
+    bootstrap_points = int(np.prod([w + 2 * spec.steps for w in window]))
+    assert peak <= 5 * 8 * bootstrap_points
