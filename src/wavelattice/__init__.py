@@ -7,7 +7,6 @@ harness of convergence experiments.
 """
 
 from .dispersion import (
-    DispersionBranch,
     beta,
     beta_arrays,
     beta_semidiscrete,

@@ -94,26 +94,3 @@ def beta_semidiscrete(alpha, dx):
     out = (2.0 / dx) * np.sqrt(_sin_half_sq_sum(alpha, dx))
     return out if np.ndim(out) else float(out)
 
-
-class DispersionBranch:
-    """Evaluator of the dispersion root for one lattice.
-
-    dt = 0 selects the semidiscrete branch; dx = dt = 0 the continuum
-    limit |alpha|.  Output is always the nonnegative branch.
-    """
-
-    def __init__(self, spec: LatticeSpec | None = None, *, dx: float = 0.0, dt: float = 0.0):
-        if spec is not None:
-            self.dx, self.dt = spec.dx, spec.dt
-        else:
-            self.dx, self.dt = dx, dt
-        self.spec = spec
-
-    def __call__(self, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        if self.dx == 0.0 and self.dt == 0.0:
-            out = np.sqrt(np.sum(alpha**2, axis=-1))
-            return out if np.ndim(out) else float(out)
-        if self.dt == 0.0:
-            return beta_semidiscrete(alpha, self.dx)
-        return beta_arrays(alpha, self.dx, self.dt)

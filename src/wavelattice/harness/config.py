@@ -4,7 +4,8 @@ The format is deliberately simple (configparser-compatible, no nesting) so
 experiment provenance diffs cleanly.  Data selections are catalog strings,
 e.g. ``gaussian center=0,0 width=0.3 amplitude=1``; vector values separate
 components with commas, fields separate with spaces.  Configs round-trip
-losslessly through ``to_text`` / ``from_text``.
+losslessly through ``to_text`` / ``from_text``, and ``from_text`` refuses
+any section or key that ``to_text`` does not write.
 """
 
 from __future__ import annotations
@@ -155,10 +156,8 @@ class ExperimentConfig:
     w: str = "none"
     a: str = "none"
     sigma: str = "none"
-    sup_tol: float = 1e-6
     order_lo: float = 1.7
     order_hi: float = 2.3
-    out: str = "out"
 
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
@@ -237,11 +236,9 @@ class ExperimentConfig:
             "sigma": self.sigma,
         }
         cp["tolerances"] = {
-            "sup_tol": repr(self.sup_tol),
             "order_lo": repr(self.order_lo),
             "order_hi": repr(self.order_hi),
         }
-        cp["output"] = {"out": self.out}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -251,12 +248,20 @@ class ExperimentConfig:
         cp = configparser.ConfigParser()
         try:
             cp.read_string(text)
+            # the sections and keys to_text writes are the only ones read
+            known = configparser.ConfigParser()
+            known.read_string(cls().to_text())
+            for section in cp.sections():
+                if not known.has_section(section):
+                    raise ConfigError(f"unknown section [{section}]")
+                for key in cp[section]:
+                    if not known.has_option(section, key):
+                        raise ConfigError(f"unknown key {key!r} in [{section}]")
             exp = cp["experiment"]
             lat = cp["lattice"]
             dom = cp["domain"]
             dat = cp["data"]
             tol = cp["tolerances"] if cp.has_section("tolerances") else {}
-            out = cp["output"] if cp.has_section("output") else {}
             return cls(
                 experiment=exp.get("id", "E1"),
                 n=int(exp.get("n", "1")),
@@ -276,10 +281,8 @@ class ExperimentConfig:
                 w=dat.get("w", "none"),
                 a=dat.get("a", "none"),
                 sigma=dat.get("sigma", "none"),
-                sup_tol=float(tol.get("sup_tol", "1e-6")),
                 order_lo=float(tol.get("order_lo", "1.7")),
                 order_hi=float(tol.get("order_hi", "2.3")),
-                out=out.get("out", "out"),
             )
         except ConfigError:
             raise

@@ -124,7 +124,7 @@ def _oracle(f, g, quad):
     return call
 
 
-def _quad_for(f, g, T, n):
+def _quad_for(f, g, T):
     data = [d for d in (f, g) if d is not None and d.single_frequency is None]
     if not data:
         return None
@@ -171,7 +171,7 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
     window = config.window()
     domain = Domain.full_space(window)
-    quad = _quad_for(f, g, base.T, config.n)
+    quad = _quad_for(f, g, base.T)
     oracle = _oracle(f, g, quad)
     # (sup, l2) per lattice: the two families share most of their lattices,
     # and each is solved once; its field is dropped as soon as it is compared.
@@ -232,7 +232,7 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     base = config.base_spec()
     f, g = config.data("f"), config.data("g")
     window = config.window()
-    quad = _quad_for(f, g, base.T, config.n)
+    quad = _quad_for(f, g, base.T)
     t_mid = base.T / 2.0
     probes = _probe_indices(window, base.dx)
     points = probes.astype(float) * base.dx
@@ -361,8 +361,9 @@ def _cone_max(v0, velocity, dt, dx, steps):
     v1 = crop_centre(v1, tuple(s - 2 for s in v1.shape))
     max_abs = max(_sup(v0), _sup(v1))
     try:
-        for level in three_level_steps(v0, v1, dt, dx, steps, shrink=True):
-            max_abs = max(max_abs, _sup(level))
+        for _, level_max in three_level_steps(v0, v1, dt, dx, steps,
+                                              shrink=True):
+            max_abs = max(max_abs, level_max)
     except BlowupError as exc:
         return max(max_abs, exc.max_value), exc.level
     return max_abs, None

@@ -154,7 +154,7 @@ def _verlet(system, t0, steps, h, wanted):
     # the kernel writes each level over the one two steps before it
     run = three_level_steps(xi, cur, h, system.dx, steps, t0=t0,
                             terms=partial(_terms, system), clamp=system._clamp)
-    for k, level in enumerate(run, start=2):
+    for k, (level, _) in enumerate(run, start=2):
         if k - 1 in wanted:
             out[k - 1] = cur.copy()
         cur = level

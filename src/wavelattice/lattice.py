@@ -49,15 +49,6 @@ class LatticeSpec:
         cfl = self.dt / self.dx <= (1.0 + REL_TOL) / math.sqrt(self.n)
         return integral and cfl
 
-    @property
-    def number_of_time_levels(self) -> int:
-        """Levels covering t in [-T, T]: 2*(T/dt) + 1."""
-        return 2 * self.steps + 1
-
-    def time_levels(self) -> range:
-        """Integer time indices p with t = p*dt, covering [-T, T]."""
-        return range(-self.steps, self.steps + 1)
-
     def halved(self) -> "LatticeSpec":
         return LatticeSpec(self.n, self.dx / 2.0, self.dt / 2.0, self.T)
 

@@ -153,7 +153,7 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
         run = three_level_steps(prev, seed, sign * spec.dt, spec.dx,
                                 sign * end, terms=terms, clamp=clamp,
                                 shrink=full_space)
-        for level, values in zip(range(2 * sign, end + sign, sign), run):
+        for level, (values, _) in zip(range(2 * sign, end + sign, sign), run):
             if abs(end - level) <= 2 or level in (lo, hi):
                 keep(level, values)
     if full_space:

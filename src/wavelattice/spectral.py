@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dispersion import beta_arrays, beta_semidiscrete, sinc
+from .dispersion import beta_arrays, sinc
 from .errors import SGridMisalignedError, TailBoundError
 from .lattice import LatticeSpec
 
@@ -342,24 +342,41 @@ def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
 # homogeneous closed forms
 
 
+def _dispersion(flavor: str, alpha, *, spec: Optional[LatticeSpec] = None,
+                dx: float = 0.0):
+    """(frequency, g-route divisor) of one model at the frequency rows alpha.
+
+    The three models are one family in the steps (dx, dt): the scheme
+    ("fully_discrete") reads them from `spec`, Lagrange's model
+    ("semidiscrete") is its dt -> 0 limit on the spacing `dx`, and the wave
+    equation ("continuum") the further dx -> 0 limit, so the frequencies run
+    beta(alpha; dx, dt) -> beta(alpha; dx, 0) -> |alpha|.  The divisor
+    sinc(freq dt) turns the g-route weight t sinc(freq t) into
+    dt sin(freq t)/sin(freq dt); it is exactly 1 at dt = 0.  Raises
+    ValueError for an unknown flavor, a missing `spec` or `dx`, or one the
+    flavor does not read.
+    """
+    if flavor == "fully_discrete" and spec is not None and dx == 0.0:
+        dx, dt = spec.dx, spec.dt
+    elif flavor == "semidiscrete" and spec is None and dx > 0.0:
+        dt = 0.0
+    elif flavor == "continuum" and spec is None and dx == 0.0:
+        return np.sqrt(np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-1)), 1.0
+    else:
+        raise ValueError(
+            f"flavor {flavor!r} with spec={spec!r}, dx={dx!r}: fully_discrete "
+            "takes a LatticeSpec, semidiscrete a dx > 0, continuum neither")
+    freq = beta_arrays(alpha, dx, dt)
+    return freq, sinc(freq * dt)
+
+
 def _coefficients(flavor: str, alpha: np.ndarray, t: float, *,
                   spec: Optional[LatticeSpec] = None, dx: float = 0.0,
                   freq_factor=None):
     """(f-coefficient, g-coefficient) of the synthesis integrand at time t."""
-    if flavor == "continuum":
-        freq = np.sqrt(np.sum(alpha**2, axis=-1))
-    elif flavor == "fully_discrete":
-        freq = beta_arrays(alpha, spec.dx, spec.dt)
-    elif flavor == "semidiscrete":
-        freq = beta_semidiscrete(alpha, dx)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    freq, divisor = _dispersion(flavor, alpha, spec=spec, dx=dx)
     cos_fac = np.cos(freq * t)
-    if flavor == "fully_discrete":
-        # dt sin(freq t)/sin(freq dt) = t sinc(freq t)/sinc(freq dt)
-        g_fac = t * sinc(freq * t) / sinc(freq * spec.dt)
-    else:
-        g_fac = t * sinc(freq * t)
+    g_fac = t * sinc(freq * t) / divisor
     if freq_factor is not None:
         fac = freq_factor(alpha, freq)
         cos_fac = cos_fac * fac
@@ -377,7 +394,8 @@ def homogeneous_solution(f: Optional[DataFunction], g: Optional[DataFunction],
 
     Single-frequency data are synthesized exactly; Gaussian-decay data go
     through the quadrature.  `x` may be a single point or an (m, n) array.
-    Raises TailBoundError when the reported tail bound exceeds `tol`.
+    Raises TailBoundError when the reported tail bound exceeds `tol`, and
+    ValueError when the flavor, `spec` or `dx` do not fit (see _dispersion).
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim <= 1
@@ -470,29 +488,15 @@ def propagator(flavor: str, alpha, t: float, *,
                dx: float = 0.0) -> np.ndarray:
     """2x2 frequency-domain evolution matrix of (displacement, velocity).
 
-    The plane-wave factor e^{i alpha.x}/(2pi)^{n/2} is the caller's
-    responsibility during synthesis.  The lower row is the exact time
-    derivative of the upper row in every flavor.
+    With (w, d) the frequency and divisor of _dispersion, the upper row is
+    [cos wt, t sinc(wt)/d] and the lower row, its exact time derivative,
+    [-w sin wt, cos wt / d].  The plane-wave factor e^{i alpha.x}/(2pi)^{n/2}
+    is the caller's responsibility during synthesis.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if flavor == "continuum":
-        freq = float(np.sqrt(np.sum(alpha**2)))
-        upper = [math.cos(freq * t), t * float(sinc(freq * t))]
-        lower = [-freq * math.sin(freq * t), math.cos(freq * t)]
-    elif flavor == "semidiscrete":
-        freq = float(beta_semidiscrete(alpha, dx))
-        upper = [math.cos(freq * t), t * float(sinc(freq * t))]
-        lower = [-freq * math.sin(freq * t), math.cos(freq * t)]
-    elif flavor == "fully_discrete":
-        freq = float(beta_arrays(alpha, spec.dx, spec.dt))
-        ratio = 1.0 / float(sinc(freq * spec.dt))  # dt/sin(beta dt) * beta
-        upper = [math.cos(freq * t), t * float(sinc(freq * t)) * ratio]
-        lower = [
-            -freq * math.sin(freq * t),
-            math.cos(freq * t) * ratio,
-        ]
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    freq, divisor = map(float, _dispersion(flavor, alpha, spec=spec, dx=dx))
+    cos_t = math.cos(freq * t)
+    upper = [cos_t, t * sinc(freq * t) / divisor]
+    lower = [-freq * math.sin(freq * t), cos_t / divisor]
     return np.array([upper, lower], dtype=complex)
 
 
@@ -558,16 +562,8 @@ def dalembert_forcing(space: DataFunction, profile, profile_dd) -> Forcing:
 def _forcing_kernel(flavor, alpha, *, spec=None, dx=0.0):
     """g-route coefficient K12 of the propagator at the frequency rows alpha,
     as a function of tau; the frequencies are formed once."""
-    alpha = np.atleast_2d(alpha)
-    if flavor == "continuum":
-        freq = np.sqrt(np.sum(alpha**2, axis=-1))
-        return lambda tau: tau * sinc(freq * tau)
-    if flavor == "semidiscrete":
-        freq = beta_semidiscrete(alpha, dx)
-        return lambda tau: tau * sinc(freq * tau)
-    freq = beta_arrays(alpha, spec.dx, spec.dt)
-    at_dt = sinc(freq * spec.dt)
-    return lambda tau: tau * sinc(freq * tau) / at_dt
+    freq, divisor = _dispersion(flavor, np.atleast_2d(alpha), spec=spec, dx=dx)
+    return lambda tau: tau * sinc(freq * tau) / divisor
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):
@@ -596,10 +592,12 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
     The homogeneous part evolves (f^, g^) with the propagator; the forcing
     contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t].
     Continuum and semidiscrete flavors integrate in s by composite Simpson
-    on an even number of intervals of at most `s_step`; the fully discrete
-    flavor uses the exact discrete convolution of the scheme (a
-    trapezoid-type sum on multiples of dt), since discrete-time variation
-    of constants is a sum, not an integral.
+    on an even number of intervals of at most `s_step` (default t / 64);
+    the fully discrete flavor uses the exact discrete convolution of the
+    scheme (a trapezoid-type sum on multiples of dt), since discrete-time
+    variation of constants is a sum, not an integral.  The forcing kernel
+    is formed before anything else is read, so a flavor, `spec` or `dx`
+    that do not fit raise ValueError.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
@@ -613,6 +611,12 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
         vals = hom + forced
         return float(vals[0]) if x.ndim <= 1 else vals
 
+    # the kernel is formed first: _dispersion checks flavor, spec and dx
+    single = None if forcing.spatial is None else forcing.spatial.single_frequency
+    if single is None and quad is None:
+        raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
+    kernel = _forcing_kernel(flavor, quad.nodes if single is None else single,
+                             spec=spec, dx=dx)
     if flavor == "fully_discrete":
         dt = spec.dt
         p = t / dt
@@ -625,14 +629,12 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
         s_weights = np.full(p, dt)
         s_weights[0] = dt / 2.0  # matches the bootstrap's half forcing weight
     else:
-        step = s_step if s_step is not None else (spec.dt if spec else t / 64.0)
+        step = s_step if s_step is not None else t / 64.0
         m = 2 * max(1, math.ceil(t / (2.0 * step)))
         s_nodes = np.linspace(0.0, t, m + 1)
         s_weights = None  # Simpson path
 
-    if forcing.spatial is not None and forcing.spatial.single_frequency is not None:
-        kernel = _forcing_kernel(flavor, forcing.spatial.single_frequency,
-                                 spec=spec, dx=dx)
+    if single is not None:
         kern = np.array([float(kernel(t - s)[0]) for s in s_nodes])
         prof = np.array([forcing.time_profile(s) for s in s_nodes])
         if s_weights is not None:
@@ -641,9 +643,6 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
             integral = float(_simpson(kern * prof, s_nodes))
         return result(np.atleast_1d(forcing.spatial(pts)) * integral)
 
-    if quad is None:
-        raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
-    kernel = _forcing_kernel(flavor, quad.nodes, spec=spec, dx=dx)
     what = forcing.fourier_x(quad.nodes)
     if s_weights is not None:
         # a running sum over s: the additions of a sum over a stacked s-axis,

@@ -289,7 +289,9 @@ def crop_centre(values: np.ndarray, shape) -> np.ndarray:
 
 def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
                       clamp=None, shrink=False):
-    """Yield levels 2..steps of the three-level scheme seeded by levels 0, 1.
+    """Yield (level, max |level|) for levels 2..steps of the three-level
+    scheme seeded by levels 0, 1; the maximum is the one the blowup check
+    takes, so a caller that tracks it reads no level twice.
 
     Level k+1 is leapfrog_advance(v_k, v_{k-1}, accel, h) with accel =
     laplacian_array(v_k, dx), passed through terms(accel, v_k, t0 + k*h)
@@ -330,7 +332,7 @@ def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
                 level=level,
                 max_value=max_abs,
             )
-        yield new
+        yield new, max_abs
         prev, cur = cur, new
 
 

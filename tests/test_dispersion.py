@@ -14,7 +14,7 @@ from wavelattice import (
     symbol_G,
     symbol_G_arrays,
 )
-from wavelattice.dispersion import DispersionBranch, sinc
+from wavelattice.dispersion import sinc
 
 
 class TestSinc:
@@ -100,12 +100,6 @@ class TestBeta:
         alpha = np.array([math.pi / dx])
         with pytest.raises(CflViolationError):
             beta_arrays(alpha, dx, dt)
-
-    def test_branch_callable(self):
-        spec = LatticeSpec(2, 0.2, 0.1, 1.0)
-        branch = DispersionBranch(spec)
-        alpha = np.array([2.0, -1.0])
-        assert branch(alpha) == beta(alpha, spec)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(13)

@@ -347,7 +347,7 @@ class TestE1Cache:
         f, g = self.CONFIG.data("f"), self.CONFIG.data("g")
         window = self.CONFIG.window()
         base = self.CONFIG.base_spec()
-        quad = experiments._quad_for(f, g, base.T, base.n)
+        quad = experiments._quad_for(f, g, base.T)
 
         def oracle(points, t):
             return np.atleast_1d(
@@ -476,9 +476,10 @@ class TestE5RawRun:
         real = experiments.three_level_steps
 
         def recording(*args, **kwargs):
-            for level in real(*args, **kwargs):
+            for level, level_max in real(*args, **kwargs):
+                assert level_max == float(np.max(np.abs(level)))
                 seen.append(level.copy())
-                yield level
+                yield level, level_max
 
         monkeypatch.setattr(experiments, "three_level_steps", recording)
         dt = 0.05
@@ -520,7 +521,8 @@ class TestE5RawRun:
         v1 = stencils.leapfrog_first_level(
             v0, np.zeros_like(v0), stencils.laplacian_array(v0, dx), dt)
         control = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
-        for level in stencils.three_level_steps(v0.copy(), v1, dt, dx, steps):
+        for level, _ in stencils.three_level_steps(v0.copy(), v1, dt, dx,
+                                                   steps):
             control = max(control, float(np.max(np.abs(level))))
         result = run_experiment(config)
         assert result.tables["cfl"].rows[1].sup_error == control
@@ -618,7 +620,7 @@ class TestE2Quotients:
         assert run_experiment(config).passed
         base = config.base_spec()
         f, g = config.data("f"), config.data("g")
-        quad = experiments._quad_for(f, g, base.T, n)
+        quad = experiments._quad_for(f, g, base.T)
         probes = experiments._probe_indices(config.window(), base.dx)
         points = probes.astype(float) * base.dx
         t_mid = base.T / 2.0
@@ -710,6 +712,16 @@ class TestCli:
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")
         assert main(["experiment", "E1", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("dt = 0.1", "dt = 0.1\ndtt = 0.05"),
+        ("[tolerances]", "[outptu]\nout = out\n\n[tolerances]"),
+        ("order_lo", "sup_tol = 1e-06\norder_lo"),
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, old, new):
+        path = self._bad_config(tmp_path, old, new)
+        assert main(["experiment", "E1", "--config", path]) == 2
+        assert "configuration error: unknown" in capsys.readouterr().err
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -49,7 +49,7 @@ def test_e1_oracle_synthesis_is_small():
     # would take 125 * 35937 * 16 bytes = 72 MB
     config, f, g = _e1_n3()
     base = config.base_spec()
-    quad = _quad_for(f, g, base.T, 3)
+    quad = _quad_for(f, g, base.T)
     points = _probe_indices(config.window(), base.dx).astype(float) * base.dx
     assert points.shape == (125, 3) and len(quad.weights) == 33**3
     values, peak, _ = _traced(continuum_solution_u, f, g, points, base.T, quad)

@@ -130,6 +130,40 @@ class TestPropagator:
         assert mat[0, 0] == pytest.approx(math.cos(freq * t), rel=1e-14)
 
 
+_PLANE = DataFunction.plane_wave([2.0])
+_SPEC = LatticeSpec(1, 0.2, 0.1, 1.0)
+
+
+class TestFlavorErrors:
+    """Each flavor reads its own step: the scheme a LatticeSpec, Lagrange's
+    model a spacing dx > 0, the continuum neither.  Any other flavor, step
+    or missing step is a ValueError at every entry point."""
+
+    BAD = {
+        "unknown flavor": ("bogus", dict(spec=_SPEC)),
+        "scheme without spec": ("fully_discrete", {}),
+        "scheme with dx": ("fully_discrete", dict(spec=_SPEC, dx=0.2)),
+        "semidiscrete without dx": ("semidiscrete", {}),
+        "continuum with spec": ("continuum", dict(spec=_SPEC)),
+    }
+    CALLS = {
+        "propagator": lambda flavor, kw: propagator(
+            flavor, np.array([2.0]), 1.0, **kw),
+        "homogeneous_solution": lambda flavor, kw: spectral.homogeneous_solution(
+            _PLANE, None, flavor, np.zeros(1), 1.0, **kw),
+        "duhamel_solve": lambda flavor, kw: duhamel_solve(
+            None, None, separable_forcing(_PLANE), flavor, np.zeros(1), 1.0,
+            **kw),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_raises_value_error(self, call, case):
+        flavor, kw = self.BAD[case]
+        with pytest.raises(ValueError):
+            self.CALLS[call](flavor, kw)
+
+
 class TestDuhamel:
     def test_single_frequency_forcing(self):
         # f = g = 0, w = cos(2x): u(0, t) = (1 - cos(2t))/4

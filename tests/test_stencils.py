@@ -105,6 +105,16 @@ class TestKernels:
         out = leapfrog_first_level(v0, vel, accel, h)
         assert np.array_equal(out, v0 + h * vel + 0.5 * h * h * accel)
 
+    @pytest.mark.parametrize("shrink", [False, True])
+    def test_three_level_steps_yields_each_levels_max(self, shrink):
+        # levels near -1, so max |v| is not max v
+        rng = np.random.default_rng(9)
+        v0, v1 = -1.0 + rng.uniform(0.0, 0.1, size=(2, 13, 13))
+        run = stencils.three_level_steps(v0, v1, 0.05, 0.1, 5, shrink=shrink)
+        for level, level_max in run:
+            assert level_max == float(np.max(np.abs(level)))
+            assert level_max > float(np.max(level))
+
 
 class TestGridField:
     def _small_field(self):
