@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import NoCommonPointsError
+from ..errors import MissingNeighborError, NoCommonPointsError
 from ..stencils import GridField
 
 __all__ = ["scaled_norms", "compare_on_common_lattice"]
@@ -58,7 +58,9 @@ def compare_on_common_lattice(
     which must lie on every involved time lattice; by default every stored
     time of ``field`` shared with ``other`` is used.  Returns
     ``(sup_error, l2_error)`` with the l2 norm scaled by ``dx^n * dt`` of the
-    coarse lattice.
+    coarse lattice.  Window points off a bounded field's support are
+    skipped; a window point outside a full-space field's window raises
+    MissingNeighborError.
     """
     other_field = other if isinstance(other, GridField) else None
     coarse = base_spec if base_spec is not None else field.spec
@@ -112,9 +114,13 @@ def compare_on_common_lattice(
 
 
 def _held(field: GridField, index: np.ndarray) -> np.ndarray:
-    """Which rows of the (m, n) multi-indices lie in the field's support."""
+    """Which rows of the (m, n) multi-indices lie in the field's support.
+    A full-space field (all interior) has values past its window that it
+    does not store, so a row there raises MissingNeighborError."""
     off = index - np.asarray(field.origin)
     inside = np.all((off >= 0) & (off < np.asarray(field.shape)), axis=1)
+    if not inside.all() and field.interior.all():
+        raise MissingNeighborError("compare points outside a full-space window")
     held = np.zeros(len(index), dtype=bool)
     held[inside] = field.support[tuple(off[inside].T)]
     return held

@@ -3,9 +3,11 @@
 Discretizing space only turns the wave problem into the second-order ODE
 system xi''(x) = a(x) Lap_dx xi(x) - sigma(x) xi(x) + w(x, t) with the
 boundary clamped.  The Stormer-Verlet integrator in its three-level
-position form runs on the stepping kernel of the leapfrog solver, so at
-h = dt (with unit velocity and zero flexibility) it reproduces the scheme
-bit-identically and raises BlowupError through the same guard.
+position form is the leapfrog scheme at step h: it hands the values and
+velocities to the stepping kernel of the leapfrog solver, which forms the
+first level and steps the rest, so at h = dt (with unit velocity and zero
+flexibility) it reproduces the scheme bit-identically and raises
+BlowupError through the same guard.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .stencils import (
     clamp_level,
     field_from_classification,
     laplacian_array,
-    leapfrog_first_level,
     sample_window,
     three_level_steps,
     window_clamp,
@@ -67,10 +68,7 @@ class LagrangeSystem:
             self.values = np.zeros(shape)
         if self.velocities is None:
             self.velocities = np.zeros(shape)
-        bvals = self.boundary_value
-        if callable(bvals):
-            bvals = sample_window(bvals, self.fieldobj)
-        self._clamp = window_clamp(self.fieldobj, bvals)
+        self._clamp = window_clamp(self.fieldobj, self.boundary_value)
 
     def clamp(self, arr: np.ndarray) -> np.ndarray:
         return clamp_level(arr, self._clamp)
@@ -125,7 +123,9 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
 
     Returns {time: value array} at the recorded times (default: t1 only).
     Stormer-Verlet runs in the three-level position form on the stepping
-    kernel of the leapfrog solver; the step count must land on t1 exactly.
+    kernel of the leapfrog solver, which starts from the system's values and
+    velocities; the step count must land on t1 exactly.  The system's
+    values end as the level at t1, in an array the kernel stepped over.
     """
     if h_ode <= 0:
         raise ValueError("h_ode must be positive")
@@ -140,27 +140,16 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
             if abs(t0 + k * h_ode - t) > 1e-9:
                 raise ValueError(f"record time {t} is not on the step grid")
             wanted.add(k)
-    trajectory = _verlet(system, t0, steps, h_ode, wanted)
-    return {t0 + k * h_ode: arr for k, arr in trajectory.items()}
-
-
-def _verlet(system, t0, steps, h, wanted):
-    out = {}
-    xi = np.array(system.values)
-    accel = rhs(system, t0, xi)
-    cur = system.clamp(leapfrog_first_level(xi, system.velocities, accel, h))
-    if 0 in wanted:
-        out[0] = xi.copy()
-    # the kernel writes each level over the one two steps before it
-    run = three_level_steps(xi, cur, h, system.dx, steps, t0=t0,
+    out = {0: system.values.copy()} if 0 in wanted else {}
+    # the kernel writes level 1 over the velocities and level 2 over the values
+    run = three_level_steps(system.values, system.velocities.copy(), h_ode,
+                            system.dx, steps, t0=t0,
                             terms=partial(_terms, system), clamp=system._clamp)
-    for k, (level, _) in enumerate(run, start=2):
-        if k - 1 in wanted:
-            out[k - 1] = cur.copy()
-        cur = level
-    out[steps] = np.array(cur)
-    system.values = cur
-    return out
+    for k, (level, _) in enumerate(run, start=1):
+        if k in wanted or k == steps:
+            out[k] = level.copy()
+    system.values = level
+    return {t0 + k * h_ode: arr for k, arr in out.items()}
 
 
 def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,

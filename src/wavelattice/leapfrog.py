@@ -1,9 +1,9 @@
 """Explicit three-level solver for the discrete wave problems.
 
 The update rearranges the discrete d'Alembertian to
-v(x, t +/- dt) = 2 v(x, t) - v(x, t -/+ dt) + dt^2 (Lap_dx v + w), with the
-first levels bootstrapped from the centered velocity condition combined
-with the scheme equation at t = 0.  Time runs both ways, covering
+v(x, t +/- dt) = 2 v(x, t) - v(x, t -/+ dt) + dt^2 (Lap_dx v + w), and the
+stepping kernel forms the first level from the centered velocity condition
+combined with the scheme equation at t = 0.  Time runs both ways, covering
 [-T, T].  A full-space problem is stepped on its dependence cone (Courant,
 Friedrichs and Lewy): after k steps a lattice value depends only on data
 within k rings of it, so each level is stepped on one ring fewer than the
@@ -26,8 +26,6 @@ from .stencils import (
     clamp_level,
     crop_centre,
     field_from_classification,
-    laplacian_array,
-    leapfrog_first_level,
     sample_window,
     three_level_steps,
     window_clamp,
@@ -67,44 +65,6 @@ class DiscreteProblem:
             self.classification = classify(self.domain, self.spec)
 
 
-def _bootstrap(problem: DiscreteProblem, pad: int, signs):
-    """Level 0 and the first levels `signs` on the problem's window padded by
-    `pad` rings, plus the clamp and forcing term that the stepping kernel
-    needs for the rest of the run.
-
-    Level 0 samples f; each first level combines the centered velocity
-    condition with the scheme equation at t = 0, which gives
-    v(x, +/-dt) = f +/- dt g + (dt^2/2)(Lap_dx f + w(x, 0)).  Returns
-    (field, v0, {sign: level}, clamp, terms); the field's levels are left
-    empty.
-    """
-    fieldobj = field_from_classification(problem.classification, pad=pad)
-    bvals = problem.boundary_value
-    if callable(bvals):
-        bvals = sample_window(bvals, fieldobj)
-    clamp = window_clamp(fieldobj, bvals)
-    terms = None
-    if problem.forcing is not None:
-        def terms(accel, values, t):
-            return add_forcing(accel, problem.forcing, fieldobj, t)
-    dt = problem.spec.dt
-
-    v0 = clamp_level(sample_window(problem.f, fieldobj), clamp)
-    gv = sample_window(problem.g, fieldobj)
-    accel = laplacian_array(v0, problem.spec.dx)
-    if terms is not None:
-        accel = terms(accel, v0, 0.0)
-
-    # the last first level is formed in place of the sampled velocity
-    first = {}
-    for sign in signs:
-        out = gv if sign == signs[-1] else None
-        first[sign] = clamp_level(
-            leapfrog_first_level(v0, gv, accel, sign * dt, out=out), clamp
-        )
-    return fieldobj, v0, first, clamp, terms
-
-
 def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridField:
     """Run the scheme over t_range (default the full two-sided horizon).
 
@@ -115,10 +75,13 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     each run, as far as they lie in t_range.  Every value it holds is a
     value of the scheme.  Raises BlowupError past the 1e12 threshold.
 
-    On a bounded domain the window is the domain's, clamped at the
-    boundary.  On full space, level p of a run of `steps` is stepped only
-    on the window grown by steps - |p| rings: the points that can still
-    reach the window by the run's end.
+    f and g are sampled once, on the window grown by the longer run's steps
+    (full space) or on the domain's window, clamped at the boundary
+    (bounded).  Each run starts in the stepping kernel from level 0 and g;
+    on full space it starts from them cropped to the window grown by its
+    own steps, and level p of the run is stepped only on the window grown
+    by steps - |p| rings: the points that can still reach the window by
+    the run's end.
     """
     spec = problem.spec
     if t_range is None:
@@ -128,10 +91,15 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     if abs(lo * spec.dt - t_range[0]) > 1e-9 or abs(hi * spec.dt - t_range[1]) > 1e-9:
         raise ValueError("t_range endpoints must be lattice times")
     full_space = not problem.domain.bounded
-    # level 0 of the longer run is read as many rings out as it has steps
-    pad = max(hi, -lo, 1) if full_space else 0
-    signs = [sign for sign, end in ((-1, lo), (1, hi)) if sign * end >= 1]
-    fieldobj, v0, first, clamp, terms = _bootstrap(problem, pad, signs)
+    fieldobj = field_from_classification(
+        problem.classification, pad=max(hi, -lo) if full_space else 0)
+    clamp = window_clamp(fieldobj, problem.boundary_value)
+    terms = None
+    if problem.forcing is not None:
+        def terms(accel, values, t):
+            return add_forcing(accel, problem.forcing, fieldobj, t)
+    v0 = clamp_level(sample_window(problem.f, fieldobj), clamp)
+    gv = sample_window(problem.g, fieldobj)
     window = problem.classification.shape
     levels = {}
 
@@ -141,20 +109,19 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
         if lo <= level <= hi:
             levels[level] = crop_centre(values, window).copy()
 
-    for level, values in ((0, v0), *first.items()):
-        keep(level, values)
-    runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 2]
+    keep(0, v0)
+    runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 1]
     for i, (sign, end) in enumerate(runs):
-        seed = first[sign]
-        if full_space:  # level 1 of a run of s steps is read s - 1 rings out
-            rings = sign * end - 1
-            seed = crop_centre(seed, tuple(w + 2 * rings for w in window))
-        prev = v0 if i == len(runs) - 1 else v0.copy()
-        run = three_level_steps(prev, seed, sign * spec.dt, spec.dx,
-                                sign * end, terms=terms, clamp=clamp,
-                                shrink=full_space)
-        for level, (values, _) in zip(range(2 * sign, end + sign, sign), run):
-            if abs(end - level) <= 2 or level in (lo, hi):
+        seeds = v0, gv
+        if full_space:  # a run of s steps reads level 0 s rings out
+            seeds = (crop_centre(a, tuple(w + 2 * sign * end for w in window))
+                     for a in seeds)
+        if i < len(runs) - 1:  # the kernel writes over its seeds
+            seeds = (a.copy() for a in seeds)
+        run = three_level_steps(*seeds, sign * spec.dt, spec.dx, sign * end,
+                                terms=terms, clamp=clamp, shrink=full_space)
+        for level, (values, _) in zip(range(sign, end + sign, sign), run):
+            if abs(end - level) <= 2 or level in (sign, lo, hi):
                 keep(level, values)
     if full_space:
         fieldobj = field_from_classification(problem.classification)

@@ -342,30 +342,36 @@ def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
 # homogeneous closed forms
 
 
+def _model_steps(flavor: str, spec: Optional[LatticeSpec], dx: float):
+    """(dx, dt) of one model: the scheme ("fully_discrete") reads them from
+    `spec`, Lagrange's model ("semidiscrete") has dt = 0 on the spacing
+    `dx`, and the wave equation ("continuum") has dx = dt = 0.  Raises
+    ValueError for an unknown flavor, a missing `spec` or `dx`, or one the
+    flavor does not read."""
+    if flavor == "fully_discrete" and spec is not None and dx == 0.0:
+        return spec.dx, spec.dt
+    if flavor == "semidiscrete" and spec is None and dx > 0.0:
+        return dx, 0.0
+    if flavor == "continuum" and spec is None and dx == 0.0:
+        return 0.0, 0.0
+    raise ValueError(
+        f"flavor {flavor!r} with spec={spec!r}, dx={dx!r}: fully_discrete "
+        "takes a LatticeSpec, semidiscrete a dx > 0, continuum neither")
+
+
 def _dispersion(flavor: str, alpha, *, spec: Optional[LatticeSpec] = None,
                 dx: float = 0.0):
     """(frequency, g-route divisor) of one model at the frequency rows alpha.
 
-    The three models are one family in the steps (dx, dt): the scheme
-    ("fully_discrete") reads them from `spec`, Lagrange's model
-    ("semidiscrete") is its dt -> 0 limit on the spacing `dx`, and the wave
-    equation ("continuum") the further dx -> 0 limit, so the frequencies run
+    The three models are one family in the steps (dx, dt) of
+    `_model_steps`, so the frequencies run
     beta(alpha; dx, dt) -> beta(alpha; dx, 0) -> |alpha|.  The divisor
     sinc(freq dt) turns the g-route weight t sinc(freq t) into
-    dt sin(freq t)/sin(freq dt); it is exactly 1 at dt = 0.  Raises
-    ValueError for an unknown flavor, a missing `spec` or `dx`, or one the
-    flavor does not read.
+    dt sin(freq t)/sin(freq dt); it is exactly 1 at dt = 0.
     """
-    if flavor == "fully_discrete" and spec is not None and dx == 0.0:
-        dx, dt = spec.dx, spec.dt
-    elif flavor == "semidiscrete" and spec is None and dx > 0.0:
-        dt = 0.0
-    elif flavor == "continuum" and spec is None and dx == 0.0:
+    dx, dt = _model_steps(flavor, spec, dx)
+    if dx == 0.0:
         return np.sqrt(np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-1)), 1.0
-    else:
-        raise ValueError(
-            f"flavor {flavor!r} with spec={spec!r}, dx={dx!r}: fully_discrete "
-            "takes a LatticeSpec, semidiscrete a dx > 0, continuum neither")
     freq = beta_arrays(alpha, dx, dt)
     return freq, sinc(freq * dt)
 
@@ -395,8 +401,10 @@ def homogeneous_solution(f: Optional[DataFunction], g: Optional[DataFunction],
     Single-frequency data are synthesized exactly; Gaussian-decay data go
     through the quadrature.  `x` may be a single point or an (m, n) array.
     Raises TailBoundError when the reported tail bound exceeds `tol`, and
-    ValueError when the flavor, `spec` or `dx` do not fit (see _dispersion).
+    ValueError when the flavor, `spec` or `dx` do not fit (see
+    _model_steps), with data or without.
     """
+    _model_steps(flavor, spec, dx)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim <= 1
     pts = np.atleast_2d(x)
@@ -595,9 +603,8 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
     on an even number of intervals of at most `s_step` (default t / 64);
     the fully discrete flavor uses the exact discrete convolution of the
     scheme (a trapezoid-type sum on multiples of dt), since discrete-time
-    variation of constants is a sum, not an integral.  The forcing kernel
-    is formed before anything else is read, so a flavor, `spec` or `dx`
-    that do not fit raise ValueError.
+    variation of constants is a sum, not an integral.  A flavor, `spec` or
+    `dx` that do not fit raise ValueError, as in homogeneous_solution.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
@@ -611,7 +618,6 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
         vals = hom + forced
         return float(vals[0]) if x.ndim <= 1 else vals
 
-    # the kernel is formed first: _dispersion checks flavor, spec and dx
     single = None if forcing.spatial is None else forcing.spatial.single_frequency
     if single is None and quad is None:
         raise ValueError("forcing with Gaussian-decay profile needs a quadrature")

@@ -1,9 +1,9 @@
-"""Discrete difference operators on lattice arrays and on callables.
+"""Lattice windows, their samplers and the array kernels of the scheme.
 
-The array kernels step whole time levels of a `GridField`; the functional
-path applies the same difference quotients to a callable u(x, t).  The
-functional path is what the plane-wave oracle tests use, since
-e^{i(a.x + b.t)} never lives on a finite grid.
+A `GridField` holds time levels on an index window; the samplers fill a
+window one block of rows at a time; the array kernels form and step the
+three-level scheme that the leapfrog solver, the Verlet integrator and the
+CFL experiment all run.
 """
 
 from __future__ import annotations
@@ -138,29 +138,6 @@ def add_forcing(accel: np.ndarray, forcing, fieldobj: GridField, t) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# functional path: the same quotients applied to a callable u(x, t)
-
-
-def fn_delta_t_second(u, x, t, dt) -> float:
-    return (u(x, t + dt) - 2.0 * u(x, t) + u(x, t - dt)) / dt**2
-
-
-def fn_delta_x_second(u, x, t, dx, axis) -> float:
-    x = np.asarray(x, dtype=float)
-    e = np.zeros_like(x)
-    e[axis] = dx
-    return (u(x + e, t) - 2.0 * u(x, t) + u(x - e, t)) / dx**2
-
-
-def fn_discrete_laplacian(u, x, t, dx, n) -> float:
-    return sum(fn_delta_x_second(u, x, t, dx, k) for k in range(n))
-
-
-def fn_discrete_dalembert(u, x, t, dx, dt, n) -> float:
-    return fn_delta_t_second(u, x, t, dt) - fn_discrete_laplacian(u, x, t, dx, n)
-
-
-# ---------------------------------------------------------------------------
 # array kernels shared by the leapfrog solver, the Verlet integrator and the
 # CFL experiment.  One code path makes leapfrog and Verlet bit-identical at
 # h = dt.  Each kernel works through its arrays one block of axis-0 rows at a
@@ -261,13 +238,13 @@ def window_clamp(fieldobj: GridField, boundary_value):
     """The clamp of a window for `clamp_level`: (boundary mask, boundary
     values there, outside-support mask), or None when the window has
     neither boundary nor outside points (full space).  `boundary_value` is
-    a scalar or an array over the window."""
+    a scalar or a callable, sampled on the window."""
     boundary = fieldobj.boundary
     outside = ~fieldobj.support
     if not boundary.any() and not outside.any():
         return None
-    if isinstance(boundary_value, np.ndarray):
-        return boundary, boundary_value[boundary], outside
+    if callable(boundary_value):
+        return boundary, sample_window(boundary_value, fieldobj)[boundary], outside
     return boundary, float(boundary_value), outside
 
 
@@ -287,43 +264,48 @@ def crop_centre(values: np.ndarray, shape) -> np.ndarray:
     )]
 
 
-def three_level_steps(prev, cur, h, dx, steps, *, t0=0.0, terms=None,
+def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
                       clamp=None, shrink=False):
-    """Yield (level, max |level|) for levels 2..steps of the three-level
-    scheme seeded by levels 0, 1; the maximum is the one the blowup check
-    takes, so a caller that tracks it reads no level twice.
+    """Yield (level, max |level|) for levels 1..steps of the three-level
+    scheme started from level 0 `v0` and the velocity `velocity`; the
+    maximum is the one the blowup check takes, so a caller that tracks it
+    reads no level twice.
 
-    Level k+1 is leapfrog_advance(v_k, v_{k-1}, accel, h) with accel =
-    laplacian_array(v_k, dx), passed through terms(accel, v_k, t0 + k*h)
-    when given (forcing, a(x), sigma), then clamped.  A negative h runs
-    backward in time.  Raises BlowupError, with the level signed like h,
-    when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
+    With accel_k = laplacian_array(v_k, dx), passed through
+    terms(accel, v_k, t0 + k*h) when given (forcing, a(x), sigma), level 1
+    is leapfrog_first_level(v0, velocity, accel_0, h) and level k+1 is
+    leapfrog_advance(v_k, v_{k-1}, accel_k, h), each then clamped.  A
+    negative h runs backward in time.  Raises BlowupError, with the level
+    signed like h, when a level holds a non-finite value or one above
+    BLOWUP_THRESHOLD.
 
-    The kernel holds no level of its own: level k+1 is written over level
-    k-1, so the seeds `prev` and `cur` are overwritten by levels 2 and 3,
-    and each yielded array is overwritten two steps after it is yielded.
-    Copy what you keep.
+    The kernel holds no level of its own: level 1 is written over
+    `velocity` and level k+1 over level k-1, so `v0` is overwritten by
+    level 2, and each yielded array is overwritten two steps after it is
+    yielded.  Copy what you keep.
 
-    With `shrink` (full space, no clamp), level k+1 is stepped only on the
-    points of v_k one ring in from its edge, where laplacian_array applies
-    the stencil: each level is one ring smaller than the one before, v_{k-1}
-    (at least as large as v_k) is cropped about the same centre, and every
-    value equals the unshrunk run's at that point, bit for bit.  The blowup
-    check then sees only the stepped points.  `solve` and E5 shrink every
+    With `shrink` (full space, no clamp), each level is stepped only on the
+    points of the one before one ring in from its edge, where
+    laplacian_array applies the stencil: level k is k rings smaller than
+    `v0`, the older level is cropped about the same centre, and every value
+    equals the unshrunk run's at that point, bit for bit.  The blowup check
+    then sees only the stepped points.  `solve` and E5 shrink every
     full-space run.  Verlet cannot: `integrate` returns the whole system
     window, and E3 takes more steps (up to 128, at h = dt/16) than its
     window has padding rings (44).  Full-space Verlet has no clamp either,
     so the flag is not implied by `clamp`.
     """
-    buffer = np.empty(cur.size)
-    for k in range(1, steps):
+    buffer = np.empty(v0.size)
+    prev, cur = velocity, v0  # level 1 is written over the velocity
+    for k in range(steps):
         accel = laplacian_array(cur, dx, out=buffer[:cur.size].reshape(cur.shape))
         if shrink:
             inner = tuple(s - 2 for s in cur.shape)
             accel, cur, prev = (crop_centre(a, inner) for a in (accel, cur, prev))
         if terms is not None:
             accel = terms(accel, cur, t0 + k * h)
-        new = clamp_level(leapfrog_advance(cur, prev, accel, h, out=prev), clamp)
+        step = leapfrog_advance if k else leapfrog_first_level
+        new = clamp_level(step(cur, prev, accel, h, out=prev), clamp)
         max_abs = float(max(np.max(new), -np.min(new)))
         if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
             level = k + 1 if h > 0 else -(k + 1)

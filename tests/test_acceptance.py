@@ -27,11 +27,8 @@ from wavelattice import (
     symbol_G_arrays,
 )
 from wavelattice.lagrange import LagrangeSystem
-from wavelattice.stencils import (
-    crop_centre,
-    field_from_classification,
-    fn_discrete_dalembert,
-)
+from wavelattice.stencils import crop_centre, field_from_classification
+from test_stencils import fn_discrete_dalembert
 from wavelattice.harness import (
     default_config,
     propagator_degeneration,

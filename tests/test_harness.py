@@ -191,6 +191,14 @@ class TestNorms:
         )
         assert sup == 0.0
 
+    @pytest.mark.parametrize("window", [[(-3.0, 3.0)], [(0.0, 0.6)]])
+    def test_window_past_a_full_space_field_raises(self, window):
+        # the field has values on all of Z, but stores only [-0.5, 0.5]
+        fld, spec = self._solved_field()
+        for other in (fld, lambda points, t: np.zeros(len(points))):
+            with pytest.raises(MissingNeighborError):
+                compare_on_common_lattice(fld, other, window, times=[spec.T])
+
     def test_disjoint_times_raise(self):
         fld, spec = self._solved_field()
         with pytest.raises((NoCommonPointsError, ValueError)):
@@ -446,12 +454,12 @@ def _plain_cone_levels(n, dx, dt, steps, seed_alpha, extent=0.5):
 
 def _plain_cone_max(n, dx, dt, steps, seed_alpha):
     """(max |v|, blowup level or None) over `_plain_cone_levels`, with the
-    stepping kernel's guard on levels 2 and up."""
+    stepping kernel's guard on levels 1 and up."""
     max_abs = 0.0
     levels = _plain_cone_levels(n, dx, dt, steps, seed_alpha)
     for k, level in enumerate(levels):
         m = float(np.max(np.abs(level)))
-        if k >= 2 and (not np.isfinite(m) or m > stencils.BLOWUP_THRESHOLD):
+        if k >= 1 and (not np.isfinite(m) or m > stencils.BLOWUP_THRESHOLD):
             return max(max_abs, m), k
         max_abs = max(max_abs, m)
     return max_abs, None
@@ -487,10 +495,10 @@ class TestE5RawRun:
             seen.clear()
             alpha = [math.pi / dx] * n
             _, blow = experiments._raw_leapfrog_max(n, dx, dt, steps, alpha)
-            # levels 2..steps, or up to the one before the blowup
-            assert len(seen) == (steps + 1 if blow is None else blow) - 2
+            # levels 1..steps, or up to the one before the blowup
+            assert len(seen) == (steps + 1 if blow is None else blow) - 1
             plain = itertools.islice(
-                _plain_cone_levels(n, dx, dt, steps, alpha), 2, None)
+                _plain_cone_levels(n, dx, dt, steps, alpha), 1, None)
             for level, expected in zip(seen, plain):
                 assert np.array_equal(level, expected)
 
@@ -518,11 +526,9 @@ class TestE5RawRun:
         fld = stencils.field_from_classification(problem.classification,
                                                  pad=steps + 2)
         v0 = stencils.sample_window(config.data("f"), fld)
-        v1 = stencils.leapfrog_first_level(
-            v0, np.zeros_like(v0), stencils.laplacian_array(v0, dx), dt)
-        control = float(max(np.max(np.abs(v0)), np.max(np.abs(v1))))
-        for level, _ in stencils.three_level_steps(v0.copy(), v1, dt, dx,
-                                                   steps):
+        control = float(np.max(np.abs(v0)))
+        for level, _ in stencils.three_level_steps(v0, np.zeros_like(v0), dt,
+                                                   dx, steps):
             control = max(control, float(np.max(np.abs(level))))
         result = run_experiment(config)
         assert result.tables["cfl"].rows[1].sup_error == control

@@ -146,9 +146,10 @@ class TestCallCounts:
         )
         fld = solve(problem, t_range=(0.0, spec.T))
         assert [t for _, t in calls] == [k * spec.dt for k in range(spec.steps)]
-        # level 0 on the bootstrap window, then each step on the points of
-        # the level it makes: level k + 1 reaches steps - k - 1 rings out
-        rings = [spec.steps] + [spec.steps - k - 1 for k in range(1, spec.steps)]
+        # each step on the points of the level it makes, level 0's one ring
+        # in from the bootstrap window: level k + 1 reaches steps - k - 1
+        # rings out
+        rings = [spec.steps - k - 1 for k in range(spec.steps)]
         assert [shape for shape, _ in calls] == [
             (math.prod(w + 2 * r for w in fld.shape), 2) for r in rings]
 

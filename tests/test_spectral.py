@@ -154,6 +154,12 @@ class TestFlavorErrors:
         "duhamel_solve": lambda flavor, kw: duhamel_solve(
             None, None, separable_forcing(_PLANE), flavor, np.zeros(1), 1.0,
             **kw),
+        # nothing to synthesize: the flavor is still checked
+        "homogeneous_solution without data": lambda flavor, kw:
+            spectral.homogeneous_solution(None, None, flavor, np.zeros(1), 1.0,
+                                          **kw),
+        "duhamel_solve without data": lambda flavor, kw: duhamel_solve(
+            None, None, None, flavor, np.zeros(1), 1.0, **kw),
     }
 
     @pytest.mark.parametrize("case", BAD)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavelattice import (
+    BlowupError,
     DataFunction,
     DiscreteProblem,
     Domain,
@@ -14,18 +15,39 @@ from wavelattice import (
 )
 from wavelattice import stencils
 from wavelattice.stencils import (
+    crop_centre,
     dump_level,
     field_from_classification,
-    fn_delta_t_second,
-    fn_delta_x_second,
-    fn_discrete_dalembert,
-    fn_discrete_laplacian,
+    laplacian_array,
     lattice_points,
     leapfrog_advance,
     leapfrog_first_level,
     load_level,
 )
 from wavelattice.lattice import classify
+
+
+# The difference quotients applied to a callable u(x, t): the plane-wave
+# oracle tests need them, since e^{i(a.x + b.t)} never lives on a finite grid.
+
+
+def fn_delta_t_second(u, x, t, dt) -> float:
+    return (u(x, t + dt) - 2.0 * u(x, t) + u(x, t - dt)) / dt**2
+
+
+def fn_delta_x_second(u, x, t, dx, axis) -> float:
+    x = np.asarray(x, dtype=float)
+    e = np.zeros_like(x)
+    e[axis] = dx
+    return (u(x + e, t) - 2.0 * u(x, t) + u(x - e, t)) / dx**2
+
+
+def fn_discrete_laplacian(u, x, t, dx, n) -> float:
+    return sum(fn_delta_x_second(u, x, t, dx, k) for k in range(n))
+
+
+def fn_discrete_dalembert(u, x, t, dx, dt, n) -> float:
+    return fn_delta_t_second(u, x, t, dt) - fn_discrete_laplacian(u, x, t, dx, n)
 
 
 class TestQuotients:
@@ -109,11 +131,37 @@ class TestKernels:
     def test_three_level_steps_yields_each_levels_max(self, shrink):
         # levels near -1, so max |v| is not max v
         rng = np.random.default_rng(9)
-        v0, v1 = -1.0 + rng.uniform(0.0, 0.1, size=(2, 13, 13))
-        run = stencils.three_level_steps(v0, v1, 0.05, 0.1, 5, shrink=shrink)
+        v0 = -1.0 + rng.uniform(0.0, 0.1, size=(13, 13))
+        velocity = rng.uniform(0.0, 0.1, size=(13, 13))
+        run = stencils.three_level_steps(v0, velocity, 0.05, 0.1, 5,
+                                         shrink=shrink)
         for level, level_max in run:
             assert level_max == float(np.max(np.abs(level)))
             assert level_max > float(np.max(level))
+
+    @pytest.mark.parametrize("shrink", [False, True])
+    def test_three_level_steps_forms_level_one(self, shrink):
+        # level 1 is the first-level combination over the velocity, one
+        # ring in from v0 when the run shrinks
+        rng = np.random.default_rng(10)
+        v0, velocity = rng.normal(size=(2, 9, 9))
+        expected = leapfrog_first_level(
+            v0, velocity, laplacian_array(v0, 0.1), -0.05)
+        if shrink:
+            expected = crop_centre(expected, (7, 7))
+        run = stencils.three_level_steps(v0.copy(), velocity, -0.05, 0.1, 3,
+                                         shrink=shrink)
+        level, _ = next(run)
+        assert np.array_equal(level, expected)
+        assert np.shares_memory(level, velocity)
+
+    @pytest.mark.parametrize("h", [0.05, -0.05])
+    def test_blowup_guard_covers_level_one(self, h):
+        v0 = np.zeros((5, 5))
+        velocity = np.full((5, 5), 1e15)
+        with pytest.raises(BlowupError) as exc:
+            list(stencils.three_level_steps(v0, velocity, h, 0.1, 3))
+        assert exc.value.level == (1 if h > 0 else -1)
 
 
 class TestGridField:
