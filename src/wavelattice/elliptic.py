@@ -63,10 +63,6 @@ class EllipticSolution:
     scale: float
     solver: str
 
-    def value_at(self, x) -> float:
-        off = self.fieldobj.offset(self.fieldobj.index_of_point(x))
-        return float(self.values[off])
-
 
 def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     """Solve the assembled sparse system, CG when definite, dense otherwise.

@@ -4,8 +4,9 @@ The format is deliberately simple (configparser-compatible, no nesting) so
 experiment provenance diffs cleanly.  Data selections are catalog strings,
 e.g. ``gaussian center=0,0 width=0.3 amplitude=1``; vector values separate
 components with commas, fields separate with spaces.  Configs round-trip
-losslessly through ``to_text`` / ``from_text``, and ``from_text`` refuses
-any section or key that ``to_text`` does not write.
+losslessly through ``to_text`` / ``from_text``; ``from_text`` refuses
+any section or key that ``to_text`` does not write and takes every key the
+text omits from the dataclass defaults.
 """
 
 from __future__ import annotations
@@ -136,6 +137,27 @@ def format_data_function(data) -> str:
     raise ConfigError(f"cannot serialize data function of kind {data.kind!r}")
 
 
+def _vector_field(text: str) -> tuple:
+    return tuple(_vector(text))
+
+
+_INT, _FLOAT, _STR = (int, str), (float, repr), (str, str)
+_VECTOR = (_vector_field, _fmt_vec)
+
+#: section -> key -> (field, parse, format), in the order to_text writes them
+_LAYOUT = {
+    "experiment": {"id": ("experiment", *_STR), "n": ("n", *_INT),
+                   "levels": ("levels", *_INT), "seed": ("seed", *_INT)},
+    "lattice": {"dx": ("dx", *_FLOAT), "dt": ("dt", *_FLOAT), "t": ("T", *_FLOAT)},
+    "domain": {"kind": ("domain_kind", *_STR), "lo": ("domain_lo", *_VECTOR),
+               "hi": ("domain_hi", *_VECTOR), "window_lo": ("window_lo", *_VECTOR),
+               "window_hi": ("window_hi", *_VECTOR)},
+    "data": {name: (name, *_STR) for name in ("f", "g", "h", "w", "a", "sigma")},
+    "tolerances": {"order_lo": ("order_lo", *_FLOAT),
+                   "order_hi": ("order_hi", *_FLOAT)},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "E1"
@@ -213,77 +235,34 @@ class ExperimentConfig:
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
-        cp["experiment"] = {
-            "id": self.experiment,
-            "n": str(self.n),
-            "levels": str(self.levels),
-            "seed": str(self.seed),
-        }
-        cp["lattice"] = {"dx": repr(self.dx), "dt": repr(self.dt), "t": repr(self.T)}
-        cp["domain"] = {
-            "kind": self.domain_kind,
-            "lo": _fmt_vec(self.domain_lo),
-            "hi": _fmt_vec(self.domain_hi),
-            "window_lo": _fmt_vec(self.window_lo),
-            "window_hi": _fmt_vec(self.window_hi),
-        }
-        cp["data"] = {
-            "f": self.f,
-            "g": self.g,
-            "h": self.h,
-            "w": self.w,
-            "a": self.a,
-            "sigma": self.sigma,
-        }
-        cp["tolerances"] = {
-            "order_lo": repr(self.order_lo),
-            "order_hi": repr(self.order_hi),
-        }
+        cp.read_dict({
+            section: {key: fmt(getattr(self, name))
+                      for key, (name, _, fmt) in keys.items()}
+            for section, keys in _LAYOUT.items()
+        })
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Read a config; the dataclass supplies every key the text omits."""
         cp = configparser.ConfigParser()
         try:
             cp.read_string(text)
             # the sections and keys to_text writes are the only ones read
-            known = configparser.ConfigParser()
-            known.read_string(cls().to_text())
+            if cp.defaults():
+                raise ConfigError("unknown section [DEFAULT]")
+            fields = {}
             for section in cp.sections():
-                if not known.has_section(section):
+                if section not in _LAYOUT:
                     raise ConfigError(f"unknown section [{section}]")
-                for key in cp[section]:
-                    if not known.has_option(section, key):
+                for key, value in cp[section].items():
+                    if key not in _LAYOUT[section]:
                         raise ConfigError(f"unknown key {key!r} in [{section}]")
-            exp = cp["experiment"]
-            lat = cp["lattice"]
-            dom = cp["domain"]
-            dat = cp["data"]
-            tol = cp["tolerances"] if cp.has_section("tolerances") else {}
-            return cls(
-                experiment=exp.get("id", "E1"),
-                n=int(exp.get("n", "1")),
-                levels=int(exp.get("levels", "5")),
-                seed=int(exp.get("seed", "20260826")),
-                dx=float(lat.get("dx", "0.2")),
-                dt=float(lat.get("dt", "0.1")),
-                T=float(lat.get("t", "0.4")),
-                domain_kind=dom.get("kind", "full_space"),
-                domain_lo=tuple(_vector(dom.get("lo", "0.0"))),
-                domain_hi=tuple(_vector(dom.get("hi", "1.0"))),
-                window_lo=tuple(_vector(dom.get("window_lo", "-0.5"))),
-                window_hi=tuple(_vector(dom.get("window_hi", "0.5"))),
-                f=dat.get("f", "none"),
-                g=dat.get("g", "none"),
-                h=dat.get("h", "none"),
-                w=dat.get("w", "none"),
-                a=dat.get("a", "none"),
-                sigma=dat.get("sigma", "none"),
-                order_lo=float(tol.get("order_lo", "1.7")),
-                order_hi=float(tol.get("order_hi", "2.3")),
-            )
+                    name, parse, _ = _LAYOUT[section][key]
+                    fields[name] = parse(value)
+            return cls(**fields)
         except ConfigError:
             raise
         except Exception as exc:

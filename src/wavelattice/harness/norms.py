@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import MissingNeighborError, NoCommonPointsError
+from ..errors import NoCommonPointsError
+from ..lattice import window_indices
 from ..stencils import GridField
 
 __all__ = ["scaled_norms", "compare_on_common_lattice"]
@@ -71,8 +72,7 @@ def compare_on_common_lattice(
 
     n = coarse.n
     sp_a = _space_ratio(coarse.dx, field.spec.dx)
-    if other_field is not None:
-        sp_b = _space_ratio(coarse.dx, other_field.spec.dx)
+    sp_b = _space_ratio(coarse.dx, other_field.spec.dx) if other_field else 1
 
     if times is None:
         times = []
@@ -85,50 +85,29 @@ def compare_on_common_lattice(
             times.append(t)
     times = list(times)
 
-    # Coarse-lattice spatial points inside the window, common to both fields,
-    # in C order of the window.
-    lo = [int(math.ceil((w[0] - 1e-12) / coarse.dx)) for w in window]
-    hi = [int(math.floor((w[1] + 1e-12) / coarse.dx)) for w in window]
-    grids = np.meshgrid(
-        *[np.arange(l, h + 1) for l, h in zip(lo, hi)], indexing="ij"
-    )
-    coarse_idx = np.stack([g.ravel() for g in grids], axis=-1)
-    held = _held(field, coarse_idx * sp_a)
+    # Coarse-lattice points of the window common to both fields, in C order
+    # of the window: a bounded field skips the points off its support, a
+    # full-space field must store them all.
+    indices = window_indices(window, coarse.dx)
+    for fld, sp in ((field, sp_a), (other_field, sp_b)):
+        if fld is not None and not fld.interior.all():
+            indices = indices[fld.holds(indices * sp)]
+    at_a = field.positions(indices * sp_a)
     if other_field is not None:
-        held &= _held(other_field, coarse_idx * sp_b)
-    indices = coarse_idx[held]
+        at_b = other_field.positions(indices * sp_b)
     if len(indices) == 0 or not times:
         raise NoCommonPointsError("no common points inside the comparison window")
 
     diffs = []
     points = indices.astype(float) * coarse.dx
     for t in times:
-        vals_a = _gather(field, indices * sp_a, _time_level(field.spec, t))
+        vals_a = field.level_array(_time_level(field.spec, t))[at_a]
         if other_field is not None:
-            vals_b = _gather(other_field, indices * sp_b,
-                             _time_level(other_field.spec, t))
+            vals_b = other_field.level_array(_time_level(other_field.spec, t))[at_b]
         else:
             vals_b = np.asarray(other(points, t), dtype=float).ravel()
         diffs.append(vals_a - vals_b)
     return scaled_norms(np.concatenate(diffs), coarse.dx, n, coarse.dt)
-
-
-def _held(field: GridField, index: np.ndarray) -> np.ndarray:
-    """Which rows of the (m, n) multi-indices lie in the field's support.
-    A full-space field (all interior) has values past its window that it
-    does not store, so a row there raises MissingNeighborError."""
-    off = index - np.asarray(field.origin)
-    inside = np.all((off >= 0) & (off < np.asarray(field.shape)), axis=1)
-    if not inside.all() and field.interior.all():
-        raise MissingNeighborError("compare points outside a full-space window")
-    held = np.zeros(len(index), dtype=bool)
-    held[inside] = field.support[tuple(off[inside].T)]
-    return held
-
-
-def _gather(field: GridField, index: np.ndarray, level: int) -> np.ndarray:
-    """Values at time level ``level`` of held (m, n) multi-indices."""
-    return field.level_array(level)[tuple((index - np.asarray(field.origin)).T)]
 
 
 def _space_ratio(coarse_dx: float, fine_dx: float) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lattice import Domain, LatticeSpec, classify
+from .lattice import Domain, LatticeSpec, classify, point_indices
 from .spectral import (
     Forcing,
     FrequencyQuadrature,
@@ -157,25 +157,23 @@ def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,
     """Max error of Verlet trajectories against the semidiscrete closed form.
 
     Free-space configuration: the system lives on a window padded past the
-    causal range of the probes, so the closed form applies.  Returns one
+    causal range of the probes, so the closed form applies.  The probes
+    must be lattice points of step dx (ValueError otherwise).  Returns one
     (h_ode, max_error) row per step size; errors decrease at the
     integrator's order until the quadrature floor.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    n = probes.shape[1]
     reach = abs(t) + 4.0  # past the causal range of the probes
     lo = probes.min(axis=0) - reach
     hi = probes.max(axis=0) + reach
     window = Domain.full_space(list(zip(lo, hi)))
+    indices = point_indices(probes, dx)
     reference = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
     rows = []
     for h in h_ode_seq:
         system = system_for_domain(window, dx)
         set_initial_data(system, f, g)
         integrate(system, 0.0, t, h)
-        vals = np.array([
-            system.values[system.fieldobj.offset(system.fieldobj.index_of_point(p))]
-            for p in probes
-        ])
+        vals = system.values[system.fieldobj.positions(indices)]
         rows.append((h, float(np.max(np.abs(vals - reference)))))
     return rows

@@ -8,7 +8,9 @@ combined with the scheme equation at t = 0.  Time runs both ways, covering
 Friedrichs and Lewy): after k steps a lattice value depends only on data
 within k rings of it, so each level is stepped on one ring fewer than the
 one before, down to the problem's window, and every value `solve` returns
-is the scheme's on all of Z^n.
+is the scheme's on all of Z^n.  The scheme has unit velocity and no
+flexibility term, so a problem takes no a(x) or sigma(x): variable
+coefficients go through the elliptic splitting (`elliptic.split_pipeline`).
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ class DiscreteProblem:
 
     `f` and `g` may be catalog functions, plain callables, or pre-sampled
     arrays matching the solver window (the splitting pipeline hands over
-    gridded data).  The leapfrog core requires unit velocity and zero
-    flexibility; variable coefficients are routed through the elliptic
-    splitting instead.
+    gridded data).
     """
 
     spec: LatticeSpec
@@ -49,18 +49,11 @@ class DiscreteProblem:
     g: Union[DataFunction, Callable, np.ndarray, None] = None
     boundary_value: Union[float, Callable] = 0.0
     forcing: Optional[Forcing] = None
-    a: Optional[Callable] = None
-    sigma: Optional[Callable] = None
     classification: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.spec.admissible():
             raise ValueError("DiscreteProblem needs an admissible lattice")
-        if self.a is not None or self.sigma is not None:
-            raise ValueError(
-                "variable coefficients are not solvable by the leapfrog core; "
-                "use the elliptic splitting pipeline"
-            )
         if self.classification is None:
             self.classification = classify(self.domain, self.spec)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, MissingLevelError, MissingNeighborError
-from .lattice import LatticeClassification
+from .errors import BlowupError, MissingLevelError
+from .lattice import LatticeClassification, grid_points
 from .spectral import sample
 
 #: values above this abort a run (deliberately reachable under CFL violation)
@@ -28,25 +28,11 @@ class GridField(LatticeClassification):
 
     The window, origin and interior / boundary masks are those of a
     `LatticeClassification`; `levels` maps the integer time index p
-    (t = p*dt) to one value array over the window per level.
+    (t = p*dt) to one value array over the window per level.  The values
+    at (m, n) multi-indices are `level_array(p)[positions(indices)]`.
     """
 
     levels: dict = field(default_factory=dict)
-
-    def index_of_point(self, x) -> tuple:
-        """Multi-index of the lattice point nearest to x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return tuple(int(round(xi / self.spec.dx)) for xi in x)
-
-    def value(self, index, level: int) -> float:
-        if level not in self.levels:
-            raise MissingLevelError(f"time level {level} is not stored")
-        if not self.holds_index(index):
-            raise MissingNeighborError(f"lattice index {index} outside support")
-        return float(self.levels[level][self.offset(index)])
-
-    def value_at(self, x, level: int) -> float:
-        return self.value(self.index_of_point(x), level)
 
     def level_array(self, level: int) -> np.ndarray:
         if level not in self.levels:
@@ -80,17 +66,6 @@ def window_axes(fieldobj: GridField) -> list:
         (np.arange(s) + o) * fieldobj.spec.dx
         for o, s in zip(fieldobj.origin, fieldobj.shape)
     ]
-
-
-def grid_points(axes) -> np.ndarray:
-    """The points of the tensor grid of the 1-D `axes`, shaped (..., n).
-    Each coordinate is broadcast into place, which is several times faster
-    than stacking a meshgrid."""
-    n = len(axes)
-    points = np.empty(tuple(a.size for a in axes) + (n,))
-    for k, a in enumerate(axes):
-        points[..., k] = a.reshape((-1,) + (1,) * (n - 1 - k))
-    return points
 
 
 def lattice_points(fieldobj: GridField) -> np.ndarray:

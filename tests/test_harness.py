@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from wavelattice.harness import experiments
 from wavelattice.harness.cli import main
 from wavelattice.harness.norms import _space_ratio, _time_level
 from wavelattice.harness.table import TableRow
-from wavelattice.lattice import refine_halving
+from wavelattice.lattice import point_indices, refine_halving, window_indices
 
 
 class TestDataCatalog:
@@ -103,6 +104,16 @@ class TestExperimentConfig:
         for eid in ("E1", "E3", "E5", "E7"):
             for n in (1, 2):
                 assert default_config(eid, n=n).base_spec().admissible()
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        assert ExperimentConfig.from_text("[experiment]\nid = E3\n") == \
+            ExperimentConfig(experiment="E3")
+        assert ExperimentConfig.from_text("[data]\ng = none\n") == ExperimentConfig()
+        assert ExperimentConfig.from_text("") == ExperimentConfig()
+
+    def test_unknown_default_section_rejected(self):
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            ExperimentConfig.from_text("[DEFAULT]\nn = 2\n[experiment]\nid = E3\n")
 
     def test_bad_lattice_rejected(self):
         cfg = default_config("E1", n=1)
@@ -182,9 +193,8 @@ class TestNorms:
         fld, spec = self._solved_field()
 
         def oracle(points, t):
-            idx = np.round(points[:, 0] / spec.dx).astype(int)
-            level = round(t / spec.dt)
-            return np.array([fld.value((i,), level) for i in idx])
+            at = fld.positions(point_indices(points, spec.dx))
+            return fld.level_array(round(t / spec.dt))[at]
 
         sup, _ = compare_on_common_lattice(
             fld, oracle, [(-0.4, 0.4)], times=[spec.T]
@@ -206,10 +216,18 @@ class TestNorms:
                                       times=[spec.dt / 3.0])
 
 
+def _holds_one(field, index):
+    return bool(field.holds([index])[0])
+
+
+def _value_one(field, index, level):
+    return float(field.level_array(level)[field.positions([index])][0])
+
+
 def _loop_compare(field, other, window, times=None, base_spec=None):
-    """Per-point reference of `compare_on_common_lattice`: one
-    `holds_index` and one `GridField.value` per coarse point and field."""
-    other_field = other if hasattr(other, "holds_index") else None
+    """Per-point reference of `compare_on_common_lattice`: one lookup of
+    one multi-index per coarse point, field and time."""
+    other_field = other if hasattr(other, "levels") else None
     coarse = base_spec if base_spec is not None else field.spec
     for fld in (other_field, field):
         if fld is not None and fld.spec.dx > coarse.dx:
@@ -232,9 +250,9 @@ def _loop_compare(field, other, window, times=None, base_spec=None):
     ]
     indices = [
         idx for idx in itertools.product(*axes)
-        if field.holds_index(tuple(j * sp_a for j in idx))
+        if _holds_one(field, tuple(j * sp_a for j in idx))
         and (other_field is None
-             or other_field.holds_index(tuple(j * sp_b for j in idx)))
+             or _holds_one(other_field, tuple(j * sp_b for j in idx)))
     ]
     if not indices or not times:
         raise NoCommonPointsError("no common points")
@@ -242,12 +260,13 @@ def _loop_compare(field, other, window, times=None, base_spec=None):
     diffs = []
     for t in times:
         p_a = _time_level(field.spec, t)
-        vals_a = np.array([field.value(tuple(j * sp_a for j in idx), p_a)
+        vals_a = np.array([_value_one(field, tuple(j * sp_a for j in idx), p_a)
                            for idx in indices])
         if other_field is not None:
             p_b = _time_level(other_field.spec, t)
-            vals_b = np.array([other_field.value(tuple(j * sp_b for j in idx), p_b)
-                               for idx in indices])
+            vals_b = np.array([
+                _value_one(other_field, tuple(j * sp_b for j in idx), p_b)
+                for idx in indices])
         else:
             vals_b = np.asarray(other(points, t), dtype=float).ravel()
         diffs.append(vals_a - vals_b)
@@ -275,8 +294,8 @@ class TestCompareOnBoundedDomain:
     def test_window_is_not_covered(self):
         fld = self._ball_field(0.1)
         grid = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
-        held = [fld.holds_index(idx) for idx in grid]
-        assert any(held) and not all(held)
+        held = fld.holds(grid)
+        assert held.any() and not held.all()
 
     @pytest.mark.parametrize("dx", [0.1, 0.05])
     @pytest.mark.parametrize("times", [None, [0.3]])
@@ -594,9 +613,7 @@ class TestE5RawRun:
 def _loop_quotients(field, index, level):
     """(delta_t^2 v, delta_x^2 v along axis 0) at one lattice index, point
     by point."""
-    def value(idx, p):
-        return float(field.level_array(p)[field.offset(idx)])
-
+    value = partial(_value_one, field)
     plus = (index[0] + 1,) + tuple(index[1:])
     minus = (index[0] - 1,) + tuple(index[1:])
     dtt = (value(index, level + 1) - 2.0 * value(index, level)
@@ -627,7 +644,7 @@ class TestE2Quotients:
         base = config.base_spec()
         f, g = config.data("f"), config.data("g")
         quad = experiments._quad_for(f, g, base.T)
-        probes = experiments._probe_indices(config.window(), base.dx)
+        probes = window_indices(config.window(), base.dx)
         points = probes.astype(float) * base.dx
         t_mid = base.T / 2.0
         ref_tt, ref_xx = (
@@ -682,7 +699,7 @@ class TestE2Quotients:
             return real_solve(inner, t_range=t_range)
 
         monkeypatch.setattr(experiments, "solve", ungrown_solve)
-        with pytest.raises(MissingNeighborError, match="outside the solved window"):
+        with pytest.raises(MissingNeighborError, match="outside the support"):
             run_experiment(config)
 
 
@@ -694,6 +711,18 @@ class TestCli:
         code = main(["experiment", "E1", "--config",
                      str(tmp_path / "missing.ini")])
         assert code == 2
+
+    def test_e7_full_space_config_exits_2(self, tmp_path, capsys):
+        # E7 needs a bounded domain; a full-space config is refused, not
+        # swapped for the default box
+        config = ExperimentConfig(experiment="E7", n=1, dx=0.05, dt=0.025,
+                                  levels=3)
+        with pytest.raises(ConfigError, match="bounded domain"):
+            run_experiment(config, tmp_path / "run")
+        path = tmp_path / "e7.ini"
+        config.write(path)
+        assert main(["experiment", "E7", "--config", str(path)]) == 2
+        assert "bounded domain" in capsys.readouterr().err
 
     def test_dispersion_writes_csv(self, tmp_path):
         out = tmp_path / "disp"
@@ -755,5 +784,5 @@ class TestCli:
                                       for lo, hi in config.window()]),
         )
         reference = solve(wide, t_range=(0.0, spec.T))
-        for *x, value in table:
-            assert value == reference.value_at(x, spec.steps), x
+        at = reference.positions(point_indices(table[:, :n], spec.dx))
+        assert np.array_equal(table[:, n], reference.level_array(spec.steps)[at])

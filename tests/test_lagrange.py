@@ -200,6 +200,17 @@ class TestReferenceError:
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
+    def test_off_lattice_probe_raises(self):
+        # x = 0.05 lies between lattice points: no Verlet value there to
+        # compare with the closed form at x = 0.05
+        f = DataFunction.gaussian([0.0], 0.3)
+        quad = FrequencyQuadrature.for_data(f, T=0.4)
+        with pytest.raises(ValueError, match="not on the lattice"):
+            phi_reference_error(f, None, 0.1, [[0.05]], 0.4, [0.05], quad)
+        (_, on_lattice), = phi_reference_error(f, None, 0.1, [[0.0]], 0.4,
+                                               [0.05], quad)
+        assert on_lattice < 2e-3
+
 
 class TestRecordedLevels:
     """The stepping kernel reuses its buffers; Verlet copies what it keeps."""

@@ -11,12 +11,14 @@ from wavelattice import (
     DataFunction,
     Domain,
     LatticeSpec,
+    MissingNeighborError,
     check_compatibility,
     classify,
     detect_double_points,
     is_admissible,
     refine_halving,
 )
+from wavelattice.lattice import point_indices, window_indices
 
 
 class TestAdmissibility:
@@ -228,3 +230,57 @@ class TestCompatibility:
             f, g, None, Domain.box([(0, 1), (0, 1)]), tol=1e-10
         )
         assert rep.passed
+
+
+class TestLatticeLookup:
+    """One lookup reads every lattice field: multi-indices from a window or
+    from points, positions and support membership from a classification."""
+
+    @staticmethod
+    def _loop_holds(cls, index):
+        off = [i - o for i, o in zip(index, cls.origin)]
+        if any(o < 0 or o >= s for o, s in zip(off, cls.shape)):
+            return False
+        return bool(cls.interior[tuple(off)] or cls.boundary[tuple(off)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["box", "ball"])
+    def test_positions_and_holds_equal_per_index_loop(self, n, shape):
+        spec = LatticeSpec(n, 0.1, 0.05, 0.4)
+        domain = (Domain.box([(-0.35, 0.25)] * n) if shape == "box"
+                  else Domain.ball([0.03] * n, 0.3617))
+        cls = classify(domain, spec)
+        # on the support, in the window off the support, and past the window
+        indices = window_indices([(-0.6, 0.6)] * n, spec.dx)
+        held = cls.holds(indices)
+        expected = [self._loop_holds(cls, tuple(i)) for i in indices.tolist()]
+        assert held.tolist() == expected
+        assert held.any() and not held.all()
+        in_window = np.all((indices >= cls.origin)
+                           & (indices < np.add(cls.origin, cls.shape)), axis=1)
+        assert (in_window & ~held).any() == (shape == "ball" and n > 1)
+        assert (~in_window).any()
+        values = np.arange(cls.interior.size, dtype=float).reshape(cls.shape)
+        got = values[cls.positions(indices[held])]
+        for index, value in zip(indices[held].tolist(), got):
+            off = tuple(i - o for i, o in zip(index, cls.origin))
+            assert value == values[off]
+        for index in indices[~held][[0, -1]]:
+            with pytest.raises(MissingNeighborError, match="outside the support"):
+                cls.positions(np.vstack([indices[held][:3], index]))
+
+    def test_window_indices_c_order(self):
+        indices = window_indices([(-0.1, 0.1), (0.0, 0.25)], 0.1)
+        assert indices.tolist() == [[-1, 0], [-1, 1], [-1, 2], [0, 0], [0, 1],
+                                    [0, 2], [1, 0], [1, 1], [1, 2]]
+        assert window_indices([(0.05, 0.09)], 0.1).shape == (0, 1)
+
+    def test_point_indices(self):
+        assert point_indices([0.3, -0.2], 0.1).tolist() == [[3, -2]]
+        points = window_indices([(-0.5, 0.5)] * 2, 0.05) * 0.05
+        assert np.array_equal(point_indices(points, 0.05) * 0.05, points)
+
+    @pytest.mark.parametrize("point", [[0.05], [0.3, 0.149]])
+    def test_off_lattice_point_raises(self, point):
+        with pytest.raises(ValueError, match="not on the lattice"):
+            point_indices(point, 0.1)

@@ -114,8 +114,9 @@ class TestSolve:
         assert arr[0] == 0.0 and arr[-1] == 0.0
 
     def test_variable_coefficients_rejected(self):
+        # the scheme has no a(x) or sigma(x); they go through the splitting
         spec = LatticeSpec(1, 0.1, 0.05, 0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DiscreteProblem(spec=spec, domain=Domain.box([(0.0, 1.0)]),
                             a=lambda x: 1.1)
 

@@ -15,12 +15,8 @@ from wavelattice import (
     solve,
 )
 from wavelattice.harness import default_config
-from wavelattice.harness.experiments import (
-    _probe_indices,
-    _quad_for,
-    _varying_ratio_specs,
-)
-from wavelattice.lattice import refine_halving
+from wavelattice.harness.experiments import _quad_for, _varying_ratio_specs
+from wavelattice.lattice import refine_halving, window_indices
 
 MB = 1024 * 1024
 
@@ -50,7 +46,7 @@ def test_e1_oracle_synthesis_is_small():
     config, f, g = _e1_n3()
     base = config.base_spec()
     quad = _quad_for(f, g, base.T)
-    points = _probe_indices(config.window(), base.dx).astype(float) * base.dx
+    points = window_indices(config.window(), base.dx) * base.dx
     assert points.shape == (125, 3) and len(quad.weights) == 33**3
     values, peak, _ = _traced(continuum_solution_u, f, g, points, base.T, quad)
     assert values.shape == (125,)

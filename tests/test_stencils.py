@@ -176,10 +176,9 @@ class TestGridField:
         assert pts.shape == (5, 1)
         assert np.allclose(pts[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_holds_index(self):
+    def test_holds(self):
         fld = self._small_field()
-        assert fld.holds_index((2,))
-        assert not fld.holds_index((9,))
+        assert fld.holds([(2,), (9,)]).tolist() == [True, False]
 
     def test_box_window_and_masks(self):
         spec = LatticeSpec(2, 0.25, 0.125, 0.5)
