@@ -44,11 +44,9 @@ from .lagrange import (
     system_for_domain,
 )
 from .lattice import (
-    CompatibilityReport,
     Domain,
     LatticeClassification,
     LatticeSpec,
-    check_compatibility,
     classify,
     detect_double_points,
     is_admissible,
@@ -70,7 +68,9 @@ from .spectral import (
 )
 from .stencils import (
     BLOWUP_THRESHOLD,
+    CompatibilityReport,
     GridField,
+    check_compatibility,
     dump_level,
     field_from_classification,
     lattice_points,

@@ -20,12 +20,11 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, classify
 from .leapfrog import DiscreteProblem
-from .spectral import DataFunction, Forcing, sample
+from .spectral import DataFunction, Forcing
 from .stencils import (
     GridField,
     field_from_classification,
     laplacian_array,
-    lattice_points,
     sample_window,
 )
 
@@ -74,20 +73,16 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
     Raises SingularSystemError when no solver produces a reliable result.
     """
     fieldobj = field_from_classification(problem.classification)
-    points = lattice_points(fieldobj)
-    flat_points = points.reshape(-1, points.shape[-1])
     shape = fieldobj.shape
     dx2 = problem.dx**2
 
-    interior_idx = np.flatnonzero(fieldobj.interior.ravel())
-    boundary_idx = np.flatnonzero(fieldobj.boundary.ravel())
-    m = len(interior_idx)
+    m = int(np.count_nonzero(fieldobj.interior))
     if m == 0:
         raise SingularSystemError("no interior points to solve on")
 
-    bvals = sample(problem.b, flat_points[interior_idx])
-    svals = sample(problem.sigma, flat_points[interior_idx])
-    hvals = sample(problem.h, flat_points[boundary_idx])
+    bvals = sample_window(problem.b, fieldobj)[fieldobj.interior]
+    svals = sample_window(problem.sigma, fieldobj)[fieldobj.interior]
+    hvals = sample_window(problem.h, fieldobj)[fieldobj.boundary]
 
     # harmonic filler where the operator row would vanish identically
     degenerate = (bvals == 0.0) & (svals == 0.0)
@@ -152,8 +147,8 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
             raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
     values = np.zeros(shape)
-    values.ravel()[interior_idx] = v_int
-    values.ravel()[boundary_idx] = hvals
+    values[fieldobj.interior] = v_int
+    values[fieldobj.boundary] = hvals
 
     residual, scale = _residual(problem, fieldobj, values, bvals, svals)
     if not np.isfinite(residual) or residual > 1e-8 * max(scale, 1.0):

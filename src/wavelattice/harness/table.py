@@ -90,11 +90,6 @@ class ErrorTable:
             table.add(int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
         return table
 
-    @classmethod
-    def read_csv(cls, path) -> "ErrorTable":
-        with open(path, encoding="ascii") as fh:
-            return cls.from_csv_text(fh.read())
-
     def gnuplot_script(self, csv_name: str, title: str = "convergence") -> str:
         """A gnuplot script plotting sup and l2 errors against dx, log-log."""
         return (

@@ -14,7 +14,6 @@ in its window's arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -334,198 +333,29 @@ def classify(domain: Domain, spec: LatticeSpec) -> LatticeClassification:
     )
 
 
-def detect_double_points(domain: Domain, spec: LatticeSpec) -> set:
-    """Boundary points where the domain is locally disconnected.
+def detect_double_points(domain: Domain, spec: LatticeSpec) -> np.ndarray:
+    """Multi-indices, shaped (m, n) in C order, of the lattice points where
+    the domain is locally disconnected.
 
-    Boxes and balls are convex and have none.  For union domains each
-    boundary lattice point gets a local connectivity test: the indicator
-    is sampled on a cube of side dx around the point at resolution dx/8
-    and the inside samples are flood-filled with axis adjacency; more
-    than one component flags the point.  This is the heuristic stand-in
-    for the geometric definition, which has no algorithmic test.
+    Boxes and balls are convex and have none.  For union domains every
+    closure point that is not interior gets a local connectivity test: the
+    indicator is sampled on a cube of side dx around the point at
+    resolution dx/8 and its inside cells are labelled with axis adjacency;
+    more than one component flags the point.  An isolated touch point (two
+    boxes meeting at a corner) has all its neighbours in the closure and so
+    is neither interior nor boundary, yet it is exactly the kind of point
+    to flag.  This is the heuristic stand-in for the geometric definition,
+    which has no algorithmic test.
     """
     if domain.kind in ("box", "ball"):
-        return set()
+        return np.empty((0, domain.n), dtype=int)
     if domain.kind == "full_space":
         raise UnsupportedShapeError("double-point scan needs a bounded domain")
+    from scipy import ndimage  # loads scipy.special, which nothing else needs
 
-    dx = spec.dx
-    n = domain.n
-    step = dx / 8.0
-    cube = np.array(list(itertools.product(range(-4, 5), repeat=n)))
-    samples = cube * step
-    origin, inside, closure = _closure_masks(domain, dx)
-    # Scan every closure point that is not interior.  This is wider than
-    # the boundary mask: an isolated touch point (two boxes meeting at a
-    # corner) has all its neighbors in the closure and so is neither
-    # interior nor boundary, yet it is exactly the kind of point to flag.
-    candidates = closure & ~(inside & _neighbours_in(closure))
-    suspects = set()
-    for index in np.argwhere(candidates) + np.asarray(origin):
-        x0 = index.astype(float) * dx
-        hit = domain.contains(x0 + samples)
-        remaining = {tuple(off) for off in cube[hit].tolist()}
-        # flood fill over axis-adjacent sample cells
-        components = 0
-        while remaining:
-            components += 1
-            stack = [remaining.pop()]
-            while stack:
-                cell = stack.pop()
-                for k in range(n):
-                    for s in (-1, 1):
-                        nb = list(cell)
-                        nb[k] += s
-                        nb = tuple(nb)
-                        if nb in remaining:
-                            remaining.discard(nb)
-                            stack.append(nb)
-        if components > 1:
-            suspects.add(tuple(x0.tolist()))
-    return suspects
-
-
-@dataclass
-class CompatibilityReport:
-    """Maxima of the three boundary compatibility defects and the verdict."""
-
-    max_f_mismatch: float
-    max_g: float
-    max_surface_laplacian: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_f_mismatch <= self.tol
-            and self.max_g <= self.tol
-            and self.max_surface_laplacian <= self.tol
-        )
-
-
-def _boundary_samples(domain: Domain, count: int) -> list[np.ndarray]:
-    n = domain.n
-    if domain.kind == "box":
-        if n == 1:
-            lo, hi = domain.bounds[0]
-            return [np.array([lo]), np.array([hi])]
-        pts = []
-        per_face = max(2, math.ceil((count / (2 * n)) ** (1.0 / (n - 1))))
-        for k in range(n):
-            for side in (0, 1):
-                axes = [j for j in range(n) if j != k]
-                grids = [
-                    np.linspace(domain.bounds[j][0], domain.bounds[j][1], per_face)
-                    for j in axes
-                ]
-                for combo in itertools.product(*grids):
-                    p = np.empty(n)
-                    p[k] = domain.bounds[k][side]
-                    for j, v in zip(axes, combo):
-                        p[j] = v
-                    pts.append(p)
-        return pts
-    if domain.kind == "ball":
-        if n == 1:
-            c, r = domain.center[0], domain.radius
-            return [np.array([c - r]), np.array([c + r])]
-        if n == 2:
-            thetas = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
-            return [
-                domain.center + domain.radius * np.array([math.cos(t), math.sin(t)])
-                for t in thetas
-            ]
-        # n == 3: Fibonacci sphere
-        pts = []
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for i in range(count):
-            z = 1.0 - 2.0 * (i + 0.5) / count
-            rho = math.sqrt(max(0.0, 1.0 - z * z))
-            th = golden * i
-            pts.append(
-                domain.center
-                + domain.radius * np.array([rho * math.cos(th), rho * math.sin(th), z])
-            )
-        return pts
-    raise UnsupportedShapeError("compatibility check needs a box or ball domain")
-
-
-def _surface_second_differences(domain: Domain, h, x: np.ndarray, step: float):
-    """Tangential second differences of h at a boundary point x."""
-    n = domain.n
-    if n == 1:
-        return 0.0
-    total = 0.0
-    if domain.kind == "box":
-        on_face = [
-            k
-            for k in range(n)
-            if min(abs(x[k] - domain.bounds[k][0]), abs(x[k] - domain.bounds[k][1]))
-            <= REL_TOL
-        ]
-        tangents = [j for j in range(n) if j not in on_face]
-        for j in tangents:
-            lo, hi = domain.bounds[j]
-            # keep the sampled triple on the face
-            xc = np.array(x)
-            xc[j] = min(max(xc[j], lo + step), hi - step)
-            e = np.zeros(n)
-            e[j] = step
-            total += (h(xc + e) - 2.0 * h(xc) + h(xc - e)) / step**2
-        return abs(total)
-    # ball: walk along great circles through x
-    normal = (x - domain.center) / domain.radius
-    basis = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        t = e - np.dot(e, normal) * normal
-        norm = np.linalg.norm(t)
-        if norm > 1e-8:
-            t = t / norm
-            if all(abs(np.dot(t, b)) < 0.9 for b in basis):
-                basis.append(t)
-        if len(basis) == n - 1:
-            break
-    angle = step / domain.radius
-    for t in basis:
-        plus = domain.center + domain.radius * _rotate_towards(normal, t, angle)
-        minus = domain.center + domain.radius * _rotate_towards(normal, t, -angle)
-        total += (h(plus) - 2.0 * h(x) + h(minus)) / step**2
-    return abs(total)
-
-
-def _rotate_towards(normal, tangent, angle):
-    return math.cos(angle) * normal + math.sin(angle) * tangent
-
-
-def _as_callable(fn):
-    """Treat missing or constant data as the corresponding constant function."""
-    if fn is None:
-        return lambda x: 0.0
-    if callable(fn):
-        return fn
-    value = float(fn)
-    return lambda x: value
-
-
-def check_compatibility(f, g, h, domain: Domain, tol: float, dx: float = 0.1):
-    """Check the boundary compatibility of initial and boundary data.
-
-    Samples the boundary at >= 100 points (all of it in 1-D), reporting
-    max |f - h|, max |g| and the largest tangential second difference of
-    h at resolution dx/4.  Passes iff all three maxima are <= tol.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    f, g, h = (_as_callable(fn) for fn in (f, g, h))
-    samples = _boundary_samples(domain, 128)
-    step = dx / 4.0
-    max_fh = 0.0
-    max_g = 0.0
-    max_lap = 0.0
-    for x in samples:
-        max_fh = max(max_fh, abs(float(f(x)) - float(h(x))))
-        max_g = max(max_g, abs(float(g(x))))
-        max_lap = max(max_lap, _surface_second_differences(domain, h, x, step))
-    return CompatibilityReport(max_fh, max_g, max_lap, tol)
+    cube = grid_points([np.arange(-4, 5) * (spec.dx / 8.0)] * domain.n)
+    origin, inside, closure = _closure_masks(domain, spec.dx)
+    candidates = np.argwhere(closure & ~(inside & _neighbours_in(closure))) + origin
+    flagged = [ndimage.label(domain.contains(k * spec.dx + cube))[1] > 1
+               for k in candidates]
+    return candidates[np.array(flagged, dtype=bool)]

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .dispersion import beta_arrays, sinc
 from .errors import SGridMisalignedError, TailBoundError
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, grid_points
 
 _TWO_PI = 2.0 * math.pi
 
@@ -158,14 +158,10 @@ class DataFunction:
         raise ValueError(f"{self.kind} has no integrable Fourier transform")
 
     def _bump_transform(self, alpha, nodes_per_axis=64):
-        c = np.asarray(self.center)
         z, w = leggauss(nodes_per_axis)
-        axes = [c[k] + self.radius * z for k in range(self.n)]
-        wts = [self.radius * w for _ in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*wts, indexing="ij")
-        weight = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+        pts = grid_points([c + self.radius * z for c in self.center]).reshape(-1, self.n)
+        weight = np.prod(
+            grid_points([self.radius * w] * self.n).reshape(-1, self.n), axis=-1)
         vals = self(pts) * weight
         phases = np.exp(-1j * (alpha @ pts.T))
         return (phases @ vals) / _TWO_PI ** (self.n / 2.0)
@@ -249,12 +245,8 @@ class FrequencyQuadrature:
     @classmethod
     def build(cls, n: int, M: float, nodes_per_axis: int) -> "FrequencyQuadrature":
         z, w = leggauss(nodes_per_axis)
-        axis_nodes = M * z
-        axis_weights = M * w
-        mesh = np.meshgrid(*([axis_nodes] * n), indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*([axis_weights] * n), indexing="ij")
-        weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+        nodes = grid_points([M * z] * n).reshape(-1, n)
+        weights = np.prod(grid_points([M * w] * n).reshape(-1, n), axis=-1)
         return cls(n, M, nodes_per_axis, nodes, weights)
 
     @classmethod

@@ -9,7 +9,7 @@ from pathlib import Path
 import wavelattice
 
 HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize",
-         "scipy.spatial", "scipy.fft")
+         "scipy.spatial", "scipy.fft", "scipy.ndimage")
 
 SCRIPT = f"""
 import sys

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from boundary_reference import reference_compatibility, reference_double_points
 from classify_reference import index_set, reference_classify
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from wavelattice import (
     Domain,
     LatticeSpec,
     MissingNeighborError,
+    UnsupportedShapeError,
     check_compatibility,
     classify,
     detect_double_points,
@@ -190,24 +192,79 @@ class TestPredicateArrays:
                               dist[:100].reshape(4, 25))
 
 
-class TestDoublePoints:
-    def test_box_empty(self):
-        assert detect_double_points(
-            Domain.box([(0, 1), (0, 1)]), LatticeSpec(2, 0.25, 0.1, 1.0)
-        ) == set()
+def _unions(n):
+    """Two-part unions in n dimensions that touch at points or along an edge,
+    or nearly touch."""
+    return [
+        Domain.union(Domain.box([(-1.0, 0.0)] * n), Domain.box([(0.0, 1.0)] * n)),
+        Domain.union(Domain.ball([0.0] * n, 0.5),
+                     Domain.ball([1.0] + [0.0] * (n - 1), 0.5)),
+        Domain.union(Domain.box([(-1.0, 0.0)] * n),
+                     Domain.ball([0.5] * n, 0.5 * math.sqrt(n))),
+        # in 3-D the boxes meet along an edge, in 2-D at a corner
+        Domain.union(Domain.box([(-0.5, 0.0), (-0.5, 0.0)] + [(-0.5, 0.5)] * (n - 2)),
+                     Domain.box([(0.0, 0.5), (0.0, 0.5)] + [(-0.5, 0.5)] * (n - 2))),
+        # a gap narrower than a sub-cell: the inside cells meet only
+        # diagonally, which axis adjacency keeps apart
+        Domain.union(Domain.box([(-1.0, -0.01)] * n), Domain.box([(-0.005, 1.0)] * n)),
+    ]
 
-    def test_ball_empty(self):
-        assert detect_double_points(
-            Domain.ball((0.0, 0.0), 1.0), LatticeSpec(2, 0.25, 0.1, 1.0)
-        ) == set()
+
+class TestDoublePoints:
+    @pytest.mark.parametrize("domain", [
+        Domain.box([(0, 1), (0, 1)]), Domain.ball((0.0, 0.0), 1.0),
+        Domain.box([(0, 1)] * 3), Domain.ball((0.0, 0.0, 0.0), 1.0),
+    ], ids=["box", "ball", "box_3d", "ball_3d"])
+    def test_convex_domains_have_none(self, domain):
+        flagged = detect_double_points(domain, LatticeSpec(domain.n, 0.25, 0.1, 1.0))
+        assert flagged.shape == (0, domain.n)
+        assert flagged.dtype.kind == "i"
 
     def test_touching_corner_flagged(self):
         dom = Domain.union(
             Domain.box([(-1.0, 0.0), (-1.0, 0.0)]),
             Domain.box([(0.0, 1.0), (0.0, 1.0)]),
         )
-        suspects = detect_double_points(dom, LatticeSpec(2, 0.25, 0.1, 1.0))
-        assert (0, 0) in {tuple(int(round(c / 0.25)) for c in p) for p in suspects}
+        flagged = detect_double_points(dom, LatticeSpec(2, 0.25, 0.1, 1.0))
+        assert flagged.tolist() == [[0, 0]]
+
+    def test_full_space_rejected(self):
+        with pytest.raises(UnsupportedShapeError):
+            detect_double_points(Domain.full_space([(-1.0, 1.0)]),
+                                 LatticeSpec(1, 0.25, 0.1, 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dx", [0.25, 0.125])
+    def test_equals_flood_fill_reference(self, n, dx):
+        spec = LatticeSpec(n, dx, dx / (2.0 * math.sqrt(n)), 1.0)
+        total = 0
+        for domain in _unions(n):
+            flagged = detect_double_points(domain, spec)
+            assert flagged.dtype.kind == "i" and flagged.shape[1:] == (n,)
+            # C order, as np.argwhere gives it
+            assert flagged.tolist() == sorted(flagged.tolist())
+            expected = reference_double_points(domain, spec)
+            assert {tuple((k * dx).tolist()) for k in flagged} == expected
+            assert len(flagged) == len(expected)
+            total += len(flagged)
+        assert total > 0
+
+
+def _compatibility_cases():
+    """(domain, (f, g, h)): boxes and balls in n = 1, 2, 3 with no data,
+    constants, per-point functions, Gaussians and bumps."""
+    for n in (1, 2, 3):
+        c = [0.5] * n
+        for domain in (Domain.box([(0.0, 1.0)] * n), Domain.ball(c, 0.45)):
+            yield domain, (None, None, None)
+            yield domain, (0.3, 0.0, 0.3)
+            yield domain, (lambda x: 0.2 + x[0] * x[-1], None,
+                           lambda x: x[0] ** 2 - x[-1] ** 2 + 0.2)
+            yield domain, (DataFunction.gaussian(c, 0.2),
+                           DataFunction.gaussian(c, 0.1, amplitude=0.5),
+                           DataFunction.gaussian([0.3] * n, 0.25))
+            yield domain, (DataFunction.smooth_bump(c, 0.4), None,
+                           DataFunction.smooth_bump([0.6] * n, 0.5, amplitude=0.3))
 
 
 class TestCompatibility:
@@ -230,6 +287,28 @@ class TestCompatibility:
             f, g, None, Domain.box([(0, 1), (0, 1)]), tol=1e-10
         )
         assert rep.passed
+
+    def test_nan_data_fails(self):
+        # a NaN sample is a defect, not a value the running maximum skips
+        f = lambda x: math.nan if x[0] > 0.9 else 0.0
+        rep = check_compatibility(f, None, None, Domain.box([(0, 1)] * 2), tol=1e-10)
+        assert math.isnan(rep.max_f_mismatch)
+        assert not rep.passed
+
+    def test_union_rejected(self):
+        with pytest.raises(UnsupportedShapeError):
+            check_compatibility(None, None, None, _unions(2)[0], tol=1e-10)
+
+    @pytest.mark.parametrize("dx", [0.1, 0.05])
+    @pytest.mark.parametrize("case", list(_compatibility_cases()))
+    def test_equals_per_point_reference(self, case, dx):
+        domain, (f, g, h) = case
+        rep = check_compatibility(f, g, h, domain, tol=1e-8, dx=dx)
+        maxima = (rep.max_f_mismatch, rep.max_g, rep.max_surface_laplacian)
+        expected = reference_compatibility(f, g, h, domain, dx=dx)
+        assert maxima == expected
+        assert all(type(v) is float for v in maxima)
+        assert rep.passed == all(v <= 1e-8 for v in expected)
 
 
 class TestLatticeLookup:

@@ -153,26 +153,23 @@ class TestCallCounts:
         assert [shape for shape, _ in calls] == [
             (math.prod(w + 2 * r for w in fld.shape), 2) for r in rings]
 
-    def test_split_pipeline_builds_the_points_once(self, monkeypatch):
-        # the assembly needs the window's points; the shift of a gridded f
-        # samples by blocks and builds none
-        built = []
-        real = elliptic.lattice_points
-
-        def recording(fieldobj):
-            built.append(fieldobj.shape)
-            return real(fieldobj)
-
-        monkeypatch.setattr(elliptic, "lattice_points", recording)
+    def test_split_pipeline_samples_by_blocks(self, monkeypatch, call_shapes):
+        # the assembly samples b, sigma and h, and the shift samples a
+        # gridded f, one block of window rows at a time: no (m, n) array of
+        # the whole window's points is built
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 40)
         spec = LatticeSpec(2, 0.1, 0.05, 0.2)
         domain = Domain.box([(0.0, 1.0)] * 2)
         classification = classify(domain, spec)
         f = np.full(classification.shape, 0.3)
+        bump = DataFunction.smooth_bump([0.5, 0.5], 0.45, amplitude=0.1)
         split = elliptic.split_pipeline(elliptic.VariableCoefficientProblem(
             spec=spec, domain=domain, f=f, h=0.2, classification=classification,
-            b=DataFunction.smooth_bump([0.5, 0.5], 0.45, amplitude=0.1),
+            b=bump, sigma=bump,
         ))
-        assert built == [classification.shape]
+        assert classification.shape == (11, 11)
+        # b, then sigma: blocks of 3, 3, 3 and 2 rows of 11 points
+        assert call_shapes == ([(33, 2)] * 3 + [(22, 2)]) * 2
         support = classification.support
         assert np.array_equal(split.shifted_f[support],
                               (f - split.elliptic.values)[support])

@@ -228,6 +228,40 @@ class TestQuadrature:
         assert b2 < b1
 
 
+def _meshgrid_rule(axis_nodes, axis_weights):
+    """Nodes and product weights of a tensor rule through meshgrid + stack."""
+    mesh = np.meshgrid(*axis_nodes, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    wmesh = np.meshgrid(*axis_weights, indexing="ij")
+    return nodes, np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+
+
+class TestTensorGrid:
+    """The tensor rules are built with lattice.grid_points; the nodes, the
+    weights and the bump transform equal the meshgrid construction."""
+
+    @pytest.mark.parametrize("n,K", [(1, 129), (2, 129), (3, 33), (3, 65)])
+    def test_frequency_rule_equals_meshgrid(self, n, K):
+        quad = FrequencyQuadrature.build(n, 7.5, K)
+        z, w = np.polynomial.legendre.leggauss(K)
+        nodes, weights = _meshgrid_rule([7.5 * z] * n, [7.5 * w] * n)
+        assert np.array_equal(quad.nodes, nodes)
+        assert np.array_equal(quad.weights, weights)
+        assert quad.nodes.shape == (K**n, n) and quad.weights.shape == (K**n,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bump_transform_equals_meshgrid(self, n):
+        bump = DataFunction.smooth_bump([0.1 * (k + 1) for k in range(n)], 0.6,
+                                        amplitude=0.7)
+        alpha = np.random.default_rng(n).uniform(-6.0, 6.0, size=(50, n))
+        z, w = np.polynomial.legendre.leggauss(64)
+        pts, weight = _meshgrid_rule(
+            [c + bump.radius * z for c in bump.center], [bump.radius * w] * n)
+        expected = (np.exp(-1j * (alpha @ pts.T)) @ (bump(pts) * weight)) / (
+            2.0 * math.pi) ** (n / 2.0)
+        assert np.array_equal(bump.fourier(alpha), expected)
+
+
 def _dense_synthesis(quad, spectrum, points):
     """The dense reference: one phase matrix of every point and every node."""
     phases = np.exp(1j * (np.atleast_2d(points) @ quad.nodes.T))
