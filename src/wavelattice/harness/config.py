@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import WaveLatticeError
 from ..lattice import Domain, LatticeSpec
-from ..spectral import DataFunction
+from ..spectral import CATALOG, DataFunction
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_data_function", "format_data_function"]
 
@@ -30,80 +30,50 @@ class ConfigError(WaveLatticeError):
     """Invalid or unserialisable experiment configuration."""
 
 
-def _vector(text: str) -> list:
-    return [float(part) for part in text.split(",") if part != ""]
+def _vector(text: str) -> tuple:
+    return tuple(float(part) for part in text.split(",") if part != "")
 
 
-#: parameters each catalog entry takes; any other key is rejected
-_CATALOG_KEYS = {
-    "gaussian": {"center", "width", "amplitude"},
-    "modulated_gaussian": {"center", "width", "carrier", "amplitude"},
-    "plane_wave": {"alpha"},
-    "separable_cosine": {"alpha"},
-    "smooth_bump": {"center", "radius", "amplitude"},
-}
+def _broadcast(values, n: int, what: str) -> tuple:
+    """`values` on n axes: one component is held on every axis."""
+    if len(values) not in (1, n):
+        raise ConfigError(f"{what} needs 1 or {n} components")
+    return tuple(values) * (n // len(values))
 
 
 def parse_data_function(text: str, n: int):
-    """Build a catalog DataFunction from its config string; '' / 'none' -> None."""
+    """Build a catalog DataFunction from its config string; '' / 'none' -> None.
+
+    A key the text omits takes its CATALOG default, and a vector given one
+    component holds it on each of the n axes.
+    """
     text = text.strip()
     if text in ("", "none"):
         return None
-    pieces = text.split()
-    name, kvs = pieces[0], pieces[1:]
-    if name not in _CATALOG_KEYS:
+    name, *tokens = text.split()
+    if name not in CATALOG:
         raise ConfigError(f"unknown data-catalog entry {name!r}")
-    params = {}
-    for token in kvs:
-        if "=" not in token:
-            raise ConfigError(f"malformed data parameter {token!r} in {text!r}")
-        key, value = token.split("=", 1)
-        if key not in _CATALOG_KEYS[name]:
-            raise ConfigError(f"{name} takes no parameter {key!r} in {text!r}")
-        params[key] = _vector(value)
-
-    def vec(key, default):
-        raw = params.get(key, default)
-        vals = list(raw)
-        if len(vals) == 1:
-            vals = vals * n
-        if len(vals) != n:
-            raise ConfigError(f"{key} needs 1 or {n} components in {text!r}")
-        return tuple(vals)
-
-    def scalar(key, default):
-        raw = params.get(key, [default])
-        if len(raw) != 1:
-            raise ConfigError(f"{key} must be scalar in {text!r}")
-        return float(raw[0])
-
+    given = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq or key in given:
+            raise ConfigError(f"malformed or repeated parameter {token!r} in {text!r}")
+        given[key] = value
+    fields = {}
     try:
-        if name == "gaussian":
-            return DataFunction.gaussian(
-                vec("center", [0.0]),
-                scalar("width", 0.3),
-                amplitude=scalar("amplitude", 1.0),
-            )
-        if name == "modulated_gaussian":
-            return DataFunction.modulated_gaussian(
-                vec("center", [0.0]),
-                scalar("width", 0.3),
-                vec("carrier", [1.0]),
-                amplitude=scalar("amplitude", 1.0),
-            )
-        if name == "plane_wave":
-            return DataFunction.plane_wave(vec("alpha", [1.0]))
-        if name == "separable_cosine":
-            return DataFunction.separable_cosine(vec("alpha", [1.0]))
-        if name == "smooth_bump":
-            return DataFunction.smooth_bump(
-                vec("center", [0.0]),
-                scalar("radius", 0.5),
-                amplitude=scalar("amplitude", 1.0),
-            )
-    except WaveLatticeError:
-        raise
-    except Exception as exc:  # malformed parameters
+        for key, field, form, default in CATALOG[name]:
+            values = _vector(given.pop(key)) if key in given else (default,)
+            if form == "vector":
+                fields[field] = _broadcast(values, n, f"{key} in {text!r}")
+            elif len(values) != 1:
+                raise ConfigError(f"{key} must be scalar in {text!r}")
+            else:
+                fields[field] = values[0]
+        if given:
+            key = next(iter(given))
+            raise ConfigError(f"{name} takes no parameter {key!r} in {text!r}")
+        return DataFunction(name, **fields)
+    except ValueError as exc:  # a value that is no number or out of range
         raise ConfigError(f"cannot build data function from {text!r}: {exc}") from exc
 
 
@@ -115,34 +85,12 @@ def format_data_function(data) -> str:
     """Inverse of parse_data_function for catalog functions."""
     if data is None:
         return "none"
-    if data.kind == "gaussian":
-        return (
-            f"gaussian center={_fmt_vec(data.center)} "
-            f"width={data.width!r} amplitude={data.amplitude!r}"
-        )
-    if data.kind == "modulated_gaussian":
-        return (
-            f"modulated_gaussian center={_fmt_vec(data.center)} width={data.width!r} "
-            f"carrier={_fmt_vec(data.carrier)} amplitude={data.amplitude!r}"
-        )
-    if data.kind == "plane_wave":
-        return f"plane_wave alpha={_fmt_vec(data.alpha0)}"
-    if data.kind == "separable_cosine":
-        return f"separable_cosine alpha={_fmt_vec(data.alpha0)}"
-    if data.kind == "smooth_bump":
-        return (
-            f"smooth_bump center={_fmt_vec(data.center)} "
-            f"radius={data.radius!r} amplitude={data.amplitude!r}"
-        )
-    raise ConfigError(f"cannot serialize data function of kind {data.kind!r}")
-
-
-def _vector_field(text: str) -> tuple:
-    return tuple(_vector(text))
+    return " ".join([data.kind] + [f"{key}={_fmt_vec(getattr(data, field))}"
+                                   for key, field, _, _ in CATALOG[data.kind]])
 
 
 _INT, _FLOAT, _STR = (int, str), (float, repr), (str, str)
-_VECTOR = (_vector_field, _fmt_vec)
+_VECTOR = (_vector, _fmt_vec)
 
 #: section -> key -> (field, parse, format), in the order to_text writes them
 _LAYOUT = {
@@ -196,20 +144,18 @@ class ExperimentConfig:
                 f"admissible in n={self.n}: T/dt must be an integer and "
                 "dt/dx at most 1/sqrt(n)"
             )
-        # Validate every referenced catalog item up front.
+        # Validate every catalog item up front; no experiment reads w, a or sigma.
         for name in ("f", "g", "h", "w", "a", "sigma"):
-            parse_data_function(getattr(self, name), self.n)
+            if self.data(name) is not None and name in ("w", "a", "sigma"):
+                raise ConfigError(f"no experiment reads {name}: it takes only none")
 
     # -- derived objects ---------------------------------------------------
     def base_spec(self) -> LatticeSpec:
         return LatticeSpec(self.n, self.dx, self.dt, self.T)
 
     def _axes(self, lo, hi) -> list:
-        lo = list(lo) * self.n if len(lo) == 1 else list(lo)
-        hi = list(hi) * self.n if len(hi) == 1 else list(hi)
-        if len(lo) != self.n or len(hi) != self.n:
-            raise ConfigError("bounds need 1 or n components per side")
-        return list(zip(lo, hi))
+        return list(zip(_broadcast(lo, self.n, "a lower bound"),
+                        _broadcast(hi, self.n, "an upper bound")))
 
     def domain(self) -> Domain:
         if self.domain_kind == "full_space":

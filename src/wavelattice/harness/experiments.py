@@ -11,7 +11,7 @@ recorded with the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,8 @@ class ExperimentResult:
 
 def default_config(experiment: str, n: int | None = None,
                    levels: int | None = None) -> ExperimentConfig:
-    n = 1 if n is None else n
-    base = ExperimentConfig(
-        experiment=experiment, n=n,
-        g="gaussian center=0.1 width=0.25 amplitude=0.5",
-    )
+    base = ExperimentConfig(experiment=experiment,
+                            g="gaussian center=0.1 width=0.25 amplitude=0.5")
     overrides = {
         "E2": dict(levels=4),
         "E3": dict(dx=0.1, dt=0.05, T=0.4, levels=5),
@@ -91,15 +88,8 @@ def default_config(experiment: str, n: int | None = None,
         ),
         "E8": dict(T=1.0, levels=4),
     }
-    cfg = base.with_overrides(**overrides.get(experiment, {}))
-    if levels is not None:
-        cfg = replace(cfg, levels=levels)
-    if n > 1:
-        # keep vector-valued defaults consistent with the dimension
-        center = ",".join(["0.5" if experiment == "E7" else "0.0"] * n)
-        cfg = replace(cfg, f=cfg.f.replace("center=0.5", f"center={center}")
-                      .replace("center=0.0", f"center={center}"))
-    return cfg
+    return base.with_overrides(**overrides.get(experiment, {})).with_overrides(
+        n=n, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +211,11 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     base = config.base_spec()
     f, g = config.data("f"), config.data("g")
     window = config.window()
-    quad = _quad_for(f, g, base.T)
     t_mid = base.T / 2.0
+    if abs(round(t_mid / base.dt) * base.dt - t_mid) > 1e-9:
+        raise ConfigError(
+            f"E2 needs T/2 = {t_mid!r} on the base lattice: T/dt must be even")
+    quad = _quad_for(f, g, base.T)
     probes = window_indices(window, base.dx)
     points = probes.astype(float) * base.dx
     ref_tt = np.atleast_1d(

@@ -79,6 +79,8 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     spec = problem.spec
     if t_range is None:
         t_range = (-spec.T, spec.T)
+    if t_range[0] > t_range[1]:
+        raise ValueError(f"t_range {t_range!r} is reversed")
     lo = round(t_range[0] / spec.dt)
     hi = round(t_range[1] / spec.dt)
     if abs(lo * spec.dt - t_range[0]) > 1e-9 or abs(hi * spec.dt - t_range[1]) > 1e-9:

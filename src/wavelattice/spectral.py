@@ -29,6 +29,24 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # data catalog
 
+_CENTER = ("center", "center", "vector", 0.0)
+_WIDTH = ("width", "width", "positive", 0.3)
+_AMPLITUDE = ("amplitude", "amplitude", "scalar", 1.0)
+_ALPHA = ("alpha", "alpha0", "vector", 1.0)
+
+#: kind -> its parameters in order, each (config key, field, form, default).
+#: A "vector" holds one component per axis, a "scalar" one number and a
+#: "positive" one number > 0.  The config parser and printer walk this
+#: table, and DataFunction normalises and checks its fields against it.
+CATALOG = {
+    "gaussian": (_CENTER, _WIDTH, _AMPLITUDE),
+    "modulated_gaussian": (_CENTER, _WIDTH, ("carrier", "carrier", "vector", 1.0),
+                           _AMPLITUDE),
+    "plane_wave": (_ALPHA,),
+    "separable_cosine": (_ALPHA,),
+    "smooth_bump": (_CENTER, ("radius", "radius", "positive", 0.5), _AMPLITUDE),
+}
+
 
 @dataclass(frozen=True)
 class DataFunction:
@@ -37,7 +55,9 @@ class DataFunction:
     Gaussian-type kinds carry a closed-form Fourier transform and decay
     parameters used for tail bounds.  Plane-wave and separable-cosine
     kinds are single-frequency: solution synthesis short-circuits the
-    quadrature for them.  The bump kind gets a numeric transform.
+    quadrature for them.  The bump kind gets a numeric transform.  The
+    dimension n is the length of the centre (or of alpha0), and every
+    point or frequency handed in must have a last axis of that length.
     """
 
     kind: str
@@ -47,44 +67,55 @@ class DataFunction:
     alpha0: Optional[tuple] = None
     carrier: Optional[tuple] = None
     radius: Optional[float] = None
-    n: int = 1
+
+    def __post_init__(self):
+        """Hold each parameter of the kind as CATALOG says: vectors as
+        tuples of floats of one common length, scalars as floats."""
+        if self.kind not in CATALOG:
+            raise ValueError(f"unknown data kind {self.kind!r}")
+        for _, name, form, _ in CATALOG[self.kind]:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.kind} needs {name}")
+            if form == "vector":
+                value = tuple(map(float, np.atleast_1d(value)))
+            else:
+                value = float(value)
+            if form == "positive" and not value > 0.0:
+                raise ValueError(f"{self.kind} needs {name} > 0, got {value!r}")
+            object.__setattr__(self, name, value)
+        lengths = {len(getattr(self, name))
+                   for _, name, form, _ in CATALOG[self.kind] if form == "vector"}
+        if lengths != {self.n} or not self.n:
+            raise ValueError(f"{self.kind} needs vectors of one nonzero length")
 
     # -- constructors
 
     @staticmethod
     def gaussian(center, width, amplitude=1.0) -> "DataFunction":
-        center = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
-        return DataFunction(
-            "gaussian", center=center, width=float(width),
-            amplitude=float(amplitude), n=len(center),
-        )
+        return DataFunction("gaussian", center=center, width=width, amplitude=amplitude)
 
     @staticmethod
     def modulated_gaussian(center, width, carrier, amplitude=1.0) -> "DataFunction":
-        center = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
-        carrier = tuple(np.atleast_1d(np.asarray(carrier, dtype=float)))
-        return DataFunction(
-            "modulated_gaussian", center=center, width=float(width),
-            carrier=carrier, amplitude=float(amplitude), n=len(center),
-        )
+        return DataFunction("modulated_gaussian", center=center, width=width,
+                            carrier=carrier, amplitude=amplitude)
 
     @staticmethod
     def plane_wave(alpha0) -> "DataFunction":
-        alpha0 = tuple(np.atleast_1d(np.asarray(alpha0, dtype=float)))
-        return DataFunction("plane_wave", alpha0=alpha0, n=len(alpha0))
+        return DataFunction("plane_wave", alpha0=alpha0)
 
     @staticmethod
     def separable_cosine(alpha0) -> "DataFunction":
-        alpha0 = tuple(np.atleast_1d(np.asarray(alpha0, dtype=float)))
-        return DataFunction("separable_cosine", alpha0=alpha0, n=len(alpha0))
+        return DataFunction("separable_cosine", alpha0=alpha0)
 
     @staticmethod
     def smooth_bump(center, radius, amplitude=1.0) -> "DataFunction":
-        center = tuple(np.atleast_1d(np.asarray(center, dtype=float)))
-        return DataFunction(
-            "smooth_bump", center=center, radius=float(radius),
-            amplitude=float(amplitude), n=len(center),
-        )
+        return DataFunction("smooth_bump", center=center, radius=radius,
+                            amplitude=amplitude)
+
+    @property
+    def n(self) -> int:
+        return len(self.center if self.center is not None else self.alpha0)
 
     @property
     def single_frequency(self) -> Optional[np.ndarray]:
@@ -92,42 +123,36 @@ class DataFunction:
             return np.asarray(self.alpha0, dtype=float)
         return None
 
+    def _last_axis(self, x, what) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            raise ValueError(
+                f"{what} of shape {x.shape} need a last axis of length {self.n}")
+        return x
+
     # -- evaluation
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
+        x = self._last_axis(x, "points")
         pts = np.atleast_2d(x)
-        if self.kind == "gaussian":
-            c = np.asarray(self.center)
-            r2 = np.sum((pts - c) ** 2, axis=-1)
-            vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
-        elif self.kind == "modulated_gaussian":
-            c = np.asarray(self.center)
-            k = np.asarray(self.carrier)
-            r2 = np.sum((pts - c) ** 2, axis=-1)
-            vals = (
-                self.amplitude
-                * np.exp(-r2 / (2.0 * self.width**2))
-                * np.cos((pts - c) @ k)
-            )
-        elif self.kind == "plane_wave":
+        if self.kind == "plane_wave":
             vals = np.cos(pts @ np.asarray(self.alpha0))
         elif self.kind == "separable_cosine":
             vals = np.prod(np.cos(pts * np.asarray(self.alpha0)), axis=-1)
-        elif self.kind == "smooth_bump":
-            c = np.asarray(self.center)
-            s2 = np.sum((pts - c) ** 2, axis=-1) / self.radius**2
-            inside = s2 < 1.0
-            safe = np.where(inside, s2, 0.0)
-            vals = np.where(
-                inside,
-                self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)),
-                0.0,
-            )
         else:
-            raise ValueError(f"unknown data kind {self.kind!r}")
-        return float(vals[0]) if squeeze else vals
+            offset = pts - np.asarray(self.center)
+            r2 = np.sum(offset**2, axis=-1)
+            if self.kind == "smooth_bump":
+                s2 = r2 / self.radius**2
+                inside = s2 < 1.0
+                safe = np.where(inside, s2, 0.0)
+                vals = np.where(
+                    inside, self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
+            else:
+                vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
+                if self.kind == "modulated_gaussian":
+                    vals = vals * np.cos(offset @ np.asarray(self.carrier))
+        return float(vals[0]) if x.ndim == 1 else vals
 
     def fourier(self, alpha) -> np.ndarray:
         """Fourier transform (2pi)^{-n/2} integral of f e^{-i alpha.x}.
@@ -136,26 +161,23 @@ class DataFunction:
         support for the bump; single-frequency kinds have no integrable
         transform and must go through the synthesis shortcut instead.
         """
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-        if self.kind == "gaussian":
-            c = np.asarray(self.center)
-            w = self.width
-            mag = self.amplitude * w**self.n * np.exp(
-                -(w**2) * np.sum(alpha**2, axis=-1) / 2.0
-            )
-            return mag * np.exp(-1j * (alpha @ c))
-        if self.kind == "modulated_gaussian":
-            c = np.asarray(self.center)
-            k = np.asarray(self.carrier)
-            w = self.width
-            mag = 0.5 * self.amplitude * w**self.n * (
-                np.exp(-(w**2) * np.sum((alpha - k) ** 2, axis=-1) / 2.0)
-                + np.exp(-(w**2) * np.sum((alpha + k) ** 2, axis=-1) / 2.0)
-            )
-            return mag * np.exp(-1j * (alpha @ c))
+        alpha = np.atleast_2d(self._last_axis(alpha, "frequencies"))
         if self.kind == "smooth_bump":
             return self._bump_transform(alpha)
-        raise ValueError(f"{self.kind} has no integrable Fourier transform")
+        if self.single_frequency is not None:
+            raise ValueError(f"{self.kind} has no integrable Fourier transform")
+        w = self.width
+
+        def bell(a):
+            return np.exp(-(w**2) * np.sum(a**2, axis=-1) / 2.0)
+
+        if self.kind == "gaussian":
+            mag = self.amplitude * w**self.n * bell(alpha)
+        else:
+            k = np.asarray(self.carrier)
+            mag = 0.5 * self.amplitude * w**self.n * (
+                bell(alpha - k) + bell(alpha + k))
+        return mag * np.exp(-1j * (alpha @ np.asarray(self.center)))
 
     def _bump_transform(self, alpha, nodes_per_axis=64):
         z, w = leggauss(nodes_per_axis)
@@ -173,12 +195,8 @@ class DataFunction:
         if self.kind == "modulated_gaussian":
             # conservative: shift the envelope by the carrier magnitude
             kmag = float(np.linalg.norm(self.carrier))
-            return (
-                self.amplitude
-                * self.width**self.n
-                * math.exp(self.width**2 * kmag**2 / 2.0 + self.width * kmag),
-                self.width,
-            )
+            shift = math.exp(self.width**2 * kmag**2 / 2.0 + self.width * kmag)
+            return self.amplitude * self.width**self.n * shift, self.width
         return None
 
 
@@ -220,10 +238,8 @@ def gaussian_laplacian(data: DataFunction) -> Callable:
 
     def lap(x):
         x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        r2 = np.sum((pts - c) ** 2, axis=-1)
-        vals = data(pts) * (r2 / w2**2 - data.n / w2)
-        return float(vals[0]) if x.ndim == 1 else vals
+        r2 = np.sum((x - c) ** 2, axis=-1)
+        return data(x) * (r2 / w2**2 - data.n / w2)
 
     return lap
 

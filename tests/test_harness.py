@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,7 @@ from wavelattice.harness.cli import main
 from wavelattice.harness.norms import _space_ratio, _time_level
 from wavelattice.harness.table import TableRow
 from wavelattice.lattice import point_indices, refine_halving, window_indices
+from wavelattice.spectral import CATALOG
 
 
 class TestDataCatalog:
@@ -79,6 +81,77 @@ class TestDataCatalog:
         with pytest.raises(ConfigError):
             parse_data_function("sawtooth period=1", 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(CATALOG))
+    def test_every_key_subset_round_trips(self, kind, n):
+        # each kind with and without each of its keys, a vector given with
+        # one and with n components, and the centre shifted as perfbench's
+        # seeded configs shift it
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-0.6, 0.6, size=(7, n))
+        freqs = rng.uniform(-4.0, 4.0, size=(5, n))
+        values = {"vector": ("0.15", ",".join(["-0.35", "0.2", "1.25"][:n])),
+                  "scalar": ("-0.7",), "positive": ("0.27",)}
+        params = CATALOG[kind]
+        for r in range(len(params) + 1):
+            for chosen in itertools.combinations(params, r):
+                for picks in itertools.product(
+                        *[values[form] for _, _, form, _ in chosen]):
+                    text = " ".join([kind] + [
+                        f"{key}={v}" for (key, *_), v in zip(chosen, picks)])
+                    data = parse_data_function(text, n)
+                    assert data.n == n
+                    variants = [data]
+                    if data.center is not None:
+                        variants.append(replace(data, center=tuple(
+                            c + rng.uniform(-0.05, 0.05) for c in data.center)))
+                    for item in variants:
+                        again = parse_data_function(format_data_function(item), n)
+                        assert again == item
+                        assert np.array_equal(again(points), item(points))
+                        if item.single_frequency is None:
+                            assert np.array_equal(again.fourier(freqs),
+                                                  item.fourier(freqs))
+
+    def test_omitted_keys_take_the_catalog_defaults(self):
+        assert parse_data_function("gaussian", 2) == DataFunction.gaussian(
+            [0.0, 0.0], 0.3, amplitude=1.0)
+        assert parse_data_function("smooth_bump amplitude=2", 1) == \
+            DataFunction.smooth_bump([0.0], 0.5, amplitude=2.0)
+        assert parse_data_function("plane_wave", 3) == \
+            DataFunction.plane_wave([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("text", [
+        "gaussian width=abc", "gaussian center=0.1,x", "plane_wave alpha=two",
+        "gaussian width=-0.3", "gaussian width=0", "modulated_gaussian width=-1",
+        "smooth_bump radius=0", "smooth_bump radius=-0.5", "gaussian width=nan",
+        "gaussian width=0.2 width=0.3",
+    ])
+    def test_bad_value_is_a_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_data_function(text, 1)
+        with pytest.raises(ConfigError):
+            ExperimentConfig().with_overrides(f=text)
+
+    def test_nonpositive_width_and_radius_refused(self):
+        # w**n in the transform would flip the oracle's sign at odd n
+        for make in (lambda: DataFunction.gaussian([0.0], -0.3),
+                     lambda: DataFunction.modulated_gaussian([0.0], 0.0, [1.0]),
+                     lambda: DataFunction.smooth_bump([0.0, 0.0], 0.0),
+                     lambda: DataFunction.smooth_bump([0.0], -0.45)):
+            with pytest.raises(ValueError, match="> 0"):
+                make()
+
+    def test_mismatched_vectors_refused(self):
+        with pytest.raises(ValueError):
+            DataFunction.modulated_gaussian([0.0, 0.0], 0.2, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            DataFunction.gaussian([], 0.3)
+        with pytest.raises(ValueError, match="unknown data kind"):
+            DataFunction("sawtooth", center=(0.0,))
+        with pytest.raises(ValueError, match="needs width"):
+            DataFunction("gaussian", center=(0.0,))
+
 
 class TestExperimentConfig:
     def test_text_round_trip(self):
@@ -114,6 +187,24 @@ class TestExperimentConfig:
     def test_unknown_default_section_rejected(self):
         with pytest.raises(ConfigError, match="DEFAULT"):
             ExperimentConfig.from_text("[DEFAULT]\nn = 2\n[experiment]\nid = E3\n")
+
+    @pytest.mark.parametrize("name", ["w", "a", "sigma"])
+    def test_unread_data_keys_take_only_none(self, name):
+        # no experiment reads w, a or sigma: a value there would be ignored
+        config = ExperimentConfig().with_overrides(**{name: "none"})
+        assert getattr(config, name) == "none"
+        with pytest.raises(ConfigError, match="takes only none"):
+            ExperimentConfig().with_overrides(**{name: "gaussian width=0.2"})
+        with pytest.raises(ConfigError, match="takes only none"):
+            ExperimentConfig.from_text(f"[data]\n{name} = smooth_bump\n")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_data_broadcast_to_n(self, n):
+        # default_config writes one-component centres; the parser holds
+        # them on every axis
+        assert default_config("E7", n=n).data("f").center == (0.5,) * n
+        assert default_config("E1", n=n).data("f").center == (0.0,) * n
+        assert default_config("E1", n=n).data("g").center == (0.1,) * n
 
     def test_bad_lattice_rejected(self):
         cfg = default_config("E1", n=1)
@@ -702,6 +793,16 @@ class TestE2Quotients:
         with pytest.raises(MissingNeighborError, match="outside the support"):
             run_experiment(config)
 
+    def test_midpoint_off_the_base_lattice_refused(self, tmp_path):
+        # T = 0.3, dt = 0.1: the quotients would sit at t = 0.2 and the
+        # reference at t = 0.15
+        config = default_config("E2", n=1).with_overrides(T=0.3)
+        with pytest.raises(ConfigError, match="T/2"):
+            run_experiment(config)
+        path = tmp_path / "e2.ini"
+        config.write(path)
+        assert main(["experiment", "E2", "--config", str(path)]) == 2
+
 
 class TestCli:
     def test_bad_experiment_id_exits_2(self):
@@ -741,6 +842,12 @@ class TestCli:
     def test_inadmissible_lattice_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "dt = 0.1", "dt = 0.4")
         assert main(["solve", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("new", ["width=-0.3", "width=abc"])
+    def test_bad_catalog_value_exits_2(self, tmp_path, capsys, new):
+        path = self._bad_config(tmp_path, "width=0.3", new)
+        assert main(["experiment", "E1", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):

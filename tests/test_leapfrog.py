@@ -78,6 +78,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(problem, t_range=(0.0, 0.33))
 
+    def test_reversed_t_range_rejected(self):
+        problem = _full_space_problem(f=DataFunction.gaussian([0.0], 0.1))
+        with pytest.raises(ValueError, match="reversed"):
+            solve(problem, t_range=(0.4, 0.0))
+
     def test_kept_levels(self):
         problem = _full_space_problem(f=DataFunction.gaussian([0.0], 0.1))
         assert sorted(solve(problem, t_range=(0.0, 0.4)).levels) == [

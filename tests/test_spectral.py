@@ -44,6 +44,38 @@ def _per_node_dalembert_transform(space, alpha, s):
     return space.fourier(alpha) * (-math.cos(s) + a2 * math.cos(s))
 
 
+class TestDataFunctionPoints:
+    """Points and frequencies must have a last axis of length n."""
+
+    def test_wrong_last_axis_refused(self):
+        one = DataFunction.gaussian([0.0], 0.3)
+        two = DataFunction.modulated_gaussian([0.0, 0.1], 0.3, [1.0, 2.0])
+        # read as one 2-D point, this gave one value for an n = 1 Gaussian
+        for data, bad in ((one, np.array([0.1, 0.2])),
+                          (one, np.zeros((4, 2))),
+                          (one, 0.1),
+                          (two, np.zeros((3, 1))),
+                          (two, np.zeros(3))):
+            with pytest.raises(ValueError, match="last axis"):
+                data(bad)
+            with pytest.raises(ValueError, match="last axis"):
+                data.fourier(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: DataFunction.gaussian([0.1] * n, 0.3),
+        lambda n: DataFunction.plane_wave([1.0] * n),
+        lambda n: DataFunction.separable_cosine([2.0] * n),
+        lambda n: DataFunction.smooth_bump([0.0] * n, 0.5),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_point_is_one_row(self, make, n):
+        data = make(n)
+        points = np.linspace(-0.4, 0.4, 5 * n).reshape(5, n)
+        values = data(points)
+        assert values.shape == (5,)
+        assert [data(p) for p in points] == list(values)
+
+
 class TestHomogeneousClosedForms:
     def test_separable_cosine_continuum(self):
         # f = cos(x1)cos(x2) evolves to f(x) cos(sqrt(2) t)
