@@ -111,11 +111,23 @@ def _oracle(f, g, quad):
     return call
 
 
-def _quad_for(f, g, T):
-    data = [d for d in (f, g) if d is not None and d.single_frequency is None]
-    if not data:
-        return None
+def _quadrature(data, T):
+    """FrequencyQuadrature.for_data of the data items that are not None.
+    Raises ConfigError when there is none, or when an item has no Gaussian
+    envelope, which the tail bound needs."""
+    data = [d for d in data if d is not None]
+    unbounded = sorted({d.kind for d in data if d.decay_envelope() is None})
+    if unbounded or not data:
+        raise ConfigError("the reference solution needs data with a Gaussian "
+                          f"envelope, not {', '.join(unbounded) or 'no data'}")
     return FrequencyQuadrature.for_data(*data, T=T, tol=1e-10)
+
+
+def _quad_for(f, g, T):
+    """The quadrature of f and g, or None when both are single frequencies
+    or None: those are synthesized exactly."""
+    data = [d for d in (f, g) if d is not None and d.single_frequency is None]
+    return _quadrature(data, T) if data else None
 
 
 def _varying_ratio_specs(base: LatticeSpec, levels: int) -> list:
@@ -262,9 +274,7 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
 
 def run_e3(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
-    quad = FrequencyQuadrature.for_data(
-        *[d for d in (f, g) if d is not None], T=config.T, tol=1e-10
-    )
+    quad = _quadrature((f, g), config.T)
     # probes must be lattice points of the fixed dx grid
     probes = window_indices([(-0.3, 0.3)] * config.n, config.dx) * config.dx
     h_seq = [config.dt / 2**k for k in range(config.levels)]
@@ -290,9 +300,7 @@ def run_e3(config: ExperimentConfig) -> ExperimentResult:
 
 def run_e4(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
-    quad = FrequencyQuadrature.for_data(
-        *[d for d in (f, g) if d is not None], T=config.T, tol=1e-10
-    )
+    quad = _quadrature((f, g), config.T)
     probes = window_indices(config.window(), config.dx) * config.dx
     t = config.T
     reference = np.atleast_1d(continuum_solution_u(f, g, probes, t, quad))
@@ -477,7 +485,7 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
         passed = False
 
     # (c) forced leapfrog against the exact discrete Duhamel convolution
-    quad = FrequencyQuadrature.for_data(space, T=spec.T, tol=1e-10)
+    quad = _quadrature((space,), spec.T)
     probe_idx = window_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
     refs = duhamel_solve(
         space, None, forcing_m, "fully_discrete",

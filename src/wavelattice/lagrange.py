@@ -107,13 +107,15 @@ def rhs(system: LagrangeSystem, t: float,
 
 
 def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
-           t: float) -> np.ndarray:
+           t: float, rows: slice = slice(None)) -> np.ndarray:
+    """a(x) accel - sigma(x) xi + w(x, t) on the axis-0 rows `rows` of the
+    window, which `accel` and `xi` hold."""
     if system._a_vals is not None:
-        accel = system._a_vals * accel
+        accel = system._a_vals[rows] * accel
     if system._sigma_vals is not None:
-        accel = accel - system._sigma_vals * xi
+        accel = accel - system._sigma_vals[rows] * xi
     if system.forcing is not None:
-        accel = add_forcing(accel, system.forcing, system.fieldobj, t)
+        accel = add_forcing(accel, system.forcing, system.fieldobj, t, rows)
     return accel
 
 

@@ -86,13 +86,9 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     if abs(lo * spec.dt - t_range[0]) > 1e-9 or abs(hi * spec.dt - t_range[1]) > 1e-9:
         raise ValueError("t_range endpoints must be lattice times")
     full_space = not problem.domain.bounded
-    fieldobj = field_from_classification(
-        problem.classification, pad=max(hi, -lo) if full_space else 0)
+    pad = max(hi, -lo) if full_space else 0
+    fieldobj = field_from_classification(problem.classification, pad=pad)
     clamp = window_clamp(fieldobj, problem.boundary_value)
-    terms = None
-    if problem.forcing is not None:
-        def terms(accel, values, t):
-            return add_forcing(accel, problem.forcing, fieldobj, t)
     v0 = clamp_level(sample_window(problem.f, fieldobj), clamp)
     gv = sample_window(problem.g, fieldobj)
     window = problem.classification.shape
@@ -107,12 +103,18 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     keep(0, v0)
     runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 1]
     for i, (sign, end) in enumerate(runs):
-        seeds = v0, gv
+        seeds, skip = (v0, gv), 0  # the run's window starts `skip` rows in
         if full_space:  # a run of s steps reads level 0 s rings out
             seeds = (crop_centre(a, tuple(w + 2 * sign * end for w in window))
                      for a in seeds)
+            skip = pad - sign * end
         if i < len(runs) - 1:  # the kernel writes over its seeds
             seeds = (a.copy() for a in seeds)
+        terms = None
+        if problem.forcing is not None:
+            def terms(accel, values, t, rows):
+                rows = slice(rows.start + skip, rows.stop + skip)
+                return add_forcing(accel, problem.forcing, fieldobj, t, rows)
         run = three_level_steps(*seeds, sign * spec.dt, spec.dx, sign * end,
                                 terms=terms, clamp=clamp, shrink=full_space)
         for level, (values, _) in zip(range(sign, end + sign, sign), run):

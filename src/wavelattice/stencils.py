@@ -10,6 +10,7 @@ CFL experiment all run.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -102,11 +103,14 @@ def sample_window(data, fieldobj: GridField) -> np.ndarray:
     return values
 
 
-def add_forcing(accel: np.ndarray, forcing, fieldobj: GridField, t) -> np.ndarray:
+def add_forcing(accel: np.ndarray, forcing, fieldobj: GridField, t,
+                rows: slice = slice(None)) -> np.ndarray:
     """Add the forcing w(x, t) to `accel` in place, one block of axis-0 rows
-    at a time, and return it.  `accel` covers the centred sub-window of its
-    shape in the window of `fieldobj`."""
-    axes = [crop_centre(a, (s,)) for a, s in zip(window_axes(fieldobj), accel.shape)]
+    at a time, and return it.  `accel` covers the axis-0 rows `rows` of the
+    window of `fieldobj` and the centred sub-window of its shape on the
+    other axes."""
+    first, *others = window_axes(fieldobj)
+    axes = [first[rows]] + [crop_centre(a, (s,)) for a, s in zip(others, accel.shape[1:])]
     for rows, points in grid_blocks(axes):
         flat = points.reshape(-1, points.shape[-1])
         accel[rows] += forcing.func(flat, t).reshape(points.shape[:-1])
@@ -240,13 +244,26 @@ def check_compatibility(f, g, h, domain: Domain, tol: float, dx: float = 0.1):
 # ---------------------------------------------------------------------------
 # array kernels shared by the leapfrog solver, the Verlet integrator and the
 # CFL experiment.  One code path makes leapfrog and Verlet bit-identical at
-# h = dt.  Each kernel works through its arrays one block of axis-0 rows at a
-# time, with the same elementwise operations in the same order as the plain
-# array expression, so its scratch stays a few hundred kB and its values are
-# those of the expression bit for bit.
+# h = dt.  The stepping kernel works through each level one block of axis-0
+# rows at a time, in one pass per block: the block's Laplacian rows into
+# scratch, the caller's terms, the update written over the older level, the
+# clamp and the block's extrema, with the same elementwise operations in the
+# same order as the plain array expressions, so its values are theirs bit
+# for bit.  A block reads the current level on its own rows and one row
+# either side, and writes only its own rows of the older level's array, so
+# the blocks of a level are independent: they run on up to _WORKERS
+# threads (numpy releases the GIL), each worker taking one contiguous chunk
+# of them with its own scratch of a few hundred kB.  The blocks do not
+# depend on the worker count, so neither do the values.
 
 #: points per block of axis-0 rows in the array kernels
 BLOCK_POINTS = 1 << 16
+
+
+#: threads that step the blocks of one level: the CPUs this process may run
+#: on (its affinity mask where the system has one)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def row_blocks(shape) -> list:
@@ -255,105 +272,91 @@ def row_blocks(shape) -> list:
     return [slice(a, min(a + rows, shape[0])) for a in range(0, shape[0], rows)]
 
 
-def _scratch(shape, blocks) -> np.ndarray:
-    """Room for the largest block of `shape`, uninitialised."""
-    rows = blocks[0].stop - blocks[0].start if blocks else 0
-    return np.empty((rows,) + tuple(shape[1:]))
+def _view(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading part of the 1-D scratch `flat`, shaped `shape`."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _laplacian_core(values: np.ndarray, dx: float, rows: slice,
+                    acc: np.ndarray, part: np.ndarray) -> None:
+    """The second differences of `values` summed over axes at the rows
+    `rows` of its core (its points one ring in from the edge), into `acc`,
+    shaped like those rows; `part` is 1-D scratch at least that large."""
+    ndim = values.ndim
+    core = (slice(1, -1),) * ndim
+    block = values[rows.start:rows.stop + 2]  # core rows read one row further out
+    part = _view(part, acc.shape)
+    for k in range(ndim):
+        plus = tuple(slice(2, None) if j == k else slice(1, -1) for j in range(ndim))
+        minus = tuple(slice(0, -2) if j == k else slice(1, -1) for j in range(ndim))
+        np.multiply(block[core], 2.0, out=part)
+        np.subtract(block[plus], part, out=part)
+        np.add(part, block[minus], out=part)
+        np.divide(part, dx**2, out=part)
+        if k:
+            np.add(acc, part, out=acc)
+        else:  # the sum starts from 0.0, which turns a term of -0.0 into 0.0
+            np.add(part, 0.0, out=acc)
+
+
+def _laplacian_rows(values: np.ndarray, dx: float, rows: slice,
+                    acc: np.ndarray, part: np.ndarray) -> None:
+    """laplacian_array(values, dx)[rows] into `acc`; `part` is 1-D scratch
+    at least as large as `acc`."""
+    ndim = values.ndim
+    for k in range(1, ndim):
+        for edge in (0, -1):
+            acc[(slice(None),) * k + (edge,)] = 0.0
+    first, last = max(rows.start, 1), min(rows.stop, values.shape[0] - 1)
+    acc[:first - rows.start] = 0.0
+    acc[max(last, first) - rows.start:] = 0.0
+    if last > first:
+        inner = (slice(first - rows.start, last - rows.start),) + (slice(1, -1),) * (ndim - 1)
+        _laplacian_core(values, dx, slice(first - 1, last - 1), acc[inner], part)
 
 
 def laplacian_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Second differences summed over axes; outermost ring left at zero.
 
     The result goes into `out` (an array shaped like `values`) when given,
-    into a new array otherwise.
+    into a new array otherwise.  It is formed one block of axis-0 rows at a
+    time by the helper the stepping kernel uses.
     """
     if out is None:
         out = np.empty_like(values)
-    ndim = values.ndim
-    for k in range(ndim):
-        for edge in (0, -1):
-            out[(slice(None),) * k + (edge,)] = 0.0
-    core = (slice(1, -1),) * ndim
-    inner = tuple(max(s - 2, 0) for s in values.shape)
-    blocks = row_blocks(inner)
-    term = _scratch(inner, blocks)
+    blocks = row_blocks(values.shape)
+    part = np.empty(math.prod(out[blocks[0]].shape)) if blocks else None
     for rows in blocks:
-        # the core rows `rows` read the rows of `values` one further out
-        block = values[rows.start:rows.stop + 2]
-        acc = out[(slice(rows.start + 1, rows.stop + 1),) + core[1:]]
-        part = term[:rows.stop - rows.start]
-        acc.fill(0.0)
-        for k in range(ndim):
-            plus = tuple(slice(2, None) if j == k else slice(1, -1)
-                         for j in range(ndim))
-            minus = tuple(slice(0, -2) if j == k else slice(1, -1)
-                          for j in range(ndim))
-            np.multiply(block[core], 2.0, out=part)
-            np.subtract(block[plus], part, out=part)
-            np.add(part, block[minus], out=part)
-            np.divide(part, dx**2, out=part)
-            np.add(acc, part, out=acc)
-    return out
-
-
-def leapfrog_first_level(v0, velocity, accel, h, out=None) -> np.ndarray:
-    """Bootstrap combination v0 + h*velocity + (h^2/2)*accel.
-
-    The result goes into `out` when given (it may be `velocity`), into a
-    new array otherwise.
-    """
-    if out is None:
-        out = np.empty_like(v0)
-    blocks = row_blocks(v0.shape)
-    left, right = _scratch(v0.shape, blocks), _scratch(v0.shape, blocks)
-    for rows in blocks:
-        x, y = left[:rows.stop - rows.start], right[:rows.stop - rows.start]
-        np.multiply(velocity[rows], h, out=x)
-        np.add(v0[rows], x, out=x)
-        np.multiply(accel[rows], 0.5 * h * h, out=y)
-        np.add(x, y, out=out[rows])
-    return out
-
-
-def leapfrog_advance(v, v_prev, accel, h, out=None) -> np.ndarray:
-    """Three-level update 2v - v_prev + h^2 * accel.
-
-    The result goes into `out` when given (it may be `v_prev`), into a new
-    array otherwise.
-    """
-    if out is None:
-        out = np.empty_like(v)
-    blocks = row_blocks(v.shape)
-    left, right = _scratch(v.shape, blocks), _scratch(v.shape, blocks)
-    for rows in blocks:
-        x, y = left[:rows.stop - rows.start], right[:rows.stop - rows.start]
-        np.multiply(v[rows], 2.0, out=x)
-        np.subtract(x, v_prev[rows], out=x)
-        np.multiply(accel[rows], h * h, out=y)
-        np.add(x, y, out=out[rows])
+        _laplacian_rows(values, dx, rows, out[rows], part)
     return out
 
 
 def window_clamp(fieldobj: GridField, boundary_value):
     """The clamp of a window for `clamp_level`: (boundary mask, boundary
-    values there, outside-support mask), or None when the window has
-    neither boundary nor outside points (full space).  `boundary_value` is
-    a scalar or a callable, sampled on the window."""
+    value, outside-support mask), or None when the window has neither
+    boundary nor outside points (full space).  A callable `boundary_value`
+    is sampled on the window and the value is that array."""
     boundary = fieldobj.boundary
     outside = ~fieldobj.support
     if not boundary.any() and not outside.any():
         return None
     if callable(boundary_value):
-        return boundary, sample_window(boundary_value, fieldobj)[boundary], outside
+        return boundary, sample_window(boundary_value, fieldobj), outside
     return boundary, float(boundary_value), outside
 
 
-def clamp_level(values: np.ndarray, clamp) -> np.ndarray:
-    """Pin boundary points and zero the points outside the support, in place."""
+def clamp_level(values: np.ndarray, clamp, rows: slice = slice(None)) -> np.ndarray:
+    """Pin boundary points and zero the points outside the support, in place.
+
+    `values` holds the axis-0 rows `rows` of the clamp's window (all of it
+    by default).
+    """
     if clamp is not None:
-        boundary, boundary_values, outside = clamp
-        values[boundary] = boundary_values
-        values[outside] = 0.0
+        boundary, boundary_value, outside = clamp
+        if np.ndim(boundary_value):
+            boundary_value = boundary_value[rows]
+        np.copyto(values, boundary_value, where=boundary[rows])
+        np.copyto(values, 0.0, where=outside[rows])
     return values
 
 
@@ -364,6 +367,19 @@ def crop_centre(values: np.ndarray, shape) -> np.ndarray:
     )]
 
 
+def _run_chunks(pool, run, count: int) -> None:
+    """run(0), ..., run(count - 1): chunk 0 on this thread, the others on
+    `pool`; returns when every chunk has ended and raises the first error."""
+    futures = [pool.submit(run, j) for j in range(1, count)]
+    try:
+        run(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits for the chunk to end
+    for future in futures:
+        future.result()
+
+
 def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
                       clamp=None, shrink=False):
     """Yield (level, max |level|) for levels 1..steps of the three-level
@@ -371,13 +387,23 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
     maximum is the one the blowup check takes, so a caller that tracks it
     reads no level twice.
 
-    With accel_k = laplacian_array(v_k, dx), passed through
-    terms(accel, v_k, t0 + k*h) when given (forcing, a(x), sigma), level 1
-    is leapfrog_first_level(v0, velocity, accel_0, h) and level k+1 is
-    leapfrog_advance(v_k, v_{k-1}, accel_k, h), each then clamped.  A
-    negative h runs backward in time.  Raises BlowupError, with the level
-    signed like h, when a level holds a non-finite value or one above
-    BLOWUP_THRESHOLD.
+    With accel_k = laplacian_array(v_k, dx), passed through `terms` when
+    given (forcing, a(x), sigma), level 1 is
+    v0 + h*velocity + (h^2/2)*accel_0 and level k+1 is
+    2 v_k - v_{k-1} + h^2 accel_k, each then clamped.  A negative h runs
+    backward in time.  Raises BlowupError, with the level signed like h,
+    when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
+
+    Each level is stepped one block of axis-0 rows at a time (about
+    BLOCK_POINTS points each), in one pass per block, and the blocks run on
+    the CPUs of the process's affinity mask (a window of one block runs on
+    the calling thread).  `terms(accel_rows, values_rows, t, rows)` is
+    called once per block, with the block's acceleration and level-k
+    values, t = t0 + k*h and `rows`, the block's slice of axis 0 of `v0`'s
+    window (on the other axes a block covers the centred sub-window of its
+    shape); it returns the block's acceleration and may write over the one
+    it gets.  Every value is that of the whole-array expressions, bit for
+    bit, at any worker count.
 
     The kernel holds no level of its own: level 1 is written over
     `velocity` and level k+1 over level k-1, so `v0` is overwritten by
@@ -395,27 +421,74 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
     window has padding rings (44).  Full-space Verlet has no clamp either,
     so the flag is not implied by `clamp`.
     """
-    buffer = np.empty(v0.size)
+    # per-worker scratch: the largest block of any level fits
+    size = min(v0.size, max(BLOCK_POINTS, math.prod(v0.shape[1:])))
+    scratch = [None] * _WORKERS
+    pool = None
     prev, cur = velocity, v0  # level 1 is written over the velocity
-    for k in range(steps):
-        accel = laplacian_array(cur, dx, out=buffer[:cur.size].reshape(cur.shape))
-        if shrink:
-            inner = tuple(s - 2 for s in cur.shape)
-            accel, cur, prev = (crop_centre(a, inner) for a in (accel, cur, prev))
-        if terms is not None:
-            accel = terms(accel, cur, t0 + k * h)
-        step = leapfrog_advance if k else leapfrog_first_level
-        new = clamp_level(step(cur, prev, accel, h, out=prev), clamp)
-        max_abs = float(max(np.max(new), -np.min(new)))
-        if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
-            level = k + 1 if h > 0 else -(k + 1)
-            raise BlowupError(
-                f"blowup detected at level {level}: max |v| = {max_abs:.3e}",
-                level=level,
-                max_value=max_abs,
-            )
-        yield new, max_abs
-        prev, cur = cur, new
+    try:
+        for k in range(steps):
+            values = cur
+            if shrink:
+                shape = tuple(s - 2 for s in cur.shape)
+                values, prev = crop_centre(cur, shape), crop_centre(prev, shape)
+            blocks = row_blocks(values.shape)
+            highs, lows = np.empty(len(blocks)), np.empty(len(blocks))
+            t, skip = t0 + k * h, k + 1 if shrink else 0
+
+            def step(i, acc, part):
+                rows = blocks[i]
+                accel = _view(acc, values[rows].shape)
+                if shrink:
+                    _laplacian_core(cur, dx, rows, accel, part)
+                else:
+                    _laplacian_rows(cur, dx, rows, accel, part)
+                if terms is not None:
+                    accel = terms(accel, values[rows], t,
+                                  slice(rows.start + skip, rows.stop + skip))
+                new = prev[rows]
+                if k:  # 2 v_k - v_{k-1} + h^2 accel
+                    x = _view(part, new.shape)
+                    np.multiply(values[rows], 2.0, out=x)
+                    np.subtract(x, new, out=new)
+                    np.multiply(accel, h * h, out=accel)
+                else:  # v_0 + h velocity + (h^2/2) accel
+                    np.multiply(new, h, out=new)
+                    np.add(values[rows], new, out=new)
+                    np.multiply(accel, 0.5 * h * h, out=accel)
+                np.add(new, accel, out=new)
+                clamp_level(new, clamp, rows)
+                highs[i], lows[i] = np.max(new), np.min(new)
+
+            workers = max(1, min(_WORKERS, len(blocks)))
+            bounds = [len(blocks) * j // workers for j in range(workers + 1)]
+
+            def run(j):
+                if scratch[j] is None:
+                    scratch[j] = np.empty(size), np.empty(size)
+                for i in range(bounds[j], bounds[j + 1]):
+                    step(i, *scratch[j])
+
+            if workers == 1:
+                run(0)
+            else:
+                if pool is None:  # imported here: a one-block run starts no thread
+                    from concurrent.futures import ThreadPoolExecutor
+                    pool = ThreadPoolExecutor(_WORKERS - 1)
+                _run_chunks(pool, run, workers)
+            max_abs = float(max(np.max(highs), -np.min(lows)))
+            if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
+                level = k + 1 if h > 0 else -(k + 1)
+                raise BlowupError(
+                    f"blowup detected at level {level}: max |v| = {max_abs:.3e}",
+                    level=level,
+                    max_value=max_abs,
+                )
+            yield prev, max_abs
+            prev, cur = values, prev
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

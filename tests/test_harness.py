@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from kernel_reference import leapfrog_advance, leapfrog_first_level
 from wavelattice import (
     DataFunction,
     DiscreteProblem,
@@ -553,11 +554,11 @@ def _plain_cone_levels(n, dx, dt, steps, seed_alpha, extent=0.5):
     pts = stencils.grid_points([np.arange(-half, half + 1) * dx] * n)
     v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
     accel = stencils.laplacian_array(v0, dx)
-    prev, cur = v0, stencils.leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
+    prev, cur = v0, leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
     yield v0
     for k in range(1, steps + 1):
         if k >= 2:
-            prev, cur = cur, stencils.leapfrog_advance(
+            prev, cur = cur, leapfrog_advance(
                 cur, prev, stencils.laplacian_array(cur, dx), dt)
         yield stencils.crop_centre(cur, tuple(s - 2 * k for s in v0.shape))
 
@@ -849,6 +850,21 @@ class TestCli:
         path = self._bad_config(tmp_path, "width=0.3", new)
         assert main(["experiment", "E1", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key, data", [
+        ("E1", "f", "smooth_bump"), ("E2", "g", "smooth_bump radius=0.4"),
+        ("E3", "f", "plane_wave alpha=2.0"), ("E4", "g", "plane_wave"),
+    ])
+    def test_data_without_gaussian_envelope_exits_2(self, tmp_path, capsys,
+                                                    experiment, key, data):
+        # the reference solutions bound their quadrature tail by the data's
+        # Gaussian envelope; E1 and E2 synthesize single frequencies exactly
+        config = default_config(experiment, n=1).with_overrides(**{key: data})
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and data.split()[0] in err
 
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_reference import leapfrog_advance, leapfrog_first_level
 from wavelattice import (
     DataFunction,
     DiscreteProblem,
@@ -23,8 +24,6 @@ from wavelattice.spectral import dalembert_forcing
 from wavelattice.stencils import (
     crop_centre,
     lattice_points,
-    leapfrog_advance,
-    leapfrog_first_level,
 )
 
 

@@ -1,10 +1,13 @@
 """Leapfrog solver: bootstrap exactness, kept levels, guards."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from kernel_reference import leapfrog_advance, leapfrog_first_level
 from wavelattice import (
     BlowupError,
     DataFunction,
@@ -16,8 +19,8 @@ from wavelattice import (
     set_initial_data,
     solve,
 )
-from wavelattice import leapfrog, stencils
-from wavelattice.lagrange import LagrangeSystem
+from wavelattice import lagrange, leapfrog, stencils
+from wavelattice.lagrange import LagrangeSystem, system_for_domain
 from wavelattice.spectral import sample
 from wavelattice.stencils import (
     clamp_level,
@@ -25,8 +28,6 @@ from wavelattice.stencils import (
     field_from_classification,
     laplacian_array,
     lattice_points,
-    leapfrog_advance,
-    leapfrog_first_level,
     window_clamp,
 )
 
@@ -209,33 +210,22 @@ class TestDependenceCone:
         assert np.array_equal(fld.interior, expected.interior)
         assert np.array_equal(fld.boundary, expected.boundary)
 
-    @staticmethod
-    def _laplacian_shapes(monkeypatch):
-        shapes = []
-        real = stencils.laplacian_array
-
-        def recording(values, dx, **kwargs):
-            shapes.append(values.shape)
-            return real(values, dx, **kwargs)
-
-        monkeypatch.setattr(stencils, "laplacian_array", recording)
-        return shapes
-
     @pytest.mark.parametrize("t_range", [(0.0, 0.4), (-0.15, 0.4)])
     def test_each_step_is_one_ring_smaller(self, t_range, monkeypatch):
         # each run starts from level 0 on its own cone, the forward run first
-        shapes = self._laplacian_shapes(monkeypatch)
+        runs = _kernel_runs(monkeypatch)
         problem = _cone_problem(2)
         solve(problem, t_range=t_range)
         window = problem.classification.shape
-        runs = [round(abs(t) / problem.spec.dt) for t in reversed(t_range)]
-        assert shapes == [
-            tuple(w + 2 * rings for w in window)
-            for steps in runs for rings in range(steps, 0, -1)
+        steps = [round(abs(t) / problem.spec.dt) for t in reversed(t_range)]
+        assert runs == [
+            (sign, tuple(w + 2 * s for w in window),
+             [tuple(w + 2 * (s - k) for w in window) for k in range(1, s + 1)])
+            for sign, s in zip((1, -1), steps) if s
         ]
 
     def test_bounded_domain_steps_its_whole_window(self, monkeypatch):
-        shapes = self._laplacian_shapes(monkeypatch)
+        runs = _kernel_runs(monkeypatch)
         spec = LatticeSpec(2, 0.1, 0.05, 0.4)
         problem = DiscreteProblem(
             spec=spec, domain=Domain.box([(0.0, 1.0)] * 2),
@@ -244,7 +234,24 @@ class TestDependenceCone:
         fld = solve(problem, t_range=(0.0, spec.T))
         window = problem.classification.shape
         assert fld.shape == window
-        assert shapes == [window] * spec.steps
+        assert runs == [(1, window, [window] * spec.steps)]
+
+
+def _kernel_runs(monkeypatch):
+    """(sign of h, shape of level 0, shapes of the yielded levels) of each
+    stepping-kernel run that `solve` starts, in order."""
+    runs = []
+    real = leapfrog.three_level_steps
+
+    def recording(v0, velocity, h, *args, **kwargs):
+        shapes = []
+        runs.append((1 if h > 0 else -1, v0.shape, shapes))
+        for level, level_max in real(v0, velocity, h, *args, **kwargs):
+            shapes.append(level.shape)
+            yield level, level_max
+
+    monkeypatch.setattr(leapfrog, "three_level_steps", recording)
+    return runs
 
 
 def _energy(fld, level, dx, dt):
@@ -337,27 +344,16 @@ class TestBufferReuse:
 
 
 class TestBootstrapWindow:
-    @staticmethod
-    def _first_levels(monkeypatch):
-        signs = []
-        real = stencils.leapfrog_first_level
-
-        def recording(v0, velocity, accel, h, out=None):
-            signs.append(1 if h > 0 else -1)
-            return real(v0, velocity, accel, h, out=out)
-
-        monkeypatch.setattr(stencils, "leapfrog_first_level", recording)
-        return signs
-
     @pytest.mark.parametrize("t_range, signs", [
         ((0.0, 0.4), [1]), ((0.1, 0.4), [1]), ((-0.4, 0.4), [1, -1]),
         ((-0.4, -0.15), [-1]), ((0.0, 0.0), []),
     ])
     def test_first_levels_only_where_t_range_reaches(self, t_range, signs,
                                                      monkeypatch):
-        built = self._first_levels(monkeypatch)
+        # a run forms its first level from level 0 and g, once per sign of h
+        runs = _kernel_runs(monkeypatch)
         solve(_cone_problem(1), t_range=t_range)
-        assert built == signs
+        assert [sign for sign, _, _ in runs] == signs
 
     @pytest.mark.parametrize("t_range", T_RANGES)
     def test_full_space_bootstraps_the_window_grown_by_steps(self, t_range,
@@ -395,3 +391,129 @@ class TestBootstrapWindow:
         for level, values in fld.levels.items():
             assert np.array_equal(
                 values, crop_centre(reference[level], values.shape))
+
+
+def _wall(x):
+    """A boundary value that varies along the boundary."""
+    return 0.1 + 0.05 * x[0]
+
+
+def _worker_runs(case, n):
+    """Run the solve or the Verlet integration of `case` at dimension n."""
+    spec = LatticeSpec(n, 0.1, 0.05, 0.4)
+    f = DataFunction.gaussian([0.4] * n, 0.15)
+    if case == "cone":
+        solve(_cone_problem(n), t_range=(-0.4, 0.4))
+    elif case == "forced":
+        solve(TestDependenceCone._forced_problem(n), t_range=(-0.15, 0.4))
+    elif case in ("box", "ball"):
+        domain = (Domain.box([(0.0, 1.0)] * n) if case == "box"
+                  else Domain.ball([0.5] * n, 0.43))
+        solve(DiscreteProblem(spec=spec, domain=domain, f=f, boundary_value=_wall),
+              t_range=(-0.2, 0.4))
+    else:  # Verlet with a(x) and sigma(x) on a clamped ball
+        system = system_for_domain(
+            Domain.ball([0.5] * n, 0.43), spec.dx, boundary_value=_wall,
+            a=lambda x: 1.0 + 0.1 * x[0],
+            sigma=DataFunction.smooth_bump([0.5] * n, 0.4, amplitude=0.1))
+        set_initial_data(system, f, DataFunction.gaussian([0.5] * n, 0.15))
+        integrate(system, 0.0, spec.T, spec.dt / 2)
+
+
+class TestWorkerCount:
+    """The blocks of a level run on up to stencils._WORKERS threads; the
+    levels and the maxima the blowup guard takes do not depend on how many."""
+
+    @staticmethod
+    def _levels(case, n, workers, monkeypatch):
+        seen = []
+        real = stencils.three_level_steps
+
+        def recording(*args, **kwargs):
+            for level, level_max in real(*args, **kwargs):
+                seen.append((level.copy(), level_max))
+                yield level, level_max
+
+        monkeypatch.setattr(stencils, "_WORKERS", workers)
+        for module in (leapfrog, lagrange):
+            monkeypatch.setattr(module, "three_level_steps", recording)
+        _worker_runs(case, n)
+        return seen
+
+    @staticmethod
+    def _assert_same(seen, expected):
+        assert len(seen) == len(expected)
+        for (level, level_max), (other, other_max) in zip(seen, expected):
+            assert np.array_equal(level, other) and level_max == other_max
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["cone", "forced", "box", "ball", "verlet"])
+    def test_levels_and_maxima_equal_at_any_worker_count(self, case, n,
+                                                         monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 7)
+        one = self._levels(case, n, 1, monkeypatch)
+        assert len(one) > 2
+        for workers in (2, 3):
+            self._assert_same(self._levels(case, n, workers, monkeypatch), one)
+
+    def test_more_workers_than_cpus_with_fast_thread_switches(self,
+                                                              monkeypatch):
+        # every worker writes its own rows and its own scratch; a write that
+        # leaked into another block would change a level
+        workers = 2 * stencils._WORKERS + 1
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 7)
+        one = self._levels("forced", 3, 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = self._levels("forced", 3, workers, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        self._assert_same(seen, one)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("h", [0.05, -0.05])
+    def test_blowup_guard_sees_every_block(self, workers, where, bad, h,
+                                           monkeypatch):
+        # the velocity enters no Laplacian, so level 1 is bad at one point
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(stencils, "_WORKERS", workers)
+        v0 = np.zeros((12, 5))
+        velocity = np.ones((12, 5))
+        velocity[where, 2] = bad
+        assert len(stencils.row_blocks(v0.shape)) == 6
+        with pytest.raises(BlowupError) as exc:
+            list(stencils.three_level_steps(v0, velocity, h, 0.1, 3))
+        assert exc.value.level == (1 if h > 0 else -1)
+        assert not math.isfinite(exc.value.max_value)
+
+    def test_each_worker_steps_one_contiguous_chunk(self, monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+        seen = []
+
+        def terms(accel, values, t, rows):
+            seen.append((threading.get_ident(), rows.start))
+            return accel
+
+        v0 = np.zeros((12, 5))
+        list(stencils.three_level_steps(v0, np.ones_like(v0), 0.05, 0.1, 1,
+                                        terms=terms))
+        chunks = {}
+        for thread, start in seen:
+            chunks.setdefault(thread, []).append(start)
+        assert sorted(chunks.values()) == [[0, 2, 4], [6, 8, 10]]
+        assert chunks[threading.get_ident()] == [0, 2, 4]
+
+    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a window of one block started a thread")
+
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        v0 = np.zeros((12, 5))
+        assert len(stencils.row_blocks(v0.shape)) == 1
+        assert len(list(stencils.three_level_steps(
+            v0, np.ones_like(v0), 0.05, 0.1, 4))) == 4

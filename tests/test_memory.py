@@ -55,7 +55,9 @@ def test_e1_oracle_synthesis_is_small():
 
 def test_finest_fullspace_solve_holds_few_window_arrays():
     # the bootstrap samples by blocks and builds no point array, and the
-    # stepping kernel rotates its levels through the bootstrap's buffers
+    # stepping kernel rotates its levels through the bootstrap's buffers and
+    # forms each block's Laplacian in scratch of a few hundred kB: level 0,
+    # g and the kernel's scratch, with no window-sized Laplacian buffer
     config, f, g = _e1_n3()
     base = config.base_spec()
     specs = refine_halving(base, config.levels) + _varying_ratio_specs(
@@ -71,7 +73,7 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
     fld, peak, held = _traced(solve, problem, t_range=(0.0, spec.T))
     assert sorted(fld.levels) == [0, 1, spec.steps - 2, spec.steps - 1,
                                   spec.steps]
-    assert peak <= 5 * 8 * bootstrap_points(spec)
+    assert peak <= 3 * 8 * bootstrap_points(spec)
     # the field keeps five window-sized levels, no view of a larger buffer
     assert held <= 6 * 8 * int(np.prod(fld.shape))
 

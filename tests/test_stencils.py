@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_reference import leapfrog_advance, leapfrog_first_level
 from wavelattice import (
     BlowupError,
     DataFunction,
@@ -20,8 +21,6 @@ from wavelattice.stencils import (
     field_from_classification,
     laplacian_array,
     lattice_points,
-    leapfrog_advance,
-    leapfrog_first_level,
     load_level,
 )
 from wavelattice.lattice import classify
@@ -260,24 +259,44 @@ class TestBlockedKernels:
         assert _same_bits(out, expected)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_advance_in_place_of_previous_level(self, shape, block_points):
-        v, v_prev, accel = np.random.default_rng(3).normal(size=(3,) + shape)
-        h = 0.00625
-        expected = 2.0 * v - v_prev + (h * h) * accel
-        assert _same_bits(stencils.leapfrog_advance(v, v_prev, accel, h), expected)
-        assert stencils.leapfrog_advance(v, v_prev, accel, h, out=v_prev) is v_prev
-        assert _same_bits(v_prev, expected)
+    def test_laplacian_of_signed_zeros(self, shape, block_points):
+        # zero rows between rows of -0.0: each first second difference is -0.0
+        values = np.zeros(shape)
+        values[::2] = -0.0
+        expected = _plain_laplacian(values, 0.0125)
+        assert _same_bits(stencils.laplacian_array(values, 0.0125), expected)
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}-workers")
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(stencils, "_WORKERS", request.param)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("h", [0.05, -0.05])
-    def test_first_level_in_place_of_velocity(self, shape, h, block_points):
-        v0, velocity, accel = np.random.default_rng(4).normal(size=(3,) + shape)
-        sign = 1.0 if h > 0 else -1.0
-        expected = v0 + abs(h) * (sign * velocity) + (0.5 * abs(h) * abs(h)) * accel
-        assert _same_bits(
-            stencils.leapfrog_first_level(v0, velocity, accel, h), expected)
-        stencils.leapfrog_first_level(v0, velocity, accel, h, out=velocity)
-        assert _same_bits(velocity, expected)
+    def test_first_level_in_place_of_velocity(self, shape, h, block_points,
+                                              workers):
+        v0, velocity = np.random.default_rng(4).normal(size=(2,) + shape)
+        v0.flat[0] = -0.0
+        expected = leapfrog_first_level(v0, velocity, _plain_laplacian(v0, 0.1), h)
+        run = stencils.three_level_steps(v0, velocity, h, 0.1, 1)
+        level, level_max = next(run)
+        assert _same_bits(level, expected)
+        assert np.shares_memory(level, velocity)
+        assert level_max == float(np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_advance_in_place_of_previous_level(self, shape, block_points,
+                                                workers):
+        v0, velocity = np.random.default_rng(3).normal(size=(2,) + shape)
+        h = 0.00625
+        first = leapfrog_first_level(v0, velocity, _plain_laplacian(v0, 0.1), h)
+        expected = leapfrog_advance(first, v0, _plain_laplacian(first, 0.1), h)
+        start = v0.copy()
+        run = stencils.three_level_steps(start, velocity, h, 0.1, 2)
+        next(run)
+        level, level_max = next(run)
+        assert _same_bits(level, expected)
+        assert np.shares_memory(level, start)
+        assert level_max == float(np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("points", [1, 4, 100])
     def test_row_blocks_cover_axis_zero_once(self, points, monkeypatch):
