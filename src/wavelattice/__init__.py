@@ -29,7 +29,6 @@ from .errors import (
     MissingLevelError,
     MissingNeighborError,
     NoCommonPointsError,
-    SGridMisalignedError,
     SingularSystemError,
     TailBoundError,
     UnsupportedShapeError,

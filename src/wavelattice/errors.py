@@ -29,10 +29,6 @@ class TailBoundError(WaveLatticeError):
     """The frequency-cutoff tail estimate exceeds the requested tolerance."""
 
 
-class SGridMisalignedError(WaveLatticeError):
-    """Forcing time nodes are not multiples of the lattice time step."""
-
-
 class BlowupError(WaveLatticeError):
     """Solver values exceeded the blowup threshold (CFL instability)."""
 

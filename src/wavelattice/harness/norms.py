@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import NoCommonPointsError
-from ..lattice import window_indices
+from ..lattice import step_index, window_indices
 from ..stencils import GridField
 
 __all__ = ["scaled_norms", "compare_on_common_lattice"]
@@ -34,14 +34,12 @@ def scaled_norms(diff: np.ndarray, dx: float, n: int, dt: float) -> tuple[float,
     return sup, l2
 
 
-def _time_level(spec, t: float) -> int:
-    p = t / spec.dt
-    rounded = int(round(p))
-    if abs(p - rounded) > 1e-9 * max(1.0, abs(p)):
-        raise NoCommonPointsError(
-            f"time {t} is not a lattice time for dt = {spec.dt}"
-        )
-    return rounded
+def _stored_at(field: GridField, t: float) -> bool:
+    """Whether t is a lattice time of the field with a stored level."""
+    try:
+        return step_index(t, field.spec.dt) in field.levels
+    except ValueError:
+        return False
 
 
 def compare_on_common_lattice(
@@ -61,7 +59,8 @@ def compare_on_common_lattice(
     ``(sup_error, l2_error)`` with the l2 norm scaled by ``dx^n * dt`` of the
     coarse lattice.  Window points off a bounded field's support are
     skipped; a window point outside a full-space field's window raises
-    MissingNeighborError.
+    MissingNeighborError.  A time off a field's time lattice, or spatial
+    steps that do not nest, raise ValueError (the rule of step_index).
     """
     other_field = other if isinstance(other, GridField) else None
     coarse = base_spec if base_spec is not None else field.spec
@@ -71,18 +70,13 @@ def compare_on_common_lattice(
         coarse = field.spec
 
     n = coarse.n
-    sp_a = _space_ratio(coarse.dx, field.spec.dx)
-    sp_b = _space_ratio(coarse.dx, other_field.spec.dx) if other_field else 1
+    sp_a = step_index(coarse.dx, field.spec.dx)
+    sp_b = step_index(coarse.dx, other_field.spec.dx) if other_field else 1
 
     if times is None:
-        times = []
-        for p in sorted(field.levels):
-            t = p * field.spec.dt
-            if other_field is not None:
-                q = t / other_field.spec.dt
-                if abs(q - round(q)) > 1e-9 or round(q) not in other_field.levels:
-                    continue
-            times.append(t)
+        times = [p * field.spec.dt for p in sorted(field.levels)]
+        if other_field is not None:
+            times = [t for t in times if _stored_at(other_field, t)]
     times = list(times)
 
     # Coarse-lattice points of the window common to both fields, in C order
@@ -101,18 +95,11 @@ def compare_on_common_lattice(
     diffs = []
     points = indices.astype(float) * coarse.dx
     for t in times:
-        vals_a = field.level_array(_time_level(field.spec, t))[at_a]
+        vals_a = field.level_array(step_index(t, field.spec.dt))[at_a]
         if other_field is not None:
-            vals_b = other_field.level_array(_time_level(other_field.spec, t))[at_b]
+            vals_b = other_field.level_array(step_index(t, other_field.spec.dt))[at_b]
         else:
             vals_b = np.asarray(other(points, t), dtype=float).ravel()
         diffs.append(vals_a - vals_b)
     return scaled_norms(np.concatenate(diffs), coarse.dx, n, coarse.dt)
 
-
-def _space_ratio(coarse_dx: float, fine_dx: float) -> int:
-    ratio = coarse_dx / fine_dx
-    rounded = int(round(ratio))
-    if rounded < 1 or abs(ratio - rounded) > 1e-9 * ratio:
-        raise NoCommonPointsError(f"grids {coarse_dx} and {fine_dx} do not nest")
-    return rounded

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lattice import Domain, LatticeSpec, classify, point_indices
+from .lattice import Domain, LatticeSpec, classify, point_indices, step_index
 from .spectral import (
     Forcing,
     FrequencyQuadrature,
@@ -126,22 +126,16 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
     Returns {time: value array} at the recorded times (default: t1 only).
     Stormer-Verlet runs in the three-level position form on the stepping
     kernel of the leapfrog solver, which starts from the system's values and
-    velocities; the step count must land on t1 exactly.  The system's
+    velocities.  The steps must land on t1 and on every record time exactly
+    (ValueError otherwise, by the lattice rule of step_index).  The system's
     values end as the level at t1, in an array the kernel stepped over.
     """
     if h_ode <= 0:
         raise ValueError("h_ode must be positive")
-    span = t1 - t0
-    steps = round(span / h_ode)
-    if steps < 1 or abs(steps * h_ode - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("h_ode must divide the integration span")
-    wanted = set()
-    if record_times is not None:
-        for t in record_times:
-            k = round((t - t0) / h_ode)
-            if abs(t0 + k * h_ode - t) > 1e-9:
-                raise ValueError(f"record time {t} is not on the step grid")
-            wanted.add(k)
+    steps = step_index(t1 - t0, h_ode)
+    if steps < 1:
+        raise ValueError("integrate runs forward: need t1 > t0")
+    wanted = {step_index(t - t0, h_ode) for t in record_times or ()}
     out = {0: system.values.copy()} if 0 in wanted else {}
     # the kernel writes level 1 over the velocities and level 2 over the values
     run = three_level_steps(system.values, system.velocities.copy(), h_ode,

@@ -9,7 +9,8 @@ points (in the closure, at least one neighbour outside), held as boolean
 masks on a rectangular window of lattice multi-indices.  Every read of a
 lattice field goes through one lookup: `window_indices` and `point_indices`
 give (m, n) multi-indices, and a classification turns them into positions
-in its window's arrays.
+in its window's arrays.  `step_index` gives the level of a lattice time and
+the ratio of nested steps by the same rule.
 """
 
 from __future__ import annotations
@@ -239,19 +240,39 @@ def window_indices(window, dx: float) -> np.ndarray:
     return grid_points(axes).reshape(-1, len(axes))
 
 
+def _nearest_indices(values: np.ndarray, step: float):
+    """The nearest indices round(values / step), as floats, and the mask of
+    the values off the lattice of that step: farther than
+    1e-9 * max(1, |index|) step units from every lattice value, or not
+    finite.  The one rule of every lattice lookup."""
+    scaled = values / step
+    indices = np.round(scaled)
+    tol = 1e-9 * np.maximum(1.0, np.abs(scaled))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan: off the lattice
+        return indices, ~(np.abs(scaled - indices) <= tol)
+
+
 def point_indices(points, dx: float) -> np.ndarray:
     """The (m, n) multi-indices of lattice points of step dx, given shaped
     (m, n) or (n,).  Raises ValueError for a point off the lattice, which is
     never rounded to its nearest lattice point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    scaled = points / dx
-    indices = np.round(scaled)
-    off = np.abs(scaled - indices) > 1e-9 * np.maximum(1.0, np.abs(scaled))
+    indices, off = _nearest_indices(points, dx)
     if off.any():
         x = points[off.any(axis=-1)][0]
         raise ValueError(f"point {tuple(x.tolist())} is not on the lattice "
                          f"of step {dx}")
     return indices.astype(int)
+
+
+def step_index(x: float, step: float) -> int:
+    """The integer k with k * step = x: the level of a lattice time, a step
+    count or the ratio of nested grid steps.  Raises ValueError for an x
+    off the lattice of that step, by the rule of point_indices."""
+    index, off = _nearest_indices(np.float64(x), step)
+    if off:
+        raise ValueError(f"{x!r} is not on the lattice of step {step!r}")
+    return int(index)
 
 
 def _index_window(domain: Domain, dx: float, pad: int):

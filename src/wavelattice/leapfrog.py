@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lattice import Domain, LatticeSpec, classify
+from .lattice import Domain, LatticeSpec, classify, step_index
 from .spectral import DataFunction, Forcing
 from .stencils import (
     GridField,
@@ -66,7 +66,8 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     window, field_from_classification(problem.classification), and keeps
     levels -1, 0 and 1, both ends of t_range and the last three levels of
     each run, as far as they lie in t_range.  Every value it holds is a
-    value of the scheme.  Raises BlowupError past the 1e12 threshold.
+    value of the scheme.  Raises BlowupError past the 1e12 threshold, and
+    ValueError for a t_range endpoint off the time lattice.
 
     f and g are sampled once, on the window grown by the longer run's steps
     (full space) or on the domain's window, clamped at the boundary
@@ -81,10 +82,7 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
         t_range = (-spec.T, spec.T)
     if t_range[0] > t_range[1]:
         raise ValueError(f"t_range {t_range!r} is reversed")
-    lo = round(t_range[0] / spec.dt)
-    hi = round(t_range[1] / spec.dt)
-    if abs(lo * spec.dt - t_range[0]) > 1e-9 or abs(hi * spec.dt - t_range[1]) > 1e-9:
-        raise ValueError("t_range endpoints must be lattice times")
+    lo, hi = (step_index(t, spec.dt) for t in t_range)
     full_space = not problem.domain.bounded
     pad = max(hi, -lo) if full_space else 0
     fieldobj = field_from_classification(problem.classification, pad=pad)

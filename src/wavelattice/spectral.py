@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dispersion import beta_arrays, sinc
-from .errors import SGridMisalignedError, TailBoundError
-from .lattice import LatticeSpec, grid_points
+from .errors import TailBoundError
+from .lattice import LatticeSpec, grid_points, step_index
 
 _TWO_PI = 2.0 * math.pi
 
@@ -283,10 +283,16 @@ class FrequencyQuadrature:
         return cls.build(n, M, nodes_per_axis)
 
     def tail_bound(self, *data, T: float) -> float:
-        envelopes = [d.decay_envelope() for d in data if d is not None]
-        if any(e is None for e in envelopes):
-            return 0.0  # single-frequency data bypass quadrature entirely
-        return gaussian_tail_bound(self.n, self.M, envelopes, T)
+        """Bound on the synthesis error past the cutoff M up to |t| = T.
+        Single-frequency data bypass the quadrature and are skipped; other
+        data without a Gaussian envelope have no bound (TailBoundError)."""
+        data = [d for d in data if d is not None and d.single_frequency is None]
+        unbounded = sorted({d.kind for d in data if d.decay_envelope() is None})
+        if unbounded:
+            raise TailBoundError(f"no tail bound for {', '.join(unbounded)} data: "
+                                 "it has no Gaussian envelope")
+        return gaussian_tail_bound(self.n, self.M,
+                                   [d.decay_envelope() for d in data], T)
 
     def doubled(self) -> "FrequencyQuadrature":
         return FrequencyQuadrature.build(self.n, self.M, 2 * self.nodes_per_axis)
@@ -469,9 +475,7 @@ def continuum_solution_u(f, g, x, t, quad=None, *, tol=None, derivative=None):
 
 def discrete_closed_form_v(f, g, spec: LatticeSpec, x, t, quad=None, *, tol=None):
     """Closed form of the fully discrete solution at a lattice point."""
-    p = t / spec.dt
-    if abs(p - round(p)) > 1e-9:
-        raise ValueError(f"t = {t} is not a lattice time for dt = {spec.dt}")
+    step_index(t, spec.dt)  # ValueError off the time lattice
     return homogeneous_solution(f, g, "fully_discrete", x, t, spec=spec,
                                 quad=quad, tol=tol)
 
@@ -612,7 +616,8 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
     the fully discrete flavor uses the exact discrete convolution of the
     scheme (a trapezoid-type sum on multiples of dt), since discrete-time
     variation of constants is a sum, not an integral.  A flavor, `spec` or
-    `dx` that do not fit raise ValueError, as in homogeneous_solution.
+    `dx` that do not fit raise ValueError, as in homogeneous_solution, and
+    so does a fully discrete t off the time lattice.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
@@ -633,12 +638,7 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
                              spec=spec, dx=dx)
     if flavor == "fully_discrete":
         dt = spec.dt
-        p = t / dt
-        if abs(p - round(p)) > 1e-9:
-            raise SGridMisalignedError(
-                f"t = {t} is not a multiple of dt = {dt}"
-            )
-        p = round(p)
+        p = step_index(t, dt)
         s_nodes = np.arange(p) * dt
         s_weights = np.full(p, dt)
         s_weights[0] = dt / 2.0  # matches the bootstrap's half forcing weight

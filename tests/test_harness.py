@@ -36,9 +36,8 @@ from wavelattice.harness import (
 )
 from wavelattice.harness import experiments
 from wavelattice.harness.cli import main
-from wavelattice.harness.norms import _space_ratio, _time_level
 from wavelattice.harness.table import TableRow
-from wavelattice.lattice import point_indices, refine_halving, window_indices
+from wavelattice.lattice import point_indices, refine_halving, step_index, window_indices
 from wavelattice.spectral import CATALOG
 
 
@@ -303,9 +302,23 @@ class TestNorms:
 
     def test_disjoint_times_raise(self):
         fld, spec = self._solved_field()
-        with pytest.raises((NoCommonPointsError, ValueError)):
+        with pytest.raises(ValueError, match="not on the lattice"):
             compare_on_common_lattice(fld, fld, [(-0.4, 0.4)],
                                       times=[spec.dt / 3.0])
+
+    def test_grids_that_do_not_nest_raise(self):
+        fld, spec = self._solved_field()
+        other = solve(DiscreteProblem(
+            spec=LatticeSpec(1, 0.04, 0.02, 0.4),
+            domain=Domain.full_space([(-0.5, 0.5)]),
+            f=DataFunction.gaussian([0.0], 0.1),
+        ), t_range=(0.0, 0.4))
+        for a, b, base in ((fld, other, None), (other, fld, None),
+                           (fld, lambda points, t: np.zeros(len(points)),
+                            LatticeSpec(1, 0.15, 0.05, 0.4))):
+            with pytest.raises(ValueError, match="not on the lattice"):
+                compare_on_common_lattice(a, b, [(-0.4, 0.4)], times=[spec.T],
+                                          base_spec=base)
 
 
 def _holds_one(field, index):
@@ -324,8 +337,8 @@ def _loop_compare(field, other, window, times=None, base_spec=None):
     for fld in (other_field, field):
         if fld is not None and fld.spec.dx > coarse.dx:
             coarse = fld.spec
-    sp_a = _space_ratio(coarse.dx, field.spec.dx)
-    sp_b = _space_ratio(coarse.dx, other_field.spec.dx) if other_field else 1
+    sp_a = step_index(coarse.dx, field.spec.dx)
+    sp_b = step_index(coarse.dx, other_field.spec.dx) if other_field else 1
     if times is None:
         times = []
         for p in sorted(field.levels):
@@ -351,11 +364,11 @@ def _loop_compare(field, other, window, times=None, base_spec=None):
     points = np.asarray(indices, dtype=float) * coarse.dx
     diffs = []
     for t in times:
-        p_a = _time_level(field.spec, t)
+        p_a = step_index(t, field.spec.dt)
         vals_a = np.array([_value_one(field, tuple(j * sp_a for j in idx), p_a)
                            for idx in indices])
         if other_field is not None:
-            p_b = _time_level(other_field.spec, t)
+            p_b = step_index(t, other_field.spec.dt)
             vals_b = np.array([
                 _value_one(other_field, tuple(j * sp_b for j in idx), p_b)
                 for idx in indices])
@@ -825,6 +838,45 @@ class TestCli:
         config.write(path)
         assert main(["experiment", "E7", "--config", str(path)]) == 2
         assert "bounded domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit-bounds", "--out", "{out}"],
+        ["audit-bounds", "--levels", "3"],
+        ["solve", "--n", "1", "--levels", "3", "--out", "{out}"],
+        ["dispersion", "--n", "1", "--levels", "3", "--out", "{out}"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                    argv):
+        out = tmp_path / "out"
+        assert main([a.format(out=out) for a in argv]) == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_audit_bounds_are_e8s_audits(self, capsys, n):
+        config = default_config("E8", n=n)
+        seno = experiments.audit_seno_bound(n, config.T, 10_000, config.seed)
+        roots = experiments.audit_dispersion_roots(n, 10_000, config.seed + 1)
+        assert main(["audit-bounds", "--n", str(n)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"audit-bounds: seno-bound slack {seno:.3e} "
+            f"(tol {1e-12 * config.T:.1e})",
+            f"audit-bounds: dispersion-root slack {roots:.3e} (tol 0)",
+            "audit-bounds: PASS",
+        ]
+        assert run_experiment(config).notes[:2] == [
+            f"seno bound: max |dt sin(beta t)/sin(beta dt)| - T = {seno:.3e} "
+            f"over 10000 samples (tol {1e-12 * config.T:.1e})",
+            f"dispersion roots: max |G| slack {roots:.3e}",
+        ]
+
+    @pytest.mark.parametrize("audit", ["audit_seno_bound",
+                                       "audit_dispersion_roots"])
+    def test_failed_audit_fails_both_commands(self, monkeypatch, capsys, audit):
+        monkeypatch.setattr(experiments, audit, lambda *args: 1.0)
+        assert main(["audit-bounds", "--n", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "audit-bounds: FAIL"
+        assert not run_experiment(default_config("E8", n=1)).passed
 
     def test_dispersion_writes_csv(self, tmp_path):
         out = tmp_path / "disp"

@@ -20,7 +20,7 @@ from wavelattice import (
     is_admissible,
     refine_halving,
 )
-from wavelattice.lattice import point_indices, window_indices
+from wavelattice.lattice import point_indices, step_index, window_indices
 
 
 class TestAdmissibility:
@@ -363,3 +363,39 @@ class TestLatticeLookup:
     def test_off_lattice_point_raises(self, point):
         with pytest.raises(ValueError, match="not on the lattice"):
             point_indices(point, 0.1)
+
+    def test_step_index_on_the_lattice(self):
+        assert step_index(0.3, 0.1) == 3
+        assert step_index(0.0, 0.1) == 0
+        assert step_index(-0.5, 0.05) == -10
+        assert step_index(1.0, 0.5) == 2 and type(step_index(1.0, 0.5)) is int
+        assert [step_index(p * 0.05, 0.05) for p in range(-40, 41)] == list(
+            range(-40, 41))
+
+    @pytest.mark.parametrize("x", [0.31, -0.05 / 3.0, 0.1 / 3.0, math.inf,
+                                   -math.inf, math.nan])
+    def test_step_index_off_the_lattice_raises(self, x):
+        with pytest.raises(ValueError, match="not on the lattice"):
+            step_index(x, 0.1)
+
+    def test_step_index_tolerance_is_relative_at_large_index(self):
+        # 1e-9 step units up to |k| = 1, then 1e-9 * |k| step units
+        assert step_index(0.1 + 0.9e-9 * 0.1, 0.1) == 1
+        with pytest.raises(ValueError):
+            step_index(0.1 + 1.1e-9 * 0.1, 0.1)
+        k = 10**6
+        assert step_index((k + 0.9e-9 * k) * 0.1, 0.1) == k
+        assert step_index(-(k + 0.9e-9 * k) * 0.1, 0.1) == -k
+        with pytest.raises(ValueError):
+            step_index((k + 1.1e-9 * k) * 0.1, 0.1)
+
+    def test_step_index_is_the_rule_of_point_indices(self):
+        xs = [0.3, 0.1 + 0.9e-9 * 0.1, 0.1 + 1.1e-9 * 0.1, 1e5 + 5e-5, -0.07]
+        for x in xs:
+            try:
+                expected = int(point_indices([x], 0.1)[0, 0])
+            except ValueError:
+                with pytest.raises(ValueError):
+                    step_index(x, 0.1)
+            else:
+                assert step_index(x, 0.1) == expected

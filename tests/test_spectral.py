@@ -9,6 +9,7 @@ from wavelattice import (
     DataFunction,
     FrequencyQuadrature,
     LatticeSpec,
+    TailBoundError,
     continuum_solution_u,
     discrete_closed_form_v,
     duhamel_solve,
@@ -238,6 +239,17 @@ class TestDuhamel:
         assert val == pytest.approx(float(space(x)) * math.cos(t), abs=1e-6)
 
 
+    @pytest.mark.parametrize("t", [0.05 / 3.0, 0.125, 0.3 + 1e-7])
+    def test_fully_discrete_time_off_the_lattice_raises(self, t):
+        space = DataFunction.gaussian([0.0], 0.3)
+        forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+        spec = LatticeSpec(1, 0.1, 0.05, 0.3)
+        quad = FrequencyQuadrature.for_data(space, T=spec.T)
+        with pytest.raises(ValueError, match="not on the lattice"):
+            duhamel_solve(space, None, forcing, "fully_discrete", np.zeros(1),
+                          t, quad, spec=spec)
+
+
 class TestQuadrature:
     def test_doubled_refines_nodes_keeps_cutoff(self):
         f = DataFunction.gaussian([0.0], 0.2)
@@ -251,6 +263,42 @@ class TestQuadrature:
         f = DataFunction.gaussian([0.0], 0.15)
         quad = FrequencyQuadrature.for_data(f, T=T, tol=tol)
         assert quad.tail_bound(f, T=T) <= tol * (2.0 + 2.0 * T)
+
+    def test_data_without_envelope_has_no_tail_bound(self):
+        # a bump has no Gaussian envelope: no tolerance can be certified
+        quad = FrequencyQuadrature.for_data(DataFunction.gaussian([0.0], 0.3),
+                                            T=1.0)
+        bump = DataFunction.smooth_bump([0.0], 0.5)
+        x = np.zeros(1)
+        with pytest.raises(TailBoundError, match="smooth_bump"):
+            quad.tail_bound(bump, T=0.5)
+        for call in (
+            lambda tol: continuum_solution_u(bump, None, x, 0.5, quad, tol=tol),
+            lambda tol: continuum_solution_u(None, bump, x, 0.5, quad, tol=tol),
+            lambda tol: semidiscrete_closed_form_phi(bump, None, 0.1, x, 0.5,
+                                                     quad, tol=tol),
+            lambda tol: discrete_closed_form_v(
+                bump, None, LatticeSpec(1, 0.1, 0.05, 1.0), x, 0.5, quad,
+                tol=tol),
+        ):
+            with pytest.raises(TailBoundError):
+                call(1e-30)
+            with pytest.raises(TailBoundError):
+                call(1e30)
+            assert math.isfinite(call(None))
+
+    def test_single_frequency_data_are_skipped(self):
+        quad = FrequencyQuadrature.for_data(DataFunction.gaussian([0.0], 0.3),
+                                            T=1.0)
+        wave = DataFunction.plane_wave([2.0])
+        gauss = DataFunction.gaussian([0.0], 0.3)
+        assert quad.tail_bound(wave, None, T=1.0) == 0.0
+        assert quad.tail_bound(wave, gauss, T=1.0) == quad.tail_bound(gauss, T=1.0)
+        x = np.zeros(1)
+        assert continuum_solution_u(wave, None, x, 0.5, quad, tol=1e-30) == (
+            continuum_solution_u(wave, None, x, 0.5, quad))
+        with pytest.raises(TailBoundError):
+            continuum_solution_u(wave, gauss, x, 0.5, quad, tol=1e-30)
 
     def test_gaussian_tail_bound_monotone_in_M(self):
         f = DataFunction.gaussian([0.0], 0.2)
