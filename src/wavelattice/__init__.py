@@ -48,7 +48,6 @@ from .lattice import (
     LatticeSpec,
     classify,
     detect_double_points,
-    is_admissible,
     refine_halving,
 )
 from .leapfrog import DiscreteProblem, solve

@@ -54,16 +54,12 @@ def _cmd_solve(args) -> int:
     )
     fieldobj = solve(problem, t_range=(0.0, spec.T))
     dump_level(fieldobj, spec.steps, out / "final_level.bin")
-    points = lattice_points(fieldobj)
-    values = fieldobj.level_array(spec.steps)
     mask = fieldobj.support
-    with open(out / "final_level.csv", "w", encoding="ascii") as fh:
-        cols = ",".join(f"x{k + 1}" for k in range(spec.n))
-        fh.write(f"{cols},value\n")
-        flat_pts = points.reshape(-1, spec.n)
-        for pt, val in zip(flat_pts[mask.ravel()], values[mask]):
-            coords = ",".join(f"{c:.17g}" for c in pt)
-            fh.write(f"{coords},{val:.17g}\n")
+    rows = np.column_stack([lattice_points(fieldobj)[mask],
+                            fieldobj.level_array(spec.steps)[mask]])
+    cols = "".join(f"x{k + 1}," for k in range(spec.n))
+    np.savetxt(out / "final_level.csv", rows, fmt="%.17g", delimiter=",",
+               header=f"{cols}value", comments="")
     print(f"solve: wrote {out / 'final_level.csv'}")
     return 0
 
@@ -81,12 +77,10 @@ def _cmd_dispersion(args) -> int:
     mags = np.linalg.norm(alphas, axis=-1)
     phase = (beta - mags) / mags
     path = out / "dispersion.csv"
-    with open(path, "w", encoding="ascii") as fh:
-        cols = ",".join(f"alpha{k + 1}" for k in range(spec.n))
-        fh.write(f"{cols},beta,beta0,alpha_abs,phase_error\n")
-        for row, b, b0, m, ph in zip(alphas, beta, beta0, mags, phase):
-            coords = ",".join(f"{c:.17g}" for c in row)
-            fh.write(f"{coords},{b:.17g},{b0:.17g},{m:.17g},{ph:.17g}\n")
+    cols = "".join(f"alpha{k + 1}," for k in range(spec.n))
+    np.savetxt(path, np.column_stack([alphas, beta, beta0, mags, phase]),
+               fmt="%.17g", delimiter=",", comments="",
+               header=f"{cols}beta,beta0,alpha_abs,phase_error")
     print(f"dispersion: wrote {path}")
     return 0
 

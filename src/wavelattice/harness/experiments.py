@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dispersion import beta_arrays, symbol_G_arrays
 from ..elliptic import VariableCoefficientProblem, split_pipeline
-from ..errors import BlowupError, CflViolationError
+from ..errors import BlowupError, CflViolationError, TailBoundError
 from ..lagrange import (
     LagrangeSystem,
     integrate,
@@ -97,38 +97,13 @@ def default_config(experiment: str, n: int | None = None,
 # shared helpers
 
 
-def _oracle(f, g, quad):
-    """The continuum solution as a callable of (points, t), synthesized once
-    per distinct value of (t, points) and shared read-only after that."""
-    memo = {}
-
-    def call(points, t):
-        key = (t, points.dtype.str, points.shape, points.tobytes())
-        if key not in memo:
-            values = np.atleast_1d(continuum_solution_u(f, g, points, t, quad))
-            values.setflags(write=False)
-            memo[key] = values
-        return memo[key]
-    return call
-
-
-def _quadrature(data, T):
-    """FrequencyQuadrature.for_data of the data items that are not None.
-    Raises ConfigError when there is none, or when an item has no Gaussian
-    envelope, which the tail bound needs."""
-    data = [d for d in data if d is not None]
-    unbounded = sorted({d.kind for d in data if d.decay_envelope() is None})
-    if unbounded or not data:
-        raise ConfigError("the reference solution needs data with a Gaussian "
-                          f"envelope, not {', '.join(unbounded) or 'no data'}")
-    return FrequencyQuadrature.for_data(*data, T=T, tol=1e-10)
-
-
-def _quad_for(f, g, T):
-    """The quadrature of f and g, or None when both are single frequencies
-    or None: those are synthesized exactly."""
-    data = [d for d in (f, g) if d is not None and d.single_frequency is None]
-    return _quadrature(data, T) if data else None
+def _quadrature(*data, T):
+    """FrequencyQuadrature.for_data of the data, with its refusal of data
+    that have no Gaussian envelope raised as ConfigError."""
+    try:
+        return FrequencyQuadrature.for_data(*data, T=T)
+    except TailBoundError as exc:
+        raise ConfigError(f"reference solution: {exc}") from exc
 
 
 def _varying_ratio_specs(base: LatticeSpec, levels: int) -> list:
@@ -163,8 +138,11 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
     window = config.window()
     domain = Domain.full_space(window)
-    quad = _quad_for(f, g, base.T)
-    oracle = _oracle(f, g, quad)
+    # the reference at t = T on the base lattice's window points, on which
+    # every lattice of both families is compared
+    points = window_indices(window, base.dx) * base.dx
+    reference = np.atleast_1d(continuum_solution_u(
+        f, g, points, base.T, _quadrature(f, g, T=base.T)))
     # (sup, l2) per lattice: the two families share most of their lattices,
     # and each is solved once; its field is dropped as soon as it is compared.
     errors = {}
@@ -175,10 +153,8 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
             if spec not in errors:
                 problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
                 errors[spec] = compare_on_common_lattice(
-                    solve(problem, t_range=(0.0, spec.T)),
-                    oracle, window,
-                    times=[spec.T], base_spec=base,
-                )
+                    solve(problem, t_range=(0.0, spec.T)), reference, window,
+                    spec.T, base_spec=base)
             table.add(k, spec.dx, spec.dt, *errors[spec])
         return table
 
@@ -228,7 +204,7 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     if base.steps % 2:
         raise ConfigError(
             f"E2 needs T/2 = {t_mid!r} on the base lattice: T/dt must be even")
-    quad = _quad_for(f, g, base.T)
+    quad = _quadrature(f, g, T=base.T)
     probes = window_indices(window, base.dx)
     points = probes.astype(float) * base.dx
     ref_tt = np.atleast_1d(
@@ -275,7 +251,9 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
 
 def run_e3(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
-    quad = _quadrature((f, g), config.T)
+    if f is None and g is None:
+        raise ConfigError(f"{config.experiment} needs data: f and g are both none")
+    quad = _quadrature(f, g, T=config.T)
     # probes must be lattice points of the fixed dx grid
     probes = window_indices([(-0.3, 0.3)] * config.n, config.dx) * config.dx
     h_seq = [config.dt / 2**k for k in range(config.levels)]
@@ -301,7 +279,9 @@ def run_e3(config: ExperimentConfig) -> ExperimentResult:
 
 def run_e4(config: ExperimentConfig) -> ExperimentResult:
     f, g = config.data("f"), config.data("g")
-    quad = _quadrature((f, g), config.T)
+    if f is None and g is None:
+        raise ConfigError(f"{config.experiment} needs data: f and g are both none")
+    quad = _quadrature(f, g, T=config.T)
     probes = window_indices(config.window(), config.dx) * config.dx
     t = config.T
     reference = np.atleast_1d(continuum_solution_u(f, g, probes, t, quad))
@@ -447,6 +427,10 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
 
 def run_e6(config: ExperimentConfig) -> ExperimentResult:
     n = config.n
+    space = config.data("f") or DataFunction.gaussian([0.0] * n, 0.3)
+    if space.kind != "gaussian":
+        raise ConfigError("E6's manufactured solution needs f = gaussian or "
+                          f"none, not {space.kind}")
     notes, passed = [], True
     table = ErrorTable()
 
@@ -467,18 +451,14 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
 
     # (b) manufactured solution U = gaussian(x) cos(t) against forced leapfrog
     spec = config.base_spec()
-    space = config.data("f") or DataFunction.gaussian([0.0] * n, 0.3)
     forcing_m = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
     domain = Domain.full_space(config.window())
     problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing_m)
     fieldobj = solve(problem, t_range=(0.0, spec.T))
 
-    def exact_u(points, tt):
-        return np.atleast_1d(space(points)) * math.cos(tt)
-
+    points = window_indices(config.window(), spec.dx) * spec.dx
     sup_b, l2_b = compare_on_common_lattice(
-        fieldobj, exact_u, config.window(), times=[spec.T]
-    )
+        fieldobj, space(points) * math.cos(spec.T), config.window(), spec.T)
     tol_b = 5.0 * (spec.dx**2 + spec.dt**2) * space.amplitude
     table.add(1, spec.dx, spec.dt, sup_b, l2_b)
     notes.append(f"manufactured-solution error {sup_b:.3e} (tol {tol_b:.3e})")
@@ -486,7 +466,7 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
         passed = False
 
     # (c) forced leapfrog against the exact discrete Duhamel convolution
-    quad = _quadrature((space,), spec.T)
+    quad = _quadrature(space, T=spec.T)
     probe_idx = window_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
     refs = duhamel_solve(
         space, None, forcing_m, "fully_discrete",
@@ -511,6 +491,9 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("E7 needs a bounded domain: domain kind box or ball")
     domain = config.domain()
     gauss = config.data("f")
+    if gauss is None or gauss.center is None:
+        raise ConfigError("E7 centres its coefficients on f: f needs a center, "
+                          f"not {gauss.kind if gauss else 'none'}")
     h_const = 0.2
 
     center = np.asarray(gauss.center)

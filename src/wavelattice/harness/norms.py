@@ -1,8 +1,11 @@
-"""Error norms on shared lattice points.
+"""Error norms of a lattice run against reference values.
 
-Whenever two runs (or a run and a reference) are compared, the comparison
-happens on the points of the coarsest lattice involved.  The reported norms
-are the supremum norm and the scaled little-l2 norm
+A run is compared at one time t on the points of a comparison lattice
+inside a window: the lattice of the base spec of the family (or of the
+run itself), so every level of a refinement family is measured on the
+same points.  The reference values are given on those points, in C order
+of window_indices.  The reported norms are the supremum norm and the
+scaled little-l2 norm
 
     ||e||_{l2} = sqrt( sum |e|^2 * dx^n * dt )
 
@@ -13,7 +16,7 @@ refinement.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,72 +37,30 @@ def scaled_norms(diff: np.ndarray, dx: float, n: int, dt: float) -> tuple[float,
     return sup, l2
 
 
-def _stored_at(field: GridField, t: float) -> bool:
-    """Whether t is a lattice time of the field with a stored level."""
-    try:
-        return step_index(t, field.spec.dt) in field.levels
-    except ValueError:
-        return False
-
-
 def compare_on_common_lattice(
     field: GridField,
-    other: "GridField | Callable[[np.ndarray, float], np.ndarray]",
+    reference: np.ndarray,
     window: Sequence[tuple[float, float]],
-    times: Iterable[float] | None = None,
+    t: float,
     base_spec=None,
 ) -> tuple[float, float]:
-    """Compare ``field`` against another field or an oracle callable.
+    """(sup, scaled l2) of ``field`` at time ``t`` minus ``reference``.
 
-    The comparison runs over the points of the coarsest lattice involved
-    (``base_spec`` may force an even coarser reference lattice) restricted to
-    the closed spatial ``window``.  ``times`` selects the comparison times,
-    which must lie on every involved time lattice; by default every stored
-    time of ``field`` shared with ``other`` is used.  Returns
-    ``(sup_error, l2_error)`` with the l2 norm scaled by ``dx^n * dt`` of the
-    coarse lattice.  Window points off a bounded field's support are
-    skipped; a window point outside a full-space field's window raises
-    MissingNeighborError.  A time off a field's time lattice, or spatial
-    steps that do not nest, raise ValueError (the rule of step_index).
+    ``reference`` holds one value per point of
+    ``window_indices(window, dx) * dx``, in that C order, where dx is the
+    spacing of ``base_spec`` when given and of the field otherwise; the l2
+    norm is scaled by dx^n dt of that lattice.  A reference of another
+    shape raises ValueError, and so do a ``t`` off the field's time lattice
+    and a field spacing that does not divide dx (the rule of step_index).
+    A point the field does not hold raises MissingNeighborError, and an
+    empty window NoCommonPointsError.
     """
-    other_field = other if isinstance(other, GridField) else None
     coarse = base_spec if base_spec is not None else field.spec
-    if other_field is not None and other_field.spec.dx > coarse.dx:
-        coarse = other_field.spec
-    if field.spec.dx > coarse.dx:
-        coarse = field.spec
-
-    n = coarse.n
-    sp_a = step_index(coarse.dx, field.spec.dx)
-    sp_b = step_index(coarse.dx, other_field.spec.dx) if other_field else 1
-
-    if times is None:
-        times = [p * field.spec.dt for p in sorted(field.levels)]
-        if other_field is not None:
-            times = [t for t in times if _stored_at(other_field, t)]
-    times = list(times)
-
-    # Coarse-lattice points of the window common to both fields, in C order
-    # of the window: a bounded field skips the points off its support, a
-    # full-space field must store them all.
     indices = window_indices(window, coarse.dx)
-    for fld, sp in ((field, sp_a), (other_field, sp_b)):
-        if fld is not None and not fld.interior.all():
-            indices = indices[fld.holds(indices * sp)]
-    at_a = field.positions(indices * sp_a)
-    if other_field is not None:
-        at_b = other_field.positions(indices * sp_b)
-    if len(indices) == 0 or not times:
-        raise NoCommonPointsError("no common points inside the comparison window")
-
-    diffs = []
-    points = indices.astype(float) * coarse.dx
-    for t in times:
-        vals_a = field.level_array(step_index(t, field.spec.dt))[at_a]
-        if other_field is not None:
-            vals_b = other_field.level_array(step_index(t, other_field.spec.dt))[at_b]
-        else:
-            vals_b = np.asarray(other(points, t), dtype=float).ravel()
-        diffs.append(vals_a - vals_b)
-    return scaled_norms(np.concatenate(diffs), coarse.dx, n, coarse.dt)
-
+    reference = np.asarray(reference, dtype=float)
+    if reference.shape != (len(indices),):
+        raise ValueError(f"reference of shape {reference.shape} for the "
+                         f"{len(indices)} points of the comparison window")
+    at = field.positions(indices * step_index(coarse.dx, field.spec.dx))
+    values = field.level_array(step_index(t, field.spec.dt))[at]
+    return scaled_norms(values - reference, coarse.dx, coarse.n, coarse.dt)

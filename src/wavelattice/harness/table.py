@@ -2,8 +2,8 @@
 
 The observed order between consecutive levels is ``log2(e_{k-1} / e_k)`` of
 the supremum errors; it is recomputed from the stored error columns whenever
-needed, never stored independently, so a table read back from CSV reports the
-same orders.
+needed, never stored independently, so the orders written to CSV always follow
+from the error columns written next to them.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ class ErrorTable:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ErrorTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _CSV_HEADER:
-            raise ValueError("unrecognised convergence-table header")
-        table = cls()
-        for line in lines[1:]:
-            parts = line.split(",")
-            table.add(int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-        return table
 
     def gnuplot_script(self, csv_name: str, title: str = "convergence") -> str:
         """A gnuplot script plotting sup and l2 errors against dx, log-log."""

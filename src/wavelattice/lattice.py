@@ -56,11 +56,6 @@ class LatticeSpec:
         return LatticeSpec(self.n, self.dx / 2.0, self.dt / 2.0, self.T)
 
 
-def is_admissible(spec: LatticeSpec) -> bool:
-    """Total predicate for membership of (dx, dt) in the admissible set."""
-    return spec.admissible()
-
-
 def refine_halving(spec: LatticeSpec, levels: int) -> list[LatticeSpec]:
     """Nested family of `levels` lattices: the input spec, then halvings.
 

@@ -248,6 +248,22 @@ def gaussian_laplacian(data: DataFunction) -> Callable:
 # quadrature
 
 
+#: tail tolerance of FrequencyQuadrature.for_data, per unit of 2 + 2T
+TAIL_TOL = 1e-10
+
+
+def _quadrature_data(data) -> list:
+    """The items of `data` that go through the quadrature: not None and not
+    single-frequency.  Raises TailBoundError naming each kind among them
+    with no Gaussian envelope, since the tail bound needs one."""
+    data = [d for d in data if d is not None and d.single_frequency is None]
+    unbounded = sorted({d.kind for d in data if d.decay_envelope() is None})
+    if unbounded:
+        raise TailBoundError(f"no tail bound for {', '.join(unbounded)} data: "
+                             "it has no Gaussian envelope")
+    return data
+
+
 @dataclass
 class FrequencyQuadrature:
     """Tensor-product Gauss-Legendre rule on the frequency box [-M, M]^n."""
@@ -266,33 +282,31 @@ class FrequencyQuadrature:
         return cls(n, M, nodes_per_axis, nodes, weights)
 
     @classmethod
-    def for_data(cls, *data, T: float, tol: float = 1e-10,
-                 nodes_per_axis: Optional[int] = None) -> "FrequencyQuadrature":
-        """Choose M so the closed-form tail bound is below tol*(2 + 2T)."""
-        envelopes = [d.decay_envelope() for d in data if d is not None]
-        if any(e is None for e in envelopes) or not envelopes:
-            raise ValueError("for_data needs Gaussian-decay catalog entries")
+    def for_data(cls, *data, T: float) -> Optional["FrequencyQuadrature"]:
+        """The rule that synthesizes `data` up to |t| = T, or None when no
+        item needs one: None and single-frequency items are synthesized
+        exactly.  M is the first power of 1.25 whose closed-form tail bound
+        is below TAIL_TOL * (2 + 2T); the rule has 129 nodes per axis for
+        n <= 2 and 33 above.  Raises TailBoundError for data with no
+        Gaussian envelope."""
+        data = _quadrature_data(data)
+        if not data:
+            return None
+        envelopes = [d.decay_envelope() for d in data]
         n = data[0].n
         M = 1.0
-        while gaussian_tail_bound(n, M, envelopes, T) > tol * (2.0 + 2.0 * T):
+        while gaussian_tail_bound(n, M, envelopes, T) > TAIL_TOL * (2.0 + 2.0 * T):
             M *= 1.25
             if M > 1e4:
                 raise TailBoundError("no cutoff satisfies the tail tolerance")
-        if nodes_per_axis is None:
-            nodes_per_axis = 129 if n <= 2 else 33
-        return cls.build(n, M, nodes_per_axis)
+        return cls.build(n, M, 129 if n <= 2 else 33)
 
     def tail_bound(self, *data, T: float) -> float:
         """Bound on the synthesis error past the cutoff M up to |t| = T.
-        Single-frequency data bypass the quadrature and are skipped; other
-        data without a Gaussian envelope have no bound (TailBoundError)."""
-        data = [d for d in data if d is not None and d.single_frequency is None]
-        unbounded = sorted({d.kind for d in data if d.decay_envelope() is None})
-        if unbounded:
-            raise TailBoundError(f"no tail bound for {', '.join(unbounded)} data: "
-                                 "it has no Gaussian envelope")
-        return gaussian_tail_bound(self.n, self.M,
-                                   [d.decay_envelope() for d in data], T)
+        Items that for_data skips are skipped, and data without a Gaussian
+        envelope have no bound (TailBoundError)."""
+        return gaussian_tail_bound(self.n, self.M, [
+            d.decay_envelope() for d in _quadrature_data(data)], T)
 
     def doubled(self) -> "FrequencyQuadrature":
         return FrequencyQuadrature.build(self.n, self.M, 2 * self.nodes_per_axis)

@@ -315,15 +315,13 @@ def _laplacian_rows(values: np.ndarray, dx: float, rows: slice,
         _laplacian_core(values, dx, slice(first - 1, last - 1), acc[inner], part)
 
 
-def laplacian_array(values: np.ndarray, dx: float, out=None) -> np.ndarray:
+def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     """Second differences summed over axes; outermost ring left at zero.
 
-    The result goes into `out` (an array shaped like `values`) when given,
-    into a new array otherwise.  It is formed one block of axis-0 rows at a
-    time by the helper the stepping kernel uses.
+    The result is formed one block of axis-0 rows at a time by the helper
+    the stepping kernel uses.
     """
-    if out is None:
-        out = np.empty_like(values)
+    out = np.empty_like(values)
     blocks = row_blocks(values.shape)
     part = np.empty(math.prod(out[blocks[0]].shape)) if blocks else None
     for rows in blocks:

@@ -1,5 +1,6 @@
 """Harness: configs, tables, norms, CLI exit codes, experiment plumbing."""
 
+import io
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ from wavelattice import (
     DataFunction,
     DiscreteProblem,
     Domain,
+    FrequencyQuadrature,
     LatticeSpec,
     solve,
 )
@@ -227,8 +229,10 @@ class TestErrorTable:
 
     def test_csv_round_trip_bit_exact(self):
         t = self._table()
-        again = ErrorTable.from_csv_text(t.to_csv_text())
-        assert again.rows == t.rows
+        # 17 significant digits read back to the same doubles
+        again = np.loadtxt(io.StringIO(t.to_csv_text()), delimiter=",",
+                           skiprows=1)
+        assert [TableRow(int(r[0]), *r[1:5]) for r in again] == t.rows
 
     def test_empty_table_is_header_only(self):
         assert ErrorTable().to_csv_text().strip() == (
@@ -275,114 +279,85 @@ class TestNorms:
 
     def test_field_against_itself_is_zero(self):
         fld, spec = self._solved_field()
-        sup, l2 = compare_on_common_lattice(
-            fld, fld, [(-0.4, 0.4)], times=[spec.T]
-        )
-        assert sup == 0.0 and l2 == 0.0
+        window = [(-0.4, 0.4)]
+        own = fld.level_array(spec.steps)[
+            fld.positions(window_indices(window, spec.dx))]
+        assert compare_on_common_lattice(fld, own, window, spec.T) == (0.0, 0.0)
 
-    def test_oracle_callable_path(self):
+    def test_reference_of_the_wrong_shape_raises(self):
         fld, spec = self._solved_field()
+        window = [(-0.4, 0.4)]
+        m = len(window_indices(window, spec.dx))
+        for reference in (np.zeros(m - 1), np.zeros((m, 1)), np.zeros(m + 1),
+                          0.0):
+            with pytest.raises(ValueError, match="reference of shape"):
+                compare_on_common_lattice(fld, reference, window, spec.T)
+        # on the base lattice's points, not on the field's
+        with pytest.raises(ValueError, match="reference of shape"):
+            compare_on_common_lattice(fld, np.zeros(m), window, spec.T,
+                                      base_spec=LatticeSpec(1, 0.2, 0.1, 0.4))
 
-        def oracle(points, t):
-            at = fld.positions(point_indices(points, spec.dx))
-            return fld.level_array(round(t / spec.dt))[at]
-
-        sup, _ = compare_on_common_lattice(
-            fld, oracle, [(-0.4, 0.4)], times=[spec.T]
-        )
-        assert sup == 0.0
+    def test_empty_window_raises(self):
+        fld, spec = self._solved_field()
+        with pytest.raises(NoCommonPointsError):
+            compare_on_common_lattice(fld, np.zeros(0), [(0.01, 0.02)], spec.T)
 
     @pytest.mark.parametrize("window", [[(-3.0, 3.0)], [(0.0, 0.6)]])
     def test_window_past_a_full_space_field_raises(self, window):
         # the field has values on all of Z, but stores only [-0.5, 0.5]
         fld, spec = self._solved_field()
-        for other in (fld, lambda points, t: np.zeros(len(points))):
-            with pytest.raises(MissingNeighborError):
-                compare_on_common_lattice(fld, other, window, times=[spec.T])
+        reference = np.zeros(len(window_indices(window, spec.dx)))
+        with pytest.raises(MissingNeighborError):
+            compare_on_common_lattice(fld, reference, window, spec.T)
 
     def test_disjoint_times_raise(self):
         fld, spec = self._solved_field()
         with pytest.raises(ValueError, match="not on the lattice"):
-            compare_on_common_lattice(fld, fld, [(-0.4, 0.4)],
-                                      times=[spec.dt / 3.0])
+            compare_on_common_lattice(fld, np.zeros(9), [(-0.4, 0.4)],
+                                      spec.dt / 3.0)
 
     def test_grids_that_do_not_nest_raise(self):
         fld, spec = self._solved_field()
-        other = solve(DiscreteProblem(
+        fine = solve(DiscreteProblem(
             spec=LatticeSpec(1, 0.04, 0.02, 0.4),
             domain=Domain.full_space([(-0.5, 0.5)]),
             f=DataFunction.gaussian([0.0], 0.1),
         ), t_range=(0.0, 0.4))
-        for a, b, base in ((fld, other, None), (other, fld, None),
-                           (fld, lambda points, t: np.zeros(len(points)),
-                            LatticeSpec(1, 0.15, 0.05, 0.4))):
+        for field, base in ((fine, spec), (fld, LatticeSpec(1, 0.15, 0.05, 0.4)),
+                            (fld, LatticeSpec(1, 0.05, 0.025, 0.4))):
+            reference = np.zeros(len(window_indices([(-0.4, 0.4)], base.dx)))
             with pytest.raises(ValueError, match="not on the lattice"):
-                compare_on_common_lattice(a, b, [(-0.4, 0.4)], times=[spec.T],
-                                          base_spec=base)
-
-
-def _holds_one(field, index):
-    return bool(field.holds([index])[0])
+                compare_on_common_lattice(field, reference, [(-0.4, 0.4)],
+                                          spec.T, base_spec=base)
 
 
 def _value_one(field, index, level):
     return float(field.level_array(level)[field.positions([index])][0])
 
 
-def _loop_compare(field, other, window, times=None, base_spec=None):
+def _loop_compare(field, reference, window, t, base_spec=None):
     """Per-point reference of `compare_on_common_lattice`: one lookup of
-    one multi-index per coarse point, field and time."""
-    other_field = other if hasattr(other, "levels") else None
+    one multi-index per comparison point."""
     coarse = base_spec if base_spec is not None else field.spec
-    for fld in (other_field, field):
-        if fld is not None and fld.spec.dx > coarse.dx:
-            coarse = fld.spec
-    sp_a = step_index(coarse.dx, field.spec.dx)
-    sp_b = step_index(coarse.dx, other_field.spec.dx) if other_field else 1
-    if times is None:
-        times = []
-        for p in sorted(field.levels):
-            t = p * field.spec.dt
-            if other_field is not None:
-                q = t / other_field.spec.dt
-                if abs(q - round(q)) > 1e-9 or round(q) not in other_field.levels:
-                    continue
-            times.append(t)
+    ratio = step_index(coarse.dx, field.spec.dx)
+    level = step_index(t, field.spec.dt)
     axes = [
         range(math.ceil((w[0] - 1e-12) / coarse.dx),
               math.floor((w[1] + 1e-12) / coarse.dx) + 1)
         for w in window
     ]
-    indices = [
-        idx for idx in itertools.product(*axes)
-        if _holds_one(field, tuple(j * sp_a for j in idx))
-        and (other_field is None
-             or _holds_one(other_field, tuple(j * sp_b for j in idx)))
-    ]
-    if not indices or not times:
-        raise NoCommonPointsError("no common points")
-    points = np.asarray(indices, dtype=float) * coarse.dx
-    diffs = []
-    for t in times:
-        p_a = step_index(t, field.spec.dt)
-        vals_a = np.array([_value_one(field, tuple(j * sp_a for j in idx), p_a)
-                           for idx in indices])
-        if other_field is not None:
-            p_b = step_index(t, other_field.spec.dt)
-            vals_b = np.array([
-                _value_one(other_field, tuple(j * sp_b for j in idx), p_b)
-                for idx in indices])
-        else:
-            vals_b = np.asarray(other(points, t), dtype=float).ravel()
-        diffs.append(vals_a - vals_b)
-    return scaled_norms(np.concatenate(diffs), coarse.dx, coarse.n, coarse.dt)
+    values = np.array([_value_one(field, tuple(j * ratio for j in idx), level)
+                       for idx in itertools.product(*axes)])
+    return scaled_norms(values - reference, coarse.dx, coarse.n, coarse.dt)
 
 
 class TestCompareOnBoundedDomain:
-    """The vectorized compare equals the per-point loop on a ball whose
-    support leaves part of the comparison window uncovered."""
+    """The vectorized compare equals the per-point loop on a ball, and a
+    comparison point off the ball's support raises instead of being
+    skipped."""
 
     WINDOW = [(-0.5, 0.5), (-0.5, 0.5)]
+    INSIDE = [(-0.2, 0.2), (-0.2, 0.2)]
 
     def _ball_field(self, dx):
         spec = LatticeSpec(2, dx, dx / 2.0, 0.3)
@@ -393,7 +368,8 @@ class TestCompareOnBoundedDomain:
         return solve(problem, t_range=(0.0, spec.T))
 
     @staticmethod
-    def _oracle(points, t):
+    def _reference(window, dx, t):
+        points = window_indices(window, dx) * dx
         return 1.0 + points[:, 0] - 0.5 * points[:, 1] ** 2 + t
 
     def test_window_is_not_covered(self):
@@ -403,44 +379,35 @@ class TestCompareOnBoundedDomain:
         assert held.any() and not held.all()
 
     @pytest.mark.parametrize("dx", [0.1, 0.05])
-    @pytest.mark.parametrize("times", [None, [0.3]])
-    def test_field_vs_oracle(self, dx, times):
+    def test_field_vs_reference(self, dx):
         fld = self._ball_field(dx)
-        got = compare_on_common_lattice(fld, self._oracle, self.WINDOW, times)
-        assert got == _loop_compare(fld, self._oracle, self.WINDOW, times)
-        base = LatticeSpec(2, 0.2, 0.1, 0.3)
-        got = compare_on_common_lattice(fld, self._oracle, self.WINDOW, [0.3],
+        for base in (None, LatticeSpec(2, 0.2, 0.1, 0.3)):
+            coarse = base or fld.spec
+            reference = self._reference(self.INSIDE, coarse.dx, 0.3)
+            got = compare_on_common_lattice(fld, reference, self.INSIDE, 0.3,
+                                            base_spec=base)
+            assert got == _loop_compare(fld, reference, self.INSIDE, 0.3,
                                         base_spec=base)
-        assert got == _loop_compare(fld, self._oracle, self.WINDOW, [0.3],
-                                    base_spec=base)
-
-    @pytest.mark.parametrize("times", [None, [0.3]])
-    def test_field_vs_field_nested(self, times):
-        coarse, fine = self._ball_field(0.1), self._ball_field(0.05)
-        for a, b in ((coarse, fine), (fine, coarse)):
-            got = compare_on_common_lattice(a, b, self.WINDOW, times)
-            assert got == _loop_compare(a, b, self.WINDOW, times)
             assert got[0] > 0.0
 
     def test_window_outside_support_raises(self):
-        coarse, fine = self._ball_field(0.1), self._ball_field(0.05)
-        far = [(0.6, 1.0), (-0.2, 0.2)]
-        for other in (self._oracle, fine):
-            with pytest.raises(NoCommonPointsError):
-                compare_on_common_lattice(coarse, other, far, [0.3])
-            with pytest.raises(NoCommonPointsError):
-                _loop_compare(coarse, other, far, [0.3])
+        fld = self._ball_field(0.1)
+        for window in (self.WINDOW, [(0.6, 1.0), (-0.2, 0.2)]):
+            with pytest.raises(MissingNeighborError, match="outside the support"):
+                compare_on_common_lattice(
+                    fld, self._reference(window, 0.1, 0.3), window, 0.3)
 
     def test_unstored_level_raises(self):
         fld = self._ball_field(0.1)
         t = 2 * fld.spec.dt
         assert 2 not in fld.levels
         with pytest.raises(MissingLevelError):
-            compare_on_common_lattice(fld, self._oracle, self.WINDOW, [t])
+            compare_on_common_lattice(fld, self._reference(self.INSIDE, 0.1, t),
+                                      self.INSIDE, t)
 
 
 class TestE1Cache:
-    """E1 solves each distinct lattice once and synthesizes its oracle once."""
+    """E1 solves each distinct lattice once and synthesizes its reference once."""
 
     CONFIG = default_config("E1", n=2, levels=3)
 
@@ -479,44 +446,20 @@ class TestE1Cache:
         f, g = self.CONFIG.data("f"), self.CONFIG.data("g")
         window = self.CONFIG.window()
         base = self.CONFIG.base_spec()
-        quad = experiments._quad_for(f, g, base.T)
-
-        def oracle(points, t):
-            return np.atleast_1d(
-                experiments.continuum_solution_u(f, g, points, t, quad))
+        quad = FrequencyQuadrature.for_data(f, g, T=base.T)
+        points = window_indices(window, base.dx) * base.dx
+        reference = experiments.continuum_solution_u(f, g, points, base.T, quad)
 
         for name, specs in self._families().items():
             expected = []
             for k, spec in enumerate(specs):
                 problem = DiscreteProblem(
                     spec=spec, domain=Domain.full_space(window), f=f, g=g)
-                sup, l2 = compare_on_common_lattice(
-                    solve(problem, t_range=(0.0, spec.T)), oracle, window,
-                    times=[spec.T], base_spec=base,
-                )
+                sup, l2 = _loop_compare(solve(problem, t_range=(0.0, spec.T)),
+                                        reference, window, spec.T, base)
                 expected.append(TableRow(k, spec.dx, spec.dt, sup, l2))
             assert result.tables[name].rows == expected
 
-    def test_oracle_memo_key_is_the_values(self, monkeypatch):
-        calls = []
-
-        def fake_synthesis(f, g, points, t, quad):
-            calls.append(t)
-            return points[:, 0] + t
-
-        monkeypatch.setattr(experiments, "continuum_solution_u", fake_synthesis)
-        oracle = experiments._oracle(None, None, None)
-        points = np.array([[0.0, 0.0], [0.2, 0.0]])
-        first = oracle(points, 0.4)
-        assert oracle(points.copy(), 0.4) is first and len(calls) == 1
-        with pytest.raises(ValueError):
-            first[0] = 1.0
-        assert oracle(points, 0.2).tolist() == [0.2, 0.4] and len(calls) == 2
-        oracle(points + 0.1, 0.4)
-        oracle(points[:1], 0.4)
-        oracle(points.T.copy(), 0.4)
-        assert len(calls) == 5
-        assert oracle(points, 0.4) is first and len(calls) == 5
 
 
 class TestVaryingRatioSpecs:
@@ -748,7 +691,7 @@ class TestE2Quotients:
         assert run_experiment(config).passed
         base = config.base_spec()
         f, g = config.data("f"), config.data("g")
-        quad = experiments._quad_for(f, g, base.T)
+        quad = FrequencyQuadrature.for_data(f, g, T=base.T)
         probes = window_indices(config.window(), base.dx)
         points = probes.astype(float) * base.dx
         t_mid = base.T / 2.0
@@ -816,6 +759,21 @@ class TestE2Quotients:
         path = tmp_path / "e2.ini"
         config.write(path)
         assert main(["experiment", "E2", "--config", str(path)]) == 2
+
+
+class TestSingleFrequencyData:
+    """E3 and E4 synthesize single-frequency data exactly, as E1 and E2 do."""
+
+    @pytest.mark.parametrize("experiment, n", [
+        ("E3", 1), ("E3", 2), ("E4", 1), ("E4", 2), ("E4", 3)])
+    @pytest.mark.parametrize("data", [
+        dict(f="plane_wave alpha=2.0"), dict(g="plane_wave"),
+        dict(f="separable_cosine alpha=1.5"),
+    ])
+    def test_passes(self, experiment, n, data):
+        result = run_experiment(default_config(experiment, n=n).with_overrides(
+            **data))
+        assert result.passed, result.notes
 
 
 class TestCli:
@@ -905,18 +863,48 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment, key, data", [
         ("E1", "f", "smooth_bump"), ("E2", "g", "smooth_bump radius=0.4"),
-        ("E3", "f", "plane_wave alpha=2.0"), ("E4", "g", "plane_wave"),
+        ("E3", "f", "smooth_bump"), ("E4", "g", "smooth_bump radius=0.4"),
     ])
     def test_data_without_gaussian_envelope_exits_2(self, tmp_path, capsys,
                                                     experiment, key, data):
         # the reference solutions bound their quadrature tail by the data's
-        # Gaussian envelope; E1 and E2 synthesize single frequencies exactly
+        # Gaussian envelope
         config = default_config(experiment, n=1).with_overrides(**{key: data})
         path = tmp_path / "bad.ini"
         config.write(path)
         assert main(["experiment", experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and data.split()[0] in err
+
+    @pytest.mark.parametrize("experiment", ["E3", "E4"])
+    def test_no_data_exits_2(self, tmp_path, capsys, experiment):
+        config = default_config(experiment, n=1).with_overrides(f="none",
+                                                                g="none")
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", experiment, "--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, data, kind", [
+        ("E6", "modulated_gaussian", "modulated_gaussian"),
+        ("E6", "smooth_bump", "smooth_bump"),
+        ("E6", "plane_wave", "plane_wave"),
+        ("E7", "none", "none"),
+        ("E7", "plane_wave", "plane_wave"),
+        ("E7", "separable_cosine alpha=2.0", "separable_cosine"),
+    ])
+    def test_data_the_experiment_cannot_use_exits_2(self, tmp_path, capsys,
+                                                    experiment, data, kind):
+        # E6 takes the Laplacian of a gaussian f, E7 centres its
+        # coefficients on f
+        config = default_config(experiment, n=1).with_overrides(f=data)
+        with pytest.raises(ConfigError, match=kind):
+            run_experiment(config)
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and kind in err
 
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")
@@ -932,6 +920,23 @@ class TestCli:
         path = self._bad_config(tmp_path, old, new)
         assert main(["experiment", "E1", "--config", path]) == 2
         assert "configuration error: unknown" in capsys.readouterr().err
+
+    def test_csv_header_and_first_row_pinned(self, tmp_path):
+        assert main(["solve", "--n", "2", "--out", str(tmp_path / "s")]) == 0
+        assert main(["dispersion", "--n", "3", "--out", str(tmp_path / "d")]) == 0
+        solved = (tmp_path / "s" / "final_level.csv").read_text().splitlines()
+        assert solved[:2] == [
+            "x1,x2,value",
+            "-0.60000000000000009,-0.60000000000000009,0.11496839827397781",
+        ]
+        dispersion = (tmp_path / "d" / "dispersion.csv").read_text().splitlines()
+        assert dispersion[:2] == [
+            "alpha1,alpha2,alpha3,beta,beta0,alpha_abs,phase_error",
+            "0.045344984105855447,0.045344984105855447,0.045344984105855447,"
+            "0.078539749051420249,0.078539547188314268,0.078539816339744842,"
+            "-8.5674155770523123e-07",
+        ]
+        assert len(dispersion) == 201
 
     def test_solve_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"

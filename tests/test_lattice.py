@@ -17,7 +17,6 @@ from wavelattice import (
     check_compatibility,
     classify,
     detect_double_points,
-    is_admissible,
     refine_halving,
 )
 from wavelattice.lattice import point_indices, step_index, window_indices
@@ -25,16 +24,16 @@ from wavelattice.lattice import point_indices, step_index, window_indices
 
 class TestAdmissibility:
     def test_admissible_2d(self):
-        assert is_admissible(LatticeSpec(2, 0.2, 0.1, 1.0))
+        assert LatticeSpec(2, 0.2, 0.1, 1.0).admissible()
 
     def test_cfl_violated(self):
-        assert not is_admissible(LatticeSpec(4, 0.1, 0.1, 1.0))
+        assert not LatticeSpec(4, 0.1, 0.1, 1.0).admissible()
 
     def test_integrality_violated(self):
-        assert not is_admissible(LatticeSpec(1, 0.2, 0.15, 1.0))
+        assert not LatticeSpec(1, 0.2, 0.15, 1.0).admissible()
 
     def test_boundary_ratio_allowed(self):
-        assert is_admissible(LatticeSpec(1, 0.1, 0.1, 1.0))
+        assert LatticeSpec(1, 0.1, 0.1, 1.0).admissible()
 
     def test_steps(self):
         assert LatticeSpec(1, 0.2, 0.1, 1.0).steps == 10

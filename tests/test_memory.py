@@ -1,4 +1,4 @@
-"""Memory bounded by design: the oracle synthesis and the full-space solve of
+"""Memory bounded by design: the reference synthesis and the full-space solve of
 E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4), and the
 forced full-space solve of E6(b) at n = 3."""
 
@@ -10,12 +10,13 @@ import numpy as np
 from wavelattice import (
     DiscreteProblem,
     Domain,
+    FrequencyQuadrature,
     continuum_solution_u,
     dalembert_forcing,
     solve,
 )
 from wavelattice.harness import default_config
-from wavelattice.harness.experiments import _quad_for, _varying_ratio_specs
+from wavelattice.harness.experiments import _varying_ratio_specs
 from wavelattice.lattice import refine_halving, window_indices
 
 MB = 1024 * 1024
@@ -45,7 +46,7 @@ def test_e1_oracle_synthesis_is_small():
     # would take 125 * 35937 * 16 bytes = 72 MB
     config, f, g = _e1_n3()
     base = config.base_spec()
-    quad = _quad_for(f, g, base.T)
+    quad = FrequencyQuadrature.for_data(f, g, T=base.T)
     points = window_indices(config.window(), base.dx) * base.dx
     assert points.shape == (125, 3) and len(quad.weights) == 33**3
     values, peak, _ = _traced(continuum_solution_u, f, g, points, base.T, quad)

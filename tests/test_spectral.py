@@ -259,10 +259,13 @@ class TestQuadrature:
         assert fine.M == quad.M
 
     def test_for_data_meets_tolerance(self):
-        T, tol = 1.0, 1e-10
+        T, tol = 1.0, spectral.TAIL_TOL
         f = DataFunction.gaussian([0.0], 0.15)
-        quad = FrequencyQuadrature.for_data(f, T=T, tol=tol)
+        quad = FrequencyQuadrature.for_data(f, T=T)
         assert quad.tail_bound(f, T=T) <= tol * (2.0 + 2.0 * T)
+        # the first power of 1.25 that meets it
+        assert gaussian_tail_bound(1, quad.M / 1.25, [f.decay_envelope()],
+                                   T) > tol * (2.0 + 2.0 * T)
 
     def test_data_without_envelope_has_no_tail_bound(self):
         # a bump has no Gaussian envelope: no tolerance can be certified
@@ -299,6 +302,25 @@ class TestQuadrature:
             continuum_solution_u(wave, None, x, 0.5, quad))
         with pytest.raises(TailBoundError):
             continuum_solution_u(wave, gauss, x, 0.5, quad, tol=1e-30)
+
+    def test_for_data_decides_which_data_need_the_quadrature(self):
+        wave = DataFunction.plane_wave([2.0])
+        cosine = DataFunction.separable_cosine([1.5])
+        gauss = DataFunction.gaussian([0.0], 0.3)
+        assert FrequencyQuadrature.for_data(T=1.0) is None
+        assert FrequencyQuadrature.for_data(None, None, T=1.0) is None
+        assert FrequencyQuadrature.for_data(wave, cosine, None, T=1.0) is None
+        alone = FrequencyQuadrature.for_data(gauss, T=1.0)
+        mixed = FrequencyQuadrature.for_data(wave, None, gauss, T=1.0)
+        assert (mixed.n, mixed.M, mixed.nodes_per_axis) == (
+            alone.n, alone.M, alone.nodes_per_axis)
+
+    def test_for_data_refuses_data_without_envelope(self):
+        gauss = DataFunction.gaussian([0.0], 0.3)
+        bump = DataFunction.smooth_bump([0.0], 0.5)
+        for data in ((bump,), (gauss, bump), (DataFunction.plane_wave([1.0]), bump)):
+            with pytest.raises(TailBoundError, match="smooth_bump"):
+                FrequencyQuadrature.for_data(*data, T=1.0)
 
     def test_gaussian_tail_bound_monotone_in_M(self):
         f = DataFunction.gaussian([0.0], 0.2)
@@ -378,8 +400,8 @@ class TestSeparableSynthesis:
         f = DataFunction.gaussian([0.1] * n, 0.3)
         g = DataFunction.modulated_gaussian([-0.05] * n, 0.35, [1.5] * n,
                                             amplitude=0.4)
-        quad = FrequencyQuadrature.for_data(f, g, T=0.4,
-                                            nodes_per_axis=33 if n == 3 else 65)
+        quad = FrequencyQuadrature.build(
+            n, FrequencyQuadrature.for_data(f, g, T=0.4).M, 33 if n == 3 else 65)
         points = np.random.default_rng(n).uniform(-0.6, 0.6, size=(7, n))
         return f, g, quad, points
 
@@ -423,8 +445,9 @@ class TestSeparableSynthesis:
         space = DataFunction.gaussian([0.0] * n, 0.3)
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         spec = LatticeSpec(n, 0.1, 0.05, 0.3)
-        quad = FrequencyQuadrature.for_data(space, T=spec.T,
-                                            nodes_per_axis=33 if n == 3 else 65)
+        quad = FrequencyQuadrature.build(
+            n, FrequencyQuadrature.for_data(space, T=spec.T).M,
+            33 if n == 3 else 65)
         points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(5, n))
         kw = dict(spec=spec) if flavor == "fully_discrete" else {}
         many = duhamel_solve(space, None, forcing, flavor, points, spec.T,
@@ -484,7 +507,8 @@ class TestHoistedDuhamel:
         space = DataFunction.gaussian([0.05] * n, 0.3)
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         spec = LatticeSpec(n, 0.1, 0.05, 0.3)
-        quad = FrequencyQuadrature.for_data(space, T=spec.T, nodes_per_axis=33)
+        quad = FrequencyQuadrature.build(
+            n, FrequencyQuadrature.for_data(space, T=spec.T).M, 33)
         points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(4, n))
         kw = {"fully_discrete": dict(spec=spec), "semidiscrete": dict(dx=0.1),
               "continuum": {}}[flavor]
@@ -566,7 +590,8 @@ class TestUpperGammaQ:
 
     # every cutoff that FrequencyQuadrature.for_data picks for E1-E8 at
     # n = 1, 2, 3 (and the forced-2d benchmark config): (f, g, T) -> M, as
-    # picked with scipy.special.gammaincc in the tail bound
+    # picked with scipy.special.gammaincc in the tail bound, and its fixed
+    # node count
     @pytest.mark.parametrize("n, with_g, T, M", [
         (1, True, 0.4, 1.25**15), (2, True, 0.4, 1.25**15),
         (3, True, 0.4, 1.25**15),
@@ -577,5 +602,6 @@ class TestUpperGammaQ:
         data = [DataFunction.gaussian([0.0] * n, 0.3)]
         if with_g:
             data.append(DataFunction.gaussian([0.1] * n, 0.25, amplitude=0.5))
-        quad = FrequencyQuadrature.for_data(*data, T=T, tol=1e-10)
+        quad = FrequencyQuadrature.for_data(*data, T=T)
         assert quad.M == M
+        assert quad.nodes_per_axis == (129 if n <= 2 else 33)
