@@ -55,13 +55,10 @@ from .spectral import (
     DataFunction,
     Forcing,
     FrequencyQuadrature,
-    continuum_solution_u,
     dalembert_forcing,
-    discrete_closed_form_v,
     duhamel_solve,
     homogeneous_solution,
     propagator,
-    semidiscrete_closed_form_phi,
     separable_forcing,
 )
 from .stencils import (

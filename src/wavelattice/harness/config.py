@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,9 +165,12 @@ class ExperimentConfig:
             return Domain.box(self._axes(self.domain_lo, self.domain_hi))
         if self.domain_kind == "ball":
             bounds = self._axes(self.domain_lo, self.domain_hi)
+            extents = [hi - lo for lo, hi in bounds]
+            if not all(math.isclose(e, extents[0], rel_tol=1e-12) for e in extents):
+                raise ConfigError(
+                    f"a ball needs bounds of equal extents, got {extents}")
             center = tuple((lo + hi) / 2 for lo, hi in bounds)
-            radius = (bounds[0][1] - bounds[0][0]) / 2
-            return Domain.ball(center, radius)
+            return Domain.ball(center, extents[0] / 2)
         raise ConfigError(f"unknown domain kind {self.domain_kind!r}")
 
     def window(self) -> list:

@@ -30,11 +30,10 @@ from ..leapfrog import DiscreteProblem, solve
 from ..spectral import (
     DataFunction,
     FrequencyQuadrature,
-    continuum_solution_u,
     dalembert_forcing,
     duhamel_solve,
+    homogeneous_solution,
     propagator,
-    semidiscrete_closed_form_phi,
     separable_forcing,
 )
 from ..stencils import (
@@ -70,14 +69,22 @@ class ExperimentResult:
 # defaults
 
 
+#: experiment -> the data keys it reads; run_experiment refuses any other
+#: data key that is not none
+_READS = {"E1": ("f", "g"), "E2": ("f", "g"), "E3": ("f", "g"), "E4": ("f", "g"),
+          "E5": ("f",), "E6": ("f",), "E7": ("f",), "E8": ()}
+
+
 def default_config(experiment: str, n: int | None = None,
                    levels: int | None = None) -> ExperimentConfig:
-    base = ExperimentConfig(experiment=experiment,
-                            g="gaussian center=0.1 width=0.25 amplitude=0.5")
+    """The config each experiment runs by default; it sets only the data
+    the experiment reads (f defaults to a centred gaussian, g to none)."""
+    g = "gaussian center=0.1 width=0.25 amplitude=0.5"
     overrides = {
-        "E2": dict(levels=4),
-        "E3": dict(dx=0.1, dt=0.05, T=0.4, levels=5),
-        "E4": dict(dx=0.2, dt=0.1, T=0.4, levels=4),
+        "E1": dict(g=g),
+        "E2": dict(levels=4, g=g),
+        "E3": dict(dx=0.1, dt=0.05, T=0.4, levels=5, g=g),
+        "E4": dict(dx=0.2, dt=0.1, T=0.4, levels=4, g=g),
         "E5": dict(dx=0.02, dt=0.01, T=1.0, levels=3),
         "E6": dict(dx=0.05, dt=0.025, T=1.0, levels=3),
         "E7": dict(
@@ -85,12 +92,11 @@ def default_config(experiment: str, n: int | None = None,
             domain_kind="box", domain_lo=(0.0,), domain_hi=(1.0,),
             window_lo=(0.0,), window_hi=(1.0,),
             f="gaussian center=0.5 width=0.08 amplitude=1.0",
-            g="none",
         ),
-        "E8": dict(T=1.0, levels=4),
+        "E8": dict(T=1.0, levels=4, f="none"),
     }
-    return base.with_overrides(**overrides.get(experiment, {})).with_overrides(
-        n=n, levels=levels)
+    return ExperimentConfig(experiment=experiment).with_overrides(
+        **overrides.get(experiment, {})).with_overrides(n=n, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +147,8 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
     # the reference at t = T on the base lattice's window points, on which
     # every lattice of both families is compared
     points = window_indices(window, base.dx) * base.dx
-    reference = np.atleast_1d(continuum_solution_u(
-        f, g, points, base.T, _quadrature(f, g, T=base.T)))
+    reference = np.atleast_1d(homogeneous_solution(
+        f, g, points, base.T, quad=_quadrature(f, g, T=base.T)))
     # (sup, l2) per lattice: the two families share most of their lattices,
     # and each is solved once; its field is dropped as soon as it is compared.
     errors = {}
@@ -207,12 +213,8 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
     quad = _quadrature(f, g, T=base.T)
     probes = window_indices(window, base.dx)
     points = probes.astype(float) * base.dx
-    ref_tt = np.atleast_1d(
-        continuum_solution_u(f, g, points, t_mid, quad, derivative="tt")
-    )
-    ref_xx = np.atleast_1d(
-        continuum_solution_u(f, g, points, t_mid, quad, derivative=("xx", 0))
-    )
+    ref_tt, ref_xx = (np.atleast_1d(homogeneous_solution(
+        f, g, points, t_mid, quad=quad, derivative=d)) for d in ("tt", ("xx", 0)))
 
     table = ErrorTable()
     for k, spec in enumerate(refine_halving(base, config.levels)):
@@ -284,11 +286,11 @@ def run_e4(config: ExperimentConfig) -> ExperimentResult:
     quad = _quadrature(f, g, T=config.T)
     probes = window_indices(config.window(), config.dx) * config.dx
     t = config.T
-    reference = np.atleast_1d(continuum_solution_u(f, g, probes, t, quad))
+    reference = np.atleast_1d(homogeneous_solution(f, g, probes, t, quad=quad))
     table = ErrorTable()
     for k in range(config.levels):
         dx = config.dx / 2**k
-        phi = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
+        phi = homogeneous_solution(f, g, probes, t, dx=dx, quad=quad)
         sup, l2 = scaled_norms(phi - reference, dx, config.n, t)
         table.add(k, dx, 0.0, sup, l2)
 
@@ -440,7 +442,7 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     forcing = separable_forcing(DataFunction.plane_wave(alpha0))
     t = 1.0
     x0 = np.zeros(n)
-    val = duhamel_solve(None, None, forcing, "continuum", x0, t, s_step=t / 128.0)
+    val = duhamel_solve(None, None, forcing, x0, t, s_step=t / 128.0)
     a_abs = float(np.linalg.norm(alpha0))
     exact = (1.0 - math.cos(a_abs * t)) / a_abs**2
     err_a = abs(val - exact)
@@ -468,10 +470,8 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     # (c) forced leapfrog against the exact discrete Duhamel convolution
     quad = _quadrature(space, T=spec.T)
     probe_idx = window_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
-    refs = duhamel_solve(
-        space, None, forcing_m, "fully_discrete",
-        probe_idx.astype(float) * spec.dx, spec.T, quad, spec=spec,
-    )
+    refs = duhamel_solve(space, None, forcing_m, probe_idx.astype(float) * spec.dx,
+                         spec.T, quad, dx=spec.dx, dt=spec.dt)
     vals = fieldobj.level_array(spec.steps)[fieldobj.positions(probe_idx)]
     err_c = float(np.max(np.abs(vals - refs)))
     table.add(2, spec.dx, spec.dt, err_c, 0.0)
@@ -487,8 +487,6 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
 
 
 def run_e7(config: ExperimentConfig) -> ExperimentResult:
-    if config.domain_kind == "full_space":
-        raise ConfigError("E7 needs a bounded domain: domain kind box or ball")
     domain = config.domain()
     gauss = config.data("f")
     if gauss is None or gauss.center is None:
@@ -623,24 +621,22 @@ def propagator_degeneration(n: int, samples: int, seed: int,
     t = 0.5
     dx0 = 0.05
 
-    semi_ref = [propagator("semidiscrete", a, t, dx=dx0) for a in alphas]
+    semi_ref = [propagator(a, t, dx=dx0) for a in alphas]
     chain_dt = ErrorTable()
     for k in range(levels):
-        steps = 20 * 2**k
-        dt = t / steps
-        spec = LatticeSpec(n, dx0, dt, t)
+        dt = t / (20 * 2**k)
         err = max(
-            float(np.max(np.abs(propagator("fully_discrete", a, t, spec=spec) - ref)))
+            float(np.max(np.abs(propagator(a, t, dx=dx0, dt=dt) - ref)))
             for a, ref in zip(alphas, semi_ref)
         )
         chain_dt.add(k, dx0, dt, err, err)
 
-    cont_ref = [propagator("continuum", a, t) for a in alphas]
+    cont_ref = [propagator(a, t) for a in alphas]
     chain_dx = ErrorTable()
     for k in range(levels):
         dx = dx0 / 2**k
         err = max(
-            float(np.max(np.abs(propagator("semidiscrete", a, t, dx=dx) - ref)))
+            float(np.max(np.abs(propagator(a, t, dx=dx) - ref)))
             for a, ref in zip(alphas, cont_ref)
         )
         chain_dx.add(k, dx, 0.0, err, err)
@@ -701,9 +697,21 @@ def run_experiment(config: ExperimentConfig,
 
     Artifacts per output directory: the resolved config (provenance,
     including the seed), one CSV + gnuplot script per table, and notes.txt
-    with the per-row findings and the final verdict.
+    with the per-row findings and the final verdict.  Raises ConfigError
+    before anything runs when the config sets data the experiment does not
+    read (see _READS) or a domain kind not its own: E7 runs on a box or a
+    ball, every other experiment on full space.
     """
-    result = _RUNNERS[config.experiment](config)
+    eid = config.experiment
+    for key in ("f", "g", "h", "w", "a", "sigma"):
+        if key not in _READS[eid] and config.data(key) is not None:
+            raise ConfigError(f"{eid} does not read {key}: it takes only none")
+    if eid == "E7" and config.domain_kind == "full_space":
+        raise ConfigError("E7 needs a bounded domain: domain kind box or ball")
+    if eid != "E7" and config.domain_kind != "full_space":
+        raise ConfigError(f"{eid} runs on full space: domain kind full_space, "
+                          f"not {config.domain_kind}")
+    result = _RUNNERS[eid](config)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

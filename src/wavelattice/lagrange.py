@@ -19,11 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .lattice import Domain, LatticeSpec, classify, point_indices, step_index
-from .spectral import (
-    Forcing,
-    FrequencyQuadrature,
-    semidiscrete_closed_form_phi,
-)
+from .spectral import Forcing, FrequencyQuadrature, homogeneous_solution
 from .stencils import (
     GridField,
     add_forcing,
@@ -164,7 +160,7 @@ def phi_reference_error(f, g, dx: float, probes, t: float, h_ode_seq,
     hi = probes.max(axis=0) + reach
     window = Domain.full_space(list(zip(lo, hi)))
     indices = point_indices(probes, dx)
-    reference = semidiscrete_closed_form_phi(f, g, dx, probes, t, quad)
+    reference = homogeneous_solution(f, g, probes, t, dx=dx, quad=quad)
     rows = []
     for h in h_ode_seq:
         system = system_for_domain(window, dx)

@@ -1,10 +1,12 @@
 """Frequency-domain reference solutions and propagators.
 
-Everything here synthesizes solutions from Fourier data: the continuum
-solution, the fully discrete closed form, the semidiscrete closed form,
-the 2x2 propagator matrices of the first-order system, and the
-variation-of-constants (Duhamel) solution of forced problems.  These are
-the oracles against which the time steppers are validated, so the
+Everything here synthesizes solutions from Fourier data: the displacement
+of the homogeneous problem, the 2x2 propagator matrices of the first-order
+system, and the variation-of-constants (Duhamel) solution of forced
+problems.  The three models are one family in the steps (dx, dt): the
+scheme at (dx, dt), Lagrange's model at (dx, 0) and the wave equation at
+(0, 0), and every function takes the steps of the model it solves.  These
+are the oracles against which the time steppers are validated, so the
 quadrature deliberately mirrors the frequency-splitting structure: a
 tensor-product Gauss-Legendre rule on [-M, M]^n plus a closed-form tail
 bound for Gaussian-decay data.
@@ -21,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .dispersion import beta_arrays, sinc
 from .errors import TailBoundError
-from .lattice import LatticeSpec, grid_points, step_index
+from .lattice import grid_points, step_index
 
 _TWO_PI = 2.0 * math.pi
 
@@ -370,90 +372,92 @@ def gaussian_tail_bound(n: int, M: float, envelopes, T: float) -> float:
 # homogeneous closed forms
 
 
-def _model_steps(flavor: str, spec: Optional[LatticeSpec], dx: float):
-    """(dx, dt) of one model: the scheme ("fully_discrete") reads them from
-    `spec`, Lagrange's model ("semidiscrete") has dt = 0 on the spacing
-    `dx`, and the wave equation ("continuum") has dx = dt = 0.  Raises
-    ValueError for an unknown flavor, a missing `spec` or `dx`, or one the
-    flavor does not read."""
-    if flavor == "fully_discrete" and spec is not None and dx == 0.0:
-        return spec.dx, spec.dt
-    if flavor == "semidiscrete" and spec is None and dx > 0.0:
-        return dx, 0.0
-    if flavor == "continuum" and spec is None and dx == 0.0:
-        return 0.0, 0.0
-    raise ValueError(
-        f"flavor {flavor!r} with spec={spec!r}, dx={dx!r}: fully_discrete "
-        "takes a LatticeSpec, semidiscrete a dx > 0, continuum neither")
+def _check_steps(dx: float, dt: float) -> None:
+    """Refuse steps that name no model.  The three models are one family in
+    the steps (dx, dt): (0, 0) is the wave equation, (dx, 0) Lagrange's
+    model and (dx, dt) the scheme, so dx, dt >= 0 and dx > 0 where dt > 0."""
+    if not (dx >= 0.0 and dt >= 0.0) or (dt > 0.0 and not dx > 0.0):
+        raise ValueError(f"steps dx={dx!r}, dt={dt!r}: need dx, dt >= 0 "
+                         "and dx > 0 where dt > 0")
 
 
-def _dispersion(flavor: str, alpha, *, spec: Optional[LatticeSpec] = None,
-                dx: float = 0.0):
-    """(frequency, g-route divisor) of one model at the frequency rows alpha.
+def _dispersion(alpha, dx: float = 0.0, dt: float = 0.0):
+    """(frequency, g-route divisor) of the model with steps (dx, dt) at the
+    frequency rows alpha.
 
-    The three models are one family in the steps (dx, dt) of
-    `_model_steps`, so the frequencies run
-    beta(alpha; dx, dt) -> beta(alpha; dx, 0) -> |alpha|.  The divisor
-    sinc(freq dt) turns the g-route weight t sinc(freq t) into
+    The frequencies run beta(alpha; dx, dt) -> beta(alpha; dx, 0) -> |alpha|.
+    The divisor sinc(freq dt) turns the g-route weight t sinc(freq t) into
     dt sin(freq t)/sin(freq dt); it is exactly 1 at dt = 0.
     """
-    dx, dt = _model_steps(flavor, spec, dx)
+    _check_steps(dx, dt)
     if dx == 0.0:
         return np.sqrt(np.sum(np.asarray(alpha, dtype=float) ** 2, axis=-1)), 1.0
     freq = beta_arrays(alpha, dx, dt)
     return freq, sinc(freq * dt)
 
 
-def _coefficients(flavor: str, alpha: np.ndarray, t: float, *,
-                  spec: Optional[LatticeSpec] = None, dx: float = 0.0,
-                  freq_factor=None):
-    """(f-coefficient, g-coefficient) of the synthesis integrand at time t."""
-    freq, divisor = _dispersion(flavor, alpha, spec=spec, dx=dx)
+def _derivative_factor(derivative):
+    """The integrand factor of a derivative of the solution, as a function
+    of (alpha, freq): "tt" (second time derivative) multiplies by
+    -freq^2, ("xx", k) by -alpha_k^2; None is no factor."""
+    if derivative is None:
+        return None
+    if derivative == "tt":
+        return lambda alpha, freq: -(freq**2)
+    if isinstance(derivative, tuple) and derivative[0] == "xx":
+        k = derivative[1]
+        return lambda alpha, freq: -(alpha[..., k] ** 2)
+    raise ValueError(f"unknown derivative selector {derivative!r}")
+
+
+def _coefficients(alpha: np.ndarray, t: float, *, dx: float = 0.0,
+                  dt: float = 0.0, factor=None):
+    """(f-coefficient, g-coefficient) of the synthesis integrand at time t,
+    each times the `factor` of _derivative_factor when one is given."""
+    freq, divisor = _dispersion(alpha, dx, dt)
     cos_fac = np.cos(freq * t)
     g_fac = t * sinc(freq * t) / divisor
-    if freq_factor is not None:
-        fac = freq_factor(alpha, freq)
-        cos_fac = cos_fac * fac
-        g_fac = g_fac * fac
-    return cos_fac, g_fac
+    if factor is None:
+        return cos_fac, g_fac
+    fac = factor(alpha, freq)
+    return cos_fac * fac, g_fac * fac
 
 
 def homogeneous_solution(f: Optional[DataFunction], g: Optional[DataFunction],
-                         flavor: str, x, t: float, *,
-                         spec: Optional[LatticeSpec] = None, dx: float = 0.0,
+                         x, t: float, *, dx: float = 0.0, dt: float = 0.0,
                          quad: Optional[FrequencyQuadrature] = None,
-                         tol: Optional[float] = None,
-                         freq_factor=None):
-    """Displacement of the homogeneous problem at (x, t), any flavor.
+                         tol: Optional[float] = None, derivative=None):
+    """Displacement of the homogeneous problem at (x, t) in the model with
+    steps (dx, dt): the wave equation at (0, 0), Lagrange's model at
+    (dx, 0) and the scheme at (dx, dt), where t must be a multiple of dt.
 
     Single-frequency data are synthesized exactly; Gaussian-decay data go
     through the quadrature.  `x` may be a single point or an (m, n) array.
+    `derivative` takes a derivative of the solution instead: "tt" the
+    second time derivative, ("xx", k) the second derivative along axis k.
     Raises TailBoundError when the reported tail bound exceeds `tol`, and
-    ValueError when the flavor, `spec` or `dx` do not fit (see
-    _model_steps), with data or without.
+    ValueError for steps that name no model, a t off the time lattice or
+    an unknown derivative, with data or without.
     """
-    _model_steps(flavor, spec, dx)
+    _check_steps(dx, dt)
+    if dt > 0.0:
+        step_index(t, dt)  # ValueError off the time lattice
+    factor = _derivative_factor(derivative)
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim <= 1
     pts = np.atleast_2d(x)
     total = np.zeros(pts.shape[0])
 
-    def coeff(alpha, which):
-        cf, gf = _coefficients(
-            flavor, np.atleast_2d(alpha), t, spec=spec, dx=dx,
-            freq_factor=freq_factor,
-        )
-        return cf[0] if which == "f" else gf[0]
-
-    quad_parts = []
-    for data, which in ((f, "f"), (g, "g")):
+    quad_parts = []  # (datum, 0 on the f-route or 1 on the g-route)
+    for data, which in ((f, 0), (g, 1)):
         if data is None:
             continue
-        if data.single_frequency is not None:
-            vals = data(pts) * coeff(data.single_frequency, which)
-            total = total + np.atleast_1d(vals)
-        else:
+        if data.single_frequency is None:
             quad_parts.append((data, which))
+            continue
+        coeffs = _coefficients(np.atleast_2d(data.single_frequency), t,
+                               dx=dx, dt=dt, factor=factor)
+        total = total + np.atleast_1d(data(pts) * coeffs[which][0])
 
     if quad_parts:
         if quad is None:
@@ -465,69 +469,31 @@ def homogeneous_solution(f: Optional[DataFunction], g: Optional[DataFunction],
                     f"tail bound {tail:.3e} exceeds tolerance {tol:.3e}"
                 )
         alpha = quad.nodes
-        cf, gf = _coefficients(flavor, alpha, t, spec=spec, dx=dx,
-                               freq_factor=freq_factor)
+        coeffs = _coefficients(alpha, t, dx=dx, dt=dt, factor=factor)
         integrand = np.zeros(alpha.shape[0], dtype=complex)
         for data, which in quad_parts:
-            integrand += data.fourier(alpha) * (cf if which == "f" else gf)
+            integrand += data.fourier(alpha) * coeffs[which]
         total = total + synthesize(quad, integrand, pts)
 
     return float(total[0]) if squeeze else total
-
-
-def continuum_solution_u(f, g, x, t, quad=None, *, tol=None, derivative=None):
-    """Solution of the continuum Cauchy problem by Fourier synthesis.
-
-    `derivative` selects an exact integrand factor: "tt" multiplies by
-    -|alpha|^2 (second time derivative), ("xx", k) by -alpha_k^2.
-    """
-    freq_factor = _derivative_factor(derivative)
-    return homogeneous_solution(
-        f, g, "continuum", x, t, quad=quad, tol=tol, freq_factor=freq_factor
-    )
-
-
-def discrete_closed_form_v(f, g, spec: LatticeSpec, x, t, quad=None, *, tol=None):
-    """Closed form of the fully discrete solution at a lattice point."""
-    step_index(t, spec.dt)  # ValueError off the time lattice
-    return homogeneous_solution(f, g, "fully_discrete", x, t, spec=spec,
-                                quad=quad, tol=tol)
-
-
-def semidiscrete_closed_form_phi(f, g, dx, x, t, quad=None, *, tol=None,
-                                 derivative=None):
-    """Closed form of the semidiscrete (Lagrange model) solution."""
-    freq_factor = _derivative_factor(derivative)
-    return homogeneous_solution(f, g, "semidiscrete", x, t, dx=dx, quad=quad,
-                                tol=tol, freq_factor=freq_factor)
-
-
-def _derivative_factor(derivative):
-    if derivative is None:
-        return None
-    if derivative == "tt":
-        return lambda alpha, freq: -(freq**2)
-    if isinstance(derivative, tuple) and derivative[0] == "xx":
-        k = derivative[1]
-        return lambda alpha, freq: -(alpha[..., k] ** 2)
-    raise ValueError(f"unknown derivative selector {derivative!r}")
 
 
 # ---------------------------------------------------------------------------
 # propagator matrices
 
 
-def propagator(flavor: str, alpha, t: float, *,
-               spec: Optional[LatticeSpec] = None,
-               dx: float = 0.0) -> np.ndarray:
-    """2x2 frequency-domain evolution matrix of (displacement, velocity).
+def propagator(alpha, t: float, *, dx: float = 0.0,
+               dt: float = 0.0) -> np.ndarray:
+    """2x2 frequency-domain evolution matrix of (displacement, velocity) in
+    the model with steps (dx, dt).  t is not held to the time lattice, so
+    the matrix can be differentiated in t.
 
     With (w, d) the frequency and divisor of _dispersion, the upper row is
     [cos wt, t sinc(wt)/d] and the lower row, its exact time derivative,
     [-w sin wt, cos wt / d].  The plane-wave factor e^{i alpha.x}/(2pi)^{n/2}
     is the caller's responsibility during synthesis.
     """
-    freq, divisor = map(float, _dispersion(flavor, alpha, spec=spec, dx=dx))
+    freq, divisor = map(float, _dispersion(alpha, dx, dt))
     cos_t = math.cos(freq * t)
     upper = [cos_t, t * sinc(freq * t) / divisor]
     lower = [-freq * math.sin(freq * t), cos_t / divisor]
@@ -593,10 +559,10 @@ def dalembert_forcing(space: DataFunction, profile, profile_dd) -> Forcing:
     return Forcing(func, fourier_x=fourier_x)
 
 
-def _forcing_kernel(flavor, alpha, *, spec=None, dx=0.0):
+def _forcing_kernel(alpha, dx=0.0, dt=0.0):
     """g-route coefficient K12 of the propagator at the frequency rows alpha,
     as a function of tau; the frequencies are formed once."""
-    freq, divisor = _dispersion(flavor, np.atleast_2d(alpha), spec=spec, dx=dx)
+    freq, divisor = _dispersion(np.atleast_2d(alpha), dx, dt)
     return lambda tau: tau * sinc(freq * tau) / divisor
 
 
@@ -614,28 +580,31 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     return np.sum(tmp, axis=0)
 
 
-def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
+def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
                   quad: Optional[FrequencyQuadrature] = None, *,
-                  spec: Optional[LatticeSpec] = None, dx: float = 0.0,
+                  dx: float = 0.0, dt: float = 0.0,
                   s_step: Optional[float] = None):
-    """Displacement of the forced problem by variation of constants.
+    """Displacement of the forced problem by variation of constants, in the
+    model with steps (dx, dt) as in homogeneous_solution.
 
     `x` may be a single point or an (m, n) array, as in
     homogeneous_solution.
 
     The homogeneous part evolves (f^, g^) with the propagator; the forcing
     contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t].
-    Continuum and semidiscrete flavors integrate in s by composite Simpson
-    on an even number of intervals of at most `s_step` (default t / 64);
-    the fully discrete flavor uses the exact discrete convolution of the
-    scheme (a trapezoid-type sum on multiples of dt), since discrete-time
-    variation of constants is a sum, not an integral.  A flavor, `spec` or
-    `dx` that do not fit raise ValueError, as in homogeneous_solution, and
-    so does a fully discrete t off the time lattice.
+    At dt = 0 it is integrated in s by composite Simpson on an even number
+    of intervals of at most `s_step` (default t / 64); at dt > 0 it is the
+    exact discrete convolution of the scheme (a trapezoid-type sum on
+    multiples of dt), since discrete-time variation of constants is a sum,
+    not an integral, and `s_step` is refused.  Steps that name no model and
+    a t off the time lattice raise ValueError, as in homogeneous_solution.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
-    hom = homogeneous_solution(f, g, flavor, x, t, spec=spec, dx=dx, quad=quad)
+    if dt > 0.0 and s_step is not None:
+        raise ValueError("at dt > 0 the forcing is summed on the time lattice: "
+                         "s_step is not read")
+    hom = homogeneous_solution(f, g, x, t, dx=dx, dt=dt, quad=quad)
     if forcing is None or t == 0.0:
         return hom
     x = np.asarray(x, dtype=float)
@@ -648,10 +617,8 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
     single = None if forcing.spatial is None else forcing.spatial.single_frequency
     if single is None and quad is None:
         raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
-    kernel = _forcing_kernel(flavor, quad.nodes if single is None else single,
-                             spec=spec, dx=dx)
-    if flavor == "fully_discrete":
-        dt = spec.dt
+    kernel = _forcing_kernel(quad.nodes if single is None else single, dx, dt)
+    if dt > 0.0:
         p = step_index(t, dt)
         s_nodes = np.arange(p) * dt
         s_weights = np.full(p, dt)
@@ -663,7 +630,7 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], flavor: str, x, t: float,
         s_weights = None  # Simpson path
 
     if single is not None:
-        kern = np.array([float(kernel(t - s)[0]) for s in s_nodes])
+        kern = kernel(t - s_nodes)
         prof = np.array([forcing.time_profile(s) for s in s_nodes])
         if s_weights is not None:
             integral = float(np.sum(s_weights * kern * prof))

@@ -200,6 +200,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="takes only none"):
             ExperimentConfig.from_text(f"[data]\n{name} = smooth_bump\n")
 
+    @pytest.mark.parametrize("experiment", [f"E{i}" for i in range(1, 9)])
+    def test_default_config_sets_only_the_data_read(self, experiment):
+        # E1-E4 read f and g, E5-E7 f, E8 none
+        reads = {"E5": "f", "E6": "f", "E7": "f", "E8": ""}.get(experiment, "fg")
+        config = default_config(experiment, n=1)
+        assert {name for name in ("f", "g", "h", "w", "a", "sigma")
+                if config.data(name) is not None} == set(reads)
+
+    def test_ball_needs_bounds_of_equal_extents(self):
+        ball = dict(domain_kind="ball", domain_lo=(0.0, 0.0))
+        config = default_config("E7", n=2).with_overrides(domain_hi=(1.0, 1.0),
+                                                          **ball)
+        domain = config.domain()
+        assert list(domain.center) == [0.5, 0.5] and domain.radius == 0.5
+        # built from axis 0 alone, this gave centre (0.5, 1.0) and radius 0.5
+        with pytest.raises(ConfigError, match="equal extents"):
+            config.with_overrides(domain_hi=(1.0, 2.0)).domain()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_default_data_broadcast_to_n(self, n):
         # default_config writes one-component centres; the parser holds
@@ -422,7 +440,7 @@ class TestE1Cache:
     def test_one_solve_per_lattice_and_one_synthesis(self, monkeypatch):
         solved, synthesized = [], []
         real_solve = experiments.solve
-        real_synthesis = experiments.continuum_solution_u
+        real_synthesis = experiments.homogeneous_solution
 
         def counting_solve(problem, *args, **kwargs):
             solved.append(problem.spec)
@@ -433,7 +451,7 @@ class TestE1Cache:
             return real_synthesis(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "solve", counting_solve)
-        monkeypatch.setattr(experiments, "continuum_solution_u",
+        monkeypatch.setattr(experiments, "homogeneous_solution",
                             counting_synthesis)
         run_experiment(self.CONFIG)
         specs = [s for family in self._families().values() for s in family]
@@ -448,7 +466,8 @@ class TestE1Cache:
         base = self.CONFIG.base_spec()
         quad = FrequencyQuadrature.for_data(f, g, T=base.T)
         points = window_indices(window, base.dx) * base.dx
-        reference = experiments.continuum_solution_u(f, g, points, base.T, quad)
+        reference = experiments.homogeneous_solution(f, g, points, base.T,
+                                                     quad=quad)
 
         for name, specs in self._families().items():
             expected = []
@@ -696,8 +715,8 @@ class TestE2Quotients:
         points = probes.astype(float) * base.dx
         t_mid = base.T / 2.0
         ref_tt, ref_xx = (
-            np.atleast_1d(experiments.continuum_solution_u(
-                f, g, points, t_mid, quad, derivative=d))
+            np.atleast_1d(experiments.homogeneous_solution(
+                f, g, points, t_mid, quad=quad, derivative=d))
             for d in ("tt", ("xx", 0))
         )
         assert len(fields) == len(diffs) == 3
@@ -905,6 +924,50 @@ class TestCli:
         assert main(["experiment", experiment, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and kind in err
+
+    @pytest.mark.parametrize("experiment, key, data", [
+        ("E5", "g", "gaussian"), ("E6", "g", "gaussian"),
+        ("E7", "g", "gaussian width=0.1"), ("E8", "f", "gaussian"),
+        ("E8", "g", "plane_wave"), ("E1", "h", "gaussian"),
+        ("E4", "h", "gaussian"),
+    ])
+    def test_data_the_experiment_does_not_read_exits_2(self, tmp_path, capsys,
+                                                       experiment, key, data):
+        # a value the experiment would ignore is refused before it runs
+        config = default_config(experiment, n=1).with_overrides(**{key: data})
+        with pytest.raises(ConfigError, match=f"{experiment} does not read {key}"):
+            run_experiment(config)
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        out = tmp_path / "out"
+        assert main(["experiment", experiment, "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (out / "notes.txt").exists()
+
+    @pytest.mark.parametrize("experiment, kind", [
+        ("E1", "box"), ("E2", "ball"), ("E3", "box"), ("E4", "box"),
+        ("E5", "box"), ("E6", "ball"), ("E8", "box"),
+    ])
+    def test_domain_kind_not_its_own_exits_2(self, tmp_path, capsys,
+                                             experiment, kind):
+        # every experiment but E7 runs on full space; E1 on a box ran on
+        # full space and said nothing
+        config = default_config(experiment, n=1).with_overrides(domain_kind=kind)
+        with pytest.raises(ConfigError, match="full space"):
+            run_experiment(config)
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", experiment, "--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_e7_ball_on_unequal_bounds_exits_2(self, tmp_path, capsys):
+        config = default_config("E7", n=2).with_overrides(
+            domain_kind="ball", domain_lo=(0.0, 0.0), domain_hi=(1.0, 2.0))
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", "E7", "--config", str(path)]) == 2
+        assert "equal extents" in capsys.readouterr().err
 
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")

@@ -11,8 +11,8 @@ from wavelattice import (
     DiscreteProblem,
     Domain,
     FrequencyQuadrature,
-    continuum_solution_u,
     dalembert_forcing,
+    homogeneous_solution,
     solve,
 )
 from wavelattice.harness import default_config
@@ -49,7 +49,8 @@ def test_e1_oracle_synthesis_is_small():
     quad = FrequencyQuadrature.for_data(f, g, T=base.T)
     points = window_indices(config.window(), base.dx) * base.dx
     assert points.shape == (125, 3) and len(quad.weights) == 33**3
-    values, peak, _ = _traced(continuum_solution_u, f, g, points, base.T, quad)
+    values, peak, _ = _traced(homogeneous_solution, f, g, points, base.T,
+                              quad=quad)
     assert values.shape == (125,)
     assert peak <= 16 * MB
 

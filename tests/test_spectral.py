@@ -10,10 +10,8 @@ from wavelattice import (
     FrequencyQuadrature,
     LatticeSpec,
     TailBoundError,
-    continuum_solution_u,
-    discrete_closed_form_v,
     duhamel_solve,
-    semidiscrete_closed_form_phi,
+    homogeneous_solution,
 )
 from wavelattice import spectral
 from wavelattice.dispersion import beta_arrays, beta_semidiscrete, sinc
@@ -26,16 +24,17 @@ from wavelattice.spectral import (
 )
 
 
-def _per_node_kernel(flavor, alpha, tau, *, spec=None, dx=0.0):
-    """K12(tau) with the frequencies formed again at every call."""
-    if flavor == "continuum":
+def _per_node_kernel(alpha, tau, dx=0.0, dt=0.0):
+    """K12(tau) of the model with steps (dx, dt), with the frequencies
+    formed again at every call."""
+    if dx == 0.0:
         freq = np.sqrt(np.sum(np.atleast_2d(alpha) ** 2, axis=-1))
         return tau * sinc(freq * tau)
-    if flavor == "semidiscrete":
+    if dt == 0.0:
         freq = beta_semidiscrete(np.atleast_2d(alpha), dx)
         return tau * sinc(freq * tau)
-    freq = beta_arrays(np.atleast_2d(alpha), spec.dx, spec.dt)
-    return tau * sinc(freq * tau) / sinc(freq * spec.dt)
+    freq = beta_arrays(np.atleast_2d(alpha), dx, dt)
+    return tau * sinc(freq * tau) / sinc(freq * dt)
 
 
 def _per_node_dalembert_transform(space, alpha, s):
@@ -83,7 +82,7 @@ class TestHomogeneousClosedForms:
         f = DataFunction.separable_cosine([1.0, 1.0])
         x = np.array([0.2, -0.4])
         t = 0.5
-        val = continuum_solution_u(f, None, x, t)
+        val = homogeneous_solution(f, None, x, t)
         expected = math.cos(0.2) * math.cos(-0.4) * math.cos(math.sqrt(2.0) * t)
         assert val == pytest.approx(expected, abs=1e-12)
         assert math.cos(math.sqrt(2.0) * 0.5) == pytest.approx(0.760245, abs=1e-6)
@@ -93,7 +92,7 @@ class TestHomogeneousClosedForms:
         g = DataFunction.plane_wave([2.0])
         x = np.array([0.3])
         t = 0.7
-        val = continuum_solution_u(None, g, x, t)
+        val = homogeneous_solution(None, g, x, t)
         assert val == pytest.approx(
             math.cos(0.6) * math.sin(1.4) / 2.0, abs=1e-12
         )
@@ -102,18 +101,18 @@ class TestHomogeneousClosedForms:
         f = DataFunction.gaussian([0.1], 0.2)
         quad = FrequencyQuadrature.for_data(f, T=1.0)
         for x in (np.array([0.0]), np.array([0.3])):
-            assert continuum_solution_u(f, None, x, 0.0, quad) == pytest.approx(
+            assert homogeneous_solution(f, None, x, 0.0, quad=quad) == pytest.approx(
                 float(f(x)), abs=1e-10
             )
 
-    def test_flavors_agree_in_limit(self):
-        # semidiscrete closed form approaches the continuum one as dx -> 0
+    def test_models_agree_in_limit(self):
+        # Lagrange's model (dx, 0) approaches the wave equation as dx -> 0
         f = DataFunction.gaussian([0.0], 0.3)
         quad = FrequencyQuadrature.for_data(f, T=0.5)
         x, t = np.array([0.2]), 0.5
-        u = continuum_solution_u(f, None, x, t, quad)
+        u = homogeneous_solution(f, None, x, t, quad=quad)
         errs = [
-            abs(semidiscrete_closed_form_phi(f, None, dx, x, t, quad) - u)
+            abs(homogeneous_solution(f, None, x, t, dx=dx, quad=quad) - u)
             for dx in (0.2, 0.1, 0.05)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -121,86 +120,111 @@ class TestHomogeneousClosedForms:
 
     def test_discrete_closed_form_needs_lattice_time(self):
         f = DataFunction.plane_wave([1.0])
-        spec = LatticeSpec(1, 0.2, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            discrete_closed_form_v(f, None, spec, np.array([0.0]), 0.05)
+        with pytest.raises(ValueError, match="not on the lattice"):
+            homogeneous_solution(f, None, np.array([0.0]), 0.05, dx=0.2, dt=0.1)
 
 
 class TestPropagator:
-    SPECS = {
-        "continuum": {},
-        "semidiscrete": {"dx": 0.2},
-        "fully_discrete": {"spec": LatticeSpec(1, 0.2, 0.1, 1.0)},
+    #: the steps (dx, dt) of the wave equation, Lagrange's model, the scheme
+    STEPS = {
+        "wave": {},
+        "lagrange": {"dx": 0.2},
+        "scheme": {"dx": 0.2, "dt": 0.1},
     }
 
     def test_identity_at_t0(self):
         alpha = np.array([1.3])
-        for flavor in ("continuum", "semidiscrete"):
-            mat = propagator(flavor, alpha, 0.0, **self.SPECS[flavor])
+        for model in ("wave", "lagrange"):
+            mat = propagator(alpha, 0.0, **self.STEPS[model])
             assert np.allclose(mat, np.eye(2), atol=1e-14)
-        # the fully discrete flavor carries the dt/sin(beta dt) weight on
-        # the g-route, so its lower-right entry at t = 0 is 1/sinc(beta dt)
-        spec = self.SPECS["fully_discrete"]["spec"]
-        mat = propagator("fully_discrete", alpha, 0.0, spec=spec)
+        # the scheme carries the dt/sin(beta dt) weight on the g-route, so
+        # its lower-right entry at t = 0 is 1/sinc(beta dt)
+        mat = propagator(alpha, 0.0, **self.STEPS["scheme"])
         assert np.allclose(mat[0], [1.0, 0.0], atol=1e-14)
         assert mat[1, 0] == 0.0 and mat[1, 1].real > 1.0
 
     def test_lower_row_is_time_derivative(self):
         alpha = np.array([1.3])
         t, eps = 0.6, 1e-6
-        for flavor, kw in self.SPECS.items():
-            plus = propagator(flavor, alpha, t + eps, **kw)
-            minus = propagator(flavor, alpha, t - eps, **kw)
+        # t +- eps is off the scheme's time lattice: propagator takes any t
+        for kw in self.STEPS.values():
+            plus = propagator(alpha, t + eps, **kw)
+            minus = propagator(alpha, t - eps, **kw)
             deriv = (plus[0] - minus[0]) / (2.0 * eps)
-            mat = propagator(flavor, alpha, t, **kw)
+            mat = propagator(alpha, t, **kw)
             assert np.allclose(mat[1], deriv, atol=1e-7)
 
     def test_semidiscrete_frequency(self):
         alpha = np.array([2.0])
         dx, t = 0.5, 0.3
-        mat = propagator("semidiscrete", alpha, t, dx=dx)
+        mat = propagator(alpha, t, dx=dx)
         freq = beta_semidiscrete(alpha, dx)
         assert mat[0, 0] == pytest.approx(math.cos(freq * t), rel=1e-14)
 
 
 _PLANE = DataFunction.plane_wave([2.0])
-_SPEC = LatticeSpec(1, 0.2, 0.1, 1.0)
 
 
-class TestFlavorErrors:
-    """Each flavor reads its own step: the scheme a LatticeSpec, Lagrange's
-    model a spacing dx > 0, the continuum neither.  Any other flavor, step
-    or missing step is a ValueError at every entry point."""
+class TestStepsRule:
+    """The steps (dx, dt) name the model: (0, 0) the wave equation, (dx, 0)
+    Lagrange's model, (dx, dt) the scheme.  Steps that name none are a
+    ValueError at every entry point, with data or without; where dt > 0,
+    homogeneous_solution and duhamel_solve also need t on the time
+    lattice."""
 
+    GOOD = {"wave": {}, "lagrange": dict(dx=0.2), "scheme": dict(dx=0.2, dt=0.1)}
     BAD = {
-        "unknown flavor": ("bogus", dict(spec=_SPEC)),
-        "scheme without spec": ("fully_discrete", {}),
-        "scheme with dx": ("fully_discrete", dict(spec=_SPEC, dx=0.2)),
-        "semidiscrete without dx": ("semidiscrete", {}),
-        "continuum with spec": ("continuum", dict(spec=_SPEC)),
+        "negative dx": dict(dx=-0.2),
+        "negative dt": dict(dx=0.2, dt=-0.1),
+        "dt without dx": dict(dt=0.1),
+        "nan dx": dict(dx=math.nan),
+        "nan dt": dict(dx=0.2, dt=math.nan),
     }
     CALLS = {
-        "propagator": lambda flavor, kw: propagator(
-            flavor, np.array([2.0]), 1.0, **kw),
-        "homogeneous_solution": lambda flavor, kw: spectral.homogeneous_solution(
-            _PLANE, None, flavor, np.zeros(1), 1.0, **kw),
-        "duhamel_solve": lambda flavor, kw: duhamel_solve(
-            None, None, separable_forcing(_PLANE), flavor, np.zeros(1), 1.0,
-            **kw),
-        # nothing to synthesize: the flavor is still checked
-        "homogeneous_solution without data": lambda flavor, kw:
-            spectral.homogeneous_solution(None, None, flavor, np.zeros(1), 1.0,
-                                          **kw),
-        "duhamel_solve without data": lambda flavor, kw: duhamel_solve(
-            None, None, None, flavor, np.zeros(1), 1.0, **kw),
+        "propagator": lambda t, kw: propagator(np.array([2.0]), t, **kw),
+        "homogeneous_solution": lambda t, kw: homogeneous_solution(
+            _PLANE, None, np.zeros(1), t, **kw),
+        "duhamel_solve": lambda t, kw: duhamel_solve(
+            None, None, separable_forcing(_PLANE), np.zeros(1), t, **kw),
+        # nothing to synthesize: the steps are still checked
+        "homogeneous_solution without data": lambda t, kw:
+            homogeneous_solution(None, None, np.zeros(1), t, **kw),
+        "duhamel_solve without data": lambda t, kw: duhamel_solve(
+            None, None, None, np.zeros(1), t, **kw),
     }
 
     @pytest.mark.parametrize("case", BAD)
     @pytest.mark.parametrize("call", CALLS)
-    def test_raises_value_error(self, call, case):
-        flavor, kw = self.BAD[case]
-        with pytest.raises(ValueError):
-            self.CALLS[call](flavor, kw)
+    def test_steps_that_name_no_model_raise(self, call, case):
+        with pytest.raises(ValueError, match="steps"):
+            self.CALLS[call](1.0, self.BAD[case])
+
+    @pytest.mark.parametrize("model", GOOD)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_steps_of_each_model_are_taken(self, call, model):
+        assert np.all(np.isfinite(self.CALLS[call](1.0, self.GOOD[model])))
+
+    @pytest.mark.parametrize("call", [c for c in CALLS if c != "propagator"])
+    def test_scheme_time_off_the_lattice_raises(self, call):
+        with pytest.raises(ValueError, match="not on the lattice"):
+            self.CALLS[call](0.95 + 1e-3, self.GOOD["scheme"])
+        # the continuous-time models take any t
+        for model in ("wave", "lagrange"):
+            assert math.isfinite(self.CALLS[call](0.95 + 1e-3, self.GOOD[model]))
+
+    def test_propagator_takes_any_time(self):
+        assert np.all(np.isfinite(
+            propagator(np.array([2.0]), 0.95 + 1e-3, **self.GOOD["scheme"])))
+
+    def test_scheme_refuses_s_step(self):
+        # the scheme sums its forcing on the time lattice: s_step is unread
+        with pytest.raises(ValueError, match="s_step"):
+            duhamel_solve(None, None, separable_forcing(_PLANE), np.zeros(1),
+                          1.0, s_step=0.01, **self.GOOD["scheme"])
+
+    def test_unknown_derivative_raises_without_data(self):
+        with pytest.raises(ValueError, match="derivative"):
+            homogeneous_solution(None, None, np.zeros(1), 1.0, derivative="t")
 
 
 class TestDuhamel:
@@ -208,8 +232,8 @@ class TestDuhamel:
         # f = g = 0, w = cos(2x): u(0, t) = (1 - cos(2t))/4
         forcing = separable_forcing(DataFunction.plane_wave([2.0]))
         t = 1.0
-        val = duhamel_solve(None, None, forcing, "continuum",
-                            np.zeros(1), t, s_step=t / 128.0)
+        val = duhamel_solve(None, None, forcing, np.zeros(1), t,
+                            s_step=t / 128.0)
         exact = (1.0 - math.cos(2.0)) / 4.0
         assert exact == pytest.approx(0.354037, abs=1e-6)
         assert val == pytest.approx(exact, abs=1e-6)
@@ -217,15 +241,14 @@ class TestDuhamel:
     def test_no_forcing_reduces_to_homogeneous(self):
         f = DataFunction.plane_wave([1.0])
         x, t = np.array([0.4]), 0.8
-        assert duhamel_solve(f, None, None, "continuum", x, t) == (
-            continuum_solution_u(f, None, x, t)
+        assert duhamel_solve(f, None, None, x, t) == (
+            homogeneous_solution(f, None, x, t)
         )
 
     def test_negative_time_rejected(self):
         forcing = separable_forcing(DataFunction.plane_wave([1.0]))
         with pytest.raises(ValueError):
-            duhamel_solve(None, None, forcing, "continuum",
-                          np.zeros(1), -0.5)
+            duhamel_solve(None, None, forcing, np.zeros(1), -0.5)
 
     def test_dalembert_forcing_manufactures_solution(self):
         # U(x, t) = gaussian(x) cos(t) solves the equation with
@@ -234,8 +257,7 @@ class TestDuhamel:
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         quad = FrequencyQuadrature.for_data(space, T=0.5)
         x, t = np.array([0.1]), 0.5
-        val = duhamel_solve(space, None, forcing, "continuum", x, t, quad,
-                            s_step=t / 64.0)
+        val = duhamel_solve(space, None, forcing, x, t, quad, s_step=t / 64.0)
         assert val == pytest.approx(float(space(x)) * math.cos(t), abs=1e-6)
 
 
@@ -246,8 +268,8 @@ class TestDuhamel:
         spec = LatticeSpec(1, 0.1, 0.05, 0.3)
         quad = FrequencyQuadrature.for_data(space, T=spec.T)
         with pytest.raises(ValueError, match="not on the lattice"):
-            duhamel_solve(space, None, forcing, "fully_discrete", np.zeros(1),
-                          t, quad, spec=spec)
+            duhamel_solve(space, None, forcing, np.zeros(1), t, quad,
+                          dx=spec.dx, dt=spec.dt)
 
 
 class TestQuadrature:
@@ -276,13 +298,14 @@ class TestQuadrature:
         with pytest.raises(TailBoundError, match="smooth_bump"):
             quad.tail_bound(bump, T=0.5)
         for call in (
-            lambda tol: continuum_solution_u(bump, None, x, 0.5, quad, tol=tol),
-            lambda tol: continuum_solution_u(None, bump, x, 0.5, quad, tol=tol),
-            lambda tol: semidiscrete_closed_form_phi(bump, None, 0.1, x, 0.5,
-                                                     quad, tol=tol),
-            lambda tol: discrete_closed_form_v(
-                bump, None, LatticeSpec(1, 0.1, 0.05, 1.0), x, 0.5, quad,
-                tol=tol),
+            lambda tol: homogeneous_solution(bump, None, x, 0.5, quad=quad,
+                                             tol=tol),
+            lambda tol: homogeneous_solution(None, bump, x, 0.5, quad=quad,
+                                             tol=tol),
+            lambda tol: homogeneous_solution(bump, None, x, 0.5, dx=0.1,
+                                             quad=quad, tol=tol),
+            lambda tol: homogeneous_solution(bump, None, x, 0.5, dx=0.1,
+                                             dt=0.05, quad=quad, tol=tol),
         ):
             with pytest.raises(TailBoundError):
                 call(1e-30)
@@ -298,10 +321,11 @@ class TestQuadrature:
         assert quad.tail_bound(wave, None, T=1.0) == 0.0
         assert quad.tail_bound(wave, gauss, T=1.0) == quad.tail_bound(gauss, T=1.0)
         x = np.zeros(1)
-        assert continuum_solution_u(wave, None, x, 0.5, quad, tol=1e-30) == (
-            continuum_solution_u(wave, None, x, 0.5, quad))
+        assert homogeneous_solution(wave, None, x, 0.5, quad=quad,
+                                    tol=1e-30) == (
+            homogeneous_solution(wave, None, x, 0.5, quad=quad))
         with pytest.raises(TailBoundError):
-            continuum_solution_u(wave, gauss, x, 0.5, quad, tol=1e-30)
+            homogeneous_solution(wave, gauss, x, 0.5, quad=quad, tol=1e-30)
 
     def test_for_data_decides_which_data_need_the_quadrature(self):
         wave = DataFunction.plane_wave([2.0])
@@ -371,9 +395,9 @@ def _dense_synthesis(quad, spectrum, points):
         quad.n / 2.0)
 
 
-def _dense_homogeneous(f, g, flavor, points, t, quad, **kw):
+def _dense_homogeneous(f, g, points, t, quad, **kw):
     """homogeneous_solution through the dense phase matrix."""
-    cf, gf = spectral._coefficients(flavor, quad.nodes, t, **kw)
+    cf, gf = spectral._coefficients(quad.nodes, t, **kw)
     spectrum = sum(d.fourier(quad.nodes) * c for d, c in ((f, cf), (g, gf))
                    if d is not None)
     return _dense_synthesis(quad, spectrum, points)
@@ -389,10 +413,11 @@ class TestSeparableSynthesis:
     """synthesize contracts the tensor grid one axis at a time; it agrees
     with the dense phase matrix to roundoff of the weighted l1 norm."""
 
-    FLAVORS = {
-        "continuum": {},
-        "semidiscrete": {"dx": 0.1},
-        "fully_discrete": {"spec": None},
+    #: the steps (dx, dt) of the wave equation, Lagrange's model, the scheme
+    STEPS = {
+        "wave": {},
+        "lagrange": {"dx": 0.1},
+        "scheme": {"dx": 0.1, "dt": 0.05},
     }
 
     @staticmethod
@@ -406,28 +431,23 @@ class TestSeparableSynthesis:
         return f, g, quad, points
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("flavor", ["continuum", "semidiscrete",
-                                        "fully_discrete"])
+    @pytest.mark.parametrize("model", ["wave", "lagrange", "scheme"])
     @pytest.mark.parametrize("derivative", [None, "tt", ("xx", 0)])
-    def test_matches_dense_phase_matrix(self, n, flavor, derivative):
+    def test_matches_dense_phase_matrix(self, n, model, derivative):
         f, g, quad, points = self._case(n)
         t = 0.4
-        kw = dict(self.FLAVORS[flavor])
-        if flavor == "fully_discrete":
-            kw["spec"] = LatticeSpec(n, 0.1, 0.05, 0.4)
+        kw = self.STEPS[model]
         factor = spectral._derivative_factor(derivative)
-        cf, gf = spectral._coefficients(flavor, quad.nodes, t,
-                                        freq_factor=factor, **kw)
+        cf, gf = spectral._coefficients(quad.nodes, t, factor=factor, **kw)
         scale = _scale(quad, f.fourier(quad.nodes) * cf
                        + g.fourier(quad.nodes) * gf)
-        dense = _dense_homogeneous(f, g, flavor, points, t, quad,
-                                   freq_factor=factor, **kw)
-        many = spectral.homogeneous_solution(f, g, flavor, points, t,
-                                             quad=quad, freq_factor=factor, **kw)
+        dense = _dense_homogeneous(f, g, points, t, quad, factor=factor, **kw)
+        many = homogeneous_solution(f, g, points, t, quad=quad,
+                                    derivative=derivative, **kw)
         assert many.shape == (len(points),)
         assert np.max(np.abs(many - dense)) <= 1e-13 * scale
-        one = spectral.homogeneous_solution(f, g, flavor, points[3], t,
-                                            quad=quad, freq_factor=factor, **kw)
+        one = homogeneous_solution(f, g, points[3], t, quad=quad,
+                                   derivative=derivative, **kw)
         assert isinstance(one, float)
         assert abs(one - dense[3]) <= 1e-13 * scale
 
@@ -437,11 +457,10 @@ class TestSeparableSynthesis:
         assert np.array_equal(np.stack([m.ravel() for m in mesh], axis=-1),
                               quad.nodes)
 
-    @pytest.mark.parametrize("n, flavor", [
-        (1, "continuum"), (2, "continuum"),
-        (1, "fully_discrete"), (2, "fully_discrete"), (3, "fully_discrete"),
+    @pytest.mark.parametrize("n, model", [
+        (1, "wave"), (2, "wave"), (1, "scheme"), (2, "scheme"), (3, "scheme"),
     ])
-    def test_duhamel_takes_points(self, n, flavor):
+    def test_duhamel_takes_points(self, n, model):
         space = DataFunction.gaussian([0.0] * n, 0.3)
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         spec = LatticeSpec(n, 0.1, 0.05, 0.3)
@@ -449,23 +468,22 @@ class TestSeparableSynthesis:
             n, FrequencyQuadrature.for_data(space, T=spec.T).M,
             33 if n == 3 else 65)
         points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(5, n))
-        kw = dict(spec=spec) if flavor == "fully_discrete" else {}
-        many = duhamel_solve(space, None, forcing, flavor, points, spec.T,
-                             quad, **kw)
+        kw = dict(dx=spec.dx, dt=spec.dt) if model == "scheme" else {}
+        many = duhamel_solve(space, None, forcing, points, spec.T, quad, **kw)
         assert many.shape == (5,)
         for x, value in zip(points, many):
-            one = duhamel_solve(space, None, forcing, flavor, x, spec.T, quad, **kw)
+            one = duhamel_solve(space, None, forcing, x, spec.T, quad, **kw)
             assert isinstance(one, float)
             assert abs(one - value) <= 1e-13
 
     def test_duhamel_single_frequency_takes_points(self):
         forcing = separable_forcing(DataFunction.plane_wave([2.0, 1.0]))
         points = np.array([[0.0, 0.0], [0.3, -0.2], [0.1, 0.4]])
-        many = duhamel_solve(None, None, forcing, "continuum", points, 1.0,
+        many = duhamel_solve(None, None, forcing, points, 1.0,
                              s_step=1.0 / 128.0)
         assert many.shape == (3,)
         for x, value in zip(points, many):
-            assert duhamel_solve(None, None, forcing, "continuum", x, 1.0,
+            assert duhamel_solve(None, None, forcing, x, 1.0,
                                  s_step=1.0 / 128.0) == value
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -480,17 +498,16 @@ class TestSeparableSynthesis:
         s_nodes = np.arange(spec.steps) * spec.dt
         s_weights = np.full(spec.steps, spec.dt)
         s_weights[0] = spec.dt / 2.0
-        kern = np.stack([_per_node_kernel("fully_discrete", quad.nodes,
-                                          spec.T - s, spec=spec)
+        kern = np.stack([_per_node_kernel(quad.nodes, spec.T - s, spec.dx,
+                                          spec.dt)
                          for s in s_nodes])
         what = np.stack([forcing.fourier_x(quad.nodes)(s) for s in s_nodes])
         stacked = np.sum(s_weights[:, None] * kern * what, axis=0)
-        expected = (spectral.homogeneous_solution(space, None, "fully_discrete",
-                                                  points, spec.T, spec=spec,
-                                                  quad=quad)
+        expected = (homogeneous_solution(space, None, points, spec.T,
+                                         dx=spec.dx, dt=spec.dt, quad=quad)
                     + spectral.synthesize(quad, stacked, points))
-        values = duhamel_solve(space, None, forcing, "fully_discrete", points,
-                               spec.T, quad, spec=spec)
+        values = duhamel_solve(space, None, forcing, points, spec.T, quad,
+                               dx=spec.dx, dt=spec.dt)
         assert np.array_equal(values, expected)
 
 
@@ -499,9 +516,8 @@ class TestHoistedDuhamel:
     transform once per call; the sums are those of the per-node loop."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("flavor", ["continuum", "semidiscrete",
-                                        "fully_discrete"])
-    def test_equals_per_node_loop(self, n, flavor):
+    @pytest.mark.parametrize("model", ["wave", "lagrange", "scheme"])
+    def test_equals_per_node_loop(self, n, model):
         from scipy.integrate import simpson
 
         space = DataFunction.gaussian([0.05] * n, 0.3)
@@ -510,52 +526,66 @@ class TestHoistedDuhamel:
         quad = FrequencyQuadrature.build(
             n, FrequencyQuadrature.for_data(space, T=spec.T).M, 33)
         points = np.random.default_rng(n).uniform(-0.3, 0.3, size=(4, n))
-        kw = {"fully_discrete": dict(spec=spec), "semidiscrete": dict(dx=0.1),
-              "continuum": {}}[flavor]
+        kw = {"scheme": dict(dx=spec.dx, dt=spec.dt), "lagrange": dict(dx=0.1),
+              "wave": {}}[model]
         alpha = quad.nodes
-        if flavor == "fully_discrete":
+        if model == "scheme":
             per_node = None
             for p in range(spec.steps):
                 s = p * spec.dt
                 weight = spec.dt / 2.0 if p == 0 else spec.dt
-                term = (weight * _per_node_kernel(flavor, alpha, spec.T - s, **kw)
+                term = (weight * _per_node_kernel(alpha, spec.T - s, **kw)
                         * _per_node_dalembert_transform(space, alpha, s))
                 per_node = term if per_node is None else per_node + term
         else:
             s_nodes = np.linspace(0.0, spec.T, 65)
-            kern = np.stack([_per_node_kernel(flavor, alpha, spec.T - s, **kw)
+            kern = np.stack([_per_node_kernel(alpha, spec.T - s, **kw)
                              for s in s_nodes])
             what = np.stack([_per_node_dalembert_transform(space, alpha, s)
                              for s in s_nodes])
             per_node = simpson(kern * what, x=s_nodes, axis=0)
-        expected = (spectral.homogeneous_solution(space, None, flavor, points,
-                                                  spec.T, quad=quad, **kw)
+        expected = (homogeneous_solution(space, None, points, spec.T, quad=quad,
+                                         **kw)
                     + spectral.synthesize(quad, per_node, points))
-        values = duhamel_solve(space, None, forcing, flavor, points, spec.T,
-                               quad, **kw)
+        values = duhamel_solve(space, None, forcing, points, spec.T, quad, **kw)
         assert np.array_equal(values, expected)
 
-    def test_single_frequency_equals_per_node_loop(self):
+    @pytest.mark.parametrize("model", ["wave", "lagrange", "scheme"])
+    def test_single_frequency_equals_per_node_loop(self, model):
+        # the kernel is formed on all s nodes in one call; its values are
+        # those of one call per node
         from scipy.integrate import simpson
 
+        steps = {"wave": {}, "lagrange": dict(dx=0.25),
+                 "scheme": dict(dx=0.25, dt=0.125)}[model]
         alpha0 = np.array([2.0, 1.0])
         forcing = separable_forcing(DataFunction.plane_wave(alpha0), math.cos)
         points = np.array([[0.0, 0.0], [0.3, -0.2]])
-        s_nodes = np.linspace(0.0, 1.0, 129)
-        kern = np.array([float(_per_node_kernel("continuum", alpha0, 1.0 - s)[0])
+        if model == "scheme":
+            s_nodes = np.arange(8) * 0.125
+            s_step = None
+        else:
+            s_nodes = np.linspace(0.0, 1.0, 129)
+            s_step = 1.0 / 128.0
+        kern = np.array([float(_per_node_kernel(alpha0, 1.0 - s, **steps)[0])
                          for s in s_nodes])
         prof = np.array([math.cos(s) for s in s_nodes])
-        integral = float(simpson(kern * prof, x=s_nodes))
-        values = duhamel_solve(None, None, forcing, "continuum", points, 1.0,
-                               s_step=1.0 / 128.0)
+        if model == "scheme":
+            weights = np.full(8, 0.125)
+            weights[0] = 0.0625
+            integral = float(np.sum(weights * kern * prof))
+        else:
+            integral = float(simpson(kern * prof, x=s_nodes))
+        values = duhamel_solve(None, None, forcing, points, 1.0, s_step=s_step,
+                               **steps)
         assert np.array_equal(values, np.cos(points @ alpha0) * integral)
 
     def test_odd_interval_count_rounds_up_to_even(self):
         forcing = separable_forcing(DataFunction.plane_wave([2.0]))
         x = np.zeros(1)
-        assert duhamel_solve(None, None, forcing, "continuum", x, 1.0,
+        assert duhamel_solve(None, None, forcing, x, 1.0,
                              s_step=1.0 / 127.0) == duhamel_solve(
-            None, None, forcing, "continuum", x, 1.0, s_step=1.0 / 128.0)
+            None, None, forcing, x, 1.0, s_step=1.0 / 128.0)
 
 
 class TestSimpson:
