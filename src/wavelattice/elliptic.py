@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, classify
 from .leapfrog import DiscreteProblem
-from .spectral import DataFunction, Forcing
+from .spectral import DataFunction
 from .stencils import (
     GridField,
     field_from_classification,
@@ -186,7 +186,6 @@ class VariableCoefficientProblem:
     h: Union[Callable, float] = 0.0
     b: Union[Callable, float] = 0.0
     sigma: Union[Callable, float] = 0.0
-    forcing: Optional[Forcing] = None
     classification: Optional[object] = None
 
 
@@ -230,7 +229,6 @@ def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
         f=shifted,
         g=problem.g,
         boundary_value=0.0,
-        forcing=problem.forcing,
         classification=classification,
     )
     return SplitResult(elliptic, shifted, wave)

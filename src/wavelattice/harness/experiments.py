@@ -18,7 +18,8 @@ import numpy as np
 
 from ..dispersion import beta_arrays, symbol_G_arrays
 from ..elliptic import VariableCoefficientProblem, split_pipeline
-from ..errors import BlowupError, CflViolationError, TailBoundError
+from ..errors import (AmbiguousBoundaryError, BlowupError, CflViolationError,
+                      TailBoundError)
 from ..lagrange import (
     LagrangeSystem,
     integrate,
@@ -38,7 +39,6 @@ from ..spectral import (
 )
 from ..stencils import (
     field_from_classification,
-    grid_blocks,
     sample_window,
     three_level_steps,
 )
@@ -331,12 +331,10 @@ def _cone_max(v0, velocity, dt, dx, steps):
 
 def _raw_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
     """_cone_max of the seed cos(alpha.x) on [-extent, extent]^n, at rest."""
-    half = int(math.ceil(extent / dx)) + steps + 2
-    axis = np.arange(-half, half + 1) * dx
-    seed_alpha = np.asarray(seed_alpha, dtype=float)
-    v0 = np.empty((axis.size,) * n)
-    for rows, points in grid_blocks([axis] * n):
-        v0[rows] = np.cos(points @ seed_alpha)
+    window = classify(Domain.full_space([(-extent, extent)] * n),
+                      LatticeSpec(n, dx, dt, steps * dt))
+    v0 = sample_window(DataFunction.plane_wave(seed_alpha),
+                       field_from_classification(window, pad=steps + 2))
     return _cone_max(v0, np.zeros_like(v0), dt, dx, steps)
 
 
@@ -504,14 +502,17 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         [(lo + base.dx, hi - base.dx) for lo, hi in domain.bounding_window()],
         base.dx,
     )
+    specs = refine_halving(base, levels)
+    try:  # every lattice is classified before any level runs
+        classifications = [classify(domain, spec) for spec in specs]
+    except AmbiguousBoundaryError as exc:
+        raise ConfigError(f"E7's domain does not fit its lattices: {exc}") from exc
+    # a ball leaves corners of its probe window off the support
+    probe_idx = probe_idx[classifications[0].holds(probe_idx)]
     probe_values = []
     residuals = []
-    for k in range(levels):
-        spec = LatticeSpec(base.n, base.dx / 2**k, base.dt / 2**k, base.T)
+    for k, (spec, classification) in enumerate(zip(specs, classifications)):
         # f = h + gauss, sampled on the split's window
-        classification = classify(domain, spec)
-        if k == 0:  # a ball leaves corners of its probe window off the support
-            probe_idx = probe_idx[classification.holds(probe_idx)]
         window = field_from_classification(classification)
         f = h_const + sample_window(gauss, window)
         problem = VariableCoefficientProblem(

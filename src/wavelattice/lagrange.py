@@ -13,7 +13,6 @@ BlowupError through the same guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -22,19 +21,21 @@ from .lattice import Domain, LatticeSpec, classify, point_indices, step_index
 from .spectral import Forcing, FrequencyQuadrature, homogeneous_solution
 from .stencils import (
     GridField,
-    add_forcing,
     clamp_level,
     field_from_classification,
     laplacian_array,
+    sample_forcing,
     sample_window,
     three_level_steps,
     window_clamp,
+    window_terms,
 )
 
 
 @dataclass
 class LagrangeSystem:
-    """State and samplers of the clamped oscillator system.
+    """State and samplers of the clamped oscillator system, with a, sigma
+    and each space of the forcing sampled once, when it is built.
 
     `values`/`velocities` live on the same rectangular window as a
     GridField; boundary entries are clamped to `boundary_value` and the
@@ -50,16 +51,15 @@ class LagrangeSystem:
     boundary_value: Union[float, Callable] = 0.0
     values: np.ndarray = field(default=None, repr=False)
     velocities: np.ndarray = field(default=None, repr=False)
-    _a_vals: np.ndarray = field(default=None, repr=False)
-    _sigma_vals: np.ndarray = field(default=None, repr=False)
+    _terms: Optional[Callable] = field(default=None, repr=False)
     _clamp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         shape = self.fieldobj.shape
-        if self.a is not None:
-            self._a_vals = sample_window(self.a, self.fieldobj)
-        if self.sigma is not None:
-            self._sigma_vals = sample_window(self.sigma, self.fieldobj)
+        a, sigma = (None if c is None else sample_window(c, self.fieldobj)
+                    for c in (self.a, self.sigma))
+        forcing = sample_forcing(self.forcing, self.fieldobj)
+        self._terms = window_terms(a, sigma, forcing)
         if self.values is None:
             self.values = np.zeros(shape)
         if self.velocities is None:
@@ -99,20 +99,8 @@ def rhs(system: LagrangeSystem, t: float,
     array; the returned array is only meaningful on interior points.
     """
     xi = system.values if values is None else values
-    return _terms(system, laplacian_array(xi, system.dx), xi, t)
-
-
-def _terms(system: LagrangeSystem, accel: np.ndarray, xi: np.ndarray,
-           t: float, rows: slice = slice(None)) -> np.ndarray:
-    """a(x) accel - sigma(x) xi + w(x, t) on the axis-0 rows `rows` of the
-    window, which `accel` and `xi` hold."""
-    if system._a_vals is not None:
-        accel = system._a_vals[rows] * accel
-    if system._sigma_vals is not None:
-        accel = accel - system._sigma_vals[rows] * xi
-    if system.forcing is not None:
-        accel = add_forcing(accel, system.forcing, system.fieldobj, t, rows)
-    return accel
+    terms = system._terms or (lambda accel, *rest: accel)
+    return terms(laplacian_array(xi, system.dx), xi, t, slice(0, len(xi)))
 
 
 def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
@@ -136,7 +124,7 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
     # the kernel writes level 1 over the velocities and level 2 over the values
     run = three_level_steps(system.values, system.velocities.copy(), h_ode,
                             system.dx, steps, t0=t0,
-                            terms=partial(_terms, system), clamp=system._clamp)
+                            terms=system._terms, clamp=system._clamp)
     for k, (level, _) in enumerate(run, start=1):
         if k in wanted or k == steps:
             out[k] = level.copy()

@@ -24,13 +24,14 @@ from .lattice import Domain, LatticeSpec, classify, step_index
 from .spectral import DataFunction, Forcing
 from .stencils import (
     GridField,
-    add_forcing,
     clamp_level,
     crop_centre,
     field_from_classification,
+    sample_forcing,
     sample_window,
     three_level_steps,
     window_clamp,
+    window_terms,
 )
 
 
@@ -69,13 +70,14 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     value of the scheme.  Raises BlowupError past the 1e12 threshold, and
     ValueError for a t_range endpoint off the time lattice.
 
-    f and g are sampled once, on the window grown by the longer run's steps
-    (full space) or on the domain's window, clamped at the boundary
-    (bounded).  Each run starts in the stepping kernel from level 0 and g;
-    on full space it starts from them cropped to the window grown by its
-    own steps, and level p of the run is stepped only on the window grown
-    by steps - |p| rings: the points that can still reach the window by
-    the run's end.
+    f, g and each space of the forcing are sampled once, on the calling
+    thread, on the window grown by the longer run's steps (full space) or
+    on the domain's window, f clamped at the boundary (bounded).  Each run
+    starts in the stepping kernel from level 0 and g; on full space it
+    reads them and the forcing cropped to the window grown by its own
+    steps, and level p of the run is stepped only on the window grown by
+    steps - |p| rings: the points that can still reach the window by the
+    run's end.
     """
     spec = problem.spec
     if t_range is None:
@@ -86,6 +88,7 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     full_space = not problem.domain.bounded
     pad = max(hi, -lo) if full_space else 0
     fieldobj = field_from_classification(problem.classification, pad=pad)
+    forcing = sample_forcing(problem.forcing, fieldobj)  # first: fewest arrays held
     clamp = window_clamp(fieldobj, problem.boundary_value)
     v0 = clamp_level(sample_window(problem.f, fieldobj), clamp)
     gv = sample_window(problem.g, fieldobj)
@@ -101,20 +104,16 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     keep(0, v0)
     runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 1]
     for i, (sign, end) in enumerate(runs):
-        seeds, skip = (v0, gv), 0  # the run's window starts `skip` rows in
+        seeds, forced = (v0, gv), forcing
         if full_space:  # a run of s steps reads level 0 s rings out
-            seeds = (crop_centre(a, tuple(w + 2 * sign * end for w in window))
-                     for a in seeds)
-            skip = pad - sign * end
+            shape = tuple(w + 2 * sign * end for w in window)
+            seeds = (crop_centre(a, shape) for a in seeds)
+            forced = [(crop_centre(a, shape), profile) for a, profile in forced]
         if i < len(runs) - 1:  # the kernel writes over its seeds
             seeds = (a.copy() for a in seeds)
-        terms = None
-        if problem.forcing is not None:
-            def terms(accel, values, t, rows):
-                rows = slice(rows.start + skip, rows.stop + skip)
-                return add_forcing(accel, problem.forcing, fieldobj, t, rows)
         run = three_level_steps(*seeds, sign * spec.dt, spec.dx, sign * end,
-                                terms=terms, clamp=clamp, shrink=full_space)
+                                terms=window_terms(forcing=forced), clamp=clamp,
+                                shrink=full_space)
         for level, (values, _) in zip(range(sign, end + sign, sign), run):
             if abs(end - level) <= 2 or level in (sign, lo, hi):
                 keep(level, values)

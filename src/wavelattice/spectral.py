@@ -231,21 +231,6 @@ def sample(data, points) -> np.ndarray:
     return np.asarray(vals, dtype=float).reshape(shape)
 
 
-def gaussian_laplacian(data: DataFunction) -> Callable:
-    """Closed-form spatial Laplacian of a Gaussian catalog entry."""
-    if data.kind != "gaussian":
-        raise ValueError("closed-form Laplacian only for the gaussian kind")
-    c = np.asarray(data.center)
-    w2 = data.width**2
-
-    def lap(x):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum((x - c) ** 2, axis=-1)
-        return data(x) * (r2 / w2**2 - data.n / w2)
-
-    return lap
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -506,57 +491,55 @@ def propagator(alpha, t: float, *, dx: float = 0.0,
 
 @dataclass
 class Forcing:
-    """Forcing w(x, t) with a known x-transform.
+    """Forcing w(x, t) = sum_j space_j(x) * profile_j(t), with its x-transform.
 
-    `func(points, t)` takes an (m, n) array of points and returns their
-    (m,) values, so a solver evaluates one time level in one call.
+    `terms` holds the (space, profile) pairs: a space maps an (m, n) array
+    of points to their (m,) values, and a solver samples it once per run.
     `fourier_x(alpha)` forms what does not depend on t at the frequency
     rows alpha once and returns the spatial Fourier transform there as a
-    function of t.  When the spatial profile is single-frequency,
-    `spatial` carries it and the transforms are bypassed.
+    function of t.  Without it, the forcing is one term whose space is
+    single-frequency, and the transforms are bypassed.
     """
 
-    func: Callable
+    terms: tuple
     fourier_x: Optional[Callable] = None
-    spatial: Optional[DataFunction] = None
-    time_profile: Optional[Callable] = None
 
 
 def separable_forcing(space: DataFunction, time_profile=None) -> Forcing:
     """w(x, t) = space(x) * profile(t); profile defaults to 1."""
     profile = time_profile if time_profile is not None else (lambda t: 1.0)
 
-    def func(x, t):
-        return space(x) * profile(t)
-
-    if space.single_frequency is not None:
-        return Forcing(func, spatial=space, time_profile=profile)
-
     def fourier_x(alpha):
         what = space.fourier(alpha)
         return lambda t: what * profile(t)
 
-    return Forcing(func, fourier_x=fourier_x, spatial=space, time_profile=profile)
+    single = space.single_frequency is not None
+    return Forcing(((space, profile),), None if single else fourier_x)
 
 
 def dalembert_forcing(space: DataFunction, profile, profile_dd) -> Forcing:
     """w = box(space * profile): the manufactured-solution forcing.
 
-    For U(x, t) = space(x) * profile(t) the wave operator gives
-    w = space * profile'' - (Lap space) * profile, whose x-transform is
+    For U(x, t) = space(x) * profile(t) the wave operator gives the terms
+    space * profile'' and (-Lap space) * profile, the Laplacian of the
+    Gaussian `space` in closed form; the x-transform is
     space^(alpha) * (profile''(t) + |alpha|^2 profile(t)).
     """
-    lap = gaussian_laplacian(space)
+    if space.kind != "gaussian":
+        raise ValueError("closed-form Laplacian only for the gaussian kind")
+    c = np.asarray(space.center)
+    w2 = space.width**2
 
-    def func(x, t):
-        return space(x) * profile_dd(t) - lap(x) * profile(t)
+    def minus_lap(x):
+        r2 = np.sum((x - c) ** 2, axis=-1)
+        return -(space(x) * (r2 / w2**2 - space.n / w2))
 
     def fourier_x(alpha):
         what = space.fourier(alpha)
         a2 = np.sum(np.atleast_2d(alpha) ** 2, axis=-1)
         return lambda t: what * (profile_dd(t) + a2 * profile(t))
 
-    return Forcing(func, fourier_x=fourier_x)
+    return Forcing(((space, profile_dd), (minus_lap, profile)), fourier_x)
 
 
 def _forcing_kernel(alpha, dx=0.0, dt=0.0):
@@ -614,7 +597,8 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
         vals = hom + forced
         return float(vals[0]) if x.ndim <= 1 else vals
 
-    single = None if forcing.spatial is None else forcing.spatial.single_frequency
+    space, profile = forcing.terms[0]  # the one term when there is no transform
+    single = space.single_frequency if forcing.fourier_x is None else None
     if single is None and quad is None:
         raise ValueError("forcing with Gaussian-decay profile needs a quadrature")
     kernel = _forcing_kernel(quad.nodes if single is None else single, dx, dt)
@@ -631,12 +615,12 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
 
     if single is not None:
         kern = kernel(t - s_nodes)
-        prof = np.array([forcing.time_profile(s) for s in s_nodes])
+        prof = np.array([profile(s) for s in s_nodes])
         if s_weights is not None:
             integral = float(np.sum(s_weights * kern * prof))
         else:
             integral = float(_simpson(kern * prof, s_nodes))
-        return result(np.atleast_1d(forcing.spatial(pts)) * integral)
+        return result(np.atleast_1d(space(pts)) * integral)
 
     what = forcing.fourier_x(quad.nodes)
     if s_weights is not None:

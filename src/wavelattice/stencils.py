@@ -103,18 +103,45 @@ def sample_window(data, fieldobj: GridField) -> np.ndarray:
     return values
 
 
-def add_forcing(accel: np.ndarray, forcing, fieldobj: GridField, t,
-                rows: slice = slice(None)) -> np.ndarray:
-    """Add the forcing w(x, t) to `accel` in place, one block of axis-0 rows
-    at a time, and return it.  `accel` covers the axis-0 rows `rows` of the
-    window of `fieldobj` and the centred sub-window of its shape on the
-    other axes."""
-    first, *others = window_axes(fieldobj)
-    axes = [first[rows]] + [crop_centre(a, (s,)) for a, s in zip(others, accel.shape[1:])]
-    for rows, points in grid_blocks(axes):
-        flat = points.reshape(-1, points.shape[-1])
-        accel[rows] += forcing.func(flat, t).reshape(points.shape[:-1])
-    return accel
+def sample_forcing(forcing, fieldobj: GridField) -> list:
+    """[(S_j, p_j)]: each space S_j of the terms of `forcing` (none without
+    one) sampled once on the window, one block of axis-0 rows at a time."""
+    sampled = []
+    for space, profile in forcing.terms if forcing is not None else ():
+        values = np.empty(fieldobj.shape)
+        for rows, points in grid_blocks(window_axes(fieldobj)):
+            flat = points.reshape(-1, points.shape[-1])
+            values[rows] = space(flat).reshape(points.shape[:-1])
+        sampled.append((values, profile))
+    return sampled
+
+
+def window_terms(a=None, sigma=None, forcing=()):
+    """The `terms` of three_level_steps, None when there are none:
+    a * accel - sigma * values + (S_1 p_1(t) + S_2 p_2(t) + ...), the pairs
+    of sample_forcing summed in term order.  Each array lies on the window
+    of the kernel's level 0; a block reads its rows `rows` and, on the other
+    axes, the centred sub-window of the block's shape."""
+    if a is None and sigma is None and not forcing:
+        return None
+
+    def terms(accel, values, t, rows):
+        def block(arr):
+            return crop_centre(arr[rows], accel.shape)
+
+        if a is not None:
+            accel = block(a) * accel
+        if sigma is not None:
+            accel = accel - block(sigma) * values
+        if forcing:  # the sum holds two blocks: the sum and one term
+            (space, profile), *rest = forcing
+            w = block(space) * profile(t)
+            for space, profile in rest:
+                w += block(space) * profile(t)
+            accel += w
+        return accel
+
+    return terms
 
 
 # ---------------------------------------------------------------------------

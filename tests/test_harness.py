@@ -969,6 +969,34 @@ class TestCli:
         assert main(["experiment", "E7", "--config", str(path)]) == 2
         assert "equal extents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((0.0, 0.5), (1.0, 1.5)),  # through (0.2, 0.6) at level 0
+        ((-0.15, 0.35), (1.15, 1.65)),  # through (-0.1, 0.75) at level 1 only
+    ])
+    def test_e7_ball_through_a_lattice_point_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch, lo, hi):
+        # a circle within 1e-13 of a point of any level's lattice is refused
+        # as configuration before the first level runs
+        runs = []
+        monkeypatch.setattr(experiments, "split_pipeline", runs.append)
+        config = default_config("E7", n=2).with_overrides(
+            domain_kind="ball", domain_lo=lo, domain_hi=hi)
+        with pytest.raises(ConfigError, match="of the boundary"):
+            run_experiment(config)
+        assert runs == []
+        path = tmp_path / "bad.ini"
+        config.write(path)
+        assert main(["experiment", "E7", "--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_e6_levels_flag_exits_2(self, tmp_path, capsys):
+        # E6 reads no levels: the flag changed nothing but the written config
+        out = tmp_path / "out"
+        assert main(["experiment", "E6", "--n", "1", "--levels", "4",
+                     "--out", str(out)]) == 2
+        assert "reads no --levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")
         assert main(["experiment", "E1", "--config", path]) == 2

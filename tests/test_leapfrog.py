@@ -14,6 +14,7 @@ from wavelattice import (
     DiscreteProblem,
     Domain,
     LatticeSpec,
+    dalembert_forcing,
     integrate,
     separable_forcing,
     set_initial_data,
@@ -168,14 +169,31 @@ class TestDependenceCone:
     @pytest.mark.parametrize("t_range", T_RANGES)
     def test_forced_levels_equal_plain_loop_on_window(self, n, block_points,
                                                       t_range, monkeypatch):
-        # each level's forcing is sampled one block of rows at a time on the
-        # sub-window it steps; the reference samples the whole padded window
+        # the forcing's space is sampled once, one block of rows at a time, on
+        # the bootstrap window; the reference samples the whole padded window
         monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
         problem = self._forced_problem(n)
         lo, hi = (round(t / problem.spec.dt) for t in t_range)
         reference = _reference_levels(problem, lo, hi)
         fld = solve(problem, t_range=t_range)
         assert fld.levels
+        for level, values in fld.levels.items():
+            assert np.array_equal(
+                values, crop_centre(reference[level], values.shape)), level
+
+    @pytest.mark.parametrize("block_points", [7, 1 << 16])
+    @pytest.mark.parametrize("t_range", [(-0.4, 0.4), (0.1, 0.4)])
+    def test_two_term_forcing_equals_plain_loop_on_window(self, block_points,
+                                                          t_range, monkeypatch):
+        # the terms space * p'' and (-Lap space) * p are summed in that order
+        # on each block, as the reference sums them on the whole window
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
+        space = DataFunction.gaussian([0.0, 0.1], 0.2, amplitude=2.0)
+        problem = _cone_problem(2, forcing=dalembert_forcing(
+            space, math.exp, lambda s: 2.0 * math.exp(s)))
+        lo, hi = (round(t / problem.spec.dt) for t in t_range)
+        reference = _reference_levels(problem, lo, hi)
+        fld = solve(problem, t_range=t_range)
         for level, values in fld.levels.items():
             assert np.array_equal(
                 values, crop_centre(reference[level], values.shape)), level
@@ -287,7 +305,9 @@ class TestEnergy:
 def _reference_levels(problem, lo, hi):
     """Every level lo..hi of the padded run by the plain three-level loop,
     one fresh array per level (no buffer is ever reused).  The forcing, if
-    any, enters each level's acceleration at that level's signed time."""
+    any, enters each level's acceleration at that level's signed time: the
+    sum of its terms space(x) * profile(t), in term order, each space
+    evaluated on the whole padded window's points."""
     spec = problem.spec
     # a run of s steps from a window padded by s + 2 rings is exact on it
     pad = 0 if problem.domain.bounded else max(hi, -lo, 1) + 2
@@ -299,7 +319,10 @@ def _reference_levels(problem, lo, hi):
         out = laplacian_array(values, spec.dx)
         if problem.forcing is not None:
             flat = points.reshape(-1, points.shape[-1])
-            w = problem.forcing.func(flat, level * spec.dt)
+            w = None
+            for space, profile in problem.forcing.terms:
+                term = space(flat) * profile(level * spec.dt)
+                w = term if w is None else w + term
             out = out + w.reshape(out.shape)
         return out
 

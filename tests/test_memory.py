@@ -81,9 +81,10 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
 
 
 def test_forced_fullspace_solve_holds_few_window_arrays():
-    # E6(b) at n = 3: the forcing is sampled one block of rows at a time on
-    # the sub-window each level steps, so no point array of the bootstrap
-    # window exists and the forcing is added in place
+    # E6(b) at n = 3: the forcing's two spaces are sampled once on the
+    # bootstrap window, one block of rows at a time, so the solve holds
+    # level 0, g and the two sampled spaces, and no point array of the
+    # bootstrap window exists
     config = default_config("E6", n=3)
     spec = config.base_spec()
     space = config.data("f")

@@ -1,6 +1,7 @@
-"""One sampler for data on lattice points, and the forcing's array contract."""
+"""One sampler for data on lattice points, and the forcing's terms contract."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -105,7 +106,9 @@ class TestSample:
 
 class TestForcingContract:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_constructors_match_per_point_values(self, n):
+    def test_terms_match_per_point_values(self, n):
+        # each space takes (m, n) points and returns (m,) values, and each
+        # profile takes t
         points = _points(n, seed=10 + n)
         flat = points.reshape(-1, n)
         space = DataFunction.gaussian([0.1] * n, 0.3)
@@ -115,43 +118,89 @@ class TestForcingContract:
             dalembert_forcing(space, math.cos, lambda s: -math.cos(s)),
         ]
         for forcing in forcings:
-            for t in (0.0, 0.35):
-                vals = forcing.func(flat, t)
+            for term, profile in forcing.terms:
+                vals = term(flat)
                 assert vals.shape == (flat.shape[0],)
-                assert np.array_equal(vals, _per_point(forcing.func, flat, t))
+                assert np.array_equal(vals, _per_point(term, flat))
+                assert isinstance(profile(0.35), float)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dalembert_terms_are_space_and_minus_its_laplacian(self, n):
+        space = DataFunction.gaussian([0.1] * n, 0.3, amplitude=1.5)
+        (term, profile_dd), (minus_lap, profile) = dalembert_forcing(
+            space, math.cos, lambda s: -math.cos(s)).terms
+        assert term is space and profile is math.cos
+        assert profile_dd(0.35) == -math.cos(0.35)
+        x = _points(n, seed=30 + n).reshape(-1, n)
+        h = 1e-4
+        lap = sum((space(x + h * e) - 2.0 * space(x) + space(x - h * e)) / h**2
+                  for e in np.eye(n))
+        assert np.allclose(minus_lap(x), -lap, rtol=0.0, atol=1e-5)
 
 
-def _counting_forcing(n):
-    """A manufactured-solution forcing that records each call's (shape, t)."""
+def _recording_forcing(n):
+    """A manufactured-solution forcing whose spaces record the thread and
+    the points of each call, as (term index, thread, points)."""
     base = dalembert_forcing(DataFunction.gaussian([0.0] * n, 0.3),
                              math.cos, lambda s: -math.cos(s))
     calls = []
 
-    def func(points, t):
-        calls.append((np.shape(points), t))
-        return base.func(points, t)
+    def recording(j, space):
+        def call(points):
+            calls.append((j, threading.get_ident(), np.array(points)))
+            return space(points)
+        return call
 
-    return Forcing(func, fourier_x=base.fourier_x), calls
+    terms = tuple((recording(j, space), profile)
+                  for j, (space, profile) in enumerate(base.terms))
+    return Forcing(terms, base.fourier_x), calls
+
+
+def _assert_sampled_once(calls, fieldobj):
+    """Each of the two spaces was called on this thread only, on more than
+    one block, and its calls cover the window's points once, in order."""
+    points = lattice_points(fieldobj).reshape(-1, fieldobj.spec.n)
+    for j in range(2):
+        mine = [(thread, pts) for k, thread, pts in calls if k == j]
+        assert len(mine) > 1
+        assert {thread for thread, _ in mine} == {threading.get_ident()}
+        assert np.array_equal(np.concatenate([pts for _, pts in mine]), points)
 
 
 class TestCallCounts:
-    """Sampling is one call per level or per coefficient, never per point."""
+    """Sampling is once per run or per coefficient, never per level or per
+    point."""
 
-    def test_forced_solve_calls_forcing_once_per_level(self):
+    @pytest.fixture
+    def multi_block(self, monkeypatch):
+        """Blocks of at most 40 points, stepped on two threads."""
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 40)
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+
+    def test_forced_solve_samples_each_space_once(self, multi_block):
+        # both runs read the one sampling of the bootstrap window, the window
+        # grown by the longer run's steps
         spec = LatticeSpec(2, 0.1, 0.05, 0.3)
-        forcing, calls = _counting_forcing(2)
+        forcing, calls = _recording_forcing(2)
         problem = DiscreteProblem(
             spec=spec, domain=Domain.full_space([(-0.5, 0.5)] * 2),
             f=DataFunction.gaussian([0.0, 0.0], 0.3), forcing=forcing,
         )
-        fld = solve(problem, t_range=(0.0, spec.T))
-        assert [t for _, t in calls] == [k * spec.dt for k in range(spec.steps)]
-        # each step on the points of the level it makes, level 0's one ring
-        # in from the bootstrap window: level k + 1 reaches steps - k - 1
-        # rings out
-        rings = [spec.steps - k - 1 for k in range(spec.steps)]
-        assert [shape for shape, _ in calls] == [
-            (math.prod(w + 2 * r for w in fld.shape), 2) for r in rings]
+        fld = solve(problem, t_range=(-0.1, spec.T))
+        assert sorted(fld.levels)[0] == -2 and spec.steps in fld.levels
+        _assert_sampled_once(calls, field_from_classification(
+            problem.classification, pad=spec.steps))
+
+    def test_forced_verlet_samples_each_space_once(self, multi_block):
+        # the system samples its forcing when it is built; integrating it
+        # calls no space
+        forcing, calls = _recording_forcing(2)
+        system = system_for_domain(Domain.box([(0.0, 1.0)] * 2), 0.1,
+                                   forcing=forcing)
+        _assert_sampled_once(calls, system.fieldobj)
+        calls.clear()
+        integrate(system, 0.0, 0.3, 0.05)
+        assert calls == []
 
     def test_split_pipeline_samples_by_blocks(self, monkeypatch, call_shapes):
         # the assembly samples b, sigma and h, and the shift samples a
@@ -174,15 +223,6 @@ class TestCallCounts:
         assert np.array_equal(split.shifted_f[support],
                               (f - split.elliptic.values)[support])
         assert np.all(split.shifted_f[~support] == 0.0)
-
-    def test_forced_verlet_calls_forcing_once_per_level(self):
-        forcing, calls = _counting_forcing(2)
-        system = system_for_domain(Domain.box([(0.0, 1.0)] * 2), 0.1,
-                                   forcing=forcing)
-        integrate(system, 0.0, 0.3, 0.05)
-        window = (int(np.prod(system.fieldobj.shape)), 2)
-        assert len(calls) == 6
-        assert all(shape == window for shape, _ in calls)
 
     def test_lagrange_setup_samples_each_coefficient_once(self, call_shapes):
         bump = DataFunction.smooth_bump([0.5, 0.5], 0.4, amplitude=0.1)
