@@ -1,10 +1,11 @@
 """Discrete elliptic problem and the variable-coefficient splitting.
 
-The stationary problem b(x) Lap_dx v = sigma(x) v with Dirichlet data h
-absorbs the variable coefficients of the full wave problem: writing the
-velocity as a(x) = 1 + b(x) and the solution as u = phi + v leaves a
-constant-coefficient wave problem for phi with zero boundary values and
-shifted initial displacement f - v.
+The split u = phi + v takes v from the stationary problem
+b(x) Lap_dx v = sigma(x) v with Dirichlet data h and steps phi as a
+constant-coefficient wave problem with zero boundary values and initial
+displacement f - v.  That solves u'' = (1 + b) Lap_dx u - sigma u only at
+b = sigma = 0: otherwise phi misses b Lap_dx phi + Lap_dx v - sigma phi,
+the gap that E7's "pipeline vs direct" note measures.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ def _residual(problem, fieldobj, values, bvals, svals):
 class VariableCoefficientProblem:
     """The full wave problem with velocity a = 1 + b and flexibility sigma.
 
-    As in EllipticProblem and DiscreteProblem, `classification` is the
-    lattice classification of (domain, spec.dx), built when not given;
-    gridded f lives on its window.
+    split_pipeline solves it only at b = sigma = 0 (module docstring).  As
+    in EllipticProblem and DiscreteProblem, `classification` is the lattice
+    classification of (domain, spec.dx), built when not given; gridded f
+    lives on its window.
     """
 
     spec: LatticeSpec
@@ -207,7 +209,8 @@ def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
 
     Returns the elliptic solution, the gridded data f - v, and a
     zero-boundary constant-coefficient problem ready for the leapfrog
-    stepper or the Lagrange integrator; reconstruction adds v back.
+    stepper or the Lagrange integrator; reconstruction adds v back.  That
+    is the variable-coefficient problem only at b = sigma = 0.
     """
     classification = problem.classification
     if classification is None:

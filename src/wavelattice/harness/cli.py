@@ -86,10 +86,8 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.id == "E6" and args.levels is not None:
-        raise ConfigError("E6 runs one lattice per part: it reads no --levels")
     cfg = _load_config(args, experiment=args.id)
-    out = _out_dir(args, f"{args.id.lower()}-out")
+    out = Path(args.out or f"{args.id.lower()}-out")
     result = run_experiment(cfg, out_dir=out)
     for line in result.notes:
         print(f"{args.id}: {line}")

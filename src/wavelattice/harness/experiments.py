@@ -86,7 +86,7 @@ def default_config(experiment: str, n: int | None = None,
         "E3": dict(dx=0.1, dt=0.05, T=0.4, levels=5, g=g),
         "E4": dict(dx=0.2, dt=0.1, T=0.4, levels=4, g=g),
         "E5": dict(dx=0.02, dt=0.01, T=1.0, levels=3),
-        "E6": dict(dx=0.05, dt=0.025, T=1.0, levels=3),
+        "E6": dict(dx=0.05, dt=0.025, T=1.0),
         "E7": dict(
             dx=0.1, dt=0.05, T=0.5, levels=4,
             domain_kind="box", domain_lo=(0.0,), domain_hi=(1.0,),
@@ -700,13 +700,17 @@ def run_experiment(config: ExperimentConfig,
     including the seed), one CSV + gnuplot script per table, and notes.txt
     with the per-row findings and the final verdict.  Raises ConfigError
     before anything runs when the config sets data the experiment does not
-    read (see _READS) or a domain kind not its own: E7 runs on a box or a
-    ball, every other experiment on full space.
+    read (see _READS), a domain kind not its own (E7 runs on a box or a
+    ball, every other experiment on full space) or, for E6, which runs one
+    lattice per part, a number of levels other than the default.
     """
     eid = config.experiment
     for key in ("f", "g", "h", "w", "a", "sigma"):
         if key not in _READS[eid] and config.data(key) is not None:
             raise ConfigError(f"{eid} does not read {key}: it takes only none")
+    if eid == "E6" and config.levels != ExperimentConfig.levels:
+        raise ConfigError("E6 runs one lattice per part: it reads no levels, "
+                          f"got {config.levels}")
     if eid == "E7" and config.domain_kind == "full_space":
         raise ConfigError("E7 needs a bounded domain: domain kind box or ball")
     if eid != "E7" and config.domain_kind != "full_space":

@@ -10,7 +10,8 @@ within k rings of it, so each level is stepped on one ring fewer than the
 one before, down to the problem's window, and every value `solve` returns
 is the scheme's on all of Z^n.  The scheme has unit velocity and no
 flexibility term, so a problem takes no a(x) or sigma(x): variable
-coefficients go through the elliptic splitting (`elliptic.split_pipeline`).
+coefficients go through `lagrange.LagrangeSystem`; the elliptic splitting
+(`elliptic.split_pipeline`) steps phi here, exact only at b = sigma = 0.
 """
 
 from __future__ import annotations

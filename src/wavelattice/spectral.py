@@ -27,6 +27,9 @@ from .lattice import grid_points, step_index
 
 _TWO_PI = 2.0 * math.pi
 
+#: Gauss-Legendre nodes per axis of the bump's transform over its support
+_BUMP_NODES = 64
+
 
 # ---------------------------------------------------------------------------
 # data catalog
@@ -181,12 +184,10 @@ class DataFunction:
                 bell(alpha - k) + bell(alpha + k))
         return mag * np.exp(-1j * (alpha @ np.asarray(self.center)))
 
-    def _bump_transform(self, alpha, nodes_per_axis=64):
-        z, w = leggauss(nodes_per_axis)
-        pts = grid_points([c + self.radius * z for c in self.center]).reshape(-1, self.n)
-        weight = np.prod(
-            grid_points([self.radius * w] * self.n).reshape(-1, self.n), axis=-1)
-        vals = self(pts) * weight
+    def _bump_transform(self, alpha):
+        rule = FrequencyQuadrature.build(self.n, self.radius, _BUMP_NODES)
+        pts = rule.nodes + np.asarray(self.center)
+        vals = self(pts) * rule.weights
         phases = np.exp(-1j * (alpha @ pts.T))
         return (phases @ vals) / _TWO_PI ** (self.n / 2.0)
 
@@ -549,20 +550,6 @@ def _forcing_kernel(alpha, dx=0.0, dt=0.0):
     return lambda tau: tau * sinc(freq * tau) / divisor
 
 
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson's rule along axis 0 of `y` on the nodes `x`, for an
-    odd node count; the arithmetic of scipy.integrate.simpson(y, x=x, axis=0),
-    so the values are the same."""
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / ratio)
-                        + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                        + y[2::2] * (2.0 - ratio))
-    return np.sum(tmp, axis=0)
-
-
 def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
                   quad: Optional[FrequencyQuadrature] = None, *,
                   dx: float = 0.0, dt: float = 0.0,
@@ -574,13 +561,14 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
     homogeneous_solution.
 
     The homogeneous part evolves (f^, g^) with the propagator; the forcing
-    contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t].
-    At dt = 0 it is integrated in s by composite Simpson on an even number
-    of intervals of at most `s_step` (default t / 64); at dt > 0 it is the
-    exact discrete convolution of the scheme (a trapezoid-type sum on
-    multiples of dt), since discrete-time variation of constants is a sum,
-    not an integral, and `s_step` is refused.  Steps that name no model and
-    a t off the time lattice raise ValueError, as in homogeneous_solution.
+    contributes the integral of K12(t - s) w^(alpha, s) over s in [0, t],
+    one weighted sum over the (nodes, weights) of an s-rule.  At dt = 0 the
+    rule is composite Simpson on an even number of intervals of at most
+    `s_step` (default t / 64); at dt > 0 it is the exact discrete
+    convolution of the scheme (a trapezoid-type sum on multiples of dt),
+    since discrete-time variation of constants is a sum, not an integral,
+    and `s_step` is refused.  Steps that name no model and a t off the time
+    lattice raise ValueError, as in homogeneous_solution.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
@@ -607,30 +595,22 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
         s_nodes = np.arange(p) * dt
         s_weights = np.full(p, dt)
         s_weights[0] = dt / 2.0  # matches the bootstrap's half forcing weight
-    else:
+    else:  # composite Simpson: t/(3m) (1, 4, 2, ..., 2, 4, 1)
         step = s_step if s_step is not None else t / 64.0
         m = 2 * max(1, math.ceil(t / (2.0 * step)))
         s_nodes = np.linspace(0.0, t, m + 1)
-        s_weights = None  # Simpson path
+        s_weights = np.full(m + 1, 2.0 * t / (3.0 * m))
+        s_weights[1::2] *= 2.0
+        s_weights[[0, -1]] /= 2.0
 
     if single is not None:
-        kern = kernel(t - s_nodes)
         prof = np.array([profile(s) for s in s_nodes])
-        if s_weights is not None:
-            integral = float(np.sum(s_weights * kern * prof))
-        else:
-            integral = float(_simpson(kern * prof, s_nodes))
+        integral = float(np.sum(s_weights * kernel(t - s_nodes) * prof))
         return result(np.atleast_1d(space(pts)) * integral)
 
+    # a running sum over s: the per-node arrays are O(K^n), and no (s, node)
+    # array is held
     what = forcing.fourier_x(quad.nodes)
-    if s_weights is not None:
-        # a running sum over s: the additions of a sum over a stacked s-axis,
-        # in the same order, without holding (s, node) arrays
-        per_node = None
-        for weight, s in zip(s_weights, s_nodes):
-            term = weight * kernel(t - s) * what(s)
-            per_node = term if per_node is None else per_node + term
-    else:
-        terms = np.stack([kernel(t - s) * what(s) for s in s_nodes])
-        per_node = _simpson(terms, s_nodes)
+    per_node = sum(weight * kernel(t - s) * what(s)
+                   for weight, s in zip(s_weights, s_nodes))
     return result(synthesize(quad, per_node, pts))

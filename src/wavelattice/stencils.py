@@ -49,17 +49,19 @@ def field_from_classification(
 
     `pad` grows the index window on every side and marks the padded points
     as interior; used for full-space runs where validity is guaranteed by
-    the finite domain of dependence.
+    the finite domain of dependence.  An all-interior classification gets
+    read-only constant masks, so no window-sized mask is allocated.
     """
     if not classification.support.any():
         raise ValueError("classification holds no lattice points")
-    return GridField(
-        classification.spec,
-        tuple(o - pad for o in classification.origin),
-        tuple(s + 2 * pad for s in classification.shape),
-        np.pad(classification.interior, pad, constant_values=True),
-        np.pad(classification.boundary, pad),
-    )
+    shape = tuple(s + 2 * pad for s in classification.shape)
+    if classification.interior.all():
+        masks = np.broadcast_to(True, shape), np.broadcast_to(False, shape)
+    else:
+        masks = (np.pad(classification.interior, pad, constant_values=True),
+                 np.pad(classification.boundary, pad))
+    return GridField(classification.spec,
+                     tuple(o - pad for o in classification.origin), shape, *masks)
 
 
 def window_axes(fieldobj: GridField) -> list:
@@ -362,9 +364,9 @@ def window_clamp(fieldobj: GridField, boundary_value):
     boundary nor outside points (full space).  A callable `boundary_value`
     is sampled on the window and the value is that array."""
     boundary = fieldobj.boundary
-    outside = ~fieldobj.support
-    if not boundary.any() and not outside.any():
+    if not boundary.any() and fieldobj.interior.all():
         return None
+    outside = ~fieldobj.support
     if callable(boundary_value):
         return boundary, sample_window(boundary_value, fieldobj), outside
     return boundary, float(boundary_value), outside

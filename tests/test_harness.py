@@ -994,8 +994,39 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["experiment", "E6", "--n", "1", "--levels", "4",
                      "--out", str(out)]) == 2
-        assert "reads no --levels" in capsys.readouterr().err
+        assert "reads no levels" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_e6_levels_in_config_file_exits_2(self, tmp_path, capsys):
+        # a config file always carries levels: one other than the default is
+        # refused before anything is written, as the flag is
+        config = default_config("E6", n=1).with_overrides(levels=7)
+        with pytest.raises(ConfigError, match="reads no levels"):
+            run_experiment(config)
+        path = tmp_path / "e6.ini"
+        config.write(path)
+        out = tmp_path / "out"
+        assert main(["experiment", "E6", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert "reads no levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("omit_levels", [False, True])
+    def test_e6_config_file_with_default_levels_runs(self, tmp_path,
+                                                     monkeypatch, omit_levels):
+        # the file written for the default config, and one without levels
+        monkeypatch.setitem(experiments._RUNNERS, "E6",
+                            lambda config: experiments.ExperimentResult("E6", True))
+        text = default_config("E6", n=1).to_text()
+        if omit_levels:
+            text = "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("levels"))
+        path = tmp_path / "e6.ini"
+        path.write_text(text, encoding="ascii")
+        out = tmp_path / "out"
+        assert main(["experiment", "E6", "--config", str(path),
+                     "--out", str(out)]) == 0
+        assert "levels = 5" in (out / "config.ini").read_text(encoding="ascii")
 
     def test_unknown_catalog_key_exits_2(self, tmp_path, capsys):
         path = self._bad_config(tmp_path, "center=0.0", "centre=0.7")

@@ -1,19 +1,23 @@
 """Memory bounded by design: the reference synthesis and the full-space solve of
-E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4), and the
-forced full-space solve of E6(b) at n = 3."""
+E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4), the forced
+full-space solve of E6(b) at n = 3 and the continuum Duhamel sum of its
+forcing."""
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from wavelattice import (
     DiscreteProblem,
     Domain,
     FrequencyQuadrature,
     dalembert_forcing,
+    duhamel_solve,
     homogeneous_solution,
     solve,
+    stencils,
 )
 from wavelattice.harness import default_config
 from wavelattice.harness.experiments import _varying_ratio_specs
@@ -80,11 +84,14 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
     assert held <= 6 * 8 * int(np.prod(fld.shape))
 
 
-def test_forced_fullspace_solve_holds_few_window_arrays():
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_forced_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
     # E6(b) at n = 3: the forcing's two spaces are sampled once on the
     # bootstrap window, one block of rows at a time, so the solve holds
     # level 0, g and the two sampled spaces, and no point array of the
-    # bootstrap window exists
+    # bootstrap window exists; each worker adds only block-sized scratch,
+    # and the all-interior window allocates no masks
+    monkeypatch.setattr(stencils, "_WORKERS", workers)
     config = default_config("E6", n=3)
     spec = config.base_spec()
     space = config.data("f")
@@ -96,3 +103,20 @@ def test_forced_fullspace_solve_holds_few_window_arrays():
     window = problem.classification.shape
     bootstrap_points = int(np.prod([w + 2 * spec.steps for w in window]))
     assert peak <= 5 * 8 * bootstrap_points
+
+
+def test_continuum_duhamel_holds_no_s_by_node_array():
+    # E6's manufactured forcing at n = 3 in the wave equation (dt = 0): the
+    # 65 Simpson nodes in s are summed one at a time, so only arrays over the
+    # 33^3 frequency nodes exist (575 kB each); a stack of the kernel and the
+    # transform over (s, node) would take 2 * 65 * 33^3 * 16 bytes, 71 MB
+    config = default_config("E6", n=3)
+    space = config.data("f")
+    forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+    quad = FrequencyQuadrature.for_data(space, T=config.T)
+    points = window_indices(config.window(), 0.25) * 0.25
+    assert len(quad.weights) == 33**3
+    values, peak, _ = _traced(duhamel_solve, space, None, forcing, points,
+                              config.T, quad)
+    assert values.shape == (len(points),)
+    assert peak <= 16 * MB

@@ -238,6 +238,16 @@ class TestDuhamel:
         assert exact == pytest.approx(0.354037, abs=1e-6)
         assert val == pytest.approx(exact, abs=1e-6)
 
+    def test_single_frequency_forcing_converges_at_order_4(self):
+        # composite Simpson in s: halving s_step divides the error by 16
+        forcing = separable_forcing(DataFunction.plane_wave([2.0]))
+        exact = (1.0 - math.cos(2.0)) / 4.0
+        errors = [abs(duhamel_solve(None, None, forcing, np.zeros(1), 1.0,
+                                    s_step=1.0 / m) - exact)
+                  for m in (16, 32, 64, 128)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(15.5 < r < 16.5 for r in ratios), ratios
+
     def test_no_forcing_reduces_to_homogeneous(self):
         f = DataFunction.plane_wave([1.0])
         x, t = np.array([0.4]), 0.8
@@ -511,6 +521,13 @@ class TestSeparableSynthesis:
         assert np.array_equal(values, expected)
 
 
+def _simpson_weights(t, m):
+    """The composite Simpson weights t/(3m) (1, 4, 2, ..., 2, 4, 1) of m
+    intervals on [0, t]."""
+    return np.array([1.0] + [4.0, 2.0] * (m // 2 - 1) + [4.0, 1.0]) * (
+        t / (3.0 * m))
+
+
 class TestHoistedDuhamel:
     """duhamel_solve forms the kernel's frequencies and the forcing's spatial
     transform once per call; the sums are those of the per-node loop."""
@@ -518,8 +535,6 @@ class TestHoistedDuhamel:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("model", ["wave", "lagrange", "scheme"])
     def test_equals_per_node_loop(self, n, model):
-        from scipy.integrate import simpson
-
         space = DataFunction.gaussian([0.05] * n, 0.3)
         forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
         spec = LatticeSpec(n, 0.1, 0.05, 0.3)
@@ -530,20 +545,17 @@ class TestHoistedDuhamel:
               "wave": {}}[model]
         alpha = quad.nodes
         if model == "scheme":
-            per_node = None
-            for p in range(spec.steps):
-                s = p * spec.dt
-                weight = spec.dt / 2.0 if p == 0 else spec.dt
-                term = (weight * _per_node_kernel(alpha, spec.T - s, **kw)
-                        * _per_node_dalembert_transform(space, alpha, s))
-                per_node = term if per_node is None else per_node + term
+            s_nodes = np.arange(spec.steps) * spec.dt
+            weights = np.full(spec.steps, spec.dt)
+            weights[0] = spec.dt / 2.0
         else:
             s_nodes = np.linspace(0.0, spec.T, 65)
-            kern = np.stack([_per_node_kernel(alpha, spec.T - s, **kw)
-                             for s in s_nodes])
-            what = np.stack([_per_node_dalembert_transform(space, alpha, s)
-                             for s in s_nodes])
-            per_node = simpson(kern * what, x=s_nodes, axis=0)
+            weights = _simpson_weights(spec.T, 64)
+        per_node = None
+        for weight, s in zip(weights, s_nodes):
+            term = (weight * _per_node_kernel(alpha, spec.T - s, **kw)
+                    * _per_node_dalembert_transform(space, alpha, s))
+            per_node = term if per_node is None else per_node + term
         expected = (homogeneous_solution(space, None, points, spec.T, quad=quad,
                                          **kw)
                     + spectral.synthesize(quad, per_node, points))
@@ -554,8 +566,6 @@ class TestHoistedDuhamel:
     def test_single_frequency_equals_per_node_loop(self, model):
         # the kernel is formed on all s nodes in one call; its values are
         # those of one call per node
-        from scipy.integrate import simpson
-
         steps = {"wave": {}, "lagrange": dict(dx=0.25),
                  "scheme": dict(dx=0.25, dt=0.125)}[model]
         alpha0 = np.array([2.0, 1.0])
@@ -563,19 +573,17 @@ class TestHoistedDuhamel:
         points = np.array([[0.0, 0.0], [0.3, -0.2]])
         if model == "scheme":
             s_nodes = np.arange(8) * 0.125
+            weights = np.full(8, 0.125)
+            weights[0] = 0.0625
             s_step = None
         else:
             s_nodes = np.linspace(0.0, 1.0, 129)
+            weights = _simpson_weights(1.0, 128)
             s_step = 1.0 / 128.0
         kern = np.array([float(_per_node_kernel(alpha0, 1.0 - s, **steps)[0])
                          for s in s_nodes])
         prof = np.array([math.cos(s) for s in s_nodes])
-        if model == "scheme":
-            weights = np.full(8, 0.125)
-            weights[0] = 0.0625
-            integral = float(np.sum(weights * kern * prof))
-        else:
-            integral = float(simpson(kern * prof, x=s_nodes))
+        integral = float(np.sum(weights * kern * prof))
         values = duhamel_solve(None, None, forcing, points, 1.0, s_step=s_step,
                                **steps)
         assert np.array_equal(values, np.cos(points @ alpha0) * integral)
@@ -586,27 +594,6 @@ class TestHoistedDuhamel:
         assert duhamel_solve(None, None, forcing, x, 1.0,
                              s_step=1.0 / 127.0) == duhamel_solve(
             None, None, forcing, x, 1.0, s_step=1.0 / 128.0)
-
-
-class TestSimpson:
-    """The in-house composite Simpson rule does scipy's arithmetic for the
-    odd node counts that duhamel_solve produces."""
-
-    @pytest.mark.parametrize("t, nodes", [(1.0, 129), (0.5, 65), (0.3, 7),
-                                          (0.7, 3), (1.3, 41)])
-    def test_equals_scipy(self, t, nodes):
-        from scipy.integrate import simpson
-
-        rng = np.random.default_rng(nodes)
-        x = np.linspace(0.0, t, nodes)
-        one = rng.normal(size=nodes)
-        real = rng.normal(size=(nodes, 17))
-        cplx = real + 1j * rng.normal(size=(nodes, 17))
-        assert spectral._simpson(one, x) == simpson(one, x=x)
-        assert np.array_equal(spectral._simpson(real, x),
-                              simpson(real, x=x, axis=0))
-        assert np.array_equal(spectral._simpson(cplx, x),
-                              simpson(cplx, x=x, axis=0))
 
 
 class TestUpperGammaQ:
