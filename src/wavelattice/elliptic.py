@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, classify
@@ -55,34 +54,118 @@ class EllipticProblem:
 
 @dataclass
 class EllipticSolution:
-    """Lattice solution with its residual report."""
+    """Lattice solution with its residual report and CG step count."""
 
     fieldobj: GridField
     values: np.ndarray
     residual: float
     scale: float
     solver: str
+    iterations: int
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product as numpy's pairwise sum: single-threaded, so the same
+    bits at any CPU count, which a threaded BLAS dot does not promise."""
+    return float(np.sum(a * b))
+
+
+def _cg(apply, rhs, *, rtol, atol, maxiter, M=None, callback=None):
+    """Conjugate gradients from x = 0 for SPD `apply` and preconditioner `M`.
+
+    Stops when ||r|| <= max(rtol ||rhs||, atol), as scipy's cg does, and
+    calls `callback(x)` after each step.  Returns (x, steps, converged).
+    """
+    precondition = M if M is not None else (lambda r: r)
+    x, r = np.zeros_like(rhs), rhs.copy()
+    tol = max(rtol * math.sqrt(_dot(rhs, rhs)), atol)
+    z = precondition(r)
+    p, rz = z.copy(), _dot(r, z)
+    steps = 0
+    while math.sqrt(_dot(r, r)) > tol:
+        if steps == maxiter:
+            return x, steps, False
+        q = apply(p)
+        alpha = rz / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        steps += 1
+        if callback is not None:
+            callback(x)
+        z = precondition(r)
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x, steps, True
+
+
+# The solve calls `spla.cg`, the name scipy.sparse.linalg had here, because
+# perfbench's tracer counts CG steps by swapping this attribute for a proxy
+# whose cg passes a callback.
+spla = SimpleNamespace(cg=_cg)
+
+
+def _sines(grid: np.ndarray) -> np.ndarray:
+    """Type-I DST, sum_j x_j sin(pi j k / (N + 1)), along every axis, each
+    from the rfft of the odd extension (0, x, 0, -reversed x)."""
+    for axis in range(grid.ndim):
+        x = np.moveaxis(grid, axis, -1)
+        size = x.shape[-1]
+        odd = np.zeros(x.shape[:-1] + (2 * size + 2,))
+        odd[..., 1:size + 1] = x
+        odd[..., size + 2:] = -x[..., ::-1]
+        dst = -0.5 * np.fft.rfft(odd)[..., 1:size + 1].imag
+        grid = np.moveaxis(dst, -1, axis)
+    return grid
+
+
+def _fast_poisson(interior: np.ndarray, dx: float, shift: float):
+    """r -> R B^-1 R^T r, with B = -Lap_dx + shift on the bounding box of
+    `interior` (zero values around it) and R the restriction to the mask
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  B is diagonal in the
+    sine basis, so B^-1 is a DST, a division and a DST.  On a box this is
+    the exact inverse of the constant-coefficient operator; on any mask it
+    is SPD for shift >= 0.
+    """
+    box = tuple(slice(int(i.min()), int(i.max()) + 1)
+                for i in np.nonzero(interior))
+    mask = interior[box]
+    eigs = [(2.0 / dx * np.sin(np.pi * np.arange(1, s + 1) / (2 * s + 2))) ** 2
+            for s in mask.shape]
+    # the DST-I is its own inverse up to a factor (N + 1) / 2 per axis
+    scale = math.prod(2.0 / (s + 1) for s in mask.shape)
+    inverse = scale / (shift + sum(np.ix_(*eigs)))
+
+    def apply(r):
+        grid = np.zeros(mask.shape)
+        grid[mask] = r
+        return _sines(inverse * _sines(grid))[mask]
+
+    return apply
 
 
 def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
-    """Solve the assembled sparse system, CG when definite, dense otherwise.
+    """Solve the system by CG with a fast-Poisson preconditioner when it is
+    definite, by a dense solve otherwise.
 
     Interior rows read b(x) * (Laplacian row) - sigma(x) * (identity row);
     rows where both coefficients vanish degenerate to 0 = 0 and are
     replaced by plain Laplacian rows (harmonic filler), which keeps the
-    b -> 0 limit continuous.  Boundary rows are identities pinned to h.
+    b -> 0 limit continuous.  Boundary points are pinned to h, whose terms
+    go into the right-hand side.  CG applies the operator on the window
+    without a matrix; only the dense solve forms one.
     Raises SingularSystemError when no solver produces a reliable result.
     """
     fieldobj = field_from_classification(problem.classification)
+    interior = fieldobj.interior
     shape = fieldobj.shape
     dx2 = problem.dx**2
 
-    m = int(np.count_nonzero(fieldobj.interior))
+    m = int(np.count_nonzero(interior))
     if m == 0:
         raise SingularSystemError("no interior points to solve on")
 
-    bvals = sample_window(problem.b, fieldobj)[fieldobj.interior]
-    svals = sample_window(problem.sigma, fieldobj)[fieldobj.interior]
+    bvals = sample_window(problem.b, fieldobj)[interior]
+    svals = sample_window(problem.sigma, fieldobj)[interior]
     hvals = sample_window(problem.h, fieldobj)[fieldobj.boundary]
 
     # harmonic filler where the operator row would vanish identically
@@ -100,55 +183,53 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
         diag = -2.0 * n / dx2 * b_eff - s_eff
         off_scale = b_eff / dx2
 
-    # Neighbours by flat-index arithmetic on the window grown by one ring,
-    # so no neighbour of an interior point wraps around an edge.  The
-    # blocks run diag, axis 0 -/+, axis 1 -/+, ..., which fixes the order
-    # in which each row's boundary terms are summed into the rhs.
-    grown = tuple(s + 2 for s in shape)
-    interior = np.pad(fieldobj.interior, 1).ravel()
-    boundary = np.pad(fieldobj.boundary, 1).ravel()
-    centre = np.flatnonzero(interior)
-    number = np.full(interior.size, -1)
-    number[centre] = np.arange(m)
-    h_grid = np.zeros(interior.size)
-    h_grid[boundary] = hvals
-    rows, cols, vals = [np.arange(m)], [np.arange(m)], [diag]
-    rhs = np.zeros(m)
-    for axis in range(len(shape)):
-        stride = math.prod(grown[axis + 1:])
-        for sign in (-1, 1):
-            nb = centre + sign * stride
-            inner, edge = interior[nb], boundary[nb]
-            if not np.all(inner | edge):
-                raise SingularSystemError(
-                    "interior point has a neighbour outside the support"
-                )
-            rows.append(np.flatnonzero(inner))
-            cols.append(number[nb[inner]])
-            vals.append(off_scale[inner])
-            rhs[edge] -= off_scale[edge] * h_grid[nb[edge]]
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    # the window grown by one ring, so that no neighbour of an interior
+    # point wraps around an edge; `shifts` view its 2n neighbours
+    core = tuple(slice(1, s + 1) for s in shape)
+    shifts = [core[:axis] + (slice(1 + sign, s + 1 + sign),) + core[axis + 1:]
+              for axis, s in enumerate(shape) for sign in (-1, 1)]
 
-    solver = "cg"
+    def neighbours(values, mask, fill=0.0):
+        """(2n, m): `values` put at `mask` on the grown window, read at the
+        neighbours of each interior point."""
+        grid = np.full(tuple(s + 2 for s in shape), fill)
+        grid[core][mask] = values
+        return np.stack([grid[shift][interior] for shift in shifts])
+
+    if not np.all(neighbours(True, fieldobj.support, fill=False)):
+        raise SingularSystemError(
+            "interior point has a neighbour outside the support"
+        )
+    rhs = -off_scale * neighbours(hvals, fieldobj.boundary).sum(axis=0)
+
+    def apply(p):
+        return diag * p + off_scale * neighbours(p, interior).sum(axis=0)
+
+    solver, iterations = "dense", 0
     if definite:
-        v_int, info = spla.cg(matrix, rhs, rtol=1e-13, atol=0.0, maxiter=20 * m)
-        if info != 0:
-            solver = "dense"
-    else:
-        solver = "dense"
+        precondition = _fast_poisson(interior, problem.dx,
+                                     float(np.mean(s_eff / b_eff)))
+        v_int, iterations, converged = spla.cg(
+            apply, rhs, rtol=1e-13, atol=0.0, maxiter=20 * m, M=precondition)
+        if converged:
+            solver = "cg"
     if solver == "dense":
         if m > DENSE_LIMIT:
             raise SingularSystemError(
                 f"indefinite system with {m} unknowns exceeds the dense limit"
             )
+        # the same rows, with each interior neighbour numbered as an unknown
+        columns = neighbours(np.arange(m), interior, fill=m)
+        which, rows = np.nonzero(columns < m)
+        matrix = np.diag(diag)
+        matrix[rows, columns[which, rows]] = off_scale[rows]
         try:
-            v_int = np.linalg.solve(matrix.toarray(), rhs)
+            v_int = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
     values = np.zeros(shape)
-    values[fieldobj.interior] = v_int
+    values[interior] = v_int
     values[fieldobj.boundary] = hvals
 
     residual, scale = _residual(problem, fieldobj, values, bvals, svals)
@@ -156,7 +237,8 @@ def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
         raise SingularSystemError(
             f"solution residual {residual:.3e} too large (scale {scale:.3e})"
         )
-    return EllipticSolution(fieldobj, values, residual, scale, solver)
+    return EllipticSolution(fieldobj, values, residual, scale, solver,
+                            iterations)
 
 
 def _residual(problem, fieldobj, values, bvals, svals):

@@ -510,7 +510,7 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
     # a ball leaves corners of its probe window off the support
     probe_idx = probe_idx[classifications[0].holds(probe_idx)]
     probe_values = []
-    residuals = []
+    solves = []
     for k, (spec, classification) in enumerate(zip(specs, classifications)):
         # f = h + gauss, sampled on the split's window
         window = field_from_classification(classification)
@@ -520,7 +520,7 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
             classification=classification,
         )
         split = split_pipeline(problem)
-        residuals.append(split.elliptic.residual)
+        solves.append((split.elliptic.residual, split.elliptic.iterations))
         fieldobj = solve(split.wave_problem, t_range=(0.0, spec.T))
         u = split.reconstruct(fieldobj.level_array(spec.steps))
         vals = u[fieldobj.positions(probe_idx * 2**k)]
@@ -533,8 +533,9 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         table.add(k, spec.dx, spec.dt, sup, l2)
 
     notes, passed = [], True
-    for k, res in enumerate(residuals):
-        notes.append(f"level {k}: elliptic residual {res:.3e}")
+    for k, (res, iterations) in enumerate(solves):
+        notes.append(f"level {k}: elliptic residual {res:.3e} "
+                     f"({iterations} CG iterations)")
     orders = table.observed_orders[1:]
     for k, order in enumerate(orders, start=1):
         notes.append(f"self-convergence order at level {k}: {order:.3f}")

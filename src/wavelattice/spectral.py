@@ -567,14 +567,17 @@ def duhamel_solve(f, g, forcing: Optional[Forcing], x, t: float,
     `s_step` (default t / 64); at dt > 0 it is the exact discrete
     convolution of the scheme (a trapezoid-type sum on multiples of dt),
     since discrete-time variation of constants is a sum, not an integral,
-    and `s_step` is refused.  Steps that name no model and a t off the time
-    lattice raise ValueError, as in homogeneous_solution.
+    and `s_step` is refused.  Steps that name no model, a t off the time
+    lattice and an `s_step` not finite and > 0 raise ValueError, as in
+    homogeneous_solution.
     """
     if t < 0:
         raise ValueError("duhamel_solve integrates forward from 0: need t >= 0")
     if dt > 0.0 and s_step is not None:
         raise ValueError("at dt > 0 the forcing is summed on the time lattice: "
                          "s_step is not read")
+    if s_step is not None and not (math.isfinite(s_step) and s_step > 0.0):
+        raise ValueError(f"s_step must be finite and > 0, not {s_step}")
     hom = homogeneous_solution(f, g, x, t, dx=dx, dt=dt, quad=quad)
     if forcing is None or t == 0.0:
         return hom

@@ -1,10 +1,16 @@
 """Elliptic solver and the variable-coefficient splitting."""
 
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavelattice
 from wavelattice import (
     DataFunction,
     Domain,
@@ -15,6 +21,8 @@ from wavelattice import (
     assemble_and_solve,
     split_pipeline,
 )
+from wavelattice.elliptic import DENSE_LIMIT
+from wavelattice.harness import default_config, run_experiment
 from wavelattice.lattice import classify
 from wavelattice.spectral import sample
 from wavelattice.stencils import field_from_classification, lattice_points
@@ -131,6 +139,44 @@ class TestAssembleAndSolve:
         )
         assert sol.residual <= 1e-9 * sol.scale
 
+    def test_ball_matches_dense_solve(self):
+        # a definite problem on a ball: CG preconditioned by the box solve
+        # restricted to the ball's mask agrees with a dense solve of the
+        # same rows assembled point by point
+        dx = 0.2
+        b = lambda x: 1.0 + 0.5 * x[0]
+        sigma = lambda x: 2.0 + x[1]
+        h = lambda x: np.cos(x[0]) * x[1]
+        sol = assemble_and_solve(
+            EllipticProblem(domain=Domain.ball((0.0, 0.0), 1.0), dx=dx,
+                            b=b, sigma=sigma, h=h)
+        )
+        interior = sol.fieldobj.interior
+        assert sol.solver == "cg"
+        # the mask is not its bounding box: R B^-1 R^T is not B^-1
+        assert not interior[np.ix_(interior.any(axis=1), interior.any(axis=0))].all()
+        assert np.count_nonzero(interior) <= DENSE_LIMIT
+        pts = lattice_points(sol.fieldobj)
+        unknowns = [tuple(i) for i in np.argwhere(interior)]
+        number = {idx: row for row, idx in enumerate(unknowns)}
+        A = np.zeros((len(unknowns), len(unknowns)))
+        rhs = np.zeros(len(unknowns))
+        for row, idx in enumerate(unknowns):
+            bx, sx = b(pts[idx]), sigma(pts[idx])
+            A[row, row] = -4.0 * bx / dx**2 - sx
+            for axis in range(2):
+                for sign in (-1, 1):
+                    nb = list(idx)
+                    nb[axis] += sign
+                    nb = tuple(nb)
+                    if nb in number:
+                        A[row, number[nb]] = bx / dx**2
+                    else:
+                        assert sol.fieldobj.boundary[nb]
+                        rhs[row] -= bx / dx**2 * h(pts[nb])
+        expected = np.linalg.solve(A, rhs)
+        assert np.allclose(sol.values[interior], expected, rtol=0.0, atol=1e-10)
+
     def test_no_interior_raises(self):
         with pytest.raises(SingularSystemError):
             assemble_and_solve(
@@ -185,3 +231,36 @@ class TestSplitPipeline:
         assert given.wave_problem.classification is classification
         assert np.array_equal(given.shifted_f, fresh.shifted_f)
         assert np.array_equal(given.elliptic.values, fresh.elliptic.values)
+
+
+def _cg_iterations(notes):
+    return [int(k) for k in re.findall(r"\((\d+) CG iterations\)", "\n".join(notes))]
+
+
+@pytest.mark.parametrize("n, levels", [(2, 4), (3, 3)])
+def test_box_preconditioner_bounds_e7_iterations(n, levels):
+    # the fast-Poisson preconditioner is the exact inverse of E7's operator
+    # with sigma/b replaced by its mean, so CG needs a few steps at any dx
+    result = run_experiment(default_config("E7", n=n, levels=levels))
+    iterations = _cg_iterations(result.notes)
+    assert len(iterations) == levels
+    assert max(iterations) <= 8
+
+
+NO_SCIPY = """
+import sys
+import wavelattice.harness
+from wavelattice.harness import default_config, run_experiment
+assert run_experiment(default_config("E7", n=1)).passed
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_e7_loads_no_scipy():
+    src = str(Path(wavelattice.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -222,6 +222,13 @@ class TestStepsRule:
             duhamel_solve(None, None, separable_forcing(_PLANE), np.zeros(1),
                           1.0, s_step=0.01, **self.GOOD["scheme"])
 
+    @pytest.mark.parametrize("s_step", [0.0, -0.5, math.inf, math.nan])
+    def test_continuum_refuses_bad_s_step(self, s_step):
+        # a zero step divided by zero and a negative one gave 2 intervals
+        with pytest.raises(ValueError, match="s_step"):
+            duhamel_solve(None, None, separable_forcing(_PLANE), np.zeros(1),
+                          1.0, s_step=s_step)
+
     def test_unknown_derivative_raises_without_data(self):
         with pytest.raises(ValueError, match="derivative"):
             homogeneous_solution(None, None, np.zeros(1), 1.0, derivative="t")
