@@ -31,7 +31,6 @@ from .errors import (
     NoCommonPointsError,
     SingularSystemError,
     TailBoundError,
-    UnsupportedShapeError,
     WaveLatticeError,
 )
 from .lagrange import (
@@ -47,7 +46,6 @@ from .lattice import (
     LatticeClassification,
     LatticeSpec,
     classify,
-    detect_double_points,
     refine_halving,
 )
 from .leapfrog import DiscreteProblem, solve
@@ -63,9 +61,7 @@ from .spectral import (
 )
 from .stencils import (
     BLOWUP_THRESHOLD,
-    CompatibilityReport,
     GridField,
-    check_compatibility,
     dump_level,
     field_from_classification,
     lattice_points,

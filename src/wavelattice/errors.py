@@ -9,10 +9,6 @@ class AmbiguousBoundaryError(WaveLatticeError):
     """A lattice point sits too close to the domain boundary to classify."""
 
 
-class UnsupportedShapeError(WaveLatticeError):
-    """The requested operation is not defined for this domain shape."""
-
-
 class MissingLevelError(WaveLatticeError):
     """A difference quotient needs a time level that is not stored."""
 

@@ -3,14 +3,14 @@
 A lattice is the pair (dx, dt) together with the horizon T and the spatial
 dimension n.  Admissible lattices satisfy the CFL bound dt/dx <= 1/sqrt(n)
 and have an integer number of time steps per horizon.  Bounded domains are
-boxes, balls, or finite unions of those; lattice points are split into
-interior points (all 2n axis neighbours inside the domain) and boundary
-points (in the closure, at least one neighbour outside), held as boolean
-masks on a rectangular window of lattice multi-indices.  Every read of a
-lattice field goes through one lookup: `window_indices` and `point_indices`
-give (m, n) multi-indices, and a classification turns them into positions
-in its window's arrays.  `step_index` gives the level of a lattice time and
-the ratio of nested steps by the same rule.
+boxes and balls; lattice points are split into interior points (all 2n
+axis neighbours inside the domain) and boundary points (in the closure,
+at least one neighbour outside), held as boolean masks on a rectangular
+window of lattice multi-indices.  Every read of a lattice field goes
+through one lookup: `window_indices` and `point_indices` give (m, n)
+multi-indices, and a classification turns them into positions in its
+window's arrays.  `step_index` gives the level of a lattice time and the
+ratio of nested steps by the same rule.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousBoundaryError, MissingNeighborError, UnsupportedShapeError
+from .errors import AmbiguousBoundaryError, MissingNeighborError
 
 #: relative tolerance for the T/dt integrality test and boundary ties
 REL_TOL = 1e-12
@@ -74,19 +74,18 @@ def refine_halving(spec: LatticeSpec, levels: int) -> list[LatticeSpec]:
 
 
 class Domain:
-    """Spatial domain: box, ball, full space with a window, or finite union.
+    """Spatial domain: box, ball, or full space with a window.
 
     Box and ball membership tests are exact closed-form comparisons.  The
     full-space variant carries a bounded evaluation window used only for
     error measurement and has no boundary.
     """
 
-    def __init__(self, kind, *, bounds=None, center=None, radius=None, parts=None):
+    def __init__(self, kind, *, bounds=None, center=None, radius=None):
         self.kind = kind
         self.bounds = None if bounds is None else [tuple(map(float, b)) for b in bounds]
         self.center = None if center is None else np.asarray(center, dtype=float)
         self.radius = None if radius is None else float(radius)
-        self.parts = parts
 
     @staticmethod
     def box(bounds) -> "Domain":
@@ -103,19 +102,10 @@ class Domain:
         """All of R^n; `window` bounds the region used for error measurement."""
         return Domain("full_space", bounds=window)
 
-    @staticmethod
-    def union(*parts) -> "Domain":
-        """Finite union of bounded domains (for double-point demonstrations)."""
-        if not parts or any(p.kind == "full_space" for p in parts):
-            raise ValueError("union requires bounded member domains")
-        return Domain("union", parts=list(parts))
-
     @property
     def n(self) -> int:
         if self.kind == "ball":
             return len(self.center)
-        if self.kind == "union":
-            return self.parts[0].n
         return len(self.bounds)
 
     @property
@@ -131,17 +121,11 @@ class Domain:
             return np.all((lo < x) & (x < hi), axis=-1)
         if self.kind == "ball":
             return np.sum((x - self.center) ** 2, axis=-1) < self.radius**2
-        if self.kind == "full_space":
-            return np.ones(x.shape[:-1], dtype=bool)
-        return np.logical_or.reduce([p.contains(x) for p in self.parts])
+        return np.ones(x.shape[:-1], dtype=bool)
 
     def boundary_distance(self, x) -> np.ndarray:
-        """Distance from points x shaped (..., n) to the boundary (exact for
-        box/ball), shaped x.shape[:-1].
-
-        For unions this is the minimum over member boundaries, which is an
-        upper bound for the true distance; it is only used for tie detection.
-        """
+        """Exact distance from points x shaped (..., n) to the boundary,
+        shaped x.shape[:-1]; infinite in full space."""
         x = np.asarray(x, dtype=float)
         if self.kind == "box":
             lo, hi = np.asarray(self.bounds).T
@@ -152,23 +136,13 @@ class Domain:
         if self.kind == "ball":
             r = np.sqrt(np.sum((x - self.center) ** 2, axis=-1))
             return np.abs(r - self.radius)
-        if self.kind == "full_space":
-            return np.full(x.shape[:-1], math.inf)
-        return np.minimum.reduce([p.boundary_distance(x) for p in self.parts])
+        return np.full(x.shape[:-1], math.inf)
 
     def bounding_window(self):
         """Per-axis (lo, hi) bounds of a box containing the domain."""
-        if self.kind == "box" or self.kind == "full_space":
-            return list(self.bounds)
         if self.kind == "ball":
-            return [
-                (c - self.radius, c + self.radius) for c in self.center
-            ]
-        windows = [p.bounding_window() for p in self.parts]
-        return [
-            (min(w[k][0] for w in windows), max(w[k][1] for w in windows))
-            for k in range(self.n)
-        ]
+            return [(c - self.radius, c + self.radius) for c in self.center]
+        return list(self.bounds)
 
 
 @dataclass
@@ -279,27 +253,6 @@ def _index_window(domain: Domain, dx: float, pad: int):
     ]
 
 
-def _closure_masks(domain: Domain, dx: float):
-    """Origin, then the open-domain and closure masks, on the index window
-    padded by one ring.
-
-    Raises AmbiguousBoundaryError when a window point is strictly within
-    1e-12*dx of the boundary without lying on it exactly.
-    """
-    axes = _index_window(domain, dx, pad=1)
-    points = grid_points([a * dx for a in axes])
-    d = domain.boundary_distance(points)
-    tol = REL_TOL * dx
-    near = (0.0 < d) & (d < tol)
-    if near.any():
-        x = points[near][0]
-        raise AmbiguousBoundaryError(
-            f"lattice point {tuple(x.tolist())} lies within {tol:g} of the boundary"
-        )
-    inside = domain.contains(points)
-    return tuple(int(a[0]) for a in axes), inside, inside | (d == 0.0)
-
-
 def _neighbours_in(closure: np.ndarray) -> np.ndarray:
     """Mask of the points whose 2n axis neighbours all lie in `closure`;
     neighbours beyond the window count as outside."""
@@ -329,7 +282,20 @@ def classify(domain: Domain, spec: LatticeSpec) -> LatticeClassification:
             spec, tuple(int(a[0]) for a in axes), shape,
             np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool),
         )
-    origin, inside, closure = _closure_masks(domain, spec.dx)
+    # the bounding window padded by one ring, then its open-domain and
+    # closure masks
+    axes = _index_window(domain, spec.dx, pad=1)
+    points = grid_points([a * spec.dx for a in axes])
+    d = domain.boundary_distance(points)
+    tol = REL_TOL * spec.dx
+    near = (0.0 < d) & (d < tol)
+    if near.any():
+        x = points[near][0]
+        raise AmbiguousBoundaryError(
+            f"lattice point {tuple(x.tolist())} lies within {tol:g} of the boundary"
+        )
+    inside = domain.contains(points)
+    closure = inside | (d == 0.0)
     all_in = _neighbours_in(closure)
     interior = inside & all_in
     boundary = closure & ~all_in
@@ -342,36 +308,9 @@ def classify(domain: Domain, spec: LatticeSpec) -> LatticeClassification:
     crop = tuple(crop)
     return LatticeClassification(
         spec,
-        tuple(o + s.start for o, s in zip(origin, crop)),
+        tuple(int(a[0]) + s.start for a, s in zip(axes, crop)),
         interior[crop].shape,
         interior[crop].copy(),
         boundary[crop].copy(),
     )
 
-
-def detect_double_points(domain: Domain, spec: LatticeSpec) -> np.ndarray:
-    """Multi-indices, shaped (m, n) in C order, of the lattice points where
-    the domain is locally disconnected.
-
-    Boxes and balls are convex and have none.  For union domains every
-    closure point that is not interior gets a local connectivity test: the
-    indicator is sampled on a cube of side dx around the point at
-    resolution dx/8 and its inside cells are labelled with axis adjacency;
-    more than one component flags the point.  An isolated touch point (two
-    boxes meeting at a corner) has all its neighbours in the closure and so
-    is neither interior nor boundary, yet it is exactly the kind of point
-    to flag.  This is the heuristic stand-in for the geometric definition,
-    which has no algorithmic test.
-    """
-    if domain.kind in ("box", "ball"):
-        return np.empty((0, domain.n), dtype=int)
-    if domain.kind == "full_space":
-        raise UnsupportedShapeError("double-point scan needs a bounded domain")
-    from scipy import ndimage  # loads scipy.special, which nothing else needs
-
-    cube = grid_points([np.arange(-4, 5) * (spec.dx / 8.0)] * domain.n)
-    origin, inside, closure = _closure_masks(domain, spec.dx)
-    candidates = np.argwhere(closure & ~(inside & _neighbours_in(closure))) + origin
-    flagged = [ndimage.label(domain.contains(k * spec.dx + cube))[1] > 1
-               for k in candidates]
-    return candidates[np.array(flagged, dtype=bool)]

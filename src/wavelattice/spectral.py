@@ -296,9 +296,6 @@ class FrequencyQuadrature:
         return gaussian_tail_bound(self.n, self.M, [
             d.decay_envelope() for d in _quadrature_data(data)], T)
 
-    def doubled(self) -> "FrequencyQuadrature":
-        return FrequencyQuadrature.build(self.n, self.M, 2 * self.nodes_per_axis)
-
     @property
     def axis_nodes(self) -> np.ndarray:
         """The K nodes of one axis (the last axis runs fastest in `nodes`)."""

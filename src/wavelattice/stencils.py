@@ -1,8 +1,7 @@
 """Lattice windows, their samplers and the array kernels of the scheme.
 
 A `GridField` holds time levels on an index window; the samplers fill a
-window one block of rows at a time, and `check_compatibility` samples the
-data on a domain's boundary; the array kernels form and step the
+window one block of rows at a time; the array kernels form and step the
 three-level scheme that the leapfrog solver, the Verlet integrator and the
 CFL experiment all run.
 """
@@ -16,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, MissingLevelError, UnsupportedShapeError
-from .lattice import REL_TOL, Domain, LatticeClassification, grid_points
+from .errors import BlowupError, MissingLevelError
+from .lattice import LatticeClassification, grid_points
 from .spectral import sample
 
 #: values above this abort a run (deliberately reachable under CFL violation)
@@ -144,130 +143,6 @@ def window_terms(a=None, sigma=None, forcing=()):
         return accel
 
     return terms
-
-
-# ---------------------------------------------------------------------------
-# boundary compatibility of the data, sampled on the boundary
-
-
-@dataclass
-class CompatibilityReport:
-    """Maxima of the three boundary compatibility defects and the verdict."""
-
-    max_f_mismatch: float
-    max_g: float
-    max_surface_laplacian: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in (
-            self.max_f_mismatch, self.max_g, self.max_surface_laplacian))
-
-
-def _boundary_samples(domain: Domain, count: int) -> np.ndarray:
-    """(m, n) points on the boundary of a box or ball: both ends in 1-D, a
-    grid on each face of a box, `count` points on a circle or a Fibonacci
-    sphere."""
-    n = domain.n
-    if domain.kind == "box":
-        per_face = max(2, math.ceil((count / (2 * n)) ** (1.0 / max(n - 1, 1))))
-        return np.concatenate([
-            grid_points([
-                np.array([b[side]]) if j == k else np.linspace(*b, per_face)
-                for j, b in enumerate(domain.bounds)
-            ]).reshape(-1, n)
-            for k in range(n) for side in (0, 1)
-        ])
-    if domain.kind != "ball":
-        raise UnsupportedShapeError("compatibility check needs a box or ball domain")
-    if n == 1:
-        return domain.center + domain.radius * np.array([[-1.0], [1.0]])
-    if n == 2:
-        theta = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
-        unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    else:  # Fibonacci sphere
-        i = np.arange(count)
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        theta = math.pi * (3.0 - math.sqrt(5.0)) * i
-        unit = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=-1)
-    return domain.center + domain.radius * unit
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of a and b, rounded as np.dot rounds one
-    pair (a sum of products can differ in the last bit)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _surface_second_differences(domain: Domain, h, x: np.ndarray, hx: np.ndarray,
-                                step: float) -> np.ndarray:
-    """|Sum of the tangential second differences of h| at the boundary
-    points x (rows), with hx = h(x).
-
-    A box steps along each axis whose faces the point is not on, with the
-    sampled triple kept on the face.  A ball walks the great circles
-    through the point along up to n - 1 tangents: the axes projected on the
-    tangent plane, taken in order when |t.b| < 0.9 for every b taken
-    before.
-    """
-    m, n = x.shape
-    total = np.zeros(m)
-    if domain.kind == "box":
-        lo, hi = np.asarray(domain.bounds).T
-        on_face = np.minimum(np.abs(x - lo), np.abs(x - hi)) <= REL_TOL
-        for j in range(n):
-            rows = ~on_face[:, j]
-            xc = x[rows]
-            xc[:, j] = np.minimum(np.maximum(xc[:, j], lo[j] + step), hi[j] - step)
-            e = step * np.eye(n)[j]
-            total[rows] += (sample(h, xc + e) - 2.0 * sample(h, xc)
-                            + sample(h, xc - e)) / step**2
-        return np.abs(total)
-    normal = (x - domain.center) / domain.radius
-    tangents = np.zeros((n - 1, m, n))
-    found = np.zeros(m, dtype=int)
-    for k in range(n):
-        t = np.eye(n)[k] - normal[:, k, None] * normal
-        norm = np.sqrt(_dot_rows(t, t))
-        take = (found < n - 1) & (norm > 1e-8)
-        t[take] /= norm[take, None]
-        for s in range(n - 1):
-            take &= (found <= s) | (np.abs(_dot_rows(t, tangents[s])) < 0.9)
-        tangents[found[take], np.flatnonzero(take)] = t[take]
-        found += take
-    angle = step / domain.radius
-    for s in range(n - 1):
-        rows = found > s
-        plus, minus = (
-            domain.center + domain.radius * (
-                math.cos(a) * normal[rows] + math.sin(a) * tangents[s, rows])
-            for a in (angle, -angle)
-        )
-        total[rows] += (sample(h, plus) - 2.0 * hx[rows] + sample(h, minus)) / step**2
-    return np.abs(total)
-
-
-def check_compatibility(f, g, h, domain: Domain, tol: float, dx: float = 0.1):
-    """Check the boundary compatibility of initial and boundary data.
-
-    Samples the boundary at >= 100 points (all of it in 1-D), reporting
-    max |f - h|, max |g| and the largest tangential second difference of
-    h at resolution dx/4.  f, g and h are anything `spectral.sample` takes
-    (None, a number, a DataFunction or a function of one point).  Passes
-    iff all three maxima are <= tol.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = _boundary_samples(domain, 128)
-    hx = sample(h, x)
-    return CompatibilityReport(
-        float(np.max(np.abs(sample(f, x) - hx))),
-        float(np.max(np.abs(sample(g, x)))),
-        float(np.max(_surface_second_differences(domain, h, x, hx, dx / 4.0))),
-        tol,
-    )
 
 
 # ---------------------------------------------------------------------------

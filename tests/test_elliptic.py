@@ -1,16 +1,11 @@
 """Elliptic solver and the variable-coefficient splitting."""
 
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wavelattice
 from wavelattice import (
     DataFunction,
     Domain,
@@ -246,21 +241,3 @@ def test_box_preconditioner_bounds_e7_iterations(n, levels):
     assert len(iterations) == levels
     assert max(iterations) <= 8
 
-
-NO_SCIPY = """
-import sys
-import wavelattice.harness
-from wavelattice.harness import default_config, run_experiment
-assert run_experiment(default_config("E7", n=1)).passed
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
-"""
-
-
-def test_e7_loads_no_scipy():
-    src = str(Path(wavelattice.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"

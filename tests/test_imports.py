@@ -1,6 +1,7 @@
-"""Importing the package and running the oracle-backed experiments load
-numpy and scipy.sparse only, none of the heavier scipy subpackages."""
+"""The package needs numpy only: no source file imports scipy, and neither
+importing the package nor running the experiments loads any of it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,30 +9,42 @@ from pathlib import Path
 
 import wavelattice
 
-HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize",
-         "scipy.spatial", "scipy.fft", "scipy.ndimage")
+PACKAGE = Path(wavelattice.__file__).resolve().parent
 
-SCRIPT = f"""
+SCRIPT = """
 import sys
-heavy = {HEAVY!r}
 
 def loaded():
-    return sorted(m for m in heavy if m in sys.modules)
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import wavelattice, wavelattice.harness
 from wavelattice.harness import default_config, run_experiment
 print("import", loaded())
-for name in ("E1", "E6"):
+for name in ("E1", "E6", "E7"):
     assert run_experiment(default_config(name, n=1)).passed
 print("run", loaded())
 """
 
 
-def test_no_heavy_scipy_subpackages():
-    src = str(Path(wavelattice.__file__).resolve().parent.parent)
+def test_import_and_runs_load_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[:2] == ["import []", "run []"]
+
+
+def test_no_source_file_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert found == []

@@ -2,21 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from boundary_reference import reference_compatibility, reference_double_points
 from classify_reference import index_set, reference_classify
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelattice import (
     AmbiguousBoundaryError,
-    DataFunction,
     Domain,
     LatticeSpec,
     MissingNeighborError,
-    UnsupportedShapeError,
-    check_compatibility,
     classify,
-    detect_double_points,
     refine_halving,
 )
 from wavelattice.lattice import point_indices, step_index, window_indices
@@ -114,9 +109,9 @@ class TestClassify:
 
 @st.composite
 def lattice_domains(draw):
-    """A random box, ball or two-part union in n = 1, 2, 3 with a lattice
-    step.  Coordinates are lattice-aligned or free; in about one domain in
-    four they may also sit 1e-14 off a lattice point (the ambiguous case)."""
+    """A random box or ball in n = 1, 2, 3 with a lattice step.
+    Coordinates are lattice-aligned or free; in about one domain in four
+    they may also sit 1e-14 off a lattice point (the ambiguous case)."""
     n = draw(st.integers(1, 3))
     dx = draw(st.sampled_from([0.2, 0.25] if n == 3 else [0.1, 0.125, 0.2, 0.25]))
     kinds = ["lattice", "free"] + (["near"] if draw(st.integers(0, 3)) == 0 else [])
@@ -130,15 +125,13 @@ def lattice_domains(draw):
             return k * dx
         return k * dx + draw(st.sampled_from([-1e-14, 1e-14]))
 
-    def part():
-        if draw(st.booleans()):
-            return Domain.box([(coord(-4, -1), coord(1, 4)) for _ in range(n)])
+    if draw(st.booleans()):
+        domain = Domain.box([(coord(-4, -1), coord(1, 4)) for _ in range(n)])
+    else:
         radius = draw(st.one_of(
             st.integers(1, 3).map(lambda k: k * dx), st.floats(0.05, 0.7)
         ))
-        return Domain.ball([coord(-2, 2) for _ in range(n)], radius)
-
-    domain = Domain.union(part(), part()) if draw(st.booleans()) else part()
+        domain = Domain.ball([coord(-2, 2) for _ in range(n)], radius)
     return domain, LatticeSpec(n, dx, dx / (2.0 * math.sqrt(n)), 1.0)
 
 
@@ -168,11 +161,9 @@ class TestPredicateArrays:
     @pytest.mark.parametrize("domain", [
         Domain.box([(-0.5, 0.5), (0.0, 1.0)]),
         Domain.ball((0.25, 0.0), 0.75),
-        Domain.union(Domain.box([(-1.0, 0.0), (-1.0, 0.0)]),
-                     Domain.ball((0.5, 0.5), 0.5)),
         Domain.full_space([(-1.0, 1.0), (-1.0, 1.0)]),
         Domain.box([(0.0, 1.0)] * 3),
-    ], ids=["box", "ball", "union", "full_space", "box_3d"])
+    ], ids=["box", "ball", "full_space", "box_3d"])
     def test_array_equals_per_point(self, domain):
         n = domain.n
         rng = np.random.default_rng(3)
@@ -189,125 +180,6 @@ class TestPredicateArrays:
         assert np.array_equal(domain.contains(stacked), inside[:100].reshape(4, 25))
         assert np.array_equal(domain.boundary_distance(stacked),
                               dist[:100].reshape(4, 25))
-
-
-def _unions(n):
-    """Two-part unions in n dimensions that touch at points or along an edge,
-    or nearly touch."""
-    return [
-        Domain.union(Domain.box([(-1.0, 0.0)] * n), Domain.box([(0.0, 1.0)] * n)),
-        Domain.union(Domain.ball([0.0] * n, 0.5),
-                     Domain.ball([1.0] + [0.0] * (n - 1), 0.5)),
-        Domain.union(Domain.box([(-1.0, 0.0)] * n),
-                     Domain.ball([0.5] * n, 0.5 * math.sqrt(n))),
-        # in 3-D the boxes meet along an edge, in 2-D at a corner
-        Domain.union(Domain.box([(-0.5, 0.0), (-0.5, 0.0)] + [(-0.5, 0.5)] * (n - 2)),
-                     Domain.box([(0.0, 0.5), (0.0, 0.5)] + [(-0.5, 0.5)] * (n - 2))),
-        # a gap narrower than a sub-cell: the inside cells meet only
-        # diagonally, which axis adjacency keeps apart
-        Domain.union(Domain.box([(-1.0, -0.01)] * n), Domain.box([(-0.005, 1.0)] * n)),
-    ]
-
-
-class TestDoublePoints:
-    @pytest.mark.parametrize("domain", [
-        Domain.box([(0, 1), (0, 1)]), Domain.ball((0.0, 0.0), 1.0),
-        Domain.box([(0, 1)] * 3), Domain.ball((0.0, 0.0, 0.0), 1.0),
-    ], ids=["box", "ball", "box_3d", "ball_3d"])
-    def test_convex_domains_have_none(self, domain):
-        flagged = detect_double_points(domain, LatticeSpec(domain.n, 0.25, 0.1, 1.0))
-        assert flagged.shape == (0, domain.n)
-        assert flagged.dtype.kind == "i"
-
-    def test_touching_corner_flagged(self):
-        dom = Domain.union(
-            Domain.box([(-1.0, 0.0), (-1.0, 0.0)]),
-            Domain.box([(0.0, 1.0), (0.0, 1.0)]),
-        )
-        flagged = detect_double_points(dom, LatticeSpec(2, 0.25, 0.1, 1.0))
-        assert flagged.tolist() == [[0, 0]]
-
-    def test_full_space_rejected(self):
-        with pytest.raises(UnsupportedShapeError):
-            detect_double_points(Domain.full_space([(-1.0, 1.0)]),
-                                 LatticeSpec(1, 0.25, 0.1, 1.0))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("dx", [0.25, 0.125])
-    def test_equals_flood_fill_reference(self, n, dx):
-        spec = LatticeSpec(n, dx, dx / (2.0 * math.sqrt(n)), 1.0)
-        total = 0
-        for domain in _unions(n):
-            flagged = detect_double_points(domain, spec)
-            assert flagged.dtype.kind == "i" and flagged.shape[1:] == (n,)
-            # C order, as np.argwhere gives it
-            assert flagged.tolist() == sorted(flagged.tolist())
-            expected = reference_double_points(domain, spec)
-            assert {tuple((k * dx).tolist()) for k in flagged} == expected
-            assert len(flagged) == len(expected)
-            total += len(flagged)
-        assert total > 0
-
-
-def _compatibility_cases():
-    """(domain, (f, g, h)): boxes and balls in n = 1, 2, 3 with no data,
-    constants, per-point functions, Gaussians and bumps."""
-    for n in (1, 2, 3):
-        c = [0.5] * n
-        for domain in (Domain.box([(0.0, 1.0)] * n), Domain.ball(c, 0.45)):
-            yield domain, (None, None, None)
-            yield domain, (0.3, 0.0, 0.3)
-            yield domain, (lambda x: 0.2 + x[0] * x[-1], None,
-                           lambda x: x[0] ** 2 - x[-1] ** 2 + 0.2)
-            yield domain, (DataFunction.gaussian(c, 0.2),
-                           DataFunction.gaussian(c, 0.1, amplitude=0.5),
-                           DataFunction.gaussian([0.3] * n, 0.25))
-            yield domain, (DataFunction.smooth_bump(c, 0.4), None,
-                           DataFunction.smooth_bump([0.6] * n, 0.5, amplitude=0.3))
-
-
-class TestCompatibility:
-    def test_zero_data_pass(self):
-        rep = check_compatibility(None, None, None, Domain.box([(0, 1)]), tol=1e-12)
-        assert rep.passed
-        assert rep.max_f_mismatch == 0.0
-
-    def test_constant_mismatch(self):
-        rep = check_compatibility(
-            lambda x: 1.0, None, None, Domain.box([(0, 1)]), tol=1e-10
-        )
-        assert not rep.passed
-        assert abs(rep.max_f_mismatch - 1.0) < 1e-14
-
-    def test_vanishing_gaussian_passes(self):
-        f = DataFunction.gaussian([0.5, 0.5], 0.05)
-        g = DataFunction.gaussian([0.5, 0.5], 0.04, amplitude=0.5)
-        rep = check_compatibility(
-            f, g, None, Domain.box([(0, 1), (0, 1)]), tol=1e-10
-        )
-        assert rep.passed
-
-    def test_nan_data_fails(self):
-        # a NaN sample is a defect, not a value the running maximum skips
-        f = lambda x: math.nan if x[0] > 0.9 else 0.0
-        rep = check_compatibility(f, None, None, Domain.box([(0, 1)] * 2), tol=1e-10)
-        assert math.isnan(rep.max_f_mismatch)
-        assert not rep.passed
-
-    def test_union_rejected(self):
-        with pytest.raises(UnsupportedShapeError):
-            check_compatibility(None, None, None, _unions(2)[0], tol=1e-10)
-
-    @pytest.mark.parametrize("dx", [0.1, 0.05])
-    @pytest.mark.parametrize("case", list(_compatibility_cases()))
-    def test_equals_per_point_reference(self, case, dx):
-        domain, (f, g, h) = case
-        rep = check_compatibility(f, g, h, domain, tol=1e-8, dx=dx)
-        maxima = (rep.max_f_mismatch, rep.max_g, rep.max_surface_laplacian)
-        expected = reference_compatibility(f, g, h, domain, dx=dx)
-        assert maxima == expected
-        assert all(type(v) is float for v in maxima)
-        assert rep.passed == all(v <= 1e-8 for v in expected)
 
 
 class TestLatticeLookup:

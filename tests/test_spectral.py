@@ -290,13 +290,6 @@ class TestDuhamel:
 
 
 class TestQuadrature:
-    def test_doubled_refines_nodes_keeps_cutoff(self):
-        f = DataFunction.gaussian([0.0], 0.2)
-        quad = FrequencyQuadrature.for_data(f, T=1.0)
-        fine = quad.doubled()
-        assert fine.nodes_per_axis == 2 * quad.nodes_per_axis
-        assert fine.M == quad.M
-
     def test_for_data_meets_tolerance(self):
         T, tol = 1.0, spectral.TAIL_TOL
         f = DataFunction.gaussian([0.0], 0.15)
