@@ -134,12 +134,16 @@ def window_terms(a=None, sigma=None, forcing=()):
             accel = block(a) * accel
         if sigma is not None:
             accel = accel - block(sigma) * values
-        if forcing:  # the sum holds two blocks: the sum and one term
-            (space, profile), *rest = forcing
-            w = block(space) * profile(t)
-            for space, profile in rest:
-                w += block(space) * profile(t)
-            accel += w
+        if forcing:  # summed a few rows at a time: the sum and one term
+            spaces = [block(space) for space, _ in forcing]
+            factors = [profile(t) for _, profile in forcing]
+            step = max(1, TERM_POINTS // max(1, math.prod(accel.shape[1:])))
+            for start in range(0, len(accel), step):
+                chunk = slice(start, start + step)
+                w = spaces[0][chunk] * factors[0]
+                for space, p in zip(spaces[1:], factors[1:]):
+                    w += space[chunk] * p
+                accel[chunk] += w
         return accel
 
     return terms
@@ -162,6 +166,10 @@ def window_terms(a=None, sigma=None, forcing=()):
 
 #: points per block of axis-0 rows in the array kernels
 BLOCK_POINTS = 1 << 16
+
+#: points per chunk of rows in which window_terms sums the forcing: its two
+#: temporaries stay far below a block, however many workers overlap
+TERM_POINTS = 1 << 14
 
 
 #: threads that step the blocks of one level: the CPUs this process may run

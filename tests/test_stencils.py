@@ -1,6 +1,7 @@
 """Difference-operator exactness and field bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,3 +304,53 @@ class TestBlockedKernels:
             for block in stencils.row_blocks(shape):
                 rows[block] += 1
             assert np.all(rows == 1)
+
+
+class TestWindowTerms:
+    """window_terms sums the forcing a few rows at a time, and gives the
+    whole-array expression accel + (S_1 p_1(t) + S_2 p_2(t) + ...) bit for
+    bit on a block of any window."""
+
+    @pytest.fixture(params=[1 << 14, 7, 1],
+                    ids=["one-chunk", "7-point-chunks", "one-row-chunks"])
+    def term_points(self, request, monkeypatch):
+        monkeypatch.setattr(stencils, "TERM_POINTS", request.param)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_forcing_sum_equals_whole_array_expression(self, shape, count,
+                                                       term_points):
+        rng = np.random.default_rng(count)
+        # the block is rows 1.. of a window one point wider on each side of
+        # every other axis, where it covers the centred sub-window
+        window = (shape[0] + 2,) + tuple(s + 2 for s in shape[1:])
+        rows = slice(1, 1 + shape[0])
+        at = (rows,) + tuple(slice(1, 1 + s) for s in shape[1:])
+        spaces = rng.normal(size=(count,) + window)
+        profiles = [math.cos, math.sin, lambda s: -3.0 * s][:count]
+        accel = rng.normal(size=shape)
+        w = spaces[0][at] * profiles[0](0.3)
+        for space, profile in zip(spaces[1:], profiles[1:]):
+            w = w + space[at] * profile(0.3)
+        terms = stencils.window_terms(forcing=list(zip(spaces, profiles)))
+        assert _same_bits(terms(accel.copy(), accel, 0.3, rows), accel + w)
+
+    @pytest.mark.parametrize("shape", [(1 << 16,), (256, 256), (16, 64, 64)],
+                             ids=["1d", "2d", "3d"])
+    def test_forcing_temporaries_stay_below_a_chunk(self, shape):
+        # a block of BLOCK_POINTS points and two terms: the sum and one term
+        # take a chunk of rows each, so workers that overlap add no block
+        spaces = np.ones((2,) + shape)
+        terms = stencils.window_terms(
+            forcing=[(spaces[0], math.cos), (spaces[1], math.sin)])
+        accel = np.zeros(shape)
+        tracemalloc.start()
+        try:
+            terms(accel, accel, 0.3, slice(0, shape[0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = max(stencils.TERM_POINTS, math.prod(shape[1:]))
+        assert 8 * chunk < 8 * stencils.BLOCK_POINTS // 2
+        assert peak <= 2 * 8 * chunk + 8 * 1024
+        assert np.all(accel == math.cos(0.3) + math.sin(0.3))
