@@ -140,24 +140,44 @@ class DataFunction:
     def __call__(self, x):
         x = self._last_axis(x, "points")
         pts = np.atleast_2d(x)
-        if self.kind == "plane_wave":
-            vals = np.cos(pts @ np.asarray(self.alpha0))
-        elif self.kind == "separable_cosine":
-            vals = np.prod(np.cos(pts * np.asarray(self.alpha0)), axis=-1)
-        else:
-            offset = pts - np.asarray(self.center)
-            r2 = np.sum(offset**2, axis=-1)
-            if self.kind == "smooth_bump":
-                s2 = r2 / self.radius**2
-                inside = s2 < 1.0
-                safe = np.where(inside, s2, 0.0)
-                vals = np.where(
-                    inside, self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
-            else:
-                vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
-                if self.kind == "modulated_gaussian":
-                    vals = vals * np.cos(offset @ np.asarray(self.carrier))
+        vals = self._evaluate(list(pts.T), lambda: pts)
         return float(vals[0]) if x.ndim == 1 else vals
+
+    def on_axes(self, axes) -> np.ndarray:
+        """The values on the tensor grid of the 1-D `axes`, one per
+        dimension, shaped (axes[0].size, ..., axes[-1].size): those of
+        self(grid_points(axes)) bit for bit.  Each per-axis term is formed
+        on its axis and broadcast, so no point array is built except for the
+        kinds that dot a vector with the points (plane_wave and
+        modulated_gaussian)."""
+        if len(axes) != self.n:
+            raise ValueError(f"{len(axes)} axes need {self.n}")
+        coords = [np.asarray(a, dtype=float).reshape((-1,) + (1,) * (self.n - 1 - k))
+                  for k, a in enumerate(axes)]
+        return self._evaluate(coords, lambda: grid_points(axes))
+
+    def _evaluate(self, coords, points):
+        """The kind's formula at the points whose k-th coordinates are
+        `coords[k]` (arrays that broadcast together); `points()` gives the
+        (..., n) points themselves.  Per-axis terms are summed or multiplied
+        from axis 0 on, in the order np.sum and np.prod take along the last
+        axis, so both evaluators give the same values."""
+        if self.kind == "plane_wave":
+            return np.cos(points() @ np.asarray(self.alpha0))
+        if self.kind == "separable_cosine":
+            return math.prod(np.cos(c * a) for c, a in zip(coords, self.alpha0))
+        r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.center))
+        if self.kind == "smooth_bump":
+            s2 = r2 / self.radius**2
+            inside = s2 < 1.0
+            safe = np.where(inside, s2, 0.0)
+            return np.where(
+                inside, self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
+        vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
+        if self.kind == "modulated_gaussian":
+            offset = points() - np.asarray(self.center)
+            vals = vals * np.cos(offset @ np.asarray(self.carrier))
+        return vals
 
     def fourier(self, alpha) -> np.ndarray:
         """Fourier transform (2pi)^{-n/2} integral of f e^{-i alpha.x}.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BlowupError, MissingLevelError
 from .lattice import LatticeClassification, grid_points
-from .spectral import sample
+from .spectral import DataFunction, sample
 
 #: values above this abort a run (deliberately reachable under CFL violation)
 BLOWUP_THRESHOLD = 1e12
@@ -76,45 +76,49 @@ def lattice_points(fieldobj: GridField) -> np.ndarray:
     return grid_points(window_axes(fieldobj))
 
 
-def grid_blocks(axes):
-    """(rows, points) for each block of axis-0 rows of the tensor grid of the
-    1-D `axes`: `rows` slices axis 0 of the grid, and `points`, shaped
-    (rows, ..., n), are the block's points.  Every sampler of a window
-    loops over these, so no (m, n) array of a whole grid exists."""
-    shape = tuple(a.size for a in axes)
-    for rows in row_blocks(shape):
-        yield rows, grid_points([axes[0][rows], *axes[1:]])
+def _sample_blocks(data, fieldobj: GridField, by_points) -> np.ndarray:
+    """`data` on the window, one block of axis-0 rows at a time: a
+    DataFunction on the block's axes, anything else as by_points(data,
+    points) on the block's (rows, ..., n) points, so no point array of the
+    whole window exists, and none at all for catalog data."""
+    values = np.empty(fieldobj.shape)
+    axes = window_axes(fieldobj)
+    for rows in row_blocks(values.shape):
+        block = [axes[0][rows], *axes[1:]]
+        if isinstance(data, DataFunction):
+            values[rows] = data.on_axes(block)
+        else:
+            values[rows] = by_points(data, grid_points(block))
+    return values
 
 
 def sample_window(data, fieldobj: GridField) -> np.ndarray:
     """sample(data, lattice_points(fieldobj)), one block of axis-0 rows of
-    the window at a time.  Gridded data must already have the window's shape
+    the window at a time: catalog data by the window's axes, other data by
+    the block's points.  Gridded data must already have the window's shape
     and is copied."""
-    values = np.empty(fieldobj.shape)
     if isinstance(data, np.ndarray):
-        if data.shape != values.shape:
+        if data.shape != fieldobj.shape:
             raise ValueError(
                 f"gridded data of shape {data.shape} does not match the "
-                f"lattice window {values.shape}"
+                f"lattice window {fieldobj.shape}"
             )
-        values[...] = data
-        return values
-    for rows, points in grid_blocks(window_axes(fieldobj)):
-        values[rows] = sample(data, points)
-    return values
+        return np.array(data, dtype=float)
+    return _sample_blocks(data, fieldobj, sample)
 
 
 def sample_forcing(forcing, fieldobj: GridField) -> list:
     """[(S_j, p_j)]: each space S_j of the terms of `forcing` (none without
-    one) sampled once on the window, one block of axis-0 rows at a time."""
-    sampled = []
-    for space, profile in forcing.terms if forcing is not None else ():
-        values = np.empty(fieldobj.shape)
-        for rows, points in grid_blocks(window_axes(fieldobj)):
-            flat = points.reshape(-1, points.shape[-1])
-            values[rows] = space(flat).reshape(points.shape[:-1])
-        sampled.append((values, profile))
-    return sampled
+    one) sampled once on the window, one block of axis-0 rows at a time: a
+    catalog space by the window's axes, any other space (the closed-form
+    -Lap of dalembert_forcing) on the block's points, flattened to (m, n)."""
+    return [(_sample_blocks(space, fieldobj, _on_flat_points), profile)
+            for space, profile in (forcing.terms if forcing is not None else ())]
+
+
+def _on_flat_points(space, points) -> np.ndarray:
+    """space on the (m, n) flattening of `points`, shaped points.shape[:-1]."""
+    return space(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
 
 
 def window_terms(a=None, sigma=None, forcing=()):
@@ -161,8 +165,11 @@ def window_terms(a=None, sigma=None, forcing=()):
 # either side, and writes only its own rows of the older level's array, so
 # the blocks of a level are independent: they run on up to _WORKERS
 # threads (numpy releases the GIL), each worker taking one contiguous chunk
-# of them with its own scratch of a few hundred kB.  The blocks do not
-# depend on the worker count, so neither do the values.
+# of them with its own scratch of about 1 MB.  A level runs on no more
+# workers than keep that scratch within half of it (two at the least), so a
+# run holds a few window arrays plus at most half a window of scratch on any
+# number of CPUs.  The blocks do not depend on the worker count, so neither
+# do the values.
 
 #: points per block of axis-0 rows in the array kernels
 BLOCK_POINTS = 1 << 16
@@ -306,8 +313,9 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
 
     Each level is stepped one block of axis-0 rows at a time (about
     BLOCK_POINTS points each), in one pass per block, and the blocks run on
-    the CPUs of the process's affinity mask (a window of one block runs on
-    the calling thread).  `terms(accel_rows, values_rows, t, rows)` is
+    the CPUs of the process's affinity mask, on no more threads than keep
+    their scratch within half the level (a window of one block runs on the
+    calling thread).  `terms(accel_rows, values_rows, t, rows)` is
     called once per block, with the block's acceleration and level-k
     values, t = t0 + k*h and `rows`, the block's slice of axis 0 of `v0`'s
     window (on the other axes a block covers the centred sub-window of its
@@ -370,7 +378,10 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
                 clamp_level(new, clamp, rows)
                 highs[i], lows[i] = np.max(new), np.min(new)
 
-            workers = max(1, min(_WORKERS, len(blocks)))
+            # the workers' scratch, two arrays of `size` each, stays within
+            # half the level, but two workers run wherever there are two blocks
+            cap = max(2, values.size // (4 * size))
+            workers = max(1, min(_WORKERS, len(blocks), cap))
             bounds = [len(blocks) * j // workers for j in range(workers + 1)]
 
             def run(j):

@@ -397,16 +397,17 @@ class TestBootstrapWindow:
         assert shapes[0] == tuple(w + 2 * steps for w in window)
 
     def test_catalog_data_sampled_by_blocks(self, monkeypatch):
-        # no DataFunction call sees more than one block of window rows
+        # catalog data is sampled on the window's axes, and no call covers
+        # more than one block of window rows
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 50)
         sizes = []
-        real = DataFunction.__call__
+        real = DataFunction.on_axes
 
-        def recording(self, x):
-            sizes.append(int(np.prod(np.shape(x)[:-1])))
-            return real(self, x)
+        def recording(self, axes):
+            sizes.append(math.prod(len(a) for a in axes))
+            return real(self, axes)
 
-        monkeypatch.setattr(DataFunction, "__call__", recording)
+        monkeypatch.setattr(DataFunction, "on_axes", recording)
         problem = _cone_problem(2)
         fld = solve(problem, t_range=(0.0, 0.4))
         assert len(sizes) > 2 and max(sizes) < 100

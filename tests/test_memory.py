@@ -22,6 +22,7 @@ from wavelattice import (
 from wavelattice.harness import default_config
 from wavelattice.harness.experiments import _varying_ratio_specs
 from wavelattice.lattice import refine_halving, window_indices
+from wavelattice.stencils import field_from_classification, sample_window
 
 MB = 1024 * 1024
 
@@ -59,11 +60,10 @@ def test_e1_oracle_synthesis_is_small():
     assert peak <= 16 * MB
 
 
-def test_finest_fullspace_solve_holds_few_window_arrays():
-    # the bootstrap samples by blocks and builds no point array, and the
-    # stepping kernel rotates its levels through the bootstrap's buffers and
-    # forms each block's Laplacian in scratch of a few hundred kB: level 0,
-    # g and the kernel's scratch, with no window-sized Laplacian buffer
+def _e1_n3_finest():
+    """E1 n = 3's data, domain and the spec whose bootstrap window (its
+    window grown by its steps on every side) is the largest, with that
+    window's point count."""
     config, f, g = _e1_n3()
     base = config.base_spec()
     specs = refine_halving(base, config.levels) + _varying_ratio_specs(
@@ -75,16 +75,42 @@ def test_finest_fullspace_solve_holds_few_window_arrays():
         return int(np.prod([w + 2 * spec.steps for w in window]))
 
     spec = max(specs, key=bootstrap_points)
+    return f, g, domain, spec, bootstrap_points(spec)
+
+
+def test_catalog_sampling_holds_few_window_arrays():
+    # a Gaussian on E1 n = 3's largest bootstrap window (105^3), sampled on
+    # its axes one block of rows at a time: the values and block-sized
+    # temporaries, with no block of points
+    f, _, domain, spec, points = _e1_n3_finest()
+    fld = field_from_classification(
+        DiscreteProblem(spec=spec, domain=domain).classification, pad=spec.steps)
+    assert fld.shape == (105,) * 3 and math.prod(fld.shape) == points
+    values, peak, _ = _traced(sample_window, f, fld)
+    assert values.shape == fld.shape
+    assert peak <= 1.25 * 8 * points
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_finest_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
+    # the bootstrap samples by blocks and builds no point array, and the
+    # stepping kernel rotates its levels through the bootstrap's buffers and
+    # forms each block's Laplacian in scratch of a few hundred kB: level 0,
+    # g and the kernel's scratch, with no window-sized Laplacian buffer; a
+    # level's workers are capped so that their scratch stays a fixed share of
+    # the level, however many CPUs there are
+    monkeypatch.setattr(stencils, "_WORKERS", workers)
+    f, g, domain, spec, points = _e1_n3_finest()
     problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
     fld, peak, held = _traced(solve, problem, t_range=(0.0, spec.T))
     assert sorted(fld.levels) == [0, 1, spec.steps - 2, spec.steps - 1,
                                   spec.steps]
-    assert peak <= 3 * 8 * bootstrap_points(spec)
+    assert peak <= 3 * 8 * points
     # the field keeps five window-sized levels, no view of a larger buffer
     assert held <= 6 * 8 * int(np.prod(fld.shape))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
 def test_forced_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
     # E6(b) at n = 3: the forcing's two spaces are sampled once on the
     # bootstrap window, one block of rows at a time, so the solve holds
