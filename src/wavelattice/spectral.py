@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,31 +140,27 @@ class DataFunction:
 
     def __call__(self, x):
         x = self._last_axis(x, "points")
-        pts = np.atleast_2d(x)
-        vals = self._evaluate(list(pts.T), lambda: pts)
+        vals = self._evaluate(list(np.moveaxis(np.atleast_2d(x), -1, 0)))
         return float(vals[0]) if x.ndim == 1 else vals
 
     def on_axes(self, axes) -> np.ndarray:
         """The values on the tensor grid of the 1-D `axes`, one per
         dimension, shaped (axes[0].size, ..., axes[-1].size): those of
         self(grid_points(axes)) bit for bit.  Each per-axis term is formed
-        on its axis and broadcast, so no point array is built except for the
-        kinds that dot a vector with the points (plane_wave and
-        modulated_gaussian)."""
+        on its axis and broadcast, so no point array is built."""
         if len(axes) != self.n:
             raise ValueError(f"{len(axes)} axes need {self.n}")
-        coords = [np.asarray(a, dtype=float).reshape((-1,) + (1,) * (self.n - 1 - k))
-                  for k, a in enumerate(axes)]
-        return self._evaluate(coords, lambda: grid_points(axes))
+        return self._evaluate(_axis_coords(axes))
 
-    def _evaluate(self, coords, points):
+    def _evaluate(self, coords):
         """The kind's formula at the points whose k-th coordinates are
-        `coords[k]` (arrays that broadcast together); `points()` gives the
-        (..., n) points themselves.  Per-axis terms are summed or multiplied
-        from axis 0 on, in the order np.sum and np.prod take along the last
-        axis, so both evaluators give the same values."""
+        `coords[k]` (arrays that broadcast together).  Per-axis terms, the
+        dot products of plane_wave and of the modulated Gaussian's phase
+        among them, are summed or multiplied from axis 0 on, in the order
+        np.sum and np.prod take along the last axis, so one point, a batch
+        and a tensor grid give the same values."""
         if self.kind == "plane_wave":
-            return np.cos(points() @ np.asarray(self.alpha0))
+            return np.cos(sum(c * a for c, a in zip(coords, self.alpha0)))
         if self.kind == "separable_cosine":
             return math.prod(np.cos(c * a) for c, a in zip(coords, self.alpha0))
         r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.center))
@@ -175,8 +172,8 @@ class DataFunction:
                 inside, self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
         vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
         if self.kind == "modulated_gaussian":
-            offset = points() - np.asarray(self.center)
-            vals = vals * np.cos(offset @ np.asarray(self.carrier))
+            vals = vals * np.cos(sum((c - c0) * k for c, c0, k in zip(
+                coords, self.center, self.carrier)))
         return vals
 
     def fourier(self, alpha) -> np.ndarray:
@@ -223,33 +220,10 @@ class DataFunction:
         return None
 
 
-def sample(data, points) -> np.ndarray:
-    """Values of `data` on `points` (shape (..., n)), shaped points.shape[:-1].
-
-    None gives 0 and a number that constant.  An array is copied and must
-    already have that shape.  A DataFunction is evaluated once on the flat
-    (m, n) points.  Any other callable takes one point x, with x[k] its
-    k-th coordinate, so it is evaluated point by point.
-    """
-    points = np.asarray(points, dtype=float)
-    shape = points.shape[:-1]
-    if data is None:
-        return np.zeros(shape)
-    if isinstance(data, np.ndarray):
-        if data.shape != shape:
-            raise ValueError(
-                f"gridded data of shape {data.shape} does not match the "
-                f"lattice window {shape}"
-            )
-        return np.array(data, dtype=float)
-    if not callable(data):
-        return np.full(shape, float(data))
-    flat = points.reshape(-1, points.shape[-1])
-    if isinstance(data, DataFunction):
-        vals = data(flat)
-    else:
-        vals = [float(data(p)) for p in flat]
-    return np.asarray(vals, dtype=float).reshape(shape)
+def _axis_coords(axes) -> list:
+    """The 1-D `axes` shaped to broadcast into their tensor grid."""
+    return [np.asarray(a, dtype=float).reshape((-1,) + (1,) * (len(axes) - 1 - k))
+            for k, a in enumerate(axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +485,24 @@ def propagator(alpha, t: float, *, dx: float = 0.0,
 class Forcing:
     """Forcing w(x, t) = sum_j space_j(x) * profile_j(t), with its x-transform.
 
-    `terms` holds the (space, profile) pairs: a space maps an (m, n) array
-    of points to their (m,) values, and a solver samples it once per run.
+    `terms` holds the (space, profile) pairs: a space is data that
+    stencils.sample_window takes, and a solver samples it once per run.
     `fourier_x(alpha)` forms what does not depend on t at the frequency
     rows alpha once and returns the spatial Fourier transform there as a
-    function of t.  Without it, the forcing is one term whose space is
-    single-frequency, and the transforms are bypassed.
+    function of t.  Without it, duhamel_solve reads only the first term, so
+    the forcing must be one term whose space is single-frequency (the
+    transforms are then bypassed); anything else raises ValueError.
     """
 
     terms: tuple
     fourier_x: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.fourier_x is None and not (
+                len(self.terms) == 1
+                and getattr(self.terms[0][0], "single_frequency", None) is not None):
+            raise ValueError("a forcing without fourier_x must be one term "
+                             "whose space is single-frequency")
 
 
 def separable_forcing(space: DataFunction, time_profile=None) -> Forcing:
@@ -545,19 +527,19 @@ def dalembert_forcing(space: DataFunction, profile, profile_dd) -> Forcing:
     """
     if space.kind != "gaussian":
         raise ValueError("closed-form Laplacian only for the gaussian kind")
-    c = np.asarray(space.center)
     w2 = space.width**2
 
-    def minus_lap(x):
-        r2 = np.sum((x - c) ** 2, axis=-1)
-        return -(space(x) * (r2 / w2**2 - space.n / w2))
+    def minus_lap(axes):  # on the block's axes, as catalog data is sampled
+        r2 = sum((c - c0) ** 2 for c, c0 in zip(_axis_coords(axes), space.center))
+        return -(space.on_axes(axes) * (r2 / w2**2 - space.n / w2))
 
     def fourier_x(alpha):
         what = space.fourier(alpha)
         a2 = np.sum(np.atleast_2d(alpha) ** 2, axis=-1)
         return lambda t: what * (profile_dd(t) + a2 * profile(t))
 
-    return Forcing(((space, profile_dd), (minus_lap, profile)), fourier_x)
+    return Forcing(((space, profile_dd), (SimpleNamespace(on_axes=minus_lap), profile)),
+                   fourier_x)
 
 
 def _forcing_kernel(alpha, dx=0.0, dt=0.0):

@@ -1,7 +1,8 @@
-"""Lattice windows, their samplers and the array kernels of the scheme.
+"""Lattice windows, their sampler and the array kernels of the scheme.
 
-A `GridField` holds time levels on an index window; the samplers fill a
-window one block of rows at a time; the array kernels form and step the
+A `GridField` holds time levels on an index window; `sample_window`, the
+one path from data to lattice values, fills a window one block of rows at
+a time, catalog data by its axes; the array kernels form and step the
 three-level scheme that the leapfrog solver, the Verlet integrator and the
 CFL experiment all run.
 """
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import BlowupError, MissingLevelError
 from .lattice import LatticeClassification, grid_points
-from .spectral import DataFunction, sample
 
 #: values above this abort a run (deliberately reachable under CFL violation)
 BLOWUP_THRESHOLD = 1e12
@@ -76,27 +76,14 @@ def lattice_points(fieldobj: GridField) -> np.ndarray:
     return grid_points(window_axes(fieldobj))
 
 
-def _sample_blocks(data, fieldobj: GridField, by_points) -> np.ndarray:
-    """`data` on the window, one block of axis-0 rows at a time: a
-    DataFunction on the block's axes, anything else as by_points(data,
-    points) on the block's (rows, ..., n) points, so no point array of the
-    whole window exists, and none at all for catalog data."""
-    values = np.empty(fieldobj.shape)
-    axes = window_axes(fieldobj)
-    for rows in row_blocks(values.shape):
-        block = [axes[0][rows], *axes[1:]]
-        if isinstance(data, DataFunction):
-            values[rows] = data.on_axes(block)
-        else:
-            values[rows] = by_points(data, grid_points(block))
-    return values
-
-
 def sample_window(data, fieldobj: GridField) -> np.ndarray:
-    """sample(data, lattice_points(fieldobj)), one block of axis-0 rows of
-    the window at a time: catalog data by the window's axes, other data by
-    the block's points.  Gridded data must already have the window's shape
-    and is copied."""
+    """`data` on the window's points, the one sampler of data and forcing
+    spaces.  None gives zeros and a number that constant; an array must
+    have the window's shape and is copied.  Anything else fills the window
+    one block of axis-0 rows at a time: data with `on_axes` (catalog data,
+    the -Lap term of dalembert_forcing) by the block's axes, building no
+    points, and any other callable once per point x, x[k] its k-th
+    coordinate."""
     if isinstance(data, np.ndarray):
         if data.shape != fieldobj.shape:
             raise ValueError(
@@ -104,21 +91,29 @@ def sample_window(data, fieldobj: GridField) -> np.ndarray:
                 f"lattice window {fieldobj.shape}"
             )
         return np.array(data, dtype=float)
-    return _sample_blocks(data, fieldobj, sample)
+    if data is None:
+        return np.zeros(fieldobj.shape)
+    if not (callable(data) or hasattr(data, "on_axes")):
+        return np.full(fieldobj.shape, float(data))
+    values = np.empty(fieldobj.shape)
+    axes = window_axes(fieldobj)
+    for rows in row_blocks(values.shape):
+        block = [axes[0][rows], *axes[1:]]
+        if hasattr(data, "on_axes"):
+            values[rows] = data.on_axes(block)
+        else:
+            points = grid_points(block)
+            values[rows] = np.reshape(
+                [float(data(x)) for x in points.reshape(-1, points.shape[-1])],
+                points.shape[:-1])
+    return values
 
 
 def sample_forcing(forcing, fieldobj: GridField) -> list:
     """[(S_j, p_j)]: each space S_j of the terms of `forcing` (none without
-    one) sampled once on the window, one block of axis-0 rows at a time: a
-    catalog space by the window's axes, any other space (the closed-form
-    -Lap of dalembert_forcing) on the block's points, flattened to (m, n)."""
-    return [(_sample_blocks(space, fieldobj, _on_flat_points), profile)
+    one) sampled once on the window by sample_window."""
+    return [(sample_window(space, fieldobj), profile)
             for space, profile in (forcing.terms if forcing is not None else ())]
-
-
-def _on_flat_points(space, points) -> np.ndarray:
-    """space on the (m, n) flattening of `points`, shaped points.shape[:-1]."""
-    return space(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
 
 
 def window_terms(a=None, sigma=None, forcing=()):

@@ -19,8 +19,11 @@ from wavelattice import (
 from wavelattice.elliptic import DENSE_LIMIT
 from wavelattice.harness import default_config, run_experiment
 from wavelattice.lattice import classify
-from wavelattice.spectral import sample
-from wavelattice.stencils import field_from_classification, lattice_points
+from wavelattice.stencils import (
+    field_from_classification,
+    lattice_points,
+    sample_window,
+)
 
 
 class TestAssembleAndSolve:
@@ -218,8 +221,8 @@ class TestSplitPipeline:
         # window) is used as is and gives the split of a fresh one
         problem = self._problem(h=0.4, b=0.1)
         classification = classify(problem.domain, problem.spec)
-        points = lattice_points(field_from_classification(classification))
-        gridded = sample(problem.f, points)
+        gridded = sample_window(problem.f,
+                                field_from_classification(classification))
         fresh = split_pipeline(replace(problem, f=gridded))
         given = split_pipeline(replace(problem, f=gridded,
                                        classification=classification))

@@ -22,13 +22,12 @@ from wavelattice import (
 )
 from wavelattice import lagrange, leapfrog, stencils
 from wavelattice.lagrange import LagrangeSystem, system_for_domain
-from wavelattice.spectral import sample
 from wavelattice.stencils import (
     clamp_level,
     crop_centre,
     field_from_classification,
     laplacian_array,
-    lattice_points,
+    sample_window,
     window_clamp,
 )
 
@@ -307,27 +306,27 @@ def _reference_levels(problem, lo, hi):
     one fresh array per level (no buffer is ever reused).  The forcing, if
     any, enters each level's acceleration at that level's signed time: the
     sum of its terms space(x) * profile(t), in term order, each space
-    evaluated on the whole padded window's points."""
+    sampled on the whole padded window."""
     spec = problem.spec
     # a run of s steps from a window padded by s + 2 rings is exact on it
     pad = 0 if problem.domain.bounded else max(hi, -lo, 1) + 2
     fld = field_from_classification(problem.classification, pad=pad)
-    points = lattice_points(fld)
     clamp = window_clamp(fld, problem.boundary_value)
+    terms = [(sample_window(space, fld), profile) for space, profile in
+             (problem.forcing.terms if problem.forcing is not None else ())]
 
     def accel(values, level):
         out = laplacian_array(values, spec.dx)
-        if problem.forcing is not None:
-            flat = points.reshape(-1, points.shape[-1])
+        if terms:
             w = None
-            for space, profile in problem.forcing.terms:
-                term = space(flat) * profile(level * spec.dt)
+            for space, profile in terms:
+                term = space * profile(level * spec.dt)
                 w = term if w is None else w + term
-            out = out + w.reshape(out.shape)
+            out = out + w
         return out
 
-    v0 = clamp_level(sample(problem.f, points), clamp)
-    velocity = sample(problem.g, points)
+    v0 = clamp_level(sample_window(problem.f, fld), clamp)
+    velocity = sample_window(problem.g, fld)
     levels = {0: v0}
     for sign, end in ((1, hi), (-1, lo)):
         prev, cur = v0, clamp_level(
