@@ -7,11 +7,9 @@ harness of convergence experiments.
 """
 
 from .dispersion import (
-    beta,
     beta_arrays,
     beta_semidiscrete,
     sinc,
-    symbol_G,
     symbol_G_arrays,
 )
 from .elliptic import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CflViolationError
-from .lattice import LatticeSpec
 
 #: below this |z| the sinc factors switch to their Taylor series
 _SERIES_CUT = 1e-4
@@ -36,17 +35,13 @@ def _sin_half_sq_sum(alpha, dx):
     return np.sum(np.sin(alpha * (dx / 2.0)) ** 2, axis=-1)
 
 
-def symbol_G(alpha, beta_sq, spec: LatticeSpec):
+def symbol_G_arrays(alpha, beta_sq, dx, dt):
     """The eigenvalue of the discrete d'Alembertian at e^{i(alpha.x+beta t)}.
 
     Total in all arguments; dt = 0 and dx = 0 degenerate smoothly through
     the filled sinc singularities, so G(alpha, beta^2, 0, 0) = -beta^2 +
     |alpha|^2.
     """
-    return symbol_G_arrays(alpha, beta_sq, spec.dx, spec.dt)
-
-
-def symbol_G_arrays(alpha, beta_sq, dx, dt):
     alpha = np.asarray(alpha, dtype=float)
     beta_sq = np.asarray(beta_sq, dtype=float)
     beta = np.sqrt(beta_sq)
@@ -62,9 +57,10 @@ def beta_arrays(alpha, dx, dt):
     """Closed-form positive root of G = 0, vectorized.
 
     alpha has shape (..., n); dx and dt broadcast against the leading
-    shape.  Raises CflViolationError when the arcsin argument exceeds
-    1 + 1e-12 anywhere (inadmissible lattice; the complex regime is out
-    of scope).
+    shape, and dt is either 0 everywhere (the semidiscrete frequency) or
+    positive everywhere.  Raises CflViolationError when the arcsin argument
+    exceeds 1 + 1e-12 anywhere (inadmissible lattice; the complex regime is
+    out of scope).
     """
     alpha = np.asarray(alpha, dtype=float)
     dx = np.asarray(dx, dtype=float)
@@ -78,15 +74,8 @@ def beta_arrays(alpha, dx, dt):
         raise CflViolationError(
             f"arcsin argument {float(np.max(arg)):.6g} > 1: lattice violates CFL"
         )
-    arg = np.clip(arg, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(dt > 0.0, (2.0 / np.where(dt > 0.0, dt, 1.0)) * np.arcsin(arg), (2.0 / dx) * s)
+    out = (2.0 / dt) * np.arcsin(np.clip(arg, 0.0, 1.0))
     return out if np.ndim(out) else float(out)
-
-
-def beta(alpha, spec: LatticeSpec):
-    """Temporal frequency of the discrete plane wave on an admissible lattice."""
-    return beta_arrays(alpha, spec.dx, spec.dt)
 
 
 def beta_semidiscrete(alpha, dx):

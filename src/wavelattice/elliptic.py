@@ -1,7 +1,8 @@
 """Discrete elliptic problem and the variable-coefficient splitting.
 
 The split u = phi + v takes v from the stationary problem
-b(x) Lap_dx v = sigma(x) v with Dirichlet data h and steps phi as a
+b(x) Lap_dx v = sigma(x) v with Dirichlet data h, a definite system for
+b > 0 and sigma >= 0 that one preconditioned CG solves, and steps phi as a
 constant-coefficient wave problem with zero boundary values and initial
 displacement f - v.  That solves u'' = (1 + b) Lap_dx u - sigma u only at
 b = sigma = 0: otherwise phi misses b Lap_dx phi + Lap_dx v - sigma phi,
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import SingularSystemError
-from .lattice import Domain, LatticeSpec, classify
+from .lattice import Domain, LatticeSpec, _neighbours_in, classify
 from .leapfrog import DiscreteProblem
 from .spectral import DataFunction
 from .stencils import (
@@ -27,9 +28,6 @@ from .stencils import (
     laplacian_array,
     sample_window,
 )
-
-#: dense fallback is allowed up to this interior size
-DENSE_LIMIT = 4096
 
 
 @dataclass
@@ -60,7 +58,6 @@ class EllipticSolution:
     values: np.ndarray
     residual: float
     scale: float
-    solver: str
     iterations: int
 
 
@@ -144,101 +141,69 @@ def _fast_poisson(interior: np.ndarray, dx: float, shift: float):
 
 
 def assemble_and_solve(problem: EllipticProblem) -> EllipticSolution:
-    """Solve the system by CG with a fast-Poisson preconditioner when it is
-    definite, by a dense solve otherwise.
+    """Solve the definite system by CG with a fast-Poisson preconditioner.
 
-    Interior rows read b(x) * (Laplacian row) - sigma(x) * (identity row);
-    rows where both coefficients vanish degenerate to 0 = 0 and are
-    replaced by plain Laplacian rows (harmonic filler), which keeps the
-    b -> 0 limit continuous.  Boundary points are pinned to h, whose terms
-    go into the right-hand side.  CG applies the operator on the window
-    without a matrix; only the dense solve forms one.
-    Raises SingularSystemError when no solver produces a reliable result.
+    Interior rows read b(x) Lap_dx v = sigma(x) v; rows where both
+    coefficients vanish degenerate to 0 = 0 and are replaced by
+    Lap_dx v = 0 (harmonic filler), which keeps the b -> 0 limit
+    continuous.  Boundary points are pinned to h.  Divided by b, the rows
+    in the interior unknowns p are the SPD system
+    (sigma/b) p - Lap_dx p = Lap_dx (h on the boundary), both sides formed
+    by laplacian_array on the window, without a matrix.
+    Raises SingularSystemError when a row has b <= 0 or sigma < 0 (an
+    indefinite system), when CG does not converge, or when the residual
+    check fails.
     """
     fieldobj = field_from_classification(problem.classification)
-    interior = fieldobj.interior
-    shape = fieldobj.shape
-    dx2 = problem.dx**2
-
+    interior, boundary = fieldobj.interior, fieldobj.boundary
     m = int(np.count_nonzero(interior))
     if m == 0:
         raise SingularSystemError("no interior points to solve on")
+    if not np.all(_neighbours_in(fieldobj.support)[interior]):
+        raise SingularSystemError(
+            "interior point has a neighbour outside the support"
+        )
 
     bvals = sample_window(problem.b, fieldobj)[interior]
     svals = sample_window(problem.sigma, fieldobj)[interior]
-    hvals = sample_window(problem.h, fieldobj)[fieldobj.boundary]
+    hvals = sample_window(problem.h, fieldobj)[boundary]
 
     # harmonic filler where the operator row would vanish identically
     degenerate = (bvals == 0.0) & (svals == 0.0)
     b_eff = np.where(degenerate, 1.0, bvals)
     s_eff = np.where(degenerate, 0.0, svals)
-
-    definite = bool(np.all(b_eff > 0.0) and np.all(s_eff >= 0.0))
-    n = problem.domain.n
-    if definite:
-        # symmetrized: -Lap v + (sigma/b) v = boundary contributions
-        diag = 2.0 * n / dx2 + s_eff / b_eff
-        off_scale = np.full(m, -1.0 / dx2)
-    else:
-        diag = -2.0 * n / dx2 * b_eff - s_eff
-        off_scale = b_eff / dx2
-
-    # the window grown by one ring, so that no neighbour of an interior
-    # point wraps around an edge; `shifts` view its 2n neighbours
-    core = tuple(slice(1, s + 1) for s in shape)
-    shifts = [core[:axis] + (slice(1 + sign, s + 1 + sign),) + core[axis + 1:]
-              for axis, s in enumerate(shape) for sign in (-1, 1)]
-
-    def neighbours(values, mask, fill=0.0):
-        """(2n, m): `values` put at `mask` on the grown window, read at the
-        neighbours of each interior point."""
-        grid = np.full(tuple(s + 2 for s in shape), fill)
-        grid[core][mask] = values
-        return np.stack([grid[shift][interior] for shift in shifts])
-
-    if not np.all(neighbours(True, fieldobj.support, fill=False)):
+    if not (np.all(b_eff > 0.0) and np.all(s_eff >= 0.0)):
         raise SingularSystemError(
-            "interior point has a neighbour outside the support"
+            "indefinite system: a row has b <= 0 or sigma < 0"
         )
-    rhs = -off_scale * neighbours(hvals, fieldobj.boundary).sum(axis=0)
+    shift = s_eff / b_eff
+
+    def on_window(values, mask):
+        grid = np.zeros(fieldobj.shape)
+        grid[mask] = values
+        return grid
+
+    rhs = laplacian_array(on_window(hvals, boundary), problem.dx)[interior]
 
     def apply(p):
-        return diag * p + off_scale * neighbours(p, interior).sum(axis=0)
+        lap = laplacian_array(on_window(p, interior), problem.dx)[interior]
+        return shift * p - lap
 
-    solver, iterations = "dense", 0
-    if definite:
-        precondition = _fast_poisson(interior, problem.dx,
-                                     float(np.mean(s_eff / b_eff)))
-        v_int, iterations, converged = spla.cg(
-            apply, rhs, rtol=1e-13, atol=0.0, maxiter=20 * m, M=precondition)
-        if converged:
-            solver = "cg"
-    if solver == "dense":
-        if m > DENSE_LIMIT:
-            raise SingularSystemError(
-                f"indefinite system with {m} unknowns exceeds the dense limit"
-            )
-        # the same rows, with each interior neighbour numbered as an unknown
-        columns = neighbours(np.arange(m), interior, fill=m)
-        which, rows = np.nonzero(columns < m)
-        matrix = np.diag(diag)
-        matrix[rows, columns[which, rows]] = off_scale[rows]
-        try:
-            v_int = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"dense solve failed: {exc}") from exc
+    precondition = _fast_poisson(interior, problem.dx, float(np.mean(shift)))
+    v_int, iterations, converged = spla.cg(
+        apply, rhs, rtol=1e-13, atol=0.0, maxiter=20 * m, M=precondition)
+    if not converged:
+        raise SingularSystemError(f"CG did not converge in {iterations} steps")
 
-    values = np.zeros(shape)
-    values[interior] = v_int
-    values[fieldobj.boundary] = hvals
+    values = on_window(v_int, interior)
+    values[boundary] = hvals
 
     residual, scale = _residual(problem, fieldobj, values, bvals, svals)
     if not np.isfinite(residual) or residual > 1e-8 * max(scale, 1.0):
         raise SingularSystemError(
             f"solution residual {residual:.3e} too large (scale {scale:.3e})"
         )
-    return EllipticSolution(fieldobj, values, residual, scale, solver,
-                            iterations)
+    return EllipticSolution(fieldobj, values, residual, scale, iterations)
 
 
 def _residual(problem, fieldobj, values, bvals, svals):

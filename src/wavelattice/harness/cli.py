@@ -43,14 +43,18 @@ def _out_dir(args, default_name: str) -> Path:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
+    domain, h = cfg.domain(), cfg.data("h")
+    if h is not None and not domain.bounded:
+        raise ConfigError("h is the boundary value: a full-space domain has "
+                          "no boundary to read it on")
     out = _out_dir(args, "solve-out")
     spec = cfg.base_spec()
     problem = DiscreteProblem(
         spec=spec,
-        domain=cfg.domain(),
+        domain=domain,
         f=cfg.data("f"),
         g=cfg.data("g"),
-        boundary_value=cfg.data("h") or 0.0,
+        boundary_value=h or 0.0,
     )
     fieldobj = solve(problem, t_range=(0.0, spec.T))
     dump_level(fieldobj, spec.steps, out / "final_level.bin")

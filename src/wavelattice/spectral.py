@@ -28,9 +28,6 @@ from .lattice import grid_points, step_index
 
 _TWO_PI = 2.0 * math.pi
 
-#: Gauss-Legendre nodes per axis of the bump's transform over its support
-_BUMP_NODES = 64
-
 
 # ---------------------------------------------------------------------------
 # data catalog
@@ -61,8 +58,9 @@ class DataFunction:
     Gaussian-type kinds carry a closed-form Fourier transform and decay
     parameters used for tail bounds.  Plane-wave and separable-cosine
     kinds are single-frequency: solution synthesis short-circuits the
-    quadrature for them.  The bump kind gets a numeric transform.  The
-    dimension n is the length of the centre (or of alpha0), and every
+    quadrature for them.  The bump kind has neither: with no Gaussian
+    envelope to bound a quadrature tail, no reference solution takes it.
+    The dimension n is the length of the centre (or of alpha0), and every
     point or frequency handed in must have a last axis of that length.
     """
 
@@ -177,17 +175,16 @@ class DataFunction:
         return vals
 
     def fourier(self, alpha) -> np.ndarray:
-        """Fourier transform (2pi)^{-n/2} integral of f e^{-i alpha.x}.
+        """Fourier transform (2pi)^{-n/2} integral of f e^{-i alpha.x}, in
+        closed form for the Gaussian kinds.
 
-        Closed form for Gaussian kinds, numeric Gauss-Legendre over the
-        support for the bump; single-frequency kinds have no integrable
-        transform and must go through the synthesis shortcut instead.
+        Raises ValueError for the others: single-frequency kinds have no
+        integrable transform and go through the synthesis shortcut instead,
+        and the bump has no closed form.
         """
         alpha = np.atleast_2d(self._last_axis(alpha, "frequencies"))
-        if self.kind == "smooth_bump":
-            return self._bump_transform(alpha)
-        if self.single_frequency is not None:
-            raise ValueError(f"{self.kind} has no integrable Fourier transform")
+        if self.kind not in ("gaussian", "modulated_gaussian"):
+            raise ValueError(f"{self.kind} has no closed-form Fourier transform")
         w = self.width
 
         def bell(a):
@@ -200,13 +197,6 @@ class DataFunction:
             mag = 0.5 * self.amplitude * w**self.n * (
                 bell(alpha - k) + bell(alpha + k))
         return mag * np.exp(-1j * (alpha @ np.asarray(self.center)))
-
-    def _bump_transform(self, alpha):
-        rule = FrequencyQuadrature.build(self.n, self.radius, _BUMP_NODES)
-        pts = rule.nodes + np.asarray(self.center)
-        vals = self(pts) * rule.weights
-        phases = np.exp(-1j * (alpha @ pts.T))
-        return (phases @ vals) / _TWO_PI ** (self.n / 2.0)
 
     def decay_envelope(self) -> Optional[tuple]:
         """(A, w) with |f^(alpha)| <= A exp(-w^2 |alpha|^2 / 2), when known."""

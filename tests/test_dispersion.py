@@ -7,11 +7,8 @@ import pytest
 
 from wavelattice import (
     CflViolationError,
-    LatticeSpec,
-    beta,
     beta_arrays,
     beta_semidiscrete,
-    symbol_G,
     symbol_G_arrays,
 )
 from wavelattice.dispersion import sinc
@@ -46,20 +43,14 @@ class TestSymbolG:
         val = symbol_G_arrays(np.array([3.0, 4.0]), 9.0, 0.0, 0.0)
         assert val == pytest.approx(-9.0 + 25.0, rel=1e-15)
 
-    def test_spec_wrapper(self):
-        spec = LatticeSpec(1, 0.5, 0.25, 1.0)
-        assert symbol_G(np.array([2.0]), 4.0, spec) == symbol_G_arrays(
-            np.array([2.0]), 4.0, 0.5, 0.25
-        )
-
 
 class TestBeta:
     def test_unit_ratio_identity_1d(self):
         # at dt = dx in 1-D the scheme is dispersion-free: beta = |alpha|
-        spec = LatticeSpec(1, 0.1, 0.1, 1.0)
+        dx = dt = 0.1
         for a in (0.5, 3.0, -7.0, 12.0):
-            if abs(a) * spec.dx / 2.0 <= math.pi / 2.0:
-                assert beta(np.array([a]), spec) == pytest.approx(
+            if abs(a) * dx / 2.0 <= math.pi / 2.0:
+                assert beta_arrays(np.array([a]), dx, dt) == pytest.approx(
                     abs(a), rel=1e-12
                 )
 

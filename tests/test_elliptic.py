@@ -16,7 +16,7 @@ from wavelattice import (
     assemble_and_solve,
     split_pipeline,
 )
-from wavelattice.elliptic import DENSE_LIMIT
+from wavelattice import elliptic
 from wavelattice.harness import default_config, run_experiment
 from wavelattice.lattice import classify
 from wavelattice.stencils import (
@@ -62,17 +62,15 @@ class TestAssembleAndSolve:
         got = sol.values[sol.fieldobj.positions([(1,), (2,), (3,)])]
         assert np.allclose(got, expected, atol=1e-10)
 
-    @pytest.mark.parametrize("b, sigma, solver", [
+    @pytest.mark.parametrize("b, sigma", [
         # definite: b > 0, sigma >= 0
-        (lambda x: 1.0 + 0.5 * x[0], lambda x: x[1], "cg"),
-        # indefinite: Lap v + 20 v has eigenvalues of both signs here
-        (1.0, -20.0, "dense"),
+        (lambda x: 1.0 + 0.5 * x[0], lambda x: x[1]),
         # harmonic filler rows where b = sigma = 0 (x0 < 0.5); small b and
         # sigma elsewhere, so the filler rows set the residual
         (lambda x: 0.0 if x[0] < 0.5 else 0.01 * (1.0 + x[1]),
-         lambda x: 0.0 if x[0] < 0.5 else 0.02, "cg"),
-    ], ids=["definite", "indefinite", "filler"])
-    def test_dense_oracle_2d(self, b, sigma, solver):
+         lambda x: 0.0 if x[0] < 0.5 else 0.02),
+    ], ids=["definite", "filler"])
+    def test_dense_oracle_2d(self, b, sigma):
         # unit square, dx = 0.25: the 3 x 3 interior unknowns (i, j),
         # 1 <= i, j <= 3, against a system assembled point by point
         dx = 0.25
@@ -81,7 +79,6 @@ class TestAssembleAndSolve:
             EllipticProblem(domain=Domain.box([(0.0, 1.0)] * 2), dx=dx,
                             b=b, sigma=sigma, h=h)
         )
-        assert sol.solver == solver
 
         def coef(c, x):
             return float(c(x)) if callable(c) else float(c)
@@ -118,6 +115,35 @@ class TestAssembleAndSolve:
         assert sol.residual == residual
         assert sol.residual <= 1e-9 * sol.scale
 
+    @pytest.mark.parametrize("b, sigma", [
+        # Lap v + 20 v has eigenvalues of both signs here
+        (1.0, -20.0),
+        # b < 0 left of x0 = 0.5, where b = sigma = 0 is a filler row
+        (lambda x: x[0] - 0.5, 0.0),
+        # b = 0 under sigma > 0 is no filler row
+        (lambda x: 0.0 if x[0] < 0.5 else 1.0, 1.0),
+    ], ids=["indefinite", "b-negative", "b-zero"])
+    def test_indefinite_system_raises(self, b, sigma):
+        # only b > 0 and sigma >= 0 give the SPD system that CG solves
+        with pytest.raises(SingularSystemError, match="indefinite"):
+            assemble_and_solve(
+                EllipticProblem(domain=Domain.box([(0.0, 1.0)] * 2), dx=0.25,
+                                b=b, sigma=sigma, h=1.0)
+            )
+
+    def test_unconverged_cg_raises(self, monkeypatch):
+        # CG stopped after one step reports that it did not converge
+        cg = elliptic.spla.cg
+        monkeypatch.setattr(elliptic.spla, "cg",
+                            lambda *args, **kwargs: cg(*args, **{**kwargs,
+                                                              "maxiter": 1}))
+        with pytest.raises(SingularSystemError, match="did not converge"):
+            assemble_and_solve(
+                EllipticProblem(domain=Domain.ball((0.0, 0.0), 1.0), dx=0.2,
+                                b=lambda x: 1.0 + 0.5 * x[0], sigma=2.0,
+                                h=lambda x: np.cos(x[0]) * x[1])
+            )
+
     def test_constant_boundary_gives_constant(self):
         # sigma = 0: constants are harmonic, so u = c everywhere
         sol = assemble_and_solve(
@@ -150,10 +176,9 @@ class TestAssembleAndSolve:
                             b=b, sigma=sigma, h=h)
         )
         interior = sol.fieldobj.interior
-        assert sol.solver == "cg"
         # the mask is not its bounding box: R B^-1 R^T is not B^-1
         assert not interior[np.ix_(interior.any(axis=1), interior.any(axis=0))].all()
-        assert np.count_nonzero(interior) <= DENSE_LIMIT
+        assert np.count_nonzero(interior) <= 200  # a small dense oracle
         pts = lattice_points(sol.fieldobj)
         unknowns = [tuple(i) for i in np.argwhere(interior)]
         number = {idx: row for row, idx in enumerate(unknowns)}

@@ -111,7 +111,7 @@ class TestDataCatalog:
                         again = parse_data_function(format_data_function(item), n)
                         assert again == item
                         assert np.array_equal(again(points), item(points))
-                        if item.single_frequency is None:
+                        if item.decay_envelope() is not None:  # Gaussians
                             assert np.array_equal(again.fourier(freqs),
                                                   item.fourier(freqs))
 
@@ -873,6 +873,22 @@ class TestCli:
         path = self._bad_config(tmp_path, "dt = 0.1", "dt = 0.4")
         assert main(["solve", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", [("full_space", 2), ("box", 0)])
+    def test_solve_reads_h_only_on_a_bounded_domain(self, tmp_path, capsys,
+                                                    kind, code):
+        # h is the boundary value: full space has none to read it on
+        config = default_config("E1", n=2).with_overrides(
+            h="gaussian amplitude=5.0", domain_kind=kind,
+            domain_lo=(0.0, 0.0), domain_hi=(1.0, 1.0))
+        path = tmp_path / "h.ini"
+        config.write(path)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "configuration error: h is the boundary value" in \
+                capsys.readouterr().err
 
     @pytest.mark.parametrize("new", ["width=-0.3", "width=abc"])
     def test_bad_catalog_value_exits_2(self, tmp_path, capsys, new):
