@@ -18,8 +18,7 @@ import numpy as np
 
 from ..dispersion import beta_arrays, symbol_G_arrays
 from ..elliptic import VariableCoefficientProblem, split_pipeline
-from ..errors import (AmbiguousBoundaryError, BlowupError, CflViolationError,
-                      TailBoundError)
+from ..errors import AmbiguousBoundaryError, CflViolationError, TailBoundError
 from ..lagrange import (
     LagrangeSystem,
     integrate,
@@ -38,6 +37,7 @@ from ..spectral import (
     separable_forcing,
 )
 from ..stencils import (
+    BLOWUP_THRESHOLD,
     field_from_classification,
     sample_window,
     three_level_steps,
@@ -313,32 +313,34 @@ def _sup(values) -> float:
     return float(max(np.max(values), -np.min(values)))
 
 
-def _cone_max(v0, velocity, dt, dx, steps):
-    """(max |v| reached, level of blowup or None) of the full-space scheme
-    run for `steps` steps from level 0 `v0` and the velocity `velocity`
-    (both overwritten), on a window padded by steps + 2 rings, with no
-    admissibility gate.  Each level is stepped on its dependence cone, so
-    every value seen is the scheme's on Z^n."""
-    max_abs = _sup(v0)
-    try:
-        for _, level_max in three_level_steps(v0, velocity, dt, dx, steps,
-                                              shrink=True):
-            max_abs = max(max_abs, level_max)
-    except BlowupError as exc:
-        return max(max_abs, exc.max_value), exc.level
-    return max_abs, None
+def _level_maxima(v0, velocity, dt, dx, steps) -> list:
+    """max |v| at levels 0..steps of the full-space scheme from `v0` and
+    `velocity` (both overwritten), stepped on the dependence cone; no CFL gate."""
+    return [_sup(v0)] + [level_max for _, level_max in three_level_steps(
+        v0, velocity, dt, dx, steps, shrink=True)]
 
 
-def _raw_leapfrog_max(n, dx, dt, steps, seed_alpha, extent=0.5):
-    """_cone_max of the seed cos(alpha.x) on [-extent, extent]^n, at rest."""
-    window = classify(Domain.full_space([(-extent, extent)] * n),
-                      LatticeSpec(n, dx, dt, steps * dt))
-    v0 = sample_window(DataFunction.plane_wave(seed_alpha),
-                       field_from_classification(window, pad=steps + 2))
-    return _cone_max(v0, np.zeros_like(v0), dt, dx, steps)
+def _corner_run(n, dx, dt, steps):
+    """(max |v|, level of blowup or None, gap) of the scheme at rest from the
+    corner seed (-1)^{sum k}, an eigenvector of Delta_dx: level p is c_p times
+    it, with r = dt/dx, c_0 = 1, c_1 = 1 - 2n r^2, c_{p+1} = (2 - 4n r^2) c_p
+    - c_{p-1}, up to level `steps` or the first |c_p| above BLOWUP_THRESHOLD
+    (the kernel's guard).  `gap` is the largest relative gap of the kernel's
+    max |v| to |c_p| on the origin's cone, over up to 8 levels before that."""
+    q = 2.0 * n * (dt / dx) ** 2
+    c = [1.0, 1.0 - q]
+    while len(c) <= steps and abs(c[-1]) <= BLOWUP_THRESHOLD:
+        c.append((2.0 - 2.0 * q) * c[-1] - c[-2])
+    blow = len(c) - 1 if abs(c[-1]) > BLOWUP_THRESHOLD else None
+    exact = np.abs(c[:min(9, blow or len(c))])
+    seed = 1.0 - 2.0 * (np.indices((2 * len(exact) - 1,) * n).sum(axis=0) % 2)
+    maxima = _level_maxima(seed, np.zeros_like(seed), dt, dx, len(exact) - 1)
+    return max(map(abs, c)), blow, float(np.max(abs(maxima - exact) / exact))
 
 
 def run_e5(config: ExperimentConfig) -> ExperimentResult:
+    if config.data("f") is None:
+        raise ConfigError(f"{config.experiment} needs data: f is none")
     n = config.n
     notes, passed = [], True
     root = math.sqrt(n)
@@ -367,7 +369,7 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     )
     notes.append(f"min |G| over real beta at the seed: {np.min(np.abs(g_vals)):.3e}")
 
-    max_abs, blow_level = _raw_leapfrog_max(n, dx, dt, steps, seed_alpha)
+    max_abs, blow_level, gap = _corner_run(n, dx, dt, steps)
     table = ErrorTable()
     table.add(0, dx, dt, max_abs, 0.0)
     if blow_level is None or max_abs < 1e3:
@@ -387,8 +389,8 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     classification = classify(Domain.full_space(config.window()), spec_c)
     v0 = sample_window(config.data("f"), field_from_classification(
         classification, pad=spec_c.steps + 2))
-    initial_sup = _sup(v0)
-    control_max, _ = _cone_max(v0, np.zeros_like(v0), dt_c, dx_c, spec_c.steps)
+    maxima = _level_maxima(v0, np.zeros_like(v0), dt_c, dx_c, spec_c.steps)
+    control_max, initial_sup = max(maxima), maxima[0]
     notes.append(
         f"control run: max |v| = {control_max:.6f}, initial sup = {initial_sup:.6f}"
     )
@@ -403,9 +405,8 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     steps_r = round(config.T / dt_r)
     for k in range(config.levels):
         dx_r = dt_r * root / 2**k
-        m, blow = _raw_leapfrog_max(
-            n, dx_r, dt_r, steps_r, [math.pi / dx_r] * n
-        )
+        m, blow, gap_r = _corner_run(n, dx_r, dt_r, steps_r)
+        gap = max(gap, gap_r)
         reversed_table.add(k, dx_r, dt_r, m, 0.0)
         notes.append(
             f"reversed-order level {k}: dx = {dx_r:.4g}, max |v| = {m:.3e}"
@@ -414,6 +415,9 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     if reversed_table.sup_errors[-1] < 1e3:
         passed = False
         notes.append("reversed-order runs did not diverge as dx -> 0 at fixed dt")
+    notes.append("corner runs: kernel vs closed form on the origin's cone, "
+                 f"largest relative gap {gap:.3e} (tol 1e-12)")
+    passed &= gap <= 1e-12
 
     return ExperimentResult(
         config.experiment, passed,

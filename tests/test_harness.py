@@ -10,7 +10,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from kernel_reference import leapfrog_advance, leapfrog_first_level
 from wavelattice import (
     DataFunction,
     DiscreteProblem,
@@ -520,37 +519,6 @@ class TestExperiments:
         assert (tmp_path / "config.ini").exists()
 
 
-def _plain_cone_levels(n, dx, dt, steps, seed_alpha, extent=0.5):
-    """E5's raw run by the plain loop, one fresh array per level, from
-    cos(alpha.x) formed on the whole padded window's points.  Yields levels
-    0..steps, level k >= 1 cropped to the points k rings in from the
-    window's edge: those its values are exact on."""
-    half = int(math.ceil(extent / dx)) + steps + 2
-    pts = stencils.grid_points([np.arange(-half, half + 1) * dx] * n)
-    v0 = np.cos(pts @ np.asarray(seed_alpha, dtype=float))
-    accel = stencils.laplacian_array(v0, dx)
-    prev, cur = v0, leapfrog_first_level(v0, np.zeros_like(v0), accel, dt)
-    yield v0
-    for k in range(1, steps + 1):
-        if k >= 2:
-            prev, cur = cur, leapfrog_advance(
-                cur, prev, stencils.laplacian_array(cur, dx), dt)
-        yield stencils.crop_centre(cur, tuple(s - 2 * k for s in v0.shape))
-
-
-def _plain_cone_max(n, dx, dt, steps, seed_alpha):
-    """(max |v|, blowup level or None) over `_plain_cone_levels`, with the
-    stepping kernel's guard on levels 1 and up."""
-    max_abs = 0.0
-    levels = _plain_cone_levels(n, dx, dt, steps, seed_alpha)
-    for k, level in enumerate(levels):
-        m = float(np.max(np.abs(level)))
-        if k >= 1 and (not np.isfinite(m) or m > stencils.BLOWUP_THRESHOLD):
-            return max(max_abs, m), k
-        max_abs = max(max_abs, m)
-    return max_abs, None
-
-
 def _e5_ratios(n, dt):
     """dx at dt/dx = 1/sqrt(n) (admissible), a 5% and a twofold violation,
     and 1/(1.05 sqrt(n))."""
@@ -558,46 +526,60 @@ def _e5_ratios(n, dt):
     return (dt * root, dt * root / 1.05, dt * root / 2, 1.05 * dt / root)
 
 
+def _corner_levels(n, dx, dt, steps):
+    """|c_0|, |c_1|, ... of E5's corner seed by its recurrence, up to level
+    `steps` or the first |c_p| above the kernel's blowup threshold."""
+    q = 2.0 * n * (dt / dx) ** 2
+    c = [1.0, 1.0 - q]
+    while len(c) <= steps and abs(c[-1]) <= stencils.BLOWUP_THRESHOLD:
+        c.append((2.0 - 2.0 * q) * c[-1] - c[-2])
+    return np.abs(c)
+
+
 class TestE5RawRun:
-    """E5 forms its seed level one block of axis-0 rows at a time and steps
-    it on the dependence cone of its padded window: every level it sees is
-    the plain loop's on the points that level holds exactly, so each
-    maximum it reports is a value of the scheme on Z^n."""
+    """E5 reads the maxima and blowup levels of its corner-seed runs from the
+    recurrence c_p, and steps the seed only on the origin's dependence cone,
+    to check the kernel against it."""
 
-    @pytest.mark.parametrize("n, steps", [(1, 12), (2, 8), (3, 5)])
-    def test_levels_equal_plain_loop_on_the_cone(self, n, steps, monkeypatch):
-        seen = []
-        real = experiments.three_level_steps
-
-        def recording(*args, **kwargs):
-            for level, level_max in real(*args, **kwargs):
-                assert level_max == float(np.max(np.abs(level)))
-                seen.append(level.copy())
-                yield level, level_max
-
-        monkeypatch.setattr(experiments, "three_level_steps", recording)
-        dt = 0.05
-        for dx in _e5_ratios(n, dt):
-            seen.clear()
-            alpha = [math.pi / dx] * n
-            _, blow = experiments._raw_leapfrog_max(n, dx, dt, steps, alpha)
-            # levels 1..steps, or up to the one before the blowup
-            assert len(seen) == (steps + 1 if blow is None else blow) - 1
-            plain = itertools.islice(
-                _plain_cone_levels(n, dx, dt, steps, alpha), 1, None)
-            for level, expected in zip(seen, plain):
-                assert np.array_equal(level, expected)
-
-    @pytest.mark.parametrize("n, steps", [(1, 60), (2, 30), (3, 10)])
+    @pytest.mark.parametrize("n, steps", [(1, 60), (2, 50), (3, 45)])
     @pytest.mark.parametrize("block_points", [7, 1 << 16])
-    def test_blocks_equal_whole_window(self, n, steps, block_points,
-                                       monkeypatch):
+    def test_kernel_equals_closed_form_on_the_cone(self, n, steps,
+                                                   block_points, monkeypatch):
+        # every level before the blowup, or all `steps` levels, one block
+        # of rows at a time or the whole level at once; a stable run's |c_p|
+        # comes near 0 (0.0138 at level 38 for n = 1, r = 1/1.05), where
+        # its rounding, about 1e-14, is judged against the seed's amplitude 1
         monkeypatch.setattr(stencils, "BLOCK_POINTS", block_points)
         dt = 0.05
         for dx in _e5_ratios(n, dt):
-            alpha = [math.pi / dx] * n
-            assert experiments._raw_leapfrog_max(n, dx, dt, steps, alpha) == (
-                _plain_cone_max(n, dx, dt, steps, alpha))
+            growth = _corner_levels(n, dx, dt, steps)
+            blow = len(growth) - 1 if growth[-1] > stencils.BLOWUP_THRESHOLD else None
+            levels = len(growth) - 1 - (blow is not None)
+            seed = np.cos(math.pi * np.indices((2 * levels + 1,) * n).sum(axis=0))
+            maxima = experiments._level_maxima(seed, np.zeros_like(seed), dt,
+                                               dx, levels)
+            np.testing.assert_allclose(maxima, growth[:levels + 1],
+                                       rtol=1e-12, atol=1e-12)
+            max_abs, blow_level, gap = experiments._corner_run(n, dx, dt, steps)
+            assert (max_abs, blow_level) == (max(growth), blow)
+            assert gap <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wrong_laplacian_weight_fails(self, n, monkeypatch):
+        # a kernel with the weight 1.01 still blows up from the corner seed
+        # (at level 43, not 45), so only the check against the closed form
+        # sees it
+        real = stencils._laplacian_core
+
+        def heavier(values, dx, rows, acc, part):
+            real(values, dx, rows, acc, part)
+            acc *= 1.01
+
+        monkeypatch.setattr(stencils, "_laplacian_core", heavier)
+        result = run_experiment(default_config("E5", n=n))
+        assert not result.passed
+        gap = float(result.notes[-1].split("largest relative gap ")[1].split()[0])
+        assert gap > 0.1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_control_run_equals_the_padded_window_run(self, n):
@@ -619,13 +601,12 @@ class TestE5RawRun:
         result = run_experiment(config)
         assert result.tables["cfl"].rows[1].sup_error == control
 
-    # reversed-order level 0 runs at dt/dx = 1/sqrt(n) from the checkerboard
-    # seed, so v_k = (-1)^k v_0; a run that steps the whole padded window
-    # reads 1.526 there at n = 2, from the zero outer ring that
-    # laplacian_array leaves, and the pinned value is that run's
+    # the violating run's maximum is one number at every n, since
+    # r sqrt(n) = 1.05; reversed-order level 0 runs at r sqrt(n) = 1, where
+    # |c_p| = 1 up to the rounding of r
     PINNED = {
         1: {
-            "cfl": [(0.02, 0.021, 1019242595318.9473), (0.02, 0.02, 1.0)],
+            "cfl": [(0.02, 0.021, 1019242595318.9471), (0.02, 0.02, 1.0)],
             "reversed_order": [(0.05, 0.05, 1.0),
                                (0.025, 0.05, 1913445293767.0),
                                (0.0125, 0.05, 1757602506271.0)],
@@ -633,35 +614,44 @@ class TestE5RawRun:
                       "max |v| = 1.019e+12",
             "min_g": "min |G| over real beta at the seed: 9.297e+02",
             "dx_r": ["0.05", "0.025", "0.0125"],
+            "gap": "1.037e-15",
         },
         2: {
-            "cfl": [(0.02, 0.014849242404917497, 1019242595318.9309),
+            "cfl": [(0.02, 0.014849242404917497, 1019242595318.9471),
                     (0.028284271247461905, 0.02, 1.0)],
-            "reversed_order": [(0.07071067811865477, 0.05, 1.5263671875000933),
-                               (0.03535533905932738, 0.05, 1913445293766.995),
-                               (0.01767766952966369, 0.05, 1757602506270.9976)],
+            "reversed_order": [(0.07071067811865477, 0.05, 1.0),
+                               (0.03535533905932738, 0.05, 1913445293766.9944),
+                               (0.01767766952966369, 0.05, 1757602506270.997)],
             "blowup": "blowup detected at level 45 (t = 0.6682 < T = 1.0), "
                       "max |v| = 1.019e+12",
             "min_g": "min |G| over real beta at the seed: 1.859e+03",
             "dx_r": ["0.07071", "0.03536", "0.01768"],
+            "gap": "7.105e-15",
+        },
+        3: {
+            "cfl": [(0.02, 0.012124355652982142, 1019242595318.9471),
+                    (0.034641016151377546, 0.02, 1.0)],
+            "reversed_order": [(0.08660254037844387, 0.05, 1.0000000000001776),
+                               (0.04330127018922193, 0.05, 1913445293767.0056),
+                               (0.021650635094610966, 0.05, 1757602506271.003)],
+            "blowup": "blowup detected at level 45 (t = 0.5456 < T = 1.0), "
+                      "max |v| = 1.019e+12",
+            "min_g": "min |G| over real beta at the seed: 2.789e+03",
+            "dx_r": ["0.0866", "0.0433", "0.02165"],
+            "gap": "3.132e-15",
         },
     }
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_and_notes_pinned(self, n):
         pinned = self.PINNED[n]
         result = run_experiment(default_config("E5", n=n))
         assert result.passed
         for name in ("cfl", "reversed_order"):
-            rows = result.tables[name].rows
-            assert len(rows) == len(pinned[name])
-            for k, (row, (dx, dt, sup)) in enumerate(zip(rows, pinned[name])):
-                assert (row.level, row.dx, row.dt, row.l2_error) == (k, dx, dt, 0.0)
-                if name == "reversed_order" and k == 0:
-                    # the corrected entry: v_k = (-1)^k v_0 gives max |v| = 1
-                    assert abs(row.sup_error - 1.0) <= 1e-12
-                else:
-                    assert row.sup_error == sup
+            assert [(row.level, row.dx, row.dt, row.sup_error, row.l2_error)
+                    for row in result.tables[name].rows] == [
+                (k, dx, dt, sup, 0.0)
+                for k, (dx, dt, sup) in enumerate(pinned[name])]
         dx_r = pinned["dx_r"]
         assert result.notes == [
             "violating run: arcsin argument 1.050000 (> 1 expected)",
@@ -674,6 +664,8 @@ class TestE5RawRun:
             "blowup at level 11",
             f"reversed-order level 2: dx = {dx_r[2]}, max |v| = 1.758e+12, "
             "blowup at level 7",
+            "corner runs: kernel vs closed form on the origin's cone, "
+            f"largest relative gap {pinned['gap']} (tol 1e-12)",
         ]
 
 
@@ -921,6 +913,7 @@ class TestCli:
         assert "configuration error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, data, kind", [
+        ("E5", "none", "needs data"),
         ("E6", "modulated_gaussian", "modulated_gaussian"),
         ("E6", "smooth_bump", "smooth_bump"),
         ("E6", "plane_wave", "plane_wave"),
@@ -930,7 +923,8 @@ class TestCli:
     ])
     def test_data_the_experiment_cannot_use_exits_2(self, tmp_path, capsys,
                                                     experiment, data, kind):
-        # E6 takes the Laplacian of a gaussian f, E7 centres its
+        # E5's control run steps f (at f = none its gate would read
+        # 0 <= 2 * 0), E6 takes the Laplacian of a gaussian f, E7 centres its
         # coefficients on f
         config = default_config(experiment, n=1).with_overrides(f=data)
         with pytest.raises(ConfigError, match=kind):
