@@ -35,7 +35,6 @@ from .lagrange import (
     LagrangeSystem,
     integrate,
     phi_reference_error,
-    rhs,
     set_initial_data,
     system_for_domain,
 )

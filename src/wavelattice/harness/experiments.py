@@ -25,7 +25,8 @@ from ..lagrange import (
     phi_reference_error,
     set_initial_data,
 )
-from ..lattice import Domain, LatticeSpec, classify, refine_halving, window_indices
+from ..lattice import (Domain, LatticeSpec, classify, point_indices, refine_halving,
+                       window_indices)
 from ..leapfrog import DiscreteProblem, solve
 from ..spectral import (
     DataFunction,
@@ -112,6 +113,17 @@ def _quadrature(*data, T):
         raise ConfigError(f"reference solution: {exc}") from exc
 
 
+def _compare_points(window, dx: float):
+    """The points of the lattice of step dx in `window`, on which a run is
+    compared, and their per-axis hull [(min, max), ...]: the part of the
+    window a run must hold.  Raises ConfigError for a window with no point."""
+    points = window_indices(window, dx) * dx
+    if not len(points):
+        raise ConfigError(f"the window {window!r} holds no point of the "
+                          f"lattice of step {dx!r} to compare on")
+    return points, list(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))
+
+
 def _varying_ratio_specs(base: LatticeSpec, levels: int) -> list:
     """Halving in dx with the ratio dt/dx cycling through {1/sqrt(n), 0.3, 0.5}.
 
@@ -143,10 +155,11 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
     base = config.base_spec()
     f, g = config.data("f"), config.data("g")
     window = config.window()
-    domain = Domain.full_space(window)
     # the reference at t = T on the base lattice's window points, on which
-    # every lattice of both families is compared
-    points = window_indices(window, base.dx) * base.dx
+    # every lattice of both families is compared; each lattice is solved on
+    # their hull, all that is read of it
+    points, hull = _compare_points(window, base.dx)
+    domain = Domain.full_space(hull)
     reference = np.atleast_1d(homogeneous_solution(
         f, g, points, base.T, quad=_quadrature(f, g, T=base.T)))
     # (sup, l2) per lattice: the two families share most of their lattices,
@@ -211,15 +224,15 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(
             f"E2 needs T/2 = {t_mid!r} on the base lattice: T/dt must be even")
     quad = _quadrature(f, g, T=base.T)
-    probes = window_indices(window, base.dx)
-    points = probes.astype(float) * base.dx
+    points, hull = _compare_points(window, base.dx)
+    probes = point_indices(points, base.dx)
     ref_tt, ref_xx = (np.atleast_1d(homogeneous_solution(
         f, g, points, t_mid, quad=quad, derivative=d)) for d in ("tt", ("xx", 0)))
 
     table = ErrorTable()
     for k, spec in enumerate(refine_halving(base, config.levels)):
         # one ring more: the x-quotients read the edge probes' neighbours
-        grown = Domain.full_space([(lo - spec.dx, hi + spec.dx) for lo, hi in window])
+        grown = Domain.full_space([(lo - spec.dx, hi + spec.dx) for lo, hi in hull])
         problem = DiscreteProblem(spec=spec, domain=grown, f=f, g=g)
         p_mid = spec.steps // 2  # the level of t_mid
         fieldobj = solve(problem, t_range=(0.0, (p_mid + 1) * spec.dt))
@@ -284,7 +297,7 @@ def run_e4(config: ExperimentConfig) -> ExperimentResult:
     if f is None and g is None:
         raise ConfigError(f"{config.experiment} needs data: f and g are both none")
     quad = _quadrature(f, g, T=config.T)
-    probes = window_indices(config.window(), config.dx) * config.dx
+    probes = _compare_points(config.window(), config.dx)[0]
     t = config.T
     reference = np.atleast_1d(homogeneous_solution(f, g, probes, t, quad=quad))
     table = ErrorTable()
@@ -455,12 +468,12 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
 
     # (b) manufactured solution U = gaussian(x) cos(t) against forced leapfrog
     spec = config.base_spec()
+    points = _compare_points(config.window(), spec.dx)[0]
     forcing_m = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
     domain = Domain.full_space(config.window())
     problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing_m)
     fieldobj = solve(problem, t_range=(0.0, spec.T))
 
-    points = window_indices(config.window(), spec.dx) * spec.dx
     sup_b, l2_b = compare_on_common_lattice(
         fieldobj, space(points) * math.cos(spec.T), config.window(), spec.T)
     tol_b = 5.0 * (spec.dx**2 + spec.dt**2) * space.amplitude

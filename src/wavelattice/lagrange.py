@@ -23,7 +23,6 @@ from .stencils import (
     GridField,
     clamp_level,
     field_from_classification,
-    laplacian_array,
     sample_forcing,
     sample_window,
     three_level_steps,
@@ -89,18 +88,6 @@ def set_initial_data(system: LagrangeSystem, f, g) -> None:
     system.values = system.clamp(sample_window(f, system.fieldobj))
     system.velocities = sample_window(g, system.fieldobj)
     system.velocities[~system.fieldobj.interior] = 0.0
-
-
-def rhs(system: LagrangeSystem, t: float,
-        values: Optional[np.ndarray] = None) -> np.ndarray:
-    """Acceleration a(x) Lap_dx xi - sigma(x) xi + w(x, t).
-
-    Boundary neighbours are read from the clamped entries of the value
-    array; the returned array is only meaningful on interior points.
-    """
-    xi = system.values if values is None else values
-    terms = system._terms or (lambda accel, *rest: accel)
-    return terms(laplacian_array(xi, system.dx), xi, t, slice(0, len(xi)))
 
 
 def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,

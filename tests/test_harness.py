@@ -480,6 +480,44 @@ class TestE1Cache:
 
 
 
+class TestComparisonHull:
+    """E1 and E2 solve each lattice on the hull of the base lattice's points
+    in the window, the only points they read (E2 one fine ring wider, for its
+    x-quotients), and answer as a config whose window is that hull."""
+
+    @pytest.mark.parametrize("experiment, rings", [("E1", 0), ("E2", 1)])
+    def test_every_solve_is_on_the_hull(self, experiment, rings, monkeypatch):
+        config = default_config(experiment, n=2, levels=3)
+        base = config.base_spec()
+        points = window_indices(config.window(), base.dx) * base.dx
+        hull = list(zip(points.min(axis=0), points.max(axis=0)))
+        assert hull == [(-0.4, 0.4)] * 2  # the window is +-0.5, dx 0.2
+        solved = []
+        real_solve = experiments.solve
+
+        def recording_solve(problem, *args, **kwargs):
+            solved.append(problem)
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", recording_solve)
+        run_experiment(config)
+        assert solved
+        for problem in solved:
+            ring = rings * problem.spec.dx
+            assert list(problem.domain.bounds) == [
+                (lo - ring, hi + ring) for lo, hi in hull]
+
+    @pytest.mark.parametrize("experiment", ["E1", "E2"])
+    def test_results_equal_the_snapped_window(self, experiment):
+        config = default_config(experiment, n=2, levels=3)
+        snapped = config.with_overrides(window_lo=(-0.4,), window_hi=(0.4,))
+        result, expected = run_experiment(config), run_experiment(snapped)
+        assert result.passed
+        assert result.notes == expected.notes
+        assert ({name: table.rows for name, table in result.tables.items()}
+                == {name: table.rows for name, table in expected.tables.items()})
+
+
 class TestVaryingRatioSpecs:
     # steps per level of the E1 default base lattice (dx = 0.2, T = 0.4);
     # dx halves from level to level
@@ -790,6 +828,20 @@ class TestSingleFrequencyData:
 class TestCli:
     def test_bad_experiment_id_exits_2(self):
         assert main(["experiment", "E99"]) == 2
+
+    @pytest.mark.parametrize("experiment, lo, hi", [
+        ("E1", 0.05, 0.15), ("E2", 0.05, 0.15), ("E4", 0.05, 0.15),
+        ("E6", 0.01, 0.04)])
+    def test_window_without_compare_points_exits_2(self, tmp_path, capsys,
+                                                   experiment, lo, hi):
+        # no point of the base lattice (dx 0.2; E6 0.05) lies in the window
+        config = default_config(experiment, n=2).with_overrides(
+            window_lo=(lo,), window_hi=(hi,))
+        path = tmp_path / "empty.ini"
+        config.write(path)
+        assert main(["experiment", experiment, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "holds no point" in err
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["experiment", "E1", "--config",

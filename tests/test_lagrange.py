@@ -19,12 +19,23 @@ from wavelattice import (
     solve,
 )
 from wavelattice.dispersion import beta_semidiscrete
-from wavelattice.lagrange import LagrangeSystem, rhs, system_for_domain
+from wavelattice.lagrange import LagrangeSystem, system_for_domain
 from wavelattice.spectral import dalembert_forcing
 from wavelattice.stencils import (
     crop_centre,
+    laplacian_array,
     lattice_points,
 )
+
+
+def rhs(system: LagrangeSystem, t: float, values=None) -> np.ndarray:
+    """The reference acceleration a(x) Lap_dx xi - sigma(x) xi + w(x, t) of
+    the system's values (or of `values`), from the terms the stepping kernel
+    reads.  Boundary neighbours are read from the clamped entries; the
+    array is only meaningful on interior points."""
+    xi = system.values if values is None else values
+    terms = system._terms or (lambda accel, *rest: accel)
+    return terms(laplacian_array(xi, system.dx), xi, t, slice(0, len(xi)))
 
 
 def _clamped(system, arr):
