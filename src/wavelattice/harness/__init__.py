@@ -3,6 +3,7 @@
 from .config import ConfigError, ExperimentConfig, format_data_function, parse_data_function
 from .experiments import (
     ExperimentResult,
+    Gate,
     audit_dispersion_roots,
     audit_seno_bound,
     default_config,

@@ -1,9 +1,10 @@
 """The named experiments E1-E8 and the bound audits behind `audit-bounds`.
 
 Each experiment is a pure function of its ExperimentConfig returning an
-ExperimentResult: one or more convergence tables, free-text notes, and a
-pass flag.  run_experiment additionally writes the artifacts (CSV tables,
-gnuplot scripts, the resolved config, notes) into the output directory.
+ExperimentResult: its convergence tables, free-text notes, and the gates
+its verdict is made of; it passes when every gate holds.  run_experiment
+adds a note per failed gate and writes the artifacts (CSV tables, gnuplot
+scripts, the resolved config, notes) into the output directory.
 Randomized sweeps draw from a generator seeded by config.seed, which is
 recorded with the output.
 """
@@ -48,6 +49,7 @@ from .norms import compare_on_common_lattice, scaled_norms
 from .table import ErrorTable
 
 __all__ = [
+    "Gate",
     "ExperimentResult",
     "default_config",
     "run_experiment",
@@ -58,12 +60,34 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One check of a verdict: it holds when lo <= value <= hi, so a NaN
+    value fails it."""
+    name: str
+    value: float
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def ok(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+    def failure(self) -> str:
+        return (f"failed gate {self.name}: {self.value:.6g} outside "
+                f"[{self.lo:g}, {self.hi:g}]")
+
+
 @dataclass
 class ExperimentResult:
     experiment: str
-    passed: bool
+    gates: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(gate.ok for gate in self.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +148,17 @@ def _compare_points(window, dx: float):
     return points, list(zip(points.min(axis=0).tolist(), points.max(axis=0).tolist()))
 
 
+def _convergence_gates(table: ErrorTable, config: ExperimentConfig,
+                       prefix: str = "") -> list:
+    """The gates of a convergence table: its sup error falls from each level
+    to the next, and its final observed order lies in the configured window."""
+    errs = table.sup_errors
+    return [Gate(f"{prefix}levels where the sup error does not fall",
+                 sum(not b < a for a, b in zip(errs, errs[1:])), hi=0),
+            Gate(f"{prefix}final observed order", table.final_order(),
+                 config.order_lo, config.order_hi)]
+
+
 def _varying_ratio_specs(base: LatticeSpec, levels: int) -> list:
     """Halving in dx with the ratio dt/dx cycling through {1/sqrt(n), 0.3, 0.5}.
 
@@ -180,35 +215,19 @@ def run_e1(config: ExperimentConfig) -> ExperimentResult:
     fixed = table_for(refine_halving(base, config.levels))
     varying = table_for(_varying_ratio_specs(base, config.levels))
 
-    notes, passed = [], True
-    zero_data = f is None and g is None
-    for name, table in (("fixed_ratio", fixed), ("varying_ratio", varying)):
-        if zero_data:
-            if any(e != 0.0 for e in table.sup_errors):
-                passed = False
-                notes.append(f"{name}: zero data produced nonzero errors")
-            continue
-        if not table.monotone_decreasing():
-            passed = False
-            notes.append(f"{name}: sup errors are not monotone decreasing")
-        order = table.final_order()
-        notes.append(f"{name}: final observed order {order:.3f}")
-        if not (config.order_lo <= order <= config.order_hi):
-            passed = False
-            notes.append(
-                f"{name}: final order outside "
-                f"[{config.order_lo}, {config.order_hi}]"
-            )
-    if not zero_data:
-        ratio = fixed.sup_errors[-1] / max(varying.sup_errors[-1], 1e-300)
-        notes.append(f"fixed/varying final-error ratio {ratio:.3f}")
-        if not (0.25 <= ratio <= 4.0):
-            passed = False
-            notes.append("fixed vs varying final errors differ by more than 4x")
-    return ExperimentResult(
-        config.experiment, passed,
-        {"fixed_ratio": fixed, "varying_ratio": varying}, notes,
-    )
+    notes, gates = [], []
+    tables = {"fixed_ratio": fixed, "varying_ratio": varying}
+    if f is None and g is None:  # zero data: every error is exactly 0
+        gates = [Gate(f"{name}: largest sup error", float(np.max(table.sup_errors)),
+                      hi=0.0) for name, table in tables.items()]
+        return ExperimentResult(config.experiment, gates, tables, notes)
+    for name, table in tables.items():
+        gates += _convergence_gates(table, config, f"{name}: ")
+        notes.append(f"{name}: final observed order {gates[-1].value:.3f}")
+    ratio = fixed.sup_errors[-1] / max(varying.sup_errors[-1], 1e-300)
+    notes.append(f"fixed/varying final-error ratio {ratio:.3f}")
+    gates.append(Gate("fixed/varying final-error ratio", ratio, 0.25, 4.0))
+    return ExperimentResult(config.experiment, gates, tables, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +267,9 @@ def run_e2(config: ExperimentConfig) -> ExperimentResult:
         sup, l2 = scaled_norms(diffs, spec.dx, spec.n, spec.dt)
         table.add(k, spec.dx, spec.dt, sup, l2)
 
-    notes, passed = [], True
-    if not table.monotone_decreasing():
-        passed = False
-        notes.append("difference-quotient errors are not monotone decreasing")
-    order = table.final_order()
-    notes.append(f"final observed order {order:.3f}")
-    if not (config.order_lo <= order <= config.order_hi):
-        passed = False
-        notes.append("final order outside the configured window")
-    return ExperimentResult(config.experiment, passed, {"quotients": table}, notes)
+    gates = _convergence_gates(table, config)
+    notes = [f"final observed order {gates[-1].value:.3f}"]
+    return ExperimentResult(config.experiment, gates, {"quotients": table}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +289,7 @@ def run_e3(config: ExperimentConfig) -> ExperimentResult:
     for k, (h, err) in enumerate(rows):
         table.add(k, config.dx, h, err, err)
 
-    notes, passed = [], True
+    notes, gates = [], []
     floor = 1e-8
     for k in range(1, len(rows)):
         prev_e, cur_e = rows[k - 1][1], rows[k][1]
@@ -286,10 +298,10 @@ def run_e3(config: ExperimentConfig) -> ExperimentResult:
             continue
         ratio = prev_e / cur_e
         notes.append(f"level {k}: error ratio {ratio:.3f}")
-        if not (3.0 <= ratio <= 5.0):
-            passed = False
-            notes.append(f"level {k}: ratio outside [3, 5]")
-    return ExperimentResult(config.experiment, passed, {"verlet": table}, notes)
+        gates.append(Gate(f"level {k}: error ratio", ratio, 3.0, 5.0))
+    # a run whose every level sits at the floor has checked nothing
+    gates.append(Gate("levels above the quadrature floor", len(gates), lo=1))
+    return ExperimentResult(config.experiment, gates, {"verlet": table}, notes)
 
 
 def run_e4(config: ExperimentConfig) -> ExperimentResult:
@@ -307,14 +319,11 @@ def run_e4(config: ExperimentConfig) -> ExperimentResult:
         sup, l2 = scaled_norms(phi - reference, dx, config.n, t)
         table.add(k, dx, 0.0, sup, l2)
 
-    notes, passed = [], True
-    orders = table.observed_orders[1:]
-    for k, order in enumerate(orders, start=1):
-        notes.append(f"level {k}: observed order {order:.3f}")
-        if not (config.order_lo <= order <= config.order_hi):
-            passed = False
-            notes.append(f"level {k}: order outside the configured window")
-    return ExperimentResult(config.experiment, passed, {"phi_vs_u": table}, notes)
+    gates = [Gate(f"level {k}: observed order", order, config.order_lo,
+                  config.order_hi)
+             for k, order in enumerate(table.observed_orders[1:], start=1)]
+    notes = [f"{gate.name} {gate.value:.3f}" for gate in gates]
+    return ExperimentResult(config.experiment, gates, {"phi_vs_u": table}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +364,7 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     if config.data("f") is None:
         raise ConfigError(f"{config.experiment} needs data: f is none")
     n = config.n
-    notes, passed = [], True
+    notes = []
     root = math.sqrt(n)
 
     # violating run: dt/dx = 1.05/sqrt(n), seeded at the Brillouin corner
@@ -363,32 +372,26 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     dt = 1.05 / root * dx
     steps = math.ceil(config.T / dt)
     seed_alpha = [math.pi / dx] * n
-    arg = (dt / dx) * math.sqrt(
-        sum(math.sin(a * dx / 2.0) ** 2 for a in seed_alpha)
-    )
+    arg = (dt / dx) * math.sqrt(sum(math.sin(a * dx / 2.0) ** 2 for a in seed_alpha))
     notes.append(f"violating run: arcsin argument {arg:.6f} (> 1 expected)")
-    if arg <= 1.0:
-        passed = False
+    gates = [Gate("violating run: arcsin argument", arg, lo=math.nextafter(1.0, 2.0))]
     try:
         beta_arrays(np.asarray(seed_alpha), dx, dt)
-        passed = False
-        notes.append("beta did not flag the CFL violation at the seed")
+        flagged = 0.0
     except CflViolationError:
+        flagged = 1.0
         notes.append("beta raises cfl-violation at the seeded frequency")
+    gates.append(Gate("beta flags the CFL violation at the seed", flagged, lo=1.0))
     # symbol_G has no real root beta^2 here; record its minimum over a sweep
     betas = np.linspace(0.0, math.pi / dt, 512)
-    g_vals = symbol_G_arrays(
-        np.asarray([seed_alpha]), (betas**2)[:, None], dx, dt
-    )
+    g_vals = symbol_G_arrays(np.asarray([seed_alpha]), (betas**2)[:, None], dx, dt)
     notes.append(f"min |G| over real beta at the seed: {np.min(np.abs(g_vals)):.3e}")
 
     max_abs, blow_level, gap = _corner_run(n, dx, dt, steps)
-    table = ErrorTable()
-    table.add(0, dx, dt, max_abs, 0.0)
-    if blow_level is None or max_abs < 1e3:
-        passed = False
-        notes.append("violating run did not blow up before T")
-    else:
+    # it blows up before T exactly when it passes the kernel's guard
+    gates.append(Gate("violating run: max |v|", max_abs,
+                      lo=math.nextafter(BLOWUP_THRESHOLD, math.inf)))
+    if blow_level is not None:
         notes.append(
             f"blowup detected at level {blow_level} "
             f"(t = {blow_level * dt:.4f} < T = {config.T}), max |v| = {max_abs:.3e}"
@@ -407,35 +410,24 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     notes.append(
         f"control run: max |v| = {control_max:.6f}, initial sup = {initial_sup:.6f}"
     )
-    table.add(1, dx_c, dt_c, control_max, 0.0)
-    if control_max > 2.0 * initial_sup:
-        passed = False
-        notes.append("control run exceeded twice the initial sup-norm")
+    gates.append(Gate("control run: max |v|", control_max, hi=2.0 * initial_sup))
 
     # reversed-order limit: dx -> 0 at fixed dt diverges
-    reversed_table = ErrorTable()
     dt_r = 0.05
     steps_r = round(config.T / dt_r)
     for k in range(config.levels):
         dx_r = dt_r * root / 2**k
         m, blow, gap_r = _corner_run(n, dx_r, dt_r, steps_r)
         gap = max(gap, gap_r)
-        reversed_table.add(k, dx_r, dt_r, m, 0.0)
         notes.append(
             f"reversed-order level {k}: dx = {dx_r:.4g}, max |v| = {m:.3e}"
             + (f", blowup at level {blow}" if blow else "")
         )
-    if reversed_table.sup_errors[-1] < 1e3:
-        passed = False
-        notes.append("reversed-order runs did not diverge as dx -> 0 at fixed dt")
+    gates.append(Gate("reversed-order finest run: max |v|", m, lo=1e3))
     notes.append("corner runs: kernel vs closed form on the origin's cone, "
                  f"largest relative gap {gap:.3e} (tol 1e-12)")
-    passed &= gap <= 1e-12
-
-    return ExperimentResult(
-        config.experiment, passed,
-        {"cfl": table, "reversed_order": reversed_table}, notes,
-    )
+    gates.append(Gate("corner runs: largest relative gap", gap, hi=1e-12))
+    return ExperimentResult(config.experiment, gates, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +440,16 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     if space.kind != "gaussian":
         raise ConfigError("E6's manufactured solution needs f = gaussian or "
                           f"none, not {space.kind}")
-    notes, passed = [], True
+    spec = config.base_spec()
+    points = _compare_points(config.window(), spec.dx)[0]
+    # part (c) reads the solved window at lattice points of step 4 dx
+    probe_idx = window_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
+    probes = probe_idx * spec.dx
+    if np.any((probes < points.min(axis=0)) | (probes > points.max(axis=0))):
+        raise ConfigError(f"E6 compares with the discrete Duhamel solution at "
+                          f"{probes.tolist()!r}: the window {config.window()!r} "
+                          "must hold them")
+    notes = []
     table = ErrorTable()
 
     # (a) single-frequency forcing against (1 - cos(|alpha| t))/|alpha|^2
@@ -463,12 +464,9 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     err_a = abs(val - exact)
     table.add(0, 0.0, t / 128.0, err_a, 0.0)
     notes.append(f"single-frequency error {err_a:.3e} (tol 1e-6)")
-    if err_a > 1e-6:
-        passed = False
+    gates = [Gate("single-frequency error", err_a, hi=1e-6)]
 
     # (b) manufactured solution U = gaussian(x) cos(t) against forced leapfrog
-    spec = config.base_spec()
-    points = _compare_points(config.window(), spec.dx)[0]
     forcing_m = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
     domain = Domain.full_space(config.window())
     problem = DiscreteProblem(spec=spec, domain=domain, f=space, forcing=forcing_m)
@@ -479,22 +477,18 @@ def run_e6(config: ExperimentConfig) -> ExperimentResult:
     tol_b = 5.0 * (spec.dx**2 + spec.dt**2) * space.amplitude
     table.add(1, spec.dx, spec.dt, sup_b, l2_b)
     notes.append(f"manufactured-solution error {sup_b:.3e} (tol {tol_b:.3e})")
-    if sup_b > tol_b:
-        passed = False
+    gates.append(Gate("manufactured-solution error", sup_b, hi=tol_b))
 
     # (c) forced leapfrog against the exact discrete Duhamel convolution
     quad = _quadrature(space, T=spec.T)
-    probe_idx = window_indices([(-0.3, 0.3)] * n, spec.dx * 4)[:5] * 4
-    refs = duhamel_solve(space, None, forcing_m, probe_idx.astype(float) * spec.dx,
-                         spec.T, quad, dx=spec.dx, dt=spec.dt)
+    refs = duhamel_solve(space, None, forcing_m, probes, spec.T, quad,
+                         dx=spec.dx, dt=spec.dt)
     vals = fieldobj.level_array(spec.steps)[fieldobj.positions(probe_idx)]
     err_c = float(np.max(np.abs(vals - refs)))
     table.add(2, spec.dx, spec.dt, err_c, 0.0)
     notes.append(f"leapfrog vs discrete Duhamel {err_c:.3e} (tol 1e-6)")
-    if err_c > 1e-6:
-        passed = False
-
-    return ExperimentResult(config.experiment, passed, {"duhamel": table}, notes)
+    gates.append(Gate("leapfrog vs discrete Duhamel", err_c, hi=1e-6))
+    return ExperimentResult(config.experiment, gates, {"duhamel": table}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +543,15 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         sup, l2 = scaled_norms(vals - finest, spec.dx, spec.n, spec.dt)
         table.add(k, spec.dx, spec.dt, sup, l2)
 
-    notes, passed = [], True
+    notes = []
     for k, (res, iterations) in enumerate(solves):
         notes.append(f"level {k}: elliptic residual {res:.3e} "
                      f"({iterations} CG iterations)")
     orders = table.observed_orders[1:]
     for k, order in enumerate(orders, start=1):
         notes.append(f"self-convergence order at level {k}: {order:.3f}")
-    if not orders or orders[-1] < 1.0:
-        passed = False
-        notes.append("self-convergence order fell below 1")
+    # NaN, and so failed, with fewer than three levels
+    gates = [Gate("final self-convergence order", (orders or [math.nan])[-1], lo=1.0)]
 
     # direct Theorem-c integration with a(x), sigma(x) in the ODE, on the
     # finest level's classification and f
@@ -575,7 +568,7 @@ def run_e7(config: ExperimentConfig) -> ExperimentResult:
         f"pipeline vs direct Theorem-c integration: max gap {gap:.3e} "
         f"at dx = {spec_f.dx:.4g} (reported, not gated)"
     )
-    return ExperimentResult(config.experiment, passed, {"pipeline": table}, notes)
+    return ExperimentResult(config.experiment, gates, {"pipeline": table}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +612,13 @@ AUDIT_SAMPLES = 10_000
 
 
 def audit_bounds(n: int, T: float, seed: int) -> list:
-    """E8's two bound audits, [(seno-bound slack, its tolerance 1e-12 T),
-    (dispersion-root slack, its tolerance 0)], each over AUDIT_SAMPLES
-    random samples, seeded with seed and seed + 1.  An audit fails when its
-    slack exceeds its tolerance."""
-    return [(audit_seno_bound(n, T, AUDIT_SAMPLES, seed), 1e-12 * T),
-            (audit_dispersion_roots(n, AUDIT_SAMPLES, seed + 1), 0.0)]
+    """E8's two bound audits as gates: the seno-bound slack at most 1e-12 T
+    and the dispersion-root slack at most 0, each over AUDIT_SAMPLES random
+    samples, seeded with seed and seed + 1."""
+    return [Gate("seno-bound slack", audit_seno_bound(n, T, AUDIT_SAMPLES, seed),
+                 hi=1e-12 * T),
+            Gate("dispersion-root slack",
+                 audit_dispersion_roots(n, AUDIT_SAMPLES, seed + 1), hi=0.0)]
 
 
 def propagator_degeneration(n: int, samples: int, seed: int,
@@ -637,59 +631,39 @@ def propagator_degeneration(n: int, samples: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(-5.0, 5.0, size=(samples, n))
-    t = 0.5
-    dx0 = 0.05
+    t, dx0 = 0.5, 0.05
 
-    semi_ref = [propagator(a, t, dx=dx0) for a in alphas]
-    chain_dt = ErrorTable()
-    for k in range(levels):
-        dt = t / (20 * 2**k)
-        err = max(
-            float(np.max(np.abs(propagator(a, t, dx=dx0, dt=dt) - ref)))
-            for a, ref in zip(alphas, semi_ref)
-        )
-        chain_dt.add(k, dx0, dt, err, err)
+    def chain(ref_dx, steps):
+        # the deviation from the model (ref_dx, 0) at each level's (dx, dt)
+        refs = [propagator(a, t, dx=ref_dx) for a in alphas]
+        table = ErrorTable()
+        for k, (dx, dt) in enumerate(steps):
+            err = max(float(np.max(np.abs(propagator(a, t, dx=dx, dt=dt) - ref)))
+                      for a, ref in zip(alphas, refs))
+            table.add(k, dx, dt, err, err)
+        return table
 
-    cont_ref = [propagator(a, t) for a in alphas]
-    chain_dx = ErrorTable()
-    for k in range(levels):
-        dx = dx0 / 2**k
-        err = max(
-            float(np.max(np.abs(propagator(a, t, dx=dx) - ref)))
-            for a, ref in zip(alphas, cont_ref)
-        )
-        chain_dx.add(k, dx, 0.0, err, err)
-    return chain_dt, chain_dx
+    return (chain(dx0, [(dx0, t / (20 * 2**k)) for k in range(levels)]),
+            chain(0.0, [(dx0 / 2**k, 0.0) for k in range(levels)]))
 
 
 def run_e8(config: ExperimentConfig) -> ExperimentResult:
-    notes, passed = [], True
-    (violation, seno_tol), (root_slack, root_tol) = audit_bounds(
-        config.n, config.T, config.seed)
-    notes.append(
-        f"seno bound: max |dt sin(beta t)/sin(beta dt)| - T = {violation:.3e} "
-        f"over {AUDIT_SAMPLES} samples (tol {seno_tol:.1e})"
-    )
-    if violation > seno_tol:
-        passed = False
-        notes.append("seno bound violated beyond tolerance")
-
-    notes.append(f"dispersion roots: max |G| slack {root_slack:.3e}")
-    if root_slack > root_tol:
-        passed = False
-        notes.append("dispersion root residual exceeded 1e-11 (1 + |alpha|^2)")
-
+    gates = audit_bounds(config.n, config.T, config.seed)
+    seno, roots = gates
+    notes = [
+        f"seno bound: max |dt sin(beta t)/sin(beta dt)| - T = {seno.value:.3e} "
+        f"over {AUDIT_SAMPLES} samples (tol {seno.hi:.1e})",
+        f"dispersion roots: max |G| slack {roots.value:.3e}",
+    ]
     chain_dt, chain_dx = propagator_degeneration(
         config.n, 100, config.seed + 2, levels=config.levels
     )
     for name, chain in (("chain_dt", chain_dt), ("chain_dx", chain_dx)):
-        order = chain.final_order()
-        notes.append(f"{name}: final degeneration order {order:.3f}")
-        if order < 1.9:
-            passed = False
-            notes.append(f"{name}: degeneration order below 1.9")
+        gates.append(Gate(f"{name}: final degeneration order", chain.final_order(),
+                          lo=1.9))
+        notes.append(f"{gates[-1].name} {gates[-1].value:.3f}")
     return ExperimentResult(
-        config.experiment, passed,
+        config.experiment, gates,
         {"propagator_dt": chain_dt, "propagator_dx": chain_dx}, notes,
     )
 
@@ -716,7 +690,7 @@ def run_experiment(config: ExperimentConfig,
 
     Artifacts per output directory: the resolved config (provenance,
     including the seed), one CSV + gnuplot script per table, and notes.txt
-    with the per-row findings and the final verdict.  Raises ConfigError
+    with the per-row findings, a line per failed gate and the verdict.  Raises ConfigError
     before anything runs when the config sets data the experiment does not
     read (see _READS), a domain kind not its own (E7 runs on a box or a
     ball, every other experiment on full space) or, for E6, which runs one
@@ -735,6 +709,7 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(f"{eid} runs on full space: domain kind full_space, "
                           f"not {config.domain_kind}")
     result = _RUNNERS[eid](config)
+    result.notes += [gate.failure() for gate in result.gates if not gate.ok]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,7 @@ from wavelattice.harness import (
     ConfigError,
     ErrorTable,
     ExperimentConfig,
+    Gate,
     compare_on_common_lattice,
     default_config,
     format_data_function,
@@ -546,6 +547,64 @@ class TestVaryingRatioSpecs:
         assert run_experiment(default_config("E1", n=n, levels=levels)).passed
 
 
+class TestVerdictGates:
+    """Every verdict is `all` of its gates, and run_experiment notes each
+    failed gate with its bounds."""
+
+    def test_gate_bounds_are_closed_and_nan_fails(self):
+        assert Gate("g", 1.0, lo=1.0, hi=1.0).ok
+        assert not Gate("g", math.nextafter(1.0, 2.0), hi=1.0).ok
+        assert not Gate("g", math.nan).ok
+        assert Gate("g", 2.5e-6, hi=1e-6).failure() == \
+            "failed gate g: 2.5e-06 outside [-inf, 1e-06]"
+
+    @pytest.mark.parametrize("experiment", [f"E{k}" for k in range(1, 9)])
+    def test_verdict_is_all_gates(self, experiment):
+        result = run_experiment(default_config(experiment, n=1))
+        assert result.gates
+        assert result.passed == all(gate.ok for gate in result.gates)
+        assert not any(note.startswith("failed gate") for note in result.notes)
+
+    @pytest.mark.parametrize("experiment", ["E1", "E2", "E5", "E6"])
+    def test_wrong_laplacian_weight_notes_every_failed_gate(self, experiment,
+                                                            monkeypatch, tmp_path):
+        real = stencils._laplacian_core
+
+        def heavier(values, dx, rows, acc, part):
+            real(values, dx, rows, acc, part)
+            acc *= 1.01
+
+        monkeypatch.setattr(stencils, "_laplacian_core", heavier)
+        result = run_experiment(default_config(experiment, n=2), tmp_path)
+        failed = [gate for gate in result.gates if not gate.ok]
+        assert not result.passed and failed
+        lines = [note for note in result.notes if note.startswith("failed gate")]
+        assert lines == [
+            f"failed gate {gate.name}: {gate.value:.6g} outside "
+            f"[{gate.lo:g}, {gate.hi:g}]" for gate in failed]
+        text = (tmp_path / "notes.txt").read_text(encoding="ascii")
+        assert all(f"{line}\n" in text for line in lines)
+        assert text.endswith("verdict: FAIL\n")
+
+    def test_e3_with_every_level_at_the_quadrature_floor_fails(self, tmp_path):
+        # data of amplitude 1e-9 put every level's error near 6.4e-11, under
+        # the floor 1e-8, so no error ratio is checked
+        config = default_config("E3", n=1).with_overrides(
+            f="gaussian amplitude=1e-9", g="none")
+        result = run_experiment(config)
+        assert all("at the quadrature floor" in note for note in result.notes[:-1])
+        assert result.gates == [
+            Gate("levels above the quadrature floor", 0, lo=1)]
+        assert not result.passed
+        path = tmp_path / "e3.ini"
+        config.write(path)
+        out = tmp_path / "out"
+        assert main(["experiment", "E3", "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert ("failed gate levels above the quadrature floor: 0 outside [1, inf]\n"
+                in (out / "notes.txt").read_text(encoding="ascii"))
+
+
 class TestExperiments:
     def test_zero_data_is_exact(self, tmp_path):
         cfg = default_config("E1", n=1, levels=3).with_overrides(
@@ -616,8 +675,9 @@ class TestE5RawRun:
         monkeypatch.setattr(stencils, "_laplacian_core", heavier)
         result = run_experiment(default_config("E5", n=n))
         assert not result.passed
-        gap = float(result.notes[-1].split("largest relative gap ")[1].split()[0])
-        assert gap > 0.1
+        assert [gate.name for gate in result.gates if not gate.ok] == [
+            "corner runs: largest relative gap"]
+        assert result.gates[-1].value > 0.1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_control_run_equals_the_padded_window_run(self, n):
@@ -637,17 +697,14 @@ class TestE5RawRun:
                                                    dx, steps):
             control = max(control, float(np.max(np.abs(level))))
         result = run_experiment(config)
-        assert result.tables["cfl"].rows[1].sup_error == control
+        gate = next(g for g in result.gates if g.name == "control run: max |v|")
+        assert gate.value == control
 
-    # the violating run's maximum is one number at every n, since
-    # r sqrt(n) = 1.05; reversed-order level 0 runs at r sqrt(n) = 1, where
-    # |c_p| = 1 up to the rounding of r
+    # the maxima of E5's runs are the values of its gates; the violating
+    # run's maximum is one number at every n, since r sqrt(n) = 1.05
     PINNED = {
         1: {
-            "cfl": [(0.02, 0.021, 1019242595318.9471), (0.02, 0.02, 1.0)],
-            "reversed_order": [(0.05, 0.05, 1.0),
-                               (0.025, 0.05, 1913445293767.0),
-                               (0.0125, 0.05, 1757602506271.0)],
+            "reversed": 1757602506271.0,
             "blowup": "blowup detected at level 45 (t = 0.9450 < T = 1.0), "
                       "max |v| = 1.019e+12",
             "min_g": "min |G| over real beta at the seed: 9.297e+02",
@@ -655,11 +712,7 @@ class TestE5RawRun:
             "gap": "1.037e-15",
         },
         2: {
-            "cfl": [(0.02, 0.014849242404917497, 1019242595318.9471),
-                    (0.028284271247461905, 0.02, 1.0)],
-            "reversed_order": [(0.07071067811865477, 0.05, 1.0),
-                               (0.03535533905932738, 0.05, 1913445293766.9944),
-                               (0.01767766952966369, 0.05, 1757602506270.997)],
+            "reversed": 1757602506270.997,
             "blowup": "blowup detected at level 45 (t = 0.6682 < T = 1.0), "
                       "max |v| = 1.019e+12",
             "min_g": "min |G| over real beta at the seed: 1.859e+03",
@@ -667,11 +720,7 @@ class TestE5RawRun:
             "gap": "7.105e-15",
         },
         3: {
-            "cfl": [(0.02, 0.012124355652982142, 1019242595318.9471),
-                    (0.034641016151377546, 0.02, 1.0)],
-            "reversed_order": [(0.08660254037844387, 0.05, 1.0000000000001776),
-                               (0.04330127018922193, 0.05, 1913445293767.0056),
-                               (0.021650635094610966, 0.05, 1757602506271.003)],
+            "reversed": 1757602506271.003,
             "blowup": "blowup detected at level 45 (t = 0.5456 < T = 1.0), "
                       "max |v| = 1.019e+12",
             "min_g": "min |G| over real beta at the seed: 2.789e+03",
@@ -685,11 +734,17 @@ class TestE5RawRun:
         pinned = self.PINNED[n]
         result = run_experiment(default_config("E5", n=n))
         assert result.passed
-        for name in ("cfl", "reversed_order"):
-            assert [(row.level, row.dx, row.dt, row.sup_error, row.l2_error)
-                    for row in result.tables[name].rows] == [
-                (k, dx, dt, sup, 0.0)
-                for k, (dx, dt, sup) in enumerate(pinned[name])]
+        assert result.tables == {}
+        values = {gate.name: gate.value for gate in result.gates}
+        assert list(values) == [
+            "violating run: arcsin argument",
+            "beta flags the CFL violation at the seed",
+            "violating run: max |v|", "control run: max |v|",
+            "reversed-order finest run: max |v|",
+            "corner runs: largest relative gap"]
+        assert values["violating run: max |v|"] == 1019242595318.9471
+        assert values["control run: max |v|"] == 1.0
+        assert values["reversed-order finest run: max |v|"] == pinned["reversed"]
         dx_r = pinned["dx_r"]
         assert result.notes == [
             "violating run: arcsin argument 1.050000 (> 1 expected)",
@@ -1051,6 +1106,25 @@ class TestCli:
         assert main(["experiment", "E7", "--config", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_e6_window_without_its_duhamel_probes_exits_2(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # the window holds compare points of step 0.05 but not part (c)'s
+        # probes on the lattice of step 0.2; refused before anything is solved
+        solved = []
+        monkeypatch.setattr(experiments, "solve", solved.append)
+        config = default_config("E6", n=2).with_overrides(
+            window_lo=(0.05,), window_hi=(0.15,))
+        with pytest.raises(ConfigError, match="must hold them"):
+            run_experiment(config)
+        assert solved == []
+        path = tmp_path / "e6.ini"
+        config.write(path)
+        out = tmp_path / "out"
+        assert main(["experiment", "E6", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert "configuration error: E6 compares" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_e6_levels_flag_exits_2(self, tmp_path, capsys):
         # E6 reads no levels: the flag changed nothing but the written config
         out = tmp_path / "out"
@@ -1077,8 +1151,8 @@ class TestCli:
     def test_e6_config_file_with_default_levels_runs(self, tmp_path,
                                                      monkeypatch, omit_levels):
         # the file written for the default config, and one without levels
-        monkeypatch.setitem(experiments._RUNNERS, "E6",
-                            lambda config: experiments.ExperimentResult("E6", True))
+        monkeypatch.setitem(experiments._RUNNERS, "E6", lambda config:
+                            experiments.ExperimentResult("E6", [Gate("stub", 0.0)]))
         text = default_config("E6", n=1).to_text()
         if omit_levels:
             text = "".join(line for line in text.splitlines(keepends=True)
