@@ -1,10 +1,13 @@
-"""The rows, notes and verdicts of E3, E4, E6 and E8 at n = 1 and 2, pinned.
+"""The rows, notes and verdicts of E3, E4, E6, E7 and E8 at n = 1 and 2, pinned.
 
-These experiments take their references from the spectral oracles in the
+E3, E4, E6 and E8 take their references from the spectral oracles in the
 steps (dx, dt): E3 Lagrange's model, E4 the wave equation and Lagrange's
 model, E6 the wave equation and the scheme (Duhamel), E8 the propagators of
-all three.  The values were recorded before the oracles were keyed by their
-steps and must stay equal, bit for bit.
+all three.  Their values were recorded before the oracles were keyed by
+their steps.  E7's were recorded while its split phi was stepped by the
+leapfrog solver, before it moved onto the Lagrange system: its tables, CG
+iterations, residuals and "pipeline vs direct" gap.  All must stay equal,
+bit for bit.
 """
 
 import pytest
@@ -108,6 +111,46 @@ PINNED = {
             "single-frequency error 1.172e-10 (tol 1e-6)",
             "manufactured-solution error 1.817e-03 (tol 1.563e-02)",
             "leapfrog vs discrete Duhamel 1.259e-11 (tol 1e-6)",
+        ],
+        True,
+    ),
+    ("E7", 1): (
+        {
+            "pipeline": [
+                (0, 0.1, 0.05, 0.19748777296885317, 0.022528009248224266),
+                (1, 0.05, 0.025, 0.06503725280135542, 0.0035915050992547486),
+                (2, 0.025, 0.0125, 0.01198198977736259, 0.0003265465441491138),
+            ],
+        },
+        [
+            "level 0: elliptic residual 7.841e-16 (1 CG iterations)",
+            "level 1: elliptic residual 1.443e-13 (4 CG iterations)",
+            "level 2: elliptic residual 7.994e-13 (4 CG iterations)",
+            "level 3: elliptic residual 1.865e-11 (4 CG iterations)",
+            "self-convergence order at level 1: 1.602",
+            "self-convergence order at level 2: 2.440",
+            "pipeline vs direct Theorem-c integration: max gap 8.889e-02 "
+            "at dx = 0.0125 (reported, not gated)",
+        ],
+        True,
+    ),
+    ("E7", 2): (
+        {
+            "pipeline": [
+                (0, 0.1, 0.05, 0.1089428836967132, 0.011251733421563407),
+                (1, 0.05, 0.025, 0.02549723160965328, 0.0010723122493546075),
+                (2, 0.025, 0.0125, 0.004359793859287475, 6.692305916796389e-05),
+            ],
+        },
+        [
+            "level 0: elliptic residual 8.327e-15 (5 CG iterations)",
+            "level 1: elliptic residual 1.887e-13 (5 CG iterations)",
+            "level 2: elliptic residual 3.109e-13 (5 CG iterations)",
+            "level 3: elliptic residual 1.421e-12 (5 CG iterations)",
+            "self-convergence order at level 1: 2.095",
+            "self-convergence order at level 2: 2.548",
+            "pipeline vs direct Theorem-c integration: max gap 3.374e-02 "
+            "at dx = 0.0125 (reported, not gated)",
         ],
         True,
     ),
