@@ -15,8 +15,6 @@ from .dispersion import (
 from .elliptic import (
     EllipticProblem,
     EllipticSolution,
-    SplitResult,
-    VariableCoefficientProblem,
     assemble_and_solve,
     split_pipeline,
 )

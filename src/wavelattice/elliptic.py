@@ -2,11 +2,12 @@
 
 The split u = phi + v takes v from the stationary problem
 b(x) Lap_dx v = sigma(x) v with Dirichlet data h, a definite system for
-b > 0 and sigma >= 0 that one preconditioned CG solves, and steps phi as a
-constant-coefficient wave problem with zero boundary values and initial
-displacement f - v.  That solves u'' = (1 + b) Lap_dx u - sigma u only at
-b = sigma = 0: otherwise phi misses b Lap_dx phi + Lap_dx v - sigma phi,
-the gap that E7's "pipeline vs direct" note measures.
+b > 0 and sigma >= 0 that one preconditioned CG solves, and hands back the
+initial displacement f - v of phi, which has zero boundary values.  E7
+steps phi on the Lagrange system with unit velocity and no flexibility, so
+u = phi + v solves u'' = (1 + b) Lap_dx u - sigma u only at b = sigma = 0:
+otherwise phi misses b Lap_dx phi + Lap_dx v - sigma phi, the gap that E7's
+"pipeline vs direct" note measures.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .lattice import Domain, LatticeSpec, _neighbours_in, classify
-from .leapfrog import DiscreteProblem
-from .spectral import DataFunction
 from .stencils import (
     GridField,
     field_from_classification,
@@ -218,67 +217,15 @@ def _residual(problem, fieldobj, values, bvals, svals):
     return res, scale
 
 
-@dataclass
-class VariableCoefficientProblem:
-    """The full wave problem with velocity a = 1 + b and flexibility sigma.
+def split_pipeline(problem: EllipticProblem, f) -> tuple:
+    """Split u = phi + v: solve for v and shift the initial data by it.
 
-    split_pipeline solves it only at b = sigma = 0 (module docstring).  As
-    in EllipticProblem and DiscreteProblem, `classification` is the lattice
-    classification of (domain, spec.dx), built when not given; gridded f
-    lives on its window.
+    Returns the elliptic solution and f - v on its window, zero off the
+    support: the initial displacement of phi, which has zero boundary
+    values.  Adding v back to phi gives u only at b = sigma = 0 (module
+    docstring).
     """
-
-    spec: LatticeSpec
-    domain: Domain
-    f: Union[DataFunction, Callable, None] = None
-    g: Union[DataFunction, Callable, None] = None
-    h: Union[Callable, float] = 0.0
-    b: Union[Callable, float] = 0.0
-    sigma: Union[Callable, float] = 0.0
-    classification: Optional[object] = None
-
-
-@dataclass
-class SplitResult:
-    """Elliptic part, shifted data and the constant-coefficient problem."""
-
-    elliptic: EllipticSolution
-    shifted_f: np.ndarray
-    wave_problem: DiscreteProblem
-
-    def reconstruct(self, phi_values: np.ndarray) -> np.ndarray:
-        """Add the stationary part back: u = phi + v pointwise."""
-        return phi_values + self.elliptic.values
-
-
-def split_pipeline(problem: VariableCoefficientProblem) -> SplitResult:
-    """Split u = phi + v: solve the elliptic part, shift the initial data.
-
-    Returns the elliptic solution, the gridded data f - v, and a
-    zero-boundary constant-coefficient problem ready for the leapfrog
-    stepper or the Lagrange integrator; reconstruction adds v back.  That
-    is the variable-coefficient problem only at b = sigma = 0.
-    """
-    classification = problem.classification
-    if classification is None:
-        classification = classify(problem.domain, problem.spec)
-    elliptic = assemble_and_solve(
-        EllipticProblem(
-            domain=problem.domain, dx=problem.spec.dx,
-            b=problem.b, sigma=problem.sigma, h=problem.h,
-            classification=classification,
-        )
-    )
-    fieldobj = elliptic.fieldobj
-    shifted = sample_window(problem.f, fieldobj) - elliptic.values
-    shifted[~fieldobj.support] = 0.0
-
-    wave = DiscreteProblem(
-        spec=problem.spec,
-        domain=problem.domain,
-        f=shifted,
-        g=problem.g,
-        boundary_value=0.0,
-        classification=classification,
-    )
-    return SplitResult(elliptic, shifted, wave)
+    elliptic = assemble_and_solve(problem)
+    shifted = sample_window(f, elliptic.fieldobj) - elliptic.values
+    shifted[~elliptic.fieldobj.support] = 0.0
+    return elliptic, shifted

@@ -10,8 +10,8 @@ within k rings of it, so each level is stepped on one ring fewer than the
 one before, down to the problem's window, and every value `solve` returns
 is the scheme's on all of Z^n.  The scheme has unit velocity and no
 flexibility term, so a problem takes no a(x) or sigma(x): variable
-coefficients go through `lagrange.LagrangeSystem`; the elliptic splitting
-(`elliptic.split_pipeline`) steps phi here, exact only at b = sigma = 0.
+coefficients, and the split phi of `elliptic.split_pipeline`, go through
+`lagrange.LagrangeSystem`, whose Verlet integrator at h = dt is this scheme.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ class DiscreteProblem:
     """One fully discrete wave problem: lattice, domain, data, forcing.
 
     `f` and `g` may be catalog functions, plain callables, or pre-sampled
-    arrays matching the solver window (the splitting pipeline hands over
-    gridded data).
+    arrays matching the solver window.
     """
 
     spec: LatticeSpec

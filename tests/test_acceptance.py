@@ -17,7 +17,6 @@ from wavelattice import (
     EllipticProblem,
     FrequencyQuadrature,
     LatticeSpec,
-    VariableCoefficientProblem,
     assemble_and_solve,
     beta_arrays,
     integrate,

@@ -12,7 +12,6 @@ from wavelattice import (
     EllipticProblem,
     LatticeSpec,
     SingularSystemError,
-    VariableCoefficientProblem,
     assemble_and_solve,
     split_pipeline,
 )
@@ -208,52 +207,43 @@ class TestAssembleAndSolve:
 
 
 class TestSplitPipeline:
+    F = DataFunction.gaussian([0.5], 0.08)
+
     def _problem(self, **kw):
-        spec = LatticeSpec(1, 0.1, 0.05, 0.5)
-        return VariableCoefficientProblem(
-            spec=spec, domain=Domain.box([(0.0, 1.0)]),
-            f=DataFunction.gaussian([0.5], 0.08), **kw,
-        )
+        return EllipticProblem(domain=Domain.box([(0.0, 1.0)]), dx=0.1, **kw)
 
     def test_trivial_split_is_identity(self):
         # b = sigma = h = 0: the elliptic part vanishes and the shifted
         # data equal the original samples bit for bit
-        split = split_pipeline(self._problem())
-        assert np.all(split.elliptic.values == 0.0)
-        pts = lattice_points(split.elliptic.fieldobj)
-        f = DataFunction.gaussian([0.5], 0.08)
+        elliptic, shifted = split_pipeline(self._problem(), self.F)
+        assert np.all(elliptic.values == 0.0)
+        pts = lattice_points(elliptic.fieldobj)
         flat = pts.reshape(-1, 1)
-        samples = np.array([float(f(p)) for p in flat]).reshape(pts.shape[:-1])
-        assert np.array_equal(split.shifted_f, samples)
+        samples = np.array([float(self.F(p)) for p in flat]).reshape(pts.shape[:-1])
+        assert np.array_equal(shifted, samples)
 
     def test_constant_h_shifts_by_constant(self):
         c = 0.4
-        split = split_pipeline(self._problem(h=c))
-        support = split.elliptic.fieldobj.support
-        assert np.allclose(split.elliptic.values[support], c, atol=1e-11)
-        # reconstruct undoes the shift
-        assert np.allclose(
-            split.reconstruct(np.zeros_like(split.elliptic.values))[support],
-            c, atol=1e-11,
-        )
-
-    def test_wave_problem_has_zero_boundary(self):
-        split = split_pipeline(self._problem(h=0.4, b=0.1))
-        assert split.wave_problem.boundary_value == 0.0
+        elliptic, shifted = split_pipeline(self._problem(h=c), self.F)
+        support = elliptic.fieldobj.support
+        assert np.allclose(elliptic.values[support], c, atol=1e-11)
+        # adding v back undoes the shift
+        samples = sample_window(self.F, elliptic.fieldobj)
+        assert np.allclose((shifted + elliptic.values)[support],
+                           samples[support], rtol=0.0, atol=1e-15)
 
     def test_given_classification_changes_nothing(self):
         # a classification handed in (E7 builds one to sample f on its
         # window) is used as is and gives the split of a fresh one
         problem = self._problem(h=0.4, b=0.1)
-        classification = classify(problem.domain, problem.spec)
-        gridded = sample_window(problem.f,
-                                field_from_classification(classification))
-        fresh = split_pipeline(replace(problem, f=gridded))
-        given = split_pipeline(replace(problem, f=gridded,
-                                       classification=classification))
-        assert given.wave_problem.classification is classification
-        assert np.array_equal(given.shifted_f, fresh.shifted_f)
-        assert np.array_equal(given.elliptic.values, fresh.elliptic.values)
+        classification = classify(problem.domain, LatticeSpec(1, 0.1, 0.05, 0.5))
+        gridded = sample_window(self.F, field_from_classification(classification))
+        fresh_v, fresh = split_pipeline(problem, gridded)
+        given_v, given = split_pipeline(
+            replace(problem, classification=classification), gridded)
+        assert given_v.fieldobj.spec is classification.spec
+        assert np.array_equal(given, fresh)
+        assert np.array_equal(given_v.values, fresh_v.values)
 
 
 def _cg_iterations(notes):

@@ -604,6 +604,18 @@ class TestVerdictGates:
         assert ("failed gate levels above the quadrature floor: 0 outside [1, inf]\n"
                 in (out / "notes.txt").read_text(encoding="ascii"))
 
+    def test_e4_with_one_level_fails(self, tmp_path):
+        # one level has no observed order to check
+        result = run_experiment(default_config("E4", n=1, levels=1))
+        assert result.notes[0] == "failed gate observed orders checked: 0 outside [1, inf]"
+        assert result.gates == [Gate("observed orders checked", 0, lo=1)]
+        assert not result.passed
+        out = tmp_path / "out"
+        assert main(["experiment", "E4", "--n", "1", "--levels", "1",
+                     "--out", str(out)]) == 1
+        assert ("failed gate observed orders checked: 0 outside [1, inf]\n"
+                in (out / "notes.txt").read_text(encoding="ascii"))
+
 
 class TestExperiments:
     def test_zero_data_is_exact(self, tmp_path):

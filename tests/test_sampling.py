@@ -361,17 +361,17 @@ class TestCallCounts:
         classification = classify(domain, spec)
         f = np.full(classification.shape, 0.3)
         bump = DataFunction.smooth_bump([0.5, 0.5], 0.45, amplitude=0.1)
-        split = elliptic.split_pipeline(elliptic.VariableCoefficientProblem(
-            spec=spec, domain=domain, f=f, h=0.2, classification=classification,
+        solution, shifted = elliptic.split_pipeline(elliptic.EllipticProblem(
+            domain=domain, dx=spec.dx, h=0.2, classification=classification,
             b=bump, sigma=bump,
-        ))
+        ), f)
         assert classification.shape == (11, 11)
         # b, then sigma: blocks of 3, 3, 3 and 2 rows of 11 points
         assert axes_shapes == ([(3, 11)] * 3 + [(2, 11)]) * 2
         support = classification.support
-        assert np.array_equal(split.shifted_f[support],
-                              (f - split.elliptic.values)[support])
-        assert np.all(split.shifted_f[~support] == 0.0)
+        assert np.array_equal(shifted[support],
+                              (f - solution.values)[support])
+        assert np.all(shifted[~support] == 0.0)
 
     def test_lagrange_setup_samples_each_coefficient_once(self, axes_shapes):
         # the window is one block, so each coefficient is one call on its axes
