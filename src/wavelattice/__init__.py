@@ -26,6 +26,7 @@ from .errors import (
     MissingNeighborError,
     NoCommonPointsError,
     SingularSystemError,
+    SpentVelocitiesError,
     TailBoundError,
     WaveLatticeError,
 )

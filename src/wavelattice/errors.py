@@ -25,6 +25,10 @@ class TailBoundError(WaveLatticeError):
     """The frequency-cutoff tail estimate exceeds the requested tolerance."""
 
 
+class SpentVelocitiesError(WaveLatticeError, ValueError):
+    """A Lagrange system's velocities were stepped over by `integrate`."""
+
+
 class BlowupError(WaveLatticeError):
     """Solver values exceeded the blowup threshold (CFL instability)."""
 

@@ -290,7 +290,10 @@ def run_e3(config: ExperimentConfig) -> ExperimentResult:
         table.add(k, config.dx, h, err, err)
 
     notes, gates = [], []
-    floor = 1e-8
+    # the floor scales with the data, as the errors do, but stays above the
+    # reference's cutoff error, which the quadrature bounds in absolute terms
+    floor = max(1e-8 * max(abs(d.amplitude) for d in (f, g) if d is not None),
+                0.0 if quad is None else quad.tail_bound(f, g, T=config.T))
     for k in range(1, len(rows)):
         prev_e, cur_e = rows[k - 1][1], rows[k][1]
         if cur_e <= floor:
@@ -339,9 +342,11 @@ def _sup(values) -> float:
 
 def _level_maxima(v0, velocity, dt, dx, steps) -> list:
     """max |v| at levels 0..steps of the full-space scheme from `v0` and
-    `velocity` (both overwritten), stepped on the dependence cone; no CFL gate."""
+    `velocity` (both overwritten), stepped on the dependence cone of the
+    centred window `steps` rings inside theirs; no CFL gate."""
+    window = tuple(s - 2 * steps for s in v0.shape)
     return [_sup(v0)] + [level_max for _, level_max in three_level_steps(
-        v0, velocity, dt, dx, steps, shrink=True)]
+        v0, velocity, dt, dx, steps, shrink=window)]
 
 
 def _corner_run(n, dx, dt, steps):

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .errors import SpentVelocitiesError
 from .lattice import Domain, LatticeSpec, classify, point_indices, step_index
 from .spectral import Forcing, FrequencyQuadrature, homogeneous_solution
 from .stencils import (
@@ -99,7 +100,10 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
     kernel of the leapfrog solver, which starts from the system's values and
     velocities.  The steps must land on t1 and on every record time exactly
     (ValueError otherwise, by the lattice rule of step_index).  The system's
-    values end as the level at t1, in an array the kernel stepped over.
+    values end as the level at t1, in an array the kernel stepped over; the
+    kernel steps over the velocities too, so the system holds none after
+    the call, and integrating it again before set_initial_data raises
+    SpentVelocitiesError.
     """
     if h_ode <= 0:
         raise ValueError("h_ode must be positive")
@@ -107,11 +111,16 @@ def integrate(system: LagrangeSystem, t0: float, t1: float, h_ode: float,
     if steps < 1:
         raise ValueError("integrate runs forward: need t1 > t0")
     wanted = {step_index(t - t0, h_ode) for t in record_times or ()}
+    if system.velocities is None:
+        raise SpentVelocitiesError(
+            "integrate stepped over the system's velocities: set_initial_data "
+            "gives it new ones")
     out = {0: system.values.copy()} if 0 in wanted else {}
     # the kernel writes level 1 over the velocities and level 2 over the values
-    run = three_level_steps(system.values, system.velocities.copy(), h_ode,
+    run = three_level_steps(system.values, system.velocities, h_ode,
                             system.dx, steps, t0=t0,
                             terms=system._terms, clamp=system._clamp)
+    system.velocities = None
     for k, (level, _) in enumerate(run, start=1):
         if k in wanted or k == steps:
             out[k] = level.copy()

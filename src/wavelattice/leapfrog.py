@@ -73,9 +73,8 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     f, g and each space of the forcing are sampled once, on the calling
     thread, on the window grown by the longer run's steps (full space) or
     on the domain's window, f clamped at the boundary (bounded).  Each run
-    starts in the stepping kernel from level 0 and g; on full space it
-    reads them and the forcing cropped to the window grown by its own
-    steps, and level p of the run is stepped only on the window grown by
+    starts in the stepping kernel from those arrays of level 0 and g, and
+    on full space level p of the run is stepped only on the window grown by
     steps - |p| rings: the points that can still reach the window by the
     run's end.
     """
@@ -103,17 +102,14 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
 
     keep(0, v0)
     runs = [(sign, end) for sign, end in ((1, hi), (-1, lo)) if sign * end >= 1]
+    terms = window_terms(forcing=forcing)
     for i, (sign, end) in enumerate(runs):
-        seeds, forced = (v0, gv), forcing
-        if full_space:  # a run of s steps reads level 0 s rings out
-            shape = tuple(w + 2 * sign * end for w in window)
-            seeds = (crop_centre(a, shape) for a in seeds)
-            forced = [(crop_centre(a, shape), profile) for a, profile in forced]
+        seeds = (v0, gv)
         if i < len(runs) - 1:  # the kernel writes over its seeds
             seeds = (a.copy() for a in seeds)
         run = three_level_steps(*seeds, sign * spec.dt, spec.dx, sign * end,
-                                terms=window_terms(forcing=forced), clamp=clamp,
-                                shrink=full_space)
+                                terms=terms, clamp=clamp,
+                                shrink=window if full_space else None)
         for level, (values, _) in zip(range(sign, end + sign, sign), run):
             if abs(end - level) <= 2 or level in (sign, lo, hi):
                 keep(level, values)

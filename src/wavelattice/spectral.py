@@ -161,14 +161,20 @@ class DataFunction:
             return np.cos(sum(c * a for c, a in zip(coords, self.alpha0)))
         if self.kind == "separable_cosine":
             return math.prod(np.cos(c * a) for c, a in zip(coords, self.alpha0))
-        r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.center))
         if self.kind == "smooth_bump":
+            r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, self.center))
             s2 = r2 / self.radius**2
             inside = s2 < 1.0
             safe = np.where(inside, s2, 0.0)
             return np.where(
                 inside, self.amplitude * np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
-        vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
+        # -r2 as the sum of the negated squares, exactly (negation commutes
+        # with rounding), so no pass over the grid negates it; times an
+        # amplitude of 1.0 changes no value
+        vals = np.exp(sum(-((c - c0) ** 2) for c, c0 in zip(coords, self.center))
+                      / (2.0 * self.width**2))
+        if self.amplitude != 1.0:
+            vals = self.amplitude * vals
         if self.kind == "modulated_gaussian":
             vals = vals * np.cos(sum((c - c0) * k for c, c0, k in zip(
                 coords, self.center, self.carrier)))

@@ -4,7 +4,9 @@ A `GridField` holds time levels on an index window; `sample_window`, the
 one path from data to lattice values, fills a window one block of rows at
 a time, catalog data by its axes; the array kernels form and step the
 three-level scheme that the leapfrog solver, the Verlet integrator and the
-CFL experiment all run.
+CFL experiment all run, on 2-D views of each level's buffer as (axis-0
+planes, points of a plane), a block at a time: a range of planes times one
+contiguous span of the plane.
 """
 
 from __future__ import annotations
@@ -120,23 +122,22 @@ def window_terms(a=None, sigma=None, forcing=()):
     """The `terms` of three_level_steps, None when there are none:
     a * accel - sigma * values + (S_1 p_1(t) + S_2 p_2(t) + ...), the pairs
     of sample_forcing summed in term order.  Each array lies on the window
-    of the kernel's level 0; a block reads its rows `rows` and, on the other
-    axes, the centred sub-window of the block's shape."""
+    of the kernel's level 0; a block reads it at the block's
+    (planes, span) of the window's plane view."""
     if a is None and sigma is None and not forcing:
         return None
+    a, sigma = (None if c is None else _planes(c) for c in (a, sigma))
+    forcing = [(_planes(space), profile) for space, profile in forcing]
 
-    def terms(accel, values, t, rows):
-        def block(arr):
-            return crop_centre(arr[rows], accel.shape)
-
+    def terms(accel, values, t, at):
         if a is not None:
-            accel = block(a) * accel
+            accel = a[at] * accel
         if sigma is not None:
-            accel = accel - block(sigma) * values
-        if forcing:  # summed a few rows at a time: the sum and one term
-            spaces = [block(space) for space, _ in forcing]
+            accel = accel - sigma[at] * values
+        if forcing:  # summed a few planes at a time: the sum and one term
+            spaces = [space[at] for space, _ in forcing]
             factors = [profile(t) for _, profile in forcing]
-            step = max(1, TERM_POINTS // max(1, math.prod(accel.shape[1:])))
+            step = max(1, TERM_POINTS // max(1, accel.shape[1]))
             for start in range(0, len(accel), step):
                 chunk = slice(start, start + step)
                 w = spaces[0][chunk] * factors[0]
@@ -151,25 +152,34 @@ def window_terms(a=None, sigma=None, forcing=()):
 # ---------------------------------------------------------------------------
 # array kernels shared by the leapfrog solver, the Verlet integrator and the
 # CFL experiment.  One code path makes leapfrog and Verlet bit-identical at
-# h = dt.  The stepping kernel works through each level one block of axis-0
-# rows at a time, in one pass per block: the block's Laplacian rows into
-# scratch, the caller's terms, the update written over the older level, the
-# clamp and the block's extrema, with the same elementwise operations in the
-# same order as the plain array expressions, so its values are theirs bit
-# for bit.  A block reads the current level on its own rows and one row
-# either side, and writes only its own rows of the older level's array, so
-# the blocks of a level are independent: they run on up to _WORKERS
-# threads (numpy releases the GIL), each worker taking one contiguous chunk
-# of them with its own scratch of about 1 MB.  A level runs on no more
-# workers than keep that scratch within half of it (two at the least), so a
-# run holds a few window arrays plus at most half a window of scratch on any
-# number of CPUs.  The blocks do not depend on the worker count, so neither
-# do the values.
+# h = dt.  Every operand is a 2-D view of a level's buffer seen as (axis-0
+# planes, points of a plane), taken at a block's (planes, span): the span
+# holds the stepped rows of axis 1 over all of axes >= 2, so its runs are
+# contiguous, and a neighbour on axis a >= 1 is the span shifted by the
+# stride of axis a.  On a whole window a block's planes are whole, so its
+# Laplacian runs on one flat range of the buffer.  The stepping kernel takes
+# each level one block at a time, in one pass per block (2 v, the update's
+# 2 v - v_{k-1} written over the older level, the Laplacian into scratch,
+# the caller's terms, the update's h^2 term, the clamp and the block's
+# extrema), with the elementwise operations of the plain array expressions
+# in their order, so its values are theirs bit for bit.  A span or flat
+# range also holds cells off the stepped points, whose neighbours wrap
+# across rows or planes: their acceleration (whole window) or new value
+# (cone) is set to 0.0.  The blocks of a level write disjoint planes, so
+# they run on up to _WORKERS threads (numpy releases the GIL), each worker
+# taking one contiguous chunk of them with its own two scratch arrays of one
+# block, 1 MB; a level runs on no more workers than keep that scratch within
+# half of it (two at the least), so a run holds a few window arrays plus at
+# most half a window of scratch on any number of CPUs.  The blocks do not
+# depend on the worker count, so neither do the values.
 
-#: points per block of axis-0 rows in the array kernels
+#: points per block in the array kernels: a worker's two scratch arrays of
+#: one block take 1 MB.  Two arrays, not a third for 2 v, keep the blocks
+#: this large: a shorter ufunc call loses more of a second worker to the
+#: GIL's hand-over between threads than one more pass over 2 v costs
 BLOCK_POINTS = 1 << 16
 
-#: points per chunk of rows in which window_terms sums the forcing: its two
+#: points per chunk of planes in which window_terms sums the forcing: its two
 #: temporaries stay far below a block, however many workers overlap
 TERM_POINTS = 1 << 14
 
@@ -191,21 +201,48 @@ def _view(flat: np.ndarray, shape) -> np.ndarray:
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _laplacian_core(values: np.ndarray, dx: float, rows: slice,
-                    acc: np.ndarray, part: np.ndarray) -> None:
-    """The second differences of `values` summed over axes at the rows
-    `rows` of its core (its points one ring in from the edge), into `acc`,
-    shaped like those rows; `part` is 1-D scratch at least that large."""
-    ndim = values.ndim
-    core = (slice(1, -1),) * ndim
-    block = values[rows.start:rows.stop + 2]  # core rows read one row further out
-    part = _view(part, acc.shape)
-    for k in range(ndim):
-        plus = tuple(slice(2, None) if j == k else slice(1, -1) for j in range(ndim))
-        minus = tuple(slice(0, -2) if j == k else slice(1, -1) for j in range(ndim))
-        np.multiply(block[core], 2.0, out=part)
-        np.subtract(block[plus], part, out=part)
-        np.add(part, block[minus], out=part)
+def _planes(values: np.ndarray) -> np.ndarray:
+    """The C-contiguous `values` as a view of shape (axis-0 planes, points
+    per plane)."""
+    if not values.flags.c_contiguous:
+        raise ValueError("the array kernels take C-contiguous arrays")
+    return values.reshape(len(values), -1)
+
+
+def _strides(shape) -> tuple:
+    """The strides, in points of the plane, of axes 1.. of a C-ordered array
+    of `shape`."""
+    return tuple(math.prod(shape[a + 1:]) for a in range(1, len(shape)))
+
+
+def _zero_outside(block: np.ndarray, bounds) -> None:
+    """Set to 0.0 the points of `block` below lo or from hi on along `axis`,
+    for each (axis, lo, hi) of `bounds`."""
+    for axis, lo, hi in bounds:
+        before = (slice(None),) * axis
+        block[before + (slice(None, lo),)] = 0.0
+        block[before + (slice(hi, None),)] = 0.0
+
+
+def _laplacian_block(values: np.ndarray, shifts, dx: float, at: tuple,
+                     twov: np.ndarray, acc: np.ndarray) -> None:
+    """The second differences of the 2-D view `values` summed over axes at
+    its points `at` = (rows, columns), into `acc`; `twov` holds 2 * values
+    there on entry and is overwritten.  The neighbours along axis k lie
+    shifts[k] = (rows, columns) away."""
+    rows, cols = at
+    for k, (down, right) in enumerate(shifts):
+        plus = values[rows.start + down:rows.stop + down,
+                      cols.start + right:cols.stop + right]
+        minus = values[rows.start - down:rows.stop - down,
+                       cols.start - right:cols.stop - right]
+        # axis 0's term goes into acc and each later one over 2 v in place,
+        # so from axis 2 on 2 v is formed again
+        part = twov if k else acc
+        if k > 1:
+            np.multiply(values[at], 2.0, out=twov)
+        np.subtract(plus, twov, out=part)
+        np.add(part, minus, out=part)
         np.divide(part, dx**2, out=part)
         if k:
             np.add(acc, part, out=acc)
@@ -213,33 +250,45 @@ def _laplacian_core(values: np.ndarray, dx: float, rows: slice,
             np.add(part, 0.0, out=acc)
 
 
-def _laplacian_rows(values: np.ndarray, dx: float, rows: slice,
-                    acc: np.ndarray, part: np.ndarray) -> None:
-    """laplacian_array(values, dx)[rows] into `acc`; `part` is 1-D scratch
-    at least as large as `acc`."""
-    ndim = values.ndim
-    for k in range(1, ndim):
-        for edge in (0, -1):
-            acc[(slice(None),) * k + (edge,)] = 0.0
-    first, last = max(rows.start, 1), min(rows.stop, values.shape[0] - 1)
-    acc[:first - rows.start] = 0.0
-    acc[max(last, first) - rows.start:] = 0.0
-    if last > first:
-        inner = (slice(first - rows.start, last - rows.start),) + (slice(1, -1),) * (ndim - 1)
-        _laplacian_core(values, dx, slice(first - 1, last - 1), acc[inner], part)
+def _window_laplacian(values: np.ndarray, shape, dx: float, planes: slice,
+                      twov: np.ndarray, acc: np.ndarray) -> None:
+    """laplacian_array of the window `shape`, whose plane view is `values`,
+    at the planes `planes`, into `acc`; `twov` holds 2 * values there on
+    entry and is overwritten.  The planes lie one after another in the
+    buffer, so the points one ring in are stepped as one flat range; its
+    points on the window's edge read neighbours across plane or row ends
+    and are set to 0.0 after, with the outermost ring."""
+    strides = _strides(shape)
+    plane = values.shape[1]
+    first, last = max(planes.start, 1), min(planes.stop, shape[0] - 1)
+    edge = strides[0] if strides else 0
+    start, stop = first * plane + edge, last * plane - edge
+    if stop > start:
+        inner = slice(0, 1), slice(start - planes.start * plane,
+                                   stop - planes.start * plane)
+        _laplacian_block(values.reshape(1, -1), [(0, plane), *((0, s) for s in strides)],
+                         dx, (slice(0, 1), slice(start, stop)),
+                         twov.reshape(1, -1)[inner], acc.reshape(1, -1)[inner])
+    _zero_outside(acc.reshape((len(acc),) + tuple(shape[1:])),
+                  [(0, first - planes.start, last - planes.start)]
+                  + [(a, 1, s - 1) for a, s in enumerate(shape[1:], start=1)])
 
 
 def laplacian_array(values: np.ndarray, dx: float) -> np.ndarray:
     """Second differences summed over axes; outermost ring left at zero.
 
-    The result is formed one block of axis-0 rows at a time by the helper
+    The result is formed one block of axis-0 planes at a time by the helper
     the stepping kernel uses.
     """
+    values = np.ascontiguousarray(values)
     out = np.empty_like(values)
-    blocks = row_blocks(values.shape)
-    part = np.empty(math.prod(out[blocks[0]].shape)) if blocks else None
-    for rows in blocks:
-        _laplacian_rows(values, dx, rows, out[rows], part)
+    flat, result = _planes(values), _planes(out)
+    blocks = row_blocks(flat.shape)
+    twov = np.empty(math.prod(flat[blocks[0]].shape) if blocks else 0)
+    for planes in blocks:
+        block = _view(twov, flat[planes].shape)
+        np.multiply(flat[planes], 2.0, out=block)
+        _window_laplacian(flat, values.shape, dx, planes, block, result[planes])
     return out
 
 
@@ -247,28 +296,31 @@ def window_clamp(fieldobj: GridField, boundary_value):
     """The clamp of a window for `clamp_level`: (boundary mask, boundary
     value, outside-support mask), or None when the window has neither
     boundary nor outside points (full space).  A callable `boundary_value`
-    is sampled on the window and the value is that array."""
+    is sampled on the window and the value is that array.  The arrays are
+    the plane views of window arrays."""
     boundary = fieldobj.boundary
     if not boundary.any() and fieldobj.interior.all():
         return None
     outside = ~fieldobj.support
     if callable(boundary_value):
-        return boundary, sample_window(boundary_value, fieldobj), outside
-    return boundary, float(boundary_value), outside
+        boundary_value = _planes(sample_window(boundary_value, fieldobj))
+    return _planes(boundary), boundary_value, _planes(outside)
 
 
-def clamp_level(values: np.ndarray, clamp, rows: slice = slice(None)) -> np.ndarray:
+def clamp_level(values: np.ndarray, clamp, at=None) -> np.ndarray:
     """Pin boundary points and zero the points outside the support, in place.
 
-    `values` holds the axis-0 rows `rows` of the clamp's window (all of it
-    by default).
+    `values` is a level on the clamp's window, or with `at`, the block
+    (planes, span) of its plane view.
     """
     if clamp is not None:
         boundary, boundary_value, outside = clamp
+        block = _planes(values) if at is None else values
+        at = at or (slice(None), slice(None))
         if np.ndim(boundary_value):
-            boundary_value = boundary_value[rows]
-        np.copyto(values, boundary_value, where=boundary[rows])
-        np.copyto(values, 0.0, where=outside[rows])
+            boundary_value = boundary_value[at]
+        np.copyto(block, boundary_value, where=boundary[at])
+        np.copyto(block, 0.0, where=outside[at])
     return values
 
 
@@ -293,7 +345,7 @@ def _run_chunks(pool, run, count: int) -> None:
 
 
 def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
-                      clamp=None, shrink=False):
+                      clamp=None, shrink=None):
     """Yield (level, max |level|) for levels 1..steps of the three-level
     scheme started from level 0 `v0` and the velocity `velocity`; the
     maximum is the one the blowup check takes, so a caller that tracks it
@@ -306,15 +358,15 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
     backward in time.  Raises BlowupError, with the level signed like h,
     when a level holds a non-finite value or one above BLOWUP_THRESHOLD.
 
-    Each level is stepped one block of axis-0 rows at a time (about
-    BLOCK_POINTS points each), in one pass per block, and the blocks run on
-    the CPUs of the process's affinity mask, on no more threads than keep
-    their scratch within half the level (a window of one block runs on the
-    calling thread).  `terms(accel_rows, values_rows, t, rows)` is
-    called once per block, with the block's acceleration and level-k
-    values, t = t0 + k*h and `rows`, the block's slice of axis 0 of `v0`'s
-    window (on the other axes a block covers the centred sub-window of its
-    shape); it returns the block's acceleration and may write over the one
+    `v0` and `velocity` are C-contiguous arrays of one shape.  Each level
+    is stepped one block (about BLOCK_POINTS points) of axis-0 planes times
+    a span of the plane at a time, in one pass per block, and the blocks
+    run on the CPUs of the process's affinity mask, on no more threads than
+    keep their scratch within half the level (a window of one block runs on
+    the calling thread).  `terms(accel, values, t, at)` is called once per
+    block, with the block's acceleration and level-k values, t = t0 + k*h
+    and `at`, the block's (planes, span) in the plane view of `v0`'s
+    window; it returns the block's acceleration and may write over the one
     it gets.  Every value is that of the whole-array expressions, bit for
     bit, at any worker count.
 
@@ -323,59 +375,79 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
     level 2, and each yielded array is overwritten two steps after it is
     yielded.  Copy what you keep.
 
-    With `shrink` (full space, no clamp), each level is stepped only on the
-    points of the one before one ring in from its edge, where
-    laplacian_array applies the stencil: level k is k rings smaller than
-    `v0`, the older level is cropped about the same centre, and every value
-    equals the unshrunk run's at that point, bit for bit.  The blowup check
-    then sees only the stepped points.  `solve` and E5 shrink every
-    full-space run.  Verlet cannot: `integrate` returns the whole system
-    window, and E3 takes more steps (up to 128, at h = dt/16) than its
-    window has padding rings (44).  Full-space Verlet has no clamp either,
-    so the flag is not implied by `clamp`.
+    `shrink` (full space, no clamp) is the shape of the window the run
+    must reach: level k is then stepped only on that window grown by
+    steps - k rings, centred in `v0`'s, the points of level k-1 one ring in
+    from its region, where laplacian_array applies the stencil.  Every
+    value there equals the unshrunk run's, bit for bit, the blowup check
+    sees only them, and the yielded level is the view of that region.
+    `solve` and E5 shrink every full-space run.  Verlet cannot: `integrate`
+    returns the whole system window, and E3 takes more steps (up to 128, at
+    h = dt/16) than its window has padding rings (44).  Full-space Verlet
+    has no clamp either, so the shrink is not implied by `clamp`.
     """
+    shape = v0.shape
+    if velocity.shape != shape:
+        raise ValueError(f"velocity of shape {velocity.shape} on a level of {shape}")
+    strides = _strides(shape)
+    shifts = [(1, 0), *((0, s) for s in strides)]  # plane +-1, then along it
+    plane = _planes(v0).shape[1]
+    if shrink is not None:
+        base = [(s - w) // 2 - steps for s, w in zip(shape, shrink)]
+        if len(shrink) != len(shape) or min(base) < 0:
+            raise ValueError(f"window {shrink} is not {steps} rings inside {shape}")
     # per-worker scratch: the largest block of any level fits
-    size = min(v0.size, max(BLOCK_POINTS, math.prod(v0.shape[1:])))
+    size = min(v0.size, max(BLOCK_POINTS, plane))
     scratch = [None] * _WORKERS
     pool = None
     prev, cur = velocity, v0  # level 1 is written over the velocity
     try:
         for k in range(steps):
-            values = cur
-            if shrink:
-                shape = tuple(s - 2 for s in cur.shape)
-                values, prev = crop_centre(cur, shape), crop_centre(prev, shape)
-            blocks = row_blocks(values.shape)
+            region, wrap = None, []
+            planes, span = slice(0, shape[0]), slice(0, plane)
+            if shrink is not None:  # the window grown by steps - k - 1 rings
+                region = tuple(slice(b + k + 1, s - b - k - 1)
+                               for b, s in zip(base, shape))
+                planes = region[0]
+                if strides:
+                    span = slice(region[1].start * strides[0],
+                                 region[1].stop * strides[0])
+                wrap = [(a, r.start, r.stop) for a, r in enumerate(region)][2:]
+            values, older = _planes(cur), _planes(prev)
+            count = span.stop - span.start
+            blocks = [slice(planes.start + b.start, planes.start + b.stop)
+                      for b in row_blocks((planes.stop - planes.start, count))]
             highs, lows = np.empty(len(blocks)), np.empty(len(blocks))
-            t, skip = t0 + k * h, k + 1 if shrink else 0
+            t = t0 + k * h
 
-            def step(i, acc, part):
-                rows = blocks[i]
-                accel = _view(acc, values[rows].shape)
-                if shrink:
-                    _laplacian_core(cur, dx, rows, accel, part)
-                else:
-                    _laplacian_rows(cur, dx, rows, accel, part)
-                if terms is not None:
-                    accel = terms(accel, values[rows], t,
-                                  slice(rows.start + skip, rows.stop + skip))
-                new = prev[rows]
+            def step(i, twov, acc):
+                at = blocks[i], span
+                current, new = values[at], older[at]
+                twov = _view(twov, new.shape)
+                accel = _view(acc, new.shape)
+                np.multiply(current, 2.0, out=twov)
                 if k:  # 2 v_k - v_{k-1} + h^2 accel
-                    x = _view(part, new.shape)
-                    np.multiply(values[rows], 2.0, out=x)
-                    np.subtract(x, new, out=new)
-                    np.multiply(accel, h * h, out=accel)
+                    np.subtract(twov, new, out=new)
                 else:  # v_0 + h velocity + (h^2/2) accel
                     np.multiply(new, h, out=new)
-                    np.add(values[rows], new, out=new)
-                    np.multiply(accel, 0.5 * h * h, out=accel)
+                    np.add(current, new, out=new)
+                if region is None:
+                    _window_laplacian(values, shape, dx, at[0], twov, accel)
+                else:
+                    _laplacian_block(values, shifts, dx, at, twov, accel)
+                if terms is not None:
+                    accel = terms(accel, current, t, at)
+                np.multiply(accel, h * h if k else 0.5 * h * h, out=accel)
                 np.add(new, accel, out=new)
-                clamp_level(new, clamp, rows)
+                clamp_level(new, clamp, at)
+                if wrap:  # cells off the region: never read, kept from the extrema
+                    _zero_outside(new.reshape(new.shape[:1] + (-1,) + shape[2:]),
+                                  wrap)
                 highs[i], lows[i] = np.max(new), np.min(new)
 
             # the workers' scratch, two arrays of `size` each, stays within
             # half the level, but two workers run wherever there are two blocks
-            cap = max(2, values.size // (4 * size))
+            cap = max(2, (planes.stop - planes.start) * count // (4 * size))
             workers = max(1, min(_WORKERS, len(blocks), cap))
             bounds = [len(blocks) * j // workers for j in range(workers + 1)]
 
@@ -400,8 +472,8 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
                     level=level,
                     max_value=max_abs,
                 )
-            yield prev, max_abs
-            prev, cur = values, prev
+            yield (prev if region is None else prev[region]), max_abs
+            prev, cur = cur, prev
     finally:
         if pool is not None:
             pool.shutdown()

@@ -568,13 +568,13 @@ class TestVerdictGates:
     @pytest.mark.parametrize("experiment", ["E1", "E2", "E5", "E6"])
     def test_wrong_laplacian_weight_notes_every_failed_gate(self, experiment,
                                                             monkeypatch, tmp_path):
-        real = stencils._laplacian_core
+        real = stencils._laplacian_block
 
-        def heavier(values, dx, rows, acc, part):
-            real(values, dx, rows, acc, part)
+        def heavier(values, shifts, dx, at, twov, acc):
+            real(values, shifts, dx, at, twov, acc)
             acc *= 1.01
 
-        monkeypatch.setattr(stencils, "_laplacian_core", heavier)
+        monkeypatch.setattr(stencils, "_laplacian_block", heavier)
         result = run_experiment(default_config(experiment, n=2), tmp_path)
         failed = [gate for gate in result.gates if not gate.ok]
         assert not result.passed and failed
@@ -586,9 +586,26 @@ class TestVerdictGates:
         assert all(f"{line}\n" in text for line in lines)
         assert text.endswith("verdict: FAIL\n")
 
+    @pytest.mark.parametrize("amplitude, gated", [(1e-3, 4), (1e-6, 2)])
+    def test_e3_floor_scales_with_the_data(self, amplitude, gated):
+        # the errors scale with the data (4.3e-9 at level 4 for 1e-3), and
+        # the floor with them, down to the reference's cutoff bound (3.6e-11
+        # for 1e-6, where levels 3 and 4 err by 2.2e-11 and 1.2e-11)
+        config = default_config("E3", n=1).with_overrides(
+            f=f"gaussian amplitude={amplitude}", g="none")
+        result = run_experiment(config)
+        ratios = [gate for gate in result.gates if gate.name.endswith("error ratio")]
+        assert [gate.name for gate in ratios] == [
+            f"level {k}: error ratio" for k in range(1, gated + 1)]
+        assert all(3.9 < gate.value < 4.2 for gate in ratios)
+        assert result.gates[-1] == Gate("levels above the quadrature floor",
+                                        gated, lo=1)
+        assert result.passed
+
     def test_e3_with_every_level_at_the_quadrature_floor_fails(self, tmp_path):
         # data of amplitude 1e-9 put every level's error near 6.4e-11, under
-        # the floor 1e-8, so no error ratio is checked
+        # the floor, here the reference's cutoff bound 2.1e-10, so no error
+        # ratio is checked
         config = default_config("E3", n=1).with_overrides(
             f="gaussian amplitude=1e-9", g="none")
         result = run_experiment(config)
@@ -678,13 +695,13 @@ class TestE5RawRun:
         # a kernel with the weight 1.01 still blows up from the corner seed
         # (at level 43, not 45), so only the check against the closed form
         # sees it
-        real = stencils._laplacian_core
+        real = stencils._laplacian_block
 
-        def heavier(values, dx, rows, acc, part):
-            real(values, dx, rows, acc, part)
+        def heavier(values, shifts, dx, at, twov, acc):
+            real(values, shifts, dx, at, twov, acc)
             acc *= 1.01
 
-        monkeypatch.setattr(stencils, "_laplacian_core", heavier)
+        monkeypatch.setattr(stencils, "_laplacian_block", heavier)
         result = run_experiment(default_config("E5", n=n))
         assert not result.passed
         assert [gate.name for gate in result.gates if not gate.ok] == [

@@ -12,6 +12,7 @@ from wavelattice import (
     Domain,
     FrequencyQuadrature,
     LatticeSpec,
+    SpentVelocitiesError,
     field_from_classification,
     integrate,
     phi_reference_error,
@@ -32,10 +33,15 @@ def rhs(system: LagrangeSystem, t: float, values=None) -> np.ndarray:
     """The reference acceleration a(x) Lap_dx xi - sigma(x) xi + w(x, t) of
     the system's values (or of `values`), from the terms the stepping kernel
     reads.  Boundary neighbours are read from the clamped entries; the
-    array is only meaningful on interior points."""
-    xi = system.values if values is None else values
-    terms = system._terms or (lambda accel, *rest: accel)
-    return terms(laplacian_array(xi, system.dx), xi, t, slice(0, len(xi)))
+    array is only meaningful on interior points.  The terms read the whole
+    window as one block of its plane view (axis-0 planes, points per plane)."""
+    xi = np.asarray(system.values if values is None else values)
+    accel = laplacian_array(xi, system.dx)
+    if system._terms is None:
+        return accel
+    whole = slice(None), slice(None)
+    return system._terms(accel.reshape(len(xi), -1), xi.reshape(len(xi), -1),
+                         t, whole).reshape(xi.shape)
 
 
 def _clamped(system, arr):
@@ -119,6 +125,21 @@ class TestIntegrate:
         assert set(out) == {0.5, 1.0}
         with pytest.raises(ValueError):
             integrate(system, 0.0, 1.0, 0.25, record_times=[0.3])
+
+    def test_velocities_are_stepped_over_not_copied(self):
+        # the kernel writes level 1 over the system's velocities, so a second
+        # run from them would pair the values at t1 with the velocities at t0
+        system = _free_system(dx=0.1)
+        set_initial_data(system, DataFunction.gaussian([0.0], 0.3),
+                         DataFunction.gaussian([0.1], 0.25, amplitude=0.5))
+        velocities = system.velocities
+        integrate(system, 0.0, 0.05, 0.05)
+        assert system.values is velocities and system.velocities is None
+        with pytest.raises(SpentVelocitiesError):
+            integrate(system, 0.05, 0.1, 0.05)
+        assert issubclass(SpentVelocitiesError, ValueError)
+        set_initial_data(system, 0.0, 1.0)
+        assert set(integrate(system, 0.0, 0.1, 0.05)) == {0.1}
 
     def test_rk4_close_to_verlet(self):
         f = DataFunction.gaussian([0.0], 0.3)

@@ -229,14 +229,15 @@ class TestDependenceCone:
 
     @pytest.mark.parametrize("t_range", [(0.0, 0.4), (-0.15, 0.4)])
     def test_each_step_is_one_ring_smaller(self, t_range, monkeypatch):
-        # each run starts from level 0 on its own cone, the forward run first
+        # each run steps the bootstrap window, grown by the longer run's
+        # steps, on its own cone, the forward run first
         runs = _kernel_runs(monkeypatch)
         problem = _cone_problem(2)
         solve(problem, t_range=t_range)
         window = problem.classification.shape
         steps = [round(abs(t) / problem.spec.dt) for t in reversed(t_range)]
         assert runs == [
-            (sign, tuple(w + 2 * s for w in window),
+            (sign, tuple(w + 2 * max(steps) for w in window),
              [tuple(w + 2 * (s - k) for w in window) for k in range(1, s + 1)])
             for sign, s in zip((1, -1), steps) if s
         ]
@@ -517,8 +518,8 @@ class TestWorkerCount:
         monkeypatch.setattr(stencils, "_WORKERS", 2)
         seen = []
 
-        def terms(accel, values, t, rows):
-            seen.append((threading.get_ident(), rows.start))
+        def terms(accel, values, t, at):
+            seen.append((threading.get_ident(), at[0].start))
             return accel
 
         v0 = np.zeros((12, 5))

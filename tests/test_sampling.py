@@ -187,6 +187,32 @@ class TestSampleWindow:
             assert np.array_equal(sample_window(data, fld), _array_formula(
                 data, lattice_points(fld))), data.kind
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["gaussian", "modulated_gaussian"])
+    def test_gaussian_kinds_equal_the_negated_sum_formula(self, n, amplitude,
+                                                          kind):
+        # the formula the Gaussian kinds had, amplitude * exp(-r2 / (2 w^2))
+        # with r2 summed from axis 0 on, bit for bit, signbits included; the
+        # centre is a lattice point, so r2 holds zeros there, and the axes
+        # hold -0.0
+        center = [0.1 * (k - 1) for k in range(n)]
+        data = (DataFunction.gaussian(center, 0.3, amplitude=amplitude)
+                if kind == "gaussian" else DataFunction.modulated_gaussian(
+                    center, 0.3, [2.0 - k for k in range(n)], amplitude=amplitude))
+        axes = [np.arange(-3, 4 + k) * 0.1 for k in range(n)]
+        for axis in axes:
+            axis[axis == 0.0] = -0.0
+        grid = grid_points(axes)
+        r2 = sum((grid[..., k] - c) ** 2 for k, c in enumerate(center))
+        expected = amplitude * np.exp(-r2 / (2.0 * 0.3**2))
+        if kind == "modulated_gaussian":
+            expected = expected * np.cos(sum(
+                (grid[..., k] - c) * (2.0 - k) for k, c in enumerate(center)))
+        for values in (data.on_axes(axes), data(grid)):
+            assert np.array_equal(values, expected)
+            assert np.array_equal(np.signbit(values), np.signbit(expected))
+
     def test_on_axes_needs_one_axis_per_dimension(self):
         with pytest.raises(ValueError, match="3 axes need 2"):
             DataFunction.gaussian([0.0, 0.0], 0.3).on_axes([np.zeros(2)] * 3)

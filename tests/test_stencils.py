@@ -127,7 +127,7 @@ class TestKernels:
         out = leapfrog_first_level(v0, vel, accel, h)
         assert np.array_equal(out, v0 + h * vel + 0.5 * h * h * accel)
 
-    @pytest.mark.parametrize("shrink", [False, True])
+    @pytest.mark.parametrize("shrink", [None, (3, 3)])
     def test_three_level_steps_yields_each_levels_max(self, shrink):
         # levels near -1, so max |v| is not max v
         rng = np.random.default_rng(9)
@@ -139,10 +139,10 @@ class TestKernels:
             assert level_max == float(np.max(np.abs(level)))
             assert level_max > float(np.max(level))
 
-    @pytest.mark.parametrize("shrink", [False, True])
+    @pytest.mark.parametrize("shrink", [None, (3, 3)])
     def test_three_level_steps_forms_level_one(self, shrink):
         # level 1 is the first-level combination over the velocity, one
-        # ring in from v0 when the run shrinks
+        # ring in from v0 when the run shrinks to the centre 3 rings in
         rng = np.random.default_rng(10)
         v0, velocity = rng.normal(size=(2, 9, 9))
         expected = leapfrog_first_level(
@@ -238,7 +238,12 @@ def _same_bits(a, b):
 
 
 SHAPES = [(1,), (2,), (3,), (40,), (2, 9), (9, 1), (5, 7), (13, 17, 19),
-          (3, 3, 3), (6, 2, 5)]
+          (3, 3, 3), (6, 2, 5), (3, 5, 41), (4, 5, 3, 6)]
+
+#: (shape of level 0, steps) of dependence-cone runs: the window they reach
+#: is `steps` rings inside level 0's
+CONES = [((9,), 3), ((9, 11), 3), ((13, 9, 11), 4), ((3, 5, 41), 1),
+         ((7, 9, 5, 11), 2)]
 
 
 class TestBlockedKernels:
@@ -296,6 +301,45 @@ class TestBlockedKernels:
         assert np.shares_memory(level, start)
         assert level_max == float(np.max(np.abs(expected)))
 
+    @pytest.mark.parametrize("shape, steps", CONES)
+    @pytest.mark.parametrize("h", [0.05, -0.05])
+    def test_cone_equals_whole_window_run(self, shape, steps, h, block_points,
+                                          workers):
+        # level k of the cone is the whole-window run's on the window grown
+        # by steps - k rings, bit for bit, and so is its maximum
+        window = tuple(s - 2 * steps for s in shape)
+        v0, velocity = np.random.default_rng(5).normal(size=(2,) + shape)
+        v0.flat[v0.size // 2] = -0.0
+        whole = stencils.three_level_steps(v0.copy(), velocity.copy(), h, 0.1,
+                                           steps)
+        cone = stencils.three_level_steps(v0, velocity, h, 0.1, steps,
+                                          shrink=window)
+        for k, ((full, _), (level, level_max)) in enumerate(zip(whole, cone), 1):
+            expected = crop_centre(full, tuple(w + 2 * (steps - k) for w in window))
+            assert _same_bits(level, expected), k
+            assert level_max == float(np.max(np.abs(expected))), k
+
+    @pytest.mark.parametrize("shape, steps", CONES)
+    def test_cone_reads_no_edge_of_its_outer_ring(self, shape, steps,
+                                                  block_points, workers):
+        # no region point reads the cells of level 0's outer ring that lie
+        # on two of its faces or more (its edges and corners): NaN there
+        # gives the levels and maxima of zeros there, and no blowup
+        ring = sum(np.isin(np.arange(s), (0, s - 1)).reshape(
+            (-1,) + (1,) * (len(shape) - 1 - a)) for a, s in enumerate(shape))
+        edges = np.broadcast_to(ring, shape) >= 2
+        window = tuple(s - 2 * steps for s in shape)
+        runs = []
+        for fill in (0.0, math.nan):
+            v0, velocity = np.random.default_rng(6).normal(size=(2,) + shape)
+            v0[edges] = velocity[edges] = fill
+            runs.append([(level.copy(), level_max) for level, level_max in
+                         stencils.three_level_steps(v0, velocity, 0.05, 0.1,
+                                                    steps, shrink=window)])
+        assert len(runs[1]) == steps
+        for (zeros, zeros_max), (nans, nans_max) in zip(*runs):
+            assert _same_bits(nans, zeros) and nans_max == zeros_max
+
     @pytest.mark.parametrize("points", [1, 4, 100])
     def test_row_blocks_cover_axis_zero_once(self, points, monkeypatch):
         monkeypatch.setattr(stencils, "BLOCK_POINTS", points)
@@ -321,32 +365,35 @@ class TestWindowTerms:
     def test_forcing_sum_equals_whole_array_expression(self, shape, count,
                                                        term_points):
         rng = np.random.default_rng(count)
-        # the block is rows 1.. of a window one point wider on each side of
-        # every other axis, where it covers the centred sub-window
-        window = (shape[0] + 2,) + tuple(s + 2 for s in shape[1:])
-        rows = slice(1, 1 + shape[0])
-        at = (rows,) + tuple(slice(1, 1 + s) for s in shape[1:])
+        # the block is planes 1.. of a window one point wider on each side
+        # of every axis, times the span of its plane view one point in from
+        # either end (the whole plane of a 1-D window)
+        window = tuple(s + 2 for s in shape)
+        plane = math.prod(window[1:])
+        at = (slice(1, 1 + shape[0]),
+              slice(0, 1) if len(shape) == 1 else slice(1, plane - 1))
         spaces = rng.normal(size=(count,) + window)
+        flat = spaces.reshape(count, window[0], plane)
         profiles = [math.cos, math.sin, lambda s: -3.0 * s][:count]
-        accel = rng.normal(size=shape)
-        w = spaces[0][at] * profiles[0](0.3)
-        for space, profile in zip(spaces[1:], profiles[1:]):
+        accel = rng.normal(size=flat[0][at].shape)
+        w = flat[0][at] * profiles[0](0.3)
+        for space, profile in zip(flat[1:], profiles[1:]):
             w = w + space[at] * profile(0.3)
         terms = stencils.window_terms(forcing=list(zip(spaces, profiles)))
-        assert _same_bits(terms(accel.copy(), accel, 0.3, rows), accel + w)
+        assert _same_bits(terms(accel.copy(), accel, 0.3, at), accel + w)
 
     @pytest.mark.parametrize("shape", [(1 << 16,), (256, 256), (16, 64, 64)],
                              ids=["1d", "2d", "3d"])
     def test_forcing_temporaries_stay_below_a_chunk(self, shape):
         # a block of BLOCK_POINTS points and two terms: the sum and one term
-        # take a chunk of rows each, so workers that overlap add no block
+        # take a chunk of planes each, so workers that overlap add no block
         spaces = np.ones((2,) + shape)
         terms = stencils.window_terms(
             forcing=[(spaces[0], math.cos), (spaces[1], math.sin)])
-        accel = np.zeros(shape)
+        accel = np.zeros(shape).reshape(shape[0], -1)
         tracemalloc.start()
         try:
-            terms(accel, accel, 0.3, slice(0, shape[0]))
+            terms(accel, accel, 0.3, (slice(None), slice(None)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
