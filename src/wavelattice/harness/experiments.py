@@ -43,6 +43,7 @@ from ..stencils import (
     field_from_classification,
     sample_window,
     three_level_steps,
+    window_zeros,
 )
 from .config import ConfigError, ExperimentConfig
 from .norms import compare_on_common_lattice, scaled_norms
@@ -362,8 +363,10 @@ def _corner_run(n, dx, dt, steps):
         c.append((2.0 - 2.0 * q) * c[-1] - c[-2])
     blow = len(c) - 1 if abs(c[-1]) > BLOWUP_THRESHOLD else None
     exact = np.abs(c[:min(9, blow or len(c))])
-    seed = 1.0 - 2.0 * (np.indices((2 * len(exact) - 1,) * n).sum(axis=0) % 2)
-    maxima = _level_maxima(seed, np.zeros_like(seed), dt, dx, len(exact) - 1)
+    seed = window_zeros((2 * len(exact) - 1,) * n)
+    seed[...] = 1.0 - 2.0 * (np.indices(seed.shape).sum(axis=0) % 2)
+    maxima = _level_maxima(seed, window_zeros(seed.shape), dt, dx,
+                           len(exact) - 1)
     return max(map(abs, c)), blow, float(np.max(abs(maxima - exact) / exact))
 
 
@@ -412,7 +415,8 @@ def run_e5(config: ExperimentConfig) -> ExperimentResult:
     classification = classify(Domain.full_space(config.window()), spec_c)
     v0 = sample_window(config.data("f"), field_from_classification(
         classification, pad=spec_c.steps + 2))
-    maxima = _level_maxima(v0, np.zeros_like(v0), dt_c, dx_c, spec_c.steps)
+    maxima = _level_maxima(v0, window_zeros(v0.shape), dt_c, dx_c,
+                           spec_c.steps)
     control_max, initial_sup = max(maxima), maxima[0]
     notes.append(
         f"control run: max |v| = {control_max:.6f}, initial sup = {initial_sup:.6f}"

@@ -55,15 +55,14 @@ class LagrangeSystem:
     _clamp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        shape = self.fieldobj.shape
         a, sigma = (None if c is None else sample_window(c, self.fieldobj)
                     for c in (self.a, self.sigma))
         forcing = sample_forcing(self.forcing, self.fieldobj)
         self._terms = window_terms(a, sigma, forcing)
         if self.values is None:
-            self.values = np.zeros(shape)
+            self.values = sample_window(None, self.fieldobj)
         if self.velocities is None:
-            self.velocities = np.zeros(shape)
+            self.velocities = sample_window(None, self.fieldobj)
         self._clamp = window_clamp(self.fieldobj, self.boundary_value)
 
     def clamp(self, arr: np.ndarray) -> np.ndarray:

@@ -70,10 +70,11 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     value of the scheme.  Raises BlowupError past the 1e12 threshold, and
     ValueError for a t_range endpoint off the time lattice.
 
-    f, g and each space of the forcing are sampled once, on the calling
-    thread, on the window grown by the longer run's steps (full space) or
+    f, g and each space of the forcing are sampled once, in the calling
+    process, on the window grown by the longer run's steps (full space) or
     on the domain's window, f clamped at the boundary (bounded).  Each run
-    starts in the stepping kernel from those arrays of level 0 and g, and
+    starts in the stepping kernel from those arrays of level 0 and g (the
+    first of two runs from copies, by sample_window), and
     on full space level p of the run is stepped only on the window grown by
     steps - |p| rings: the points that can still reach the window by the
     run's end.
@@ -106,7 +107,7 @@ def solve(problem: DiscreteProblem, t_range: Optional[tuple] = None) -> GridFiel
     for i, (sign, end) in enumerate(runs):
         seeds = (v0, gv)
         if i < len(runs) - 1:  # the kernel writes over its seeds
-            seeds = (a.copy() for a in seeds)
+            seeds = (sample_window(a, fieldobj) for a in seeds)
         run = three_level_steps(*seeds, sign * spec.dt, spec.dx, sign * end,
                                 terms=terms, clamp=clamp,
                                 shrink=window if full_space else None)

@@ -2,11 +2,13 @@
 
 A `GridField` holds time levels on an index window; `sample_window`, the
 one path from data to lattice values, fills a window one block of rows at
-a time, catalog data by its axes; the array kernels form and step the
-three-level scheme that the leapfrog solver, the Verlet integrator and the
-CFL experiment all run, on 2-D views of each level's buffer as (axis-0
-planes, points of a plane), a block at a time: a range of planes times one
-contiguous span of the plane.
+a time, catalog data by its axes, into an array of `window_zeros`; the
+array kernels form and step the three-level scheme that the leapfrog
+solver, the Verlet integrator and the CFL experiment all run, on 2-D views
+of each level's buffer as (axis-0 planes, points of a plane), a block at a
+time: a range of planes times one contiguous span of the plane.  A run on
+large windows in shared memory forks worker processes that step its
+blocks beside the caller's.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,24 +84,26 @@ def lattice_points(fieldobj: GridField) -> np.ndarray:
 
 def sample_window(data, fieldobj: GridField) -> np.ndarray:
     """`data` on the window's points, the one sampler of data and forcing
-    spaces.  None gives zeros and a number that constant; an array must
-    have the window's shape and is copied.  Anything else fills the window
-    one block of axis-0 rows at a time: data with `on_axes` (catalog data,
-    the -Lap term of dalembert_forcing) by the block's axes, building no
-    points, and any other callable once per point x, x[k] its k-th
-    coordinate."""
+    spaces, in an array of window_zeros.  None gives zeros and a number that
+    constant; an array must have the window's shape and is copied.
+    Anything else fills the window one block of axis-0 rows at a time: data
+    with `on_axes` (catalog data, the -Lap term of dalembert_forcing) by the
+    block's axes, building no points, and any other callable once per point
+    x, x[k] its k-th coordinate."""
+    if isinstance(data, np.ndarray) and data.shape != fieldobj.shape:
+        raise ValueError(
+            f"gridded data of shape {data.shape} does not match the "
+            f"lattice window {fieldobj.shape}"
+        )
+    values = window_zeros(fieldobj.shape)
     if isinstance(data, np.ndarray):
-        if data.shape != fieldobj.shape:
-            raise ValueError(
-                f"gridded data of shape {data.shape} does not match the "
-                f"lattice window {fieldobj.shape}"
-            )
-        return np.array(data, dtype=float)
+        values[...] = data
+        return values
     if data is None:
-        return np.zeros(fieldobj.shape)
+        return values
     if not (callable(data) or hasattr(data, "on_axes")):
-        return np.full(fieldobj.shape, float(data))
-    values = np.empty(fieldobj.shape)
+        values[...] = float(data)
+        return values
     axes = window_axes(fieldobj)
     for rows in row_blocks(values.shape):
         block = [axes[0][rows], *axes[1:]]
@@ -166,28 +172,87 @@ def window_terms(a=None, sigma=None, forcing=()):
 # range also holds cells off the stepped points, whose neighbours wrap
 # across rows or planes: their acceleration (whole window) or new value
 # (cone) is set to 0.0.  The blocks of a level write disjoint planes, so
-# they run on up to _WORKERS threads (numpy releases the GIL), each worker
-# taking one contiguous chunk of them with its own two scratch arrays of one
-# block, 1 MB; a level runs on no more workers than keep that scratch within
-# half of it (two at the least), so a run holds a few window arrays plus at
-# most half a window of scratch on any number of CPUs.  The blocks do not
-# depend on the worker count, so neither do the values.
+# up to _WORKERS processes step them, each one contiguous chunk with its own
+# two scratch arrays of one block, 1 MB: the caller and the workers it forks
+# once per run (`workers.Workers`), when both level buffers lie in anonymous
+# shared memory (window_zeros puts windows of FORK_POINTS points or more
+# there).  The workers see every other operand (a, sigma, forcing spaces,
+# clamp masks, `terms`) as it was at the fork, write their blocks' extrema
+# into a small shared array and answer each level on a pipe; their ufunc
+# calls, unlike threads', need no hand-over of the GIL.  A level runs on no
+# more processes than keep the scratch within half of it (two at the
+# least).  The blocks do not depend on the process count, so neither do the
+# values.
 
-#: points per block in the array kernels: a worker's two scratch arrays of
-#: one block take 1 MB.  Two arrays, not a third for 2 v, keep the blocks
-#: this large: a shorter ufunc call loses more of a second worker to the
-#: GIL's hand-over between threads than one more pass over 2 v costs
+#: points per block in the array kernels: a process's two scratch arrays of
+#: one block take 1 MB
 BLOCK_POINTS = 1 << 16
 
 #: points per chunk of planes in which window_terms sums the forcing: its two
-#: temporaries stay far below a block, however many workers overlap
+#: temporaries stay far below a block
 TERM_POINTS = 1 << 14
 
+#: windows of at least this many points are allocated in shared memory and
+#: stepped by forked workers; below it a fork costs about what a second CPU
+#: saves (E1 n = 3's solve at dx = 0.05, 49^3 points and 16 steps, takes
+#: about 0.011 s on one CPU)
+FORK_POINTS = 1 << 18
 
-#: threads that step the blocks of one level: the CPUs this process may run
-#: on (its affinity mask where the system has one)
+#: processes that step the blocks of one level: the CPUs this process may
+#: run on (its affinity mask where the system has one)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+#: the kernel forks its workers on Linux only, where a fork is cheap and an
+#: anonymous shared mapping is zero-filled on first touch
+_FORKS = sys.platform.startswith("linux") and hasattr(os, "fork")
+
+#: the anonymous shared mappings behind live window arrays, and the peak of
+#: their bytes since reset_shared_peak
+_SHARED = weakref.WeakSet()
+_shared_peak = 0
+
+
+def window_zeros(shape) -> np.ndarray:
+    """Zeros on a window of `shape`, the allocator of every array the
+    stepping kernel steps: with more than one worker, a window of
+    FORK_POINTS points or more lies in anonymous shared memory, which
+    forked workers step in place and the system hands over zero-filled
+    without a pass; any other window is a private array."""
+    if _FORKS and _WORKERS > 1 and math.prod(shape) >= FORK_POINTS:
+        return _shared_zeros(shape)
+    return np.zeros(shape)
+
+
+def _shared_zeros(shape) -> np.ndarray:
+    """Zeros of `shape` in a new anonymous shared mapping."""
+    import mmap  # here: a run of private arrays loads no module for it
+
+    global _shared_peak
+    buffer = mmap.mmap(-1, max(1, 8 * math.prod(shape)))
+    _SHARED.add(buffer)
+    _shared_peak = max(_shared_peak, shared_memory()[0])
+    return np.ndarray(shape, buffer=buffer)
+
+
+def shared_memory() -> tuple:
+    """(bytes, peak bytes) of the live arrays in shared memory, the peak
+    since reset_shared_peak: tracemalloc does not see them."""
+    live = sum(len(buffer) for buffer in _SHARED)
+    return live, max(live, _shared_peak)
+
+
+def reset_shared_peak() -> None:
+    """Set the peak of shared_memory to the bytes live now."""
+    global _shared_peak
+    _shared_peak = shared_memory()[0]
+
+
+def _in_shared_memory(values: np.ndarray) -> bool:
+    """Whether `values` is a view of an array of _shared_zeros."""
+    while isinstance(values, np.ndarray):
+        values = values.base
+    return values in _SHARED
 
 
 def row_blocks(shape) -> list:
@@ -331,19 +396,6 @@ def crop_centre(values: np.ndarray, shape) -> np.ndarray:
     )]
 
 
-def _run_chunks(pool, run, count: int) -> None:
-    """run(0), ..., run(count - 1): chunk 0 on this thread, the others on
-    `pool`; returns when every chunk has ended and raises the first error."""
-    futures = [pool.submit(run, j) for j in range(1, count)]
-    try:
-        run(0)
-    finally:
-        for future in futures:
-            future.exception()  # waits for the chunk to end
-    for future in futures:
-        future.result()
-
-
 def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
                       clamp=None, shrink=None):
     """Yield (level, max |level|) for levels 1..steps of the three-level
@@ -360,15 +412,24 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
 
     `v0` and `velocity` are C-contiguous arrays of one shape.  Each level
     is stepped one block (about BLOCK_POINTS points) of axis-0 planes times
-    a span of the plane at a time, in one pass per block, and the blocks
-    run on the CPUs of the process's affinity mask, on no more threads than
-    keep their scratch within half the level (a window of one block runs on
-    the calling thread).  `terms(accel, values, t, at)` is called once per
-    block, with the block's acceleration and level-k values, t = t0 + k*h
-    and `at`, the block's (planes, span) in the plane view of `v0`'s
-    window; it returns the block's acceleration and may write over the one
-    it gets.  Every value is that of the whole-array expressions, bit for
-    bit, at any worker count.
+    a span of the plane at a time, in one pass per block.  When both arrays
+    come from window_zeros in shared memory (sample_window allocates there)
+    and level 0 has more than one block, the run forks up to _WORKERS - 1
+    worker processes once, on Linux, and each level's blocks are split
+    into contiguous chunks, one per process, on no more processes than keep
+    their scratch within half the level; otherwise the calling process
+    steps every block.  The workers see `terms`, `clamp` and every array
+    they read as they were when the run began, what `terms` changes in a
+    worker stays there, and the run waits for the workers before it yields
+    a level or raises.  A worker's exception is raised here, caused by its
+    traceback there; every worker has ended and been waited for once the
+    run is exhausted, raises or is closed.
+    `terms(accel, values, t, at)` is called once per block, with the
+    block's acceleration and level-k values, t = t0 + k*h and `at`, the
+    block's (planes, span) in the plane view of `v0`'s window; it returns
+    the block's acceleration and may write over the one it gets.  Every
+    value is that of the whole-array expressions, bit for bit, at any
+    process count.
 
     The kernel holds no level of its own: level 1 is written over
     `velocity` and level k+1 over level k-1, so `v0` is overwritten by
@@ -391,92 +452,104 @@ def three_level_steps(v0, velocity, h, dx, steps, *, t0=0.0, terms=None,
         raise ValueError(f"velocity of shape {velocity.shape} on a level of {shape}")
     strides = _strides(shape)
     shifts = [(1, 0), *((0, s) for s in strides)]  # plane +-1, then along it
-    plane = _planes(v0).shape[1]
+    levels = _planes(v0), _planes(velocity)  # level k is levels[k % 2]
+    plane = levels[0].shape[1]
     if shrink is not None:
         base = [(s - w) // 2 - steps for s, w in zip(shape, shrink)]
         if len(shrink) != len(shape) or min(base) < 0:
             raise ValueError(f"window {shrink} is not {steps} rings inside {shape}")
-    # per-worker scratch: the largest block of any level fits
+    # each process's scratch: the largest block of any level fits
     size = min(v0.size, max(BLOCK_POINTS, plane))
-    scratch = [None] * _WORKERS
-    pool = None
-    prev, cur = velocity, v0  # level 1 is written over the velocity
-    try:
-        for k in range(steps):
-            region, wrap = None, []
-            planes, span = slice(0, shape[0]), slice(0, plane)
-            if shrink is not None:  # the window grown by steps - k - 1 rings
-                region = tuple(slice(b + k + 1, s - b - k - 1)
-                               for b, s in zip(base, shape))
-                planes = region[0]
-                if strides:
-                    span = slice(region[1].start * strides[0],
-                                 region[1].stop * strides[0])
-                wrap = [(a, r.start, r.stop) for a, r in enumerate(region)][2:]
-            values, older = _planes(cur), _planes(prev)
-            count = span.stop - span.start
-            blocks = [slice(planes.start + b.start, planes.start + b.stop)
-                      for b in row_blocks((planes.stop - planes.start, count))]
-            highs, lows = np.empty(len(blocks)), np.empty(len(blocks))
-            t = t0 + k * h
+    scratch = []
 
-            def step(i, twov, acc):
-                at = blocks[i], span
-                current, new = values[at], older[at]
-                twov = _view(twov, new.shape)
-                accel = _view(acc, new.shape)
-                np.multiply(current, 2.0, out=twov)
-                if k:  # 2 v_k - v_{k-1} + h^2 accel
-                    np.subtract(twov, new, out=new)
-                else:  # v_0 + h velocity + (h^2/2) accel
-                    np.multiply(new, h, out=new)
-                    np.add(current, new, out=new)
-                if region is None:
-                    _window_laplacian(values, shape, dx, at[0], twov, accel)
-                else:
-                    _laplacian_block(values, shifts, dx, at, twov, accel)
-                if terms is not None:
-                    accel = terms(accel, current, t, at)
-                np.multiply(accel, h * h if k else 0.5 * h * h, out=accel)
-                np.add(new, accel, out=new)
-                clamp_level(new, clamp, at)
-                if wrap:  # cells off the region: never read, kept from the extrema
-                    _zero_outside(new.reshape(new.shape[:1] + (-1,) + shape[2:]),
-                                  wrap)
-                highs[i], lows[i] = np.max(new), np.min(new)
+    def level(k):
+        """Level k's stepped region (None: the whole window), the cells off
+        it to zero, its span of the plane, its blocks of planes and the most
+        processes that step them: the scratch of two arrays of `size` per
+        process stays within half the level, but two step two blocks."""
+        region, wrap = None, []
+        planes, span = slice(0, shape[0]), slice(0, plane)
+        if shrink is not None:  # the window grown by steps - k - 1 rings
+            region = tuple(slice(b + k + 1, s - b - k - 1)
+                           for b, s in zip(base, shape))
+            planes = region[0]
+            if strides:
+                span = slice(region[1].start * strides[0],
+                             region[1].stop * strides[0])
+            wrap = [(a, r.start, r.stop) for a, r in enumerate(region)][2:]
+        count = span.stop - span.start
+        blocks = [slice(planes.start + b.start, planes.start + b.stop)
+                  for b in row_blocks((planes.stop - planes.start, count))]
+        cap = max(2, (planes.stop - planes.start) * count // (4 * size))
+        return region, wrap, span, blocks, min(len(blocks), cap)
 
-            # the workers' scratch, two arrays of `size` each, stays within
-            # half the level, but two workers run wherever there are two blocks
-            cap = max(2, (planes.stop - planes.start) * count // (4 * size))
-            workers = max(1, min(_WORKERS, len(blocks), cap))
-            bounds = [len(blocks) * j // workers for j in range(workers + 1)]
-
-            def run(j):
-                if scratch[j] is None:
-                    scratch[j] = np.empty(size), np.empty(size)
-                for i in range(bounds[j], bounds[j + 1]):
-                    step(i, *scratch[j])
-
-            if workers == 1:
-                run(0)
+    def step_blocks(k, first, end):
+        """Step blocks first..end-1 of level k, each block's max and min
+        into `extrema`."""
+        region, wrap, span, blocks, _ = level(k)
+        values, older = levels[k % 2], levels[1 - k % 2]
+        if not scratch:
+            scratch.extend((np.empty(size), np.empty(size)))
+        t = t0 + k * h
+        for i in range(first, end):
+            at = blocks[i], span
+            current, new = values[at], older[at]
+            twov = _view(scratch[0], new.shape)
+            accel = _view(scratch[1], new.shape)
+            np.multiply(current, 2.0, out=twov)
+            if k:  # 2 v_k - v_{k-1} + h^2 accel
+                np.subtract(twov, new, out=new)
+            else:  # v_0 + h velocity + (h^2/2) accel
+                np.multiply(new, h, out=new)
+                np.add(current, new, out=new)
+            if region is None:
+                _window_laplacian(values, shape, dx, at[0], twov, accel)
             else:
-                if pool is None:  # imported here: a one-block run starts no thread
-                    from concurrent.futures import ThreadPoolExecutor
-                    pool = ThreadPoolExecutor(_WORKERS - 1)
-                _run_chunks(pool, run, workers)
+                _laplacian_block(values, shifts, dx, at, twov, accel)
+            if terms is not None:
+                accel = terms(accel, current, t, at)
+            np.multiply(accel, h * h if k else 0.5 * h * h, out=accel)
+            np.add(new, accel, out=new)
+            clamp_level(new, clamp, at)
+            if wrap:  # cells off the region: never read, kept from the extrema
+                _zero_outside(new.reshape(new.shape[:1] + (-1,) + shape[2:]),
+                              wrap)
+            extrema[0, i], extrema[1, i] = np.max(new), np.min(new)
+
+    pool, extrema = None, None
+    try:
+        if steps:  # level 0 has the most blocks and takes the most processes
+            _, _, _, blocks, most = level(0)
+            forks = (_WORKERS > 1 and most > 1 and _in_shared_memory(v0)
+                     and _in_shared_memory(velocity))
+            extrema = (_shared_zeros if forks else np.empty)((2, len(blocks)))
+            if forks:
+                from .workers import Workers  # only a run that forks loads it
+
+                pool = Workers(min(_WORKERS, most) - 1, step_blocks)
+        for k in range(steps):
+            region, _, _, blocks, most = level(k)
+            if pool is None:
+                step_blocks(k, 0, len(blocks))
+            else:
+                processes = max(1, min(len(pool.children) + 1, most))
+                pool.step(k, [len(blocks) * j // processes
+                              for j in range(processes + 1)])
+            highs, lows = extrema[:, :len(blocks)]
             max_abs = float(max(np.max(highs), -np.min(lows)))
             if not np.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
-                level = k + 1 if h > 0 else -(k + 1)
+                level_index = k + 1 if h > 0 else -(k + 1)
                 raise BlowupError(
-                    f"blowup detected at level {level}: max |v| = {max_abs:.3e}",
-                    level=level,
+                    f"blowup detected at level {level_index}: "
+                    f"max |v| = {max_abs:.3e}",
+                    level=level_index,
                     max_value=max_abs,
                 )
-            yield (prev if region is None else prev[region]), max_abs
-            prev, cur = cur, prev
+            new = (v0, velocity)[1 - k % 2]
+            yield (new if region is None else new[region]), max_abs
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.close()
 
 
 # ---------------------------------------------------------------------------

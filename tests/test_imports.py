@@ -1,5 +1,6 @@
 """The package needs numpy only: no source file imports scipy, and neither
-importing the package nor running the experiments loads any of it."""
+importing the package nor running the experiments loads any of it.
+Importing the package loads no module of the forked workers either."""
 
 import ast
 import os
@@ -48,3 +49,17 @@ def test_no_source_file_imports_scipy():
             found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
                       for name in names if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_import_loads_no_worker_machinery():
+    # the shared allocator and the forked workers load their modules when a
+    # run first needs them, so importing the package costs nothing more
+    script = ("import sys, wavelattice, wavelattice.harness; "
+              "print(sorted(m for m in ('mmap', 'wavelattice.workers') "
+              "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,8 +1,7 @@
 """Leapfrog solver: bootstrap exactness, kept levels, guards."""
 
 import math
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from wavelattice import (
     solve,
 )
 from wavelattice import lagrange, leapfrog, stencils
+from wavelattice.harness import default_config, run_experiment
 from wavelattice.lagrange import LagrangeSystem, system_for_domain
 from wavelattice.stencils import (
     clamp_level,
@@ -445,8 +445,32 @@ def _worker_runs(case, n):
 
 
 class TestWorkerCount:
-    """The blocks of a level run on up to stencils._WORKERS threads; the
-    levels and the maxima the blowup guard takes do not depend on how many."""
+    """The blocks of a level run in up to stencils._WORKERS processes, the
+    caller and workers it forks over shared level buffers; the levels and
+    the maxima the blowup guard takes do not depend on how many, and no
+    worker outlives its run."""
+
+    @pytest.fixture
+    def fork_pids(self, monkeypatch):
+        """The pids of the workers forked."""
+        pids = []
+        real = os.fork
+
+        def counting():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        return pids
+
+    @pytest.fixture
+    def forks(self, fork_pids, monkeypatch):
+        """fork_pids, with every window of window_zeros in shared memory
+        wherever there are two workers or more."""
+        monkeypatch.setattr(stencils, "FORK_POINTS", 0)
+        return fork_pids
 
     @staticmethod
     def _levels(case, n, workers, monkeypatch):
@@ -470,74 +494,161 @@ class TestWorkerCount:
         for (level, level_max), (other, other_max) in zip(seen, expected):
             assert np.array_equal(level, other) and level_max == other_max
 
+    @staticmethod
+    def _window(shape, fill=0.0):
+        values = stencils.window_zeros(shape)
+        values[...] = fill
+        return values
+
+    @staticmethod
+    def _no_worker_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("case", ["cone", "forced", "box", "ball", "verlet"])
-    def test_levels_and_maxima_equal_at_any_worker_count(self, case, n,
+    def test_levels_and_maxima_equal_at_any_worker_count(self, case, n, forks,
                                                          monkeypatch):
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 7)
         one = self._levels(case, n, 1, monkeypatch)
-        assert len(one) > 2
+        assert len(one) > 2 and not forks
         for workers in (2, 3):
             self._assert_same(self._levels(case, n, workers, monkeypatch), one)
+        assert forks
+        self._no_worker_left()
 
-    def test_more_workers_than_cpus_with_fast_thread_switches(self,
-                                                              monkeypatch):
-        # every worker writes its own rows and its own scratch; a write that
-        # leaked into another block would change a level
-        workers = 2 * stencils._WORKERS + 1
+    def test_more_workers_than_cpus(self, forks, monkeypatch):
+        # every worker writes its own planes and its own scratch; a write
+        # that leaked into another block would change a level
+        cpus = stencils._WORKERS
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 7)
         one = self._levels("forced", 3, 1, monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            seen = self._levels("forced", 3, workers, monkeypatch)
-        finally:
-            sys.setswitchinterval(interval)
+        seen = self._levels("forced", 3, 2 * cpus + 1, monkeypatch)
         self._assert_same(seen, one)
+        assert len(forks) > 2 * cpus  # two runs, each on more processes than CPUs
+        self._no_worker_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("h", [0.05, -0.05])
-    def test_blowup_guard_sees_every_block(self, workers, where, bad, h,
+    def test_blowup_guard_sees_every_block(self, workers, where, bad, h, forks,
                                            monkeypatch):
-        # the velocity enters no Laplacian, so level 1 is bad at one point
+        # the velocity enters no Laplacian, so level 1 is bad at one point;
+        # with two workers the last block is the worker's
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
         monkeypatch.setattr(stencils, "_WORKERS", workers)
-        v0 = np.zeros((12, 5))
-        velocity = np.ones((12, 5))
+        v0 = self._window((12, 5))
+        velocity = self._window((12, 5), 1.0)
         velocity[where, 2] = bad
         assert len(stencils.row_blocks(v0.shape)) == 6
         with pytest.raises(BlowupError) as exc:
             list(stencils.three_level_steps(v0, velocity, h, 0.1, 3))
         assert exc.value.level == (1 if h > 0 else -1)
         assert not math.isfinite(exc.value.max_value)
+        assert len(forks) == workers - 1
 
-    def test_each_worker_steps_one_contiguous_chunk(self, monkeypatch):
+    def test_each_worker_steps_one_contiguous_chunk(self, forks, monkeypatch):
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
         monkeypatch.setattr(stencils, "_WORKERS", 2)
-        seen = []
+        stepped_by = self._window((12,))  # the pid at each block's first plane
 
         def terms(accel, values, t, at):
-            seen.append((threading.get_ident(), at[0].start))
+            stepped_by[at[0].start] = os.getpid()
             return accel
 
-        v0 = np.zeros((12, 5))
-        list(stencils.three_level_steps(v0, np.ones_like(v0), 0.05, 0.1, 1,
-                                        terms=terms))
+        v0 = self._window((12, 5))
+        list(stencils.three_level_steps(v0, self._window((12, 5), 1.0), 0.05,
+                                        0.1, 1, terms=terms))
         chunks = {}
-        for thread, start in seen:
-            chunks.setdefault(thread, []).append(start)
-        assert sorted(chunks.values()) == [[0, 2, 4], [6, 8, 10]]
-        assert chunks[threading.get_ident()] == [0, 2, 4]
+        for start in range(0, 12, 2):
+            chunks.setdefault(int(stepped_by[start]), []).append(start)
+        assert len(forks) == 1
+        assert chunks == {os.getpid(): [0, 2, 4], forks[0]: [6, 8, 10]}
 
-    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("a window of one block started a thread")
-
+    def test_one_block_forks_nothing(self, forks, monkeypatch):
         monkeypatch.setattr(stencils, "_WORKERS", 2)
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-        v0 = np.zeros((12, 5))
+        v0 = self._window((12, 5))
         assert len(stencils.row_blocks(v0.shape)) == 1
         assert len(list(stencils.three_level_steps(
-            v0, np.ones_like(v0), 0.05, 0.1, 4))) == 4
+            v0, self._window((12, 5), 1.0), 0.05, 0.1, 4))) == 4
+        assert not forks
+
+    @pytest.mark.parametrize("plain", ["v0", "velocity", "both"])
+    def test_plain_arrays_fork_nothing(self, plain, forks, monkeypatch):
+        # the workers could not write into a private array of the caller's
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+        v0, velocity = self._window((12, 5)), self._window((12, 5), 1.0)
+        if plain in ("v0", "both"):
+            v0 = np.zeros((12, 5))
+        if plain in ("velocity", "both"):
+            velocity = np.ones((12, 5))
+        levels = [level.copy() for level, _ in
+                  stencils.three_level_steps(v0, velocity, 0.05, 0.1, 4)]
+        assert len(levels) == 4 and np.all(levels[0] == 0.05)
+        assert not forks
+
+    def test_worker_error_reaches_the_caller(self, forks, monkeypatch):
+        # blocks 6.. are the worker's: its error is raised here, with its
+        # type and message, caused by its traceback there
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+
+        def terms(accel, values, t, at):
+            if at[0].start >= 6:
+                raise KeyError(f"no term at plane {at[0].start}")
+            return accel
+
+        v0 = self._window((12, 5))
+        with pytest.raises(KeyError, match="no term at plane 6") as exc:
+            list(stencils.three_level_steps(v0, self._window((12, 5)), 0.05,
+                                            0.1, 3, terms=terms))
+        assert len(forks) == 1
+        assert f"in worker process {forks[0]}" in str(exc.value.__cause__)
+        assert "in terms" in str(exc.value.__cause__)
+        self._no_worker_left()
+
+    @pytest.mark.parametrize("end", ["exhausted", "blowup", "worker error",
+                                     "closed", "dropped"])
+    def test_no_worker_outlives_its_run(self, end, forks, monkeypatch):
+        monkeypatch.setattr(stencils, "BLOCK_POINTS", 10)
+        monkeypatch.setattr(stencils, "_WORKERS", 3)
+        # twelve blocks, whose scratch lets three processes step them; the
+        # bad value and the error lie in the last worker's chunk
+        v0, velocity = self._window((24, 5)), self._window((24, 5), 1.0)
+        if end == "blowup":
+            velocity[-1, 2] = math.nan
+
+        def terms(accel, values, t, at):
+            if end == "worker error" and at[0].start >= 16:
+                raise ValueError("bad block")
+            return accel
+
+        run = stencils.three_level_steps(v0, velocity, 0.05, 0.1, 3,
+                                         terms=terms)
+        if end in ("closed", "dropped"):
+            next(run)
+            if end == "closed":
+                run.close()
+            else:
+                del run
+        elif end == "exhausted":
+            assert len(list(run)) == 3
+        else:
+            with pytest.raises(BlowupError if end == "blowup" else ValueError):
+                list(run)
+        assert len(forks) == 2
+        self._no_worker_left()
+
+    @pytest.mark.parametrize("experiment", ["E1", "E3", "E5", "E6", "E7"])
+    def test_experiments_at_n3_step_in_forked_workers(self, experiment,
+                                                      fork_pids, monkeypatch):
+        # their largest windows (E6's in part (b)) pass FORK_POINTS, and
+        # every caller of the kernel hands it arrays of window_zeros
+        monkeypatch.setattr(stencils, "_WORKERS", 2)
+        levels = {"levels": 4} if experiment == "E1" else {}
+        run_experiment(default_config(experiment, n=3, **levels))
+        assert fork_pids
+        self._no_worker_left()
+

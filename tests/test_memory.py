@@ -1,9 +1,12 @@
 """Memory bounded by design: the reference synthesis and the full-space solve of
 E1 at n = 3 (the `fullspace-3d` benchmark workload, levels = 4), the forced
-full-space solve of E6(b) at n = 3 and the continuum Duhamel sum of its
-forcing."""
+full-space solve of E6(b) at n = 3, each worker process it forks, and the
+continuum Duhamel sum of its forcing.  A window array of FORK_POINTS points
+or more lies in shared memory, which tracemalloc does not see, so every
+traced figure adds the shared allocator's bytes."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -28,17 +31,22 @@ MB = 1024 * 1024
 
 
 def _traced(func, *args, **kwargs):
-    """(result, peak traced bytes, traced bytes still held with the result
-    alive), both above the start, of one call."""
+    """(result, peak bytes, bytes still held with the result alive), both
+    above the start, of one call: traced bytes plus those of the arrays in
+    shared memory."""
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
+        shared_start, _ = stencils.shared_memory()
         tracemalloc.reset_peak()
+        stencils.reset_shared_peak()
         result = func(*args, **kwargs)
         held, peak = tracemalloc.get_traced_memory()
+        shared_held, shared_peak = stencils.shared_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - start, held - start
+    return (result, peak - start + shared_peak - shared_start,
+            held - start + shared_held - shared_start)
 
 
 def _e1_n3():
@@ -96,9 +104,9 @@ def test_finest_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
     # the bootstrap samples by blocks and builds no point array, and the
     # stepping kernel rotates its levels through the bootstrap's buffers and
     # forms each block's Laplacian in scratch of a few hundred kB: level 0,
-    # g and the kernel's scratch, with no window-sized Laplacian buffer; a
-    # level's workers are capped so that their scratch stays a fixed share of
-    # the level, however many CPUs there are
+    # g and the kernel's scratch, with no window-sized Laplacian buffer;
+    # from two workers on, level 0 and g lie in shared memory, and each
+    # forked worker's scratch is its own (see the test after the next)
     monkeypatch.setattr(stencils, "_WORKERS", workers)
     f, g, domain, spec, points = _e1_n3_finest()
     problem = DiscreteProblem(spec=spec, domain=domain, f=f, g=g)
@@ -115,8 +123,9 @@ def test_forced_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
     # E6(b) at n = 3: the forcing's two spaces are sampled once on the
     # bootstrap window, one block of rows at a time, so the solve holds
     # level 0, g and the two sampled spaces, and no point array of the
-    # bootstrap window exists; each worker adds only block-sized scratch,
-    # and the all-interior window allocates no masks
+    # bootstrap window exists; this process adds only block-sized scratch,
+    # however many workers it forks, and the all-interior window allocates
+    # no masks
     monkeypatch.setattr(stencils, "_WORKERS", workers)
     config = default_config("E6", n=3)
     spec = config.base_spec()
@@ -129,6 +138,51 @@ def test_forced_fullspace_solve_holds_few_window_arrays(monkeypatch, workers):
     window = problem.classification.shape
     bootstrap_points = int(np.prod([w + 2 * spec.steps for w in window]))
     assert peak <= 5 * 8 * bootstrap_points
+
+
+def test_each_worker_holds_only_block_sized_arrays(monkeypatch, tmp_path):
+    # E6(b) at n = 3 on up to eight processes: each forked worker allocates its
+    # two scratch arrays of one block and, at a time, the forcing's two
+    # chunks of planes, whatever the process count; it reaches every window
+    # array through the fork and copies none.  Each worker writes the peak
+    # of what it allocated, traced from its fork, into a file of its own
+    # as it ends.
+    monkeypatch.setattr(stencils, "_WORKERS", 8)
+    at_fork = {}
+    real_fork, real_exit = os.fork, os._exit
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            at_fork["traced"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return pid
+
+    def exit(code):
+        try:
+            if "traced" in at_fork:
+                peak = tracemalloc.get_traced_memory()[1] - at_fork["traced"]
+                (tmp_path / str(os.getpid())).write_text(str(peak))
+        finally:
+            real_exit(code)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "_exit", exit)
+    config = default_config("E6", n=3)
+    spec = config.base_spec()
+    space = config.data("f")
+    forcing = dalembert_forcing(space, math.cos, lambda s: -math.cos(s))
+    problem = DiscreteProblem(spec=spec, domain=Domain.full_space(config.window()),
+                              f=space, forcing=forcing)
+    _traced(solve, problem, t_range=(0.0, spec.T))
+    peaks = [int(path.read_text()) for path in tmp_path.iterdir()]
+    # three processes keep the scratch within half of a 101^3 level
+    assert len(peaks) == 2
+    plane = math.prod(w + 2 * spec.steps for w in problem.classification.shape[1:])
+    scratch = 2 * 8 * max(stencils.BLOCK_POINTS, plane)
+    terms = 2 * 8 * max(stencils.TERM_POINTS, plane)
+    # and a ufunc's buffer of 8192 values plus Python objects
+    assert max(peaks) <= scratch + terms + 128 * 1024
 
 
 def test_continuum_duhamel_holds_no_s_by_node_array():

@@ -348,7 +348,9 @@ class TestCallCounts:
 
     @pytest.fixture
     def multi_block(self, monkeypatch):
-        """Blocks of at most 40 points, stepped on two threads."""
+        """Blocks of at most 40 points and two workers; the windows lie
+        below FORK_POINTS, so every block is stepped in this process, where
+        the recording sees any call."""
         monkeypatch.setattr(stencils, "BLOCK_POINTS", 40)
         monkeypatch.setattr(stencils, "_WORKERS", 2)
 

@@ -237,6 +237,15 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _window_copies(*arrays):
+    """Copies of `arrays` in arrays of window_zeros, in shared memory with
+    more than one worker and FORK_POINTS at 0, where the kernel forks."""
+    copies = [stencils.window_zeros(a.shape) for a in arrays]
+    for copy, a in zip(copies, arrays):
+        copy[...] = a
+    return copies
+
+
 SHAPES = [(1,), (2,), (3,), (40,), (2, 9), (9, 1), (5, 7), (13, 17, 19),
           (3, 3, 3), (6, 2, 5), (3, 5, 41), (4, 5, 3, 6)]
 
@@ -271,13 +280,17 @@ class TestBlockedKernels:
 
     @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}-workers")
     def workers(self, request, monkeypatch):
+        """Up to this many processes, on window arrays of any size in shared
+        memory from two on."""
         monkeypatch.setattr(stencils, "_WORKERS", request.param)
+        monkeypatch.setattr(stencils, "FORK_POINTS", 0)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("h", [0.05, -0.05])
     def test_first_level_in_place_of_velocity(self, shape, h, block_points,
                                               workers):
-        v0, velocity = np.random.default_rng(4).normal(size=(2,) + shape)
+        v0, velocity = _window_copies(*np.random.default_rng(4).normal(
+            size=(2,) + shape))
         v0.flat[0] = -0.0
         expected = leapfrog_first_level(v0, velocity, _plain_laplacian(v0, 0.1), h)
         run = stencils.three_level_steps(v0, velocity, h, 0.1, 1)
@@ -293,7 +306,7 @@ class TestBlockedKernels:
         h = 0.00625
         first = leapfrog_first_level(v0, velocity, _plain_laplacian(v0, 0.1), h)
         expected = leapfrog_advance(first, v0, _plain_laplacian(first, 0.1), h)
-        start = v0.copy()
+        start, velocity = _window_copies(v0, velocity)
         run = stencils.three_level_steps(start, velocity, h, 0.1, 2)
         next(run)
         level, level_max = next(run)
@@ -310,10 +323,11 @@ class TestBlockedKernels:
         window = tuple(s - 2 * steps for s in shape)
         v0, velocity = np.random.default_rng(5).normal(size=(2,) + shape)
         v0.flat[v0.size // 2] = -0.0
-        whole = stencils.three_level_steps(v0.copy(), velocity.copy(), h, 0.1,
-                                           steps)
-        cone = stencils.three_level_steps(v0, velocity, h, 0.1, steps,
-                                          shrink=window)
+        # the two runs are live at once, each with its own workers
+        whole = stencils.three_level_steps(*_window_copies(v0, velocity), h,
+                                           0.1, steps)
+        cone = stencils.three_level_steps(*_window_copies(v0, velocity), h,
+                                          0.1, steps, shrink=window)
         for k, ((full, _), (level, level_max)) in enumerate(zip(whole, cone), 1):
             expected = crop_centre(full, tuple(w + 2 * (steps - k) for w in window))
             assert _same_bits(level, expected), k
@@ -334,8 +348,9 @@ class TestBlockedKernels:
             v0, velocity = np.random.default_rng(6).normal(size=(2,) + shape)
             v0[edges] = velocity[edges] = fill
             runs.append([(level.copy(), level_max) for level, level_max in
-                         stencils.three_level_steps(v0, velocity, 0.05, 0.1,
-                                                    steps, shrink=window)])
+                         stencils.three_level_steps(*_window_copies(v0, velocity),
+                                                    0.05, 0.1, steps,
+                                                    shrink=window)])
         assert len(runs[1]) == steps
         for (zeros, zeros_max), (nans, nans_max) in zip(*runs):
             assert _same_bits(nans, zeros) and nans_max == zeros_max
